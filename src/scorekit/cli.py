@@ -148,32 +148,21 @@ def _cmd_synth_gen(args) -> int:
     cohort = synth.generate(synth.GeneratorConfig(n=args.n, seed=args.seed, hidden_u=hidden))
     out = _out_path(args, "cohort.csv")
     synth.write_cohort_csv(cohort, out)
-    ds = cohort.dataset()
-    released = ds.actions == srr.RELEASE
+    table = cohort.case_table()
+    released = table.actions == srr.RELEASE
     print(f"wrote {out}")
     print(
         f"n={cohort.n} release_rate={released.mean():.3f} "
-        f"adverse|released={ds.labels[np.flatnonzero(released)].mean():.3f}"
+        f"adverse|released={table.outcomes[released].mean():.3f}"
     )
     return 0
-
-
-def _three_fold(args, n: int, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
-    folds = data.kfold(n, 3, seed=args.seed, labels=labels)
-    roles = [(r + args.rotate) % 3 for r in range(3)]
-    construct, surface, evaluate = (folds.test_indices(r) for r in roles)
-    provenance = (
-        f"fold_roles: construct=fold{roles[0]} surface=fold{roles[1]} "
-        f"evaluate=fold{roles[2]} (disjoint)"
-    )
-    return construct, surface, evaluate, provenance
 
 
 def _load_cohort_or_cases(args):
     """Returns (table, feature_names, column_groups) for policy commands."""
     with open(args.input, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-    if header[-3:] == ["__po_release", "__po_withhold", "__u"]:
+    if tuple(header[-3:]) == synth.COHORT_COLUMNS[-3:]:
         cohort = synth.load_cohort_csv(args.input)
         return cohort.case_table(), cohort.feature_names, cohort.column_groups
     if not args.label or not args.action:
@@ -185,20 +174,36 @@ def _load_cohort_or_cases(args):
         group_column=args.group,
         positive_label=args.positive_label,
     )
-    cases = policy.cases_from_dataset(ds, release_value=args.release_value)
-    return policy.CaseTable.from_cases(cases), ds.feature_names, ds.column_groups
+    table = policy.cases_from_dataset(ds, release_value=args.release_value)
+    return table, ds.feature_names, ds.column_groups
 
 
-def _construct_policies(args, table, names, groups, construct_idx):
-    """Scorecard + full-feature risk model, both fitted on the construct fold."""
-    sub = table.take(construct_idx)
-    released = np.flatnonzero(sub.actions == srr.RELEASE)
+def _policy_setup(args):
+    """The shared set-up of the policy commands.
+
+    Loads the input and splits it into three folds: the scorecard and a
+    full-feature risk model are fitted on the released cases of the construct
+    fold, the response surface on the surface fold, and policies are scored
+    on the evaluation fold.  Returns (names, card, (risk intercept, risk
+    coefficients), surface, evaluation table, scorecard thresholds, fold
+    provenance); without --thresholds, the thresholds are every half-integer
+    between the extreme evaluation scores.
+    """
+    table, names, groups = _load_cohort_or_cases(args)
+    folds = data.kfold(len(table), 3, seed=args.seed, labels=table.outcomes.astype(int))
+    roles = [(r + args.rotate) % 3 for r in range(3)]
+    construct, surf_sub, eval_sub = (table.take(folds.test_indices(r)) for r in roles)
+    provenance = (
+        f"fold_roles: construct=fold{roles[0]} surface=fold{roles[1]} "
+        f"evaluate=fold{roles[2]} (disjoint)"
+    )
+    released = np.flatnonzero(construct.actions == srr.RELEASE)
     if len(released) < 20:
         raise DataError("too few released cases in the construction fold")
     rule_ds = data.Dataset(
         feature_names=names,
-        rows=sub.X[released],
-        labels=sub.outcomes[released].astype(int),
+        rows=construct.X[released],
+        labels=construct.outcomes[released].astype(int),
         column_groups=groups,
     )
     lam_folds = data.kfold(rule_ds.n, args.inner_folds, seed=args.seed + 1, labels=rule_ds.labels)
@@ -206,30 +211,22 @@ def _construct_policies(args, table, names, groups, construct_idx):
         rule_ds, k=args.k, M=args.M, folds_for_lambda=lam_folds, n_lambda=args.n_lambda
     )
     risk_path = glm.cv_select(rule_ds.rows, rule_ds.labels.astype(float), lam_folds, n_lambda=args.n_lambda)
-    b0, coefs = risk_path.coefficients_at()
-    return card, (b0, coefs)
-
-
-def _cmd_policy_eval(args) -> int:
-    table, names, groups = _load_cohort_or_cases(args)
-    construct_idx, surface_idx, eval_idx, provenance = _three_fold(
-        args, len(table), table.outcomes.astype(int)
-    )
-    card, (risk_b0, risk_coefs) = _construct_policies(args, table, names, groups, construct_idx)
-    surf_sub = table.take(surface_idx)
     surf_folds = data.kfold(
         len(surf_sub), args.inner_folds, seed=args.seed + 2, labels=surf_sub.outcomes.astype(int)
     )
     surface = policy.fit_response_surface(surf_sub, surf_folds, n_lambda=args.n_lambda)
-    eval_sub = table.take(eval_idx)
-
     if args.thresholds:
         thresholds = _parse_float_grid(args.thresholds)
     else:
-        scores = policy.ScorecardPolicy(
-            card=card, feature_names=names, threshold=0.0
-        ).scores(eval_sub.X)
+        scores = eval_sub.X @ card.weight_vector(names)
         thresholds = tuple(np.arange(np.min(scores), np.max(scores) + 1.0) + 0.5)
+    return names, card, risk_path.coefficients_at(), surface, eval_sub, thresholds, provenance
+
+
+def _cmd_policy_eval(args) -> int:
+    names, card, (risk_b0, risk_coefs), surface, eval_sub, thresholds, provenance = (
+        _policy_setup(args)
+    )
     risk_thresholds = _parse_float_grid(args.risk_thresholds)
 
     out = _out_path(args, "policy_eval.csv")
@@ -263,28 +260,9 @@ def _cmd_policy_eval(args) -> int:
 
 
 def _cmd_sensitivity_sweep(args) -> int:
-    table, names, groups = _load_cohort_or_cases(args)
-    construct_idx, surface_idx, eval_idx, provenance = _three_fold(
-        args, len(table), table.outcomes.astype(int)
-    )
-    card, (risk_b0, risk_coefs) = _construct_policies(args, table, names, groups, construct_idx)
-    surf_sub = table.take(surface_idx)
-    surf_folds = data.kfold(
-        len(surf_sub), args.inner_folds, seed=args.seed + 2, labels=surf_sub.outcomes.astype(int)
-    )
-    surface = policy.fit_response_surface(surf_sub, surf_folds, n_lambda=args.n_lambda)
-    eval_sub = table.take(eval_idx)
-
+    names, card, _, surface, eval_sub, thresholds, provenance = _policy_setup(args)
     spec = _REGIMES[args.regime]
     regimes = policy.regime_grid(spec["alpha"], _P_GRID, spec["deltas"])
-
-    if args.thresholds:
-        thresholds = _parse_float_grid(args.thresholds)
-    else:
-        scores = policy.ScorecardPolicy(
-            card=card, feature_names=names, threshold=0.0
-        ).scores(eval_sub.X)
-        thresholds = tuple(np.arange(np.min(scores), np.max(scores) + 1.0) + 0.5)
 
     out = _out_path(args, "sensitivity.csv")
     with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -434,3 +412,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

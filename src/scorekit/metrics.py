@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import Dataset, FoldAssignment, kfold
 from .errors import DataError, NumericError
-from .glm import cv_select, fit_logistic
+from .glm import cv_select, fit_logistic, predict_prob
 from .selection import forward_stepwise
 from .srr import rescale_round
 
@@ -184,7 +184,7 @@ def cv_sweep(
         # benchmarks on all features
         try:
             full_fit = fit_logistic(train.rows, y_tr, on_divergence="clamp")
-            prob = 1.0 / (1.0 + np.exp(-(full_fit.intercept + test.rows @ full_fit.coefficients)))
+            prob = predict_prob(full_fit, test.rows)
             cells.append(_prob_cells(LOGISTIC_FULL, f, prob, y_te))
         except (DataError, NumericError) as exc:
             cells.append(SweepCell(LOGISTIC_FULL, None, None, f, np.nan, np.nan, str(exc)))

@@ -34,46 +34,26 @@ ROSENBAUM_RUBIN = "rosenbaum_rubin"
 ORACLE = "oracle"
 
 
-@dataclass(frozen=True)
-class CaseRecord:
-    """One observed decision instance.
-
-    Potential outcomes are carried only by synthetic cohorts; when present,
-    the observed outcome must equal the potential outcome of the observed
-    action.
-    """
-
-    covariates: np.ndarray
-    action: str
-    outcome: int
-    group_id: str | None = None
-    outcome_if_released: int | None = None
-    outcome_if_withheld: int | None = None
-
-    def __post_init__(self):
-        cov = np.asarray(self.covariates, dtype=float)
-        cov.flags.writeable = False
-        object.__setattr__(self, "covariates", cov)
-        if self.action not in (RELEASE, WITHHOLD):
-            raise DataError(f"action must be {RELEASE!r} or {WITHHOLD!r}, got {self.action!r}")
-        if self.outcome not in (0, 1):
-            raise DataError("outcome must be 0 or 1")
-        po = (self.outcome_if_released, self.outcome_if_withheld)
-        if (po[0] is None) != (po[1] is None):
-            raise DataError("either both potential outcomes are present or neither")
-        if po[0] is not None:
-            observed = po[0] if self.action == RELEASE else po[1]
-            if observed != self.outcome:
-                raise DataError("observed outcome must equal the potential outcome of the action taken")
+# CaseTable columns and the dtype each is stored as (None: as given)
+_CASE_COLUMNS = (
+    ("X", float),
+    ("actions", None),
+    ("outcomes", float),
+    ("group_ids", None),
+    ("po_release", float),
+    ("po_withhold", float),
+)
 
 
 @dataclass(frozen=True)
 class CaseTable:
-    """Column-oriented view of a case list, for repeated estimator calls.
+    """Observed decision cases, held column by column.
 
-    Estimators accept either a sequence of :class:`CaseRecord` or one of
-    these; building the table once avoids re-stacking covariate rows on
-    every call in threshold or regime sweeps.
+    ``X`` has one covariate row per case, ``actions`` the observed action
+    (release or withhold) and ``outcomes`` the observed 0/1 outcome.
+    Potential outcomes are carried only by synthetic cohorts; when present,
+    the observed outcome must equal the potential outcome of the observed
+    action.
     """
 
     X: np.ndarray
@@ -83,25 +63,29 @@ class CaseTable:
     po_release: np.ndarray | None = None
     po_withhold: np.ndarray | None = None
 
-    @classmethod
-    def from_cases(cls, cases: Sequence["CaseRecord"]) -> "CaseTable":
-        if not len(cases):
+    def __post_init__(self):
+        for name, dtype in _CASE_COLUMNS:
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, np.asarray(value, dtype=dtype))
+        n = len(self.outcomes)
+        if n == 0:
             raise DataError("no cases")
-        has_po = cases[0].outcome_if_released is not None
-        return cls(
-            X=np.vstack([c.covariates for c in cases]),
-            actions=np.array([c.action for c in cases]),
-            outcomes=np.array([c.outcome for c in cases], dtype=float),
-            group_ids=np.array([c.group_id for c in cases])
-            if cases[0].group_id is not None
-            else None,
-            po_release=np.array([c.outcome_if_released for c in cases], dtype=float)
-            if has_po
-            else None,
-            po_withhold=np.array([c.outcome_if_withheld for c in cases], dtype=float)
-            if has_po
-            else None,
-        )
+        columns = [getattr(self, name) for name, _ in _CASE_COLUMNS]
+        if self.X.ndim != 2 or any(col is not None and len(col) != n for col in columns):
+            raise DataError("case columns must all have one entry (X: one row) per case")
+        if not np.all(np.isfinite(self.X)):
+            raise DataError("covariates contain non-finite values")
+        bad = self.actions[~np.isin(self.actions, (RELEASE, WITHHOLD))]
+        if len(bad):
+            raise DataError(f"action must be {RELEASE!r} or {WITHHOLD!r}, got {str(bad[0])!r}")
+        po = [col for col in (self.po_release, self.po_withhold) if col is not None]
+        if len(po) == 1:
+            raise DataError("either both potential outcomes are present or neither")
+        if not all(np.isin(col, (0.0, 1.0)).all() for col in [self.outcomes, *po]):
+            raise DataError("outcome must be 0 or 1")
+        if po and np.any(self.outcomes != np.where(self.actions == RELEASE, po[0], po[1])):
+            raise DataError("observed outcome must equal the potential outcome of the action taken")
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -118,20 +102,8 @@ class CaseTable:
         )
 
 
-def stack_cases(cases):
-    """(X, actions, outcomes) arrays from a case list or CaseTable."""
-    if isinstance(cases, CaseTable):
-        return cases.X, cases.actions, cases.outcomes
-    if not len(cases):
-        raise DataError("no cases")
-    X = np.vstack([c.covariates for c in cases])
-    actions = np.array([c.action for c in cases])
-    outcomes = np.array([c.outcome for c in cases], dtype=float)
-    return X, actions, outcomes
-
-
-def cases_from_dataset(ds: Dataset, release_value: str | None = None) -> list[CaseRecord]:
-    """Interpret a Dataset's action column as release/withhold case records."""
+def cases_from_dataset(ds: Dataset, release_value: str | None = None) -> CaseTable:
+    """Interpret a Dataset's action column as release/withhold cases."""
     if ds.actions is None:
         raise DataError("dataset has no action column")
     values = sorted(set(ds.actions))
@@ -142,16 +114,12 @@ def cases_from_dataset(ds: Dataset, release_value: str | None = None) -> list[Ca
             raise DataError(
                 f"action values {values} are not {RELEASE!r}/{WITHHOLD!r}; pass release_value"
             )
-    groups = ds.group_ids if ds.group_ids is not None else [None] * ds.n
-    return [
-        CaseRecord(
-            covariates=ds.rows[i],
-            action=RELEASE if ds.actions[i] == release_value else WITHHOLD,
-            outcome=int(ds.labels[i]),
-            group_id=None if groups[i] is None else str(groups[i]),
-        )
-        for i in range(ds.n)
-    ]
+    return CaseTable(
+        X=ds.rows,
+        actions=np.where(ds.actions == release_value, RELEASE, WITHHOLD),
+        outcomes=ds.labels,
+        group_ids=None if ds.group_ids is None else ds.group_ids.astype(str),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +147,11 @@ class ScorecardPolicy:
         if thr is None:
             raise DataError("no threshold: set one on the card or the policy")
         object.__setattr__(self, "threshold", float(thr))
-        missing = [n for n, _ in self.card.entries if n not in self.feature_names]
-        if missing:
-            raise DataError(f"covariate layout is missing scorecard features {missing}")
+        self.card.weight_vector(self.feature_names)  # rejects a layout missing a card feature
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        total = np.zeros(X.shape[0])
-        for name, w in self.card.entries:
-            total += w * X[:, self.feature_names.index(name)]
-        return total
+        return X @ self.card.weight_vector(self.feature_names)
 
     def actions(self, X: np.ndarray) -> np.ndarray:
         return np.where(self.scores(X) < self.threshold, RELEASE, WITHHOLD)
@@ -276,43 +239,38 @@ class ResponseSurface:
         withheld = self.outcome_path.predict_prob(surface_design(X, ~ones))
         return released, withheld
 
-    def predict(self, X, action: str) -> np.ndarray:
-        released, withheld = self.predict_both(X)
-        return released if action == RELEASE else withheld
-
     def release_prob(self, X) -> np.ndarray:
         return self.release_path.predict_prob(self._check(X))
 
 
 def fit_response_surface(
-    cases: Sequence[CaseRecord],
+    cases: CaseTable,
     folds: FoldAssignment,
     n_lambda: int = 100,
     lambda_min_ratio: float = 1e-4,
 ) -> ResponseSurface:
     """Fit the outcome and release models on a set of observed cases."""
-    X, actions, outcomes = stack_cases(cases)
-    released = actions == RELEASE
+    released = cases.actions == RELEASE
     if released.all() or (~released).all():
         raise DataError("cannot identify counterfactuals: only one action observed")
     if folds.n != len(cases):
         raise DataError("fold assignment does not cover the cases")
     outcome_path = cv_select(
-        surface_design(X, released),
-        outcomes,
+        surface_design(cases.X, released),
+        cases.outcomes,
         folds,
         n_lambda=n_lambda,
         lambda_min_ratio=lambda_min_ratio,
     )
     release_path = cv_select(
-        X,
+        cases.X,
         released.astype(float),
         folds,
         n_lambda=n_lambda,
         lambda_min_ratio=lambda_min_ratio,
     )
     return ResponseSurface(
-        outcome_path=outcome_path, release_path=release_path, n_features=X.shape[1]
+        outcome_path=outcome_path, release_path=release_path, n_features=cases.X.shape[1]
     )
 
 
@@ -336,7 +294,7 @@ class PolicyEstimate:
 
 
 def estimate_policy(
-    cases: Sequence[CaseRecord], policy: Policy, surface: ResponseSurface
+    cases: CaseTable, policy: Policy, surface: ResponseSurface
 ) -> PolicyEstimate:
     """Response-surface estimate of a policy's adverse-outcome rate.
 
@@ -345,12 +303,11 @@ def estimate_policy(
     must have been fitted on cases disjoint from these (fold discipline is
     the caller's job).
     """
-    X, actions, outcomes = stack_cases(cases)
-    prescribed = np.asarray(policy.actions(X))
-    r_rel, r_wh = surface.predict_both(X)
+    prescribed = np.asarray(policy.actions(cases.X))
+    r_rel, r_wh = surface.predict_both(cases.X)
     modeled = np.where(prescribed == RELEASE, r_rel, r_wh)
-    agree = prescribed == actions
-    value = float(np.mean(np.where(agree, outcomes, modeled)))
+    agree = prescribed == cases.actions
+    value = float(np.mean(np.where(agree, cases.outcomes, modeled)))
     return PolicyEstimate(
         action_rate=float(np.mean(prescribed == RELEASE)),
         value=value,
@@ -512,7 +469,7 @@ def rr_counterfactual(
 
 
 def rr_estimate(
-    cases: Sequence[CaseRecord],
+    cases: CaseTable,
     policy: Policy,
     surface: ResponseSurface,
     params: SensitivityParams,
@@ -523,15 +480,14 @@ def rr_estimate(
     disagrees with the observed action, the counterfactual comes from the
     unobserved-covariate adjustment instead of the raw surface estimate.
     """
-    X, actions, outcomes = stack_cases(cases)
-    prescribed = np.asarray(policy.actions(X))
-    agree = prescribed == actions
-    value_terms = outcomes.copy()
+    prescribed = np.asarray(policy.actions(cases.X))
+    agree = prescribed == cases.actions
+    value_terms = cases.outcomes.copy()
     if np.any(~agree):
-        Xd = X[~agree]
+        Xd = cases.X[~agree]
         r_rel, r_wh = surface.predict_both(Xd)
         q = surface.release_prob(Xd)
-        value_terms[~agree] = rr_counterfactual(r_rel, r_wh, params, actions[~agree], q)
+        value_terms[~agree] = rr_counterfactual(r_rel, r_wh, params, cases.actions[~agree], q)
     return PolicyEstimate(
         action_rate=float(np.mean(prescribed == RELEASE)),
         value=float(np.mean(value_terms)),
@@ -560,7 +516,7 @@ class SensitivityBand:
 
 
 def sensitivity_sweep(
-    cases: Sequence[CaseRecord],
+    cases: CaseTable,
     policy: Policy,
     surface: ResponseSurface,
     regimes: Sequence[SensitivityParams],
@@ -634,7 +590,7 @@ class GroupReport:
 
 
 def per_group_estimates(
-    cases: Sequence[CaseRecord],
+    cases: CaseTable,
     policy: Policy,
     folds: FoldAssignment,
     min_group_size: int = 50,
@@ -651,44 +607,42 @@ def per_group_estimates(
     """
     if folds.n != len(cases):
         raise DataError("fold assignment does not cover the cases")
-    table = cases if isinstance(cases, CaseTable) else CaseTable.from_cases(cases)
-    if table.group_ids is None:
+    if cases.group_ids is None:
         raise DataError("per-group estimation needs group ids on every case")
     by_group: dict[str, list[int]] = {}
-    for i, gid in enumerate(table.group_ids):
+    for i, gid in enumerate(cases.group_ids):
         by_group.setdefault(str(gid), []).append(i)
 
     estimates: list[GroupEstimate] = []
     skipped: list[tuple[str, str]] = []
     for gid in sorted(by_group):
         idx = np.asarray(by_group[gid])
-        sub = table.take(idx)
+        sub = cases.take(idx)
         if len(sub) < min_group_size:
             skipped.append((gid, f"only {len(sub)} cases (minimum {min_group_size})"))
             continue
-        X, actions, outcomes = stack_cases(sub)
-        released = actions == RELEASE
+        released = sub.actions == RELEASE
         if released.all() or (~released).all():
             skipped.append((gid, "single observed action"))
             continue
-        if len(np.unique(outcomes)) < 2:
+        if len(np.unique(sub.outcomes)) < 2:
             skipped.append((gid, "single observed outcome"))
             continue
-        sub_folds = _group_folds(folds.fold_count, gid, outcomes)
+        sub_folds = _group_folds(folds.fold_count, gid, sub.outcomes)
         try:
             surface = fit_response_surface(sub, sub_folds, n_lambda=n_lambda)
             est = estimate_policy(sub, policy, surface)
         except (DataError, NumericError) as exc:
             skipped.append((gid, str(exc)))
             continue
-        prescribed = np.asarray(policy.actions(X))
+        prescribed = np.asarray(policy.actions(sub.X))
         estimates.append(
             GroupEstimate(
                 group_id=gid,
                 n_cases=len(sub),
-                agreement_rate=float(np.mean(prescribed == actions)),
+                agreement_rate=float(np.mean(prescribed == sub.actions)),
                 raw_release_rate=float(np.mean(released)),
-                raw_adverse_rate=float(np.mean(outcomes)),
+                raw_adverse_rate=float(np.mean(sub.outcomes)),
                 estimate=est,
             )
         )

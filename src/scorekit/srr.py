@@ -59,6 +59,18 @@ class Scorecard:
             self, "raw_coefficients", tuple(float(c) for c in self.raw_coefficients)
         )
 
+    def weight_vector(self, feature_names) -> np.ndarray:
+        """The card's weights aligned to a column layout; columns off the card
+        weigh 0.  A score is then ``X @ weight_vector(layout)``."""
+        names = tuple(feature_names)
+        missing = [name for name, _ in self.entries if name not in names]
+        if missing:
+            raise DataError(f"covariate layout is missing scorecard features {missing}")
+        w = np.zeros(len(names))
+        for name, weight in self.entries:
+            w[names.index(name)] = weight
+        return w
+
     def with_threshold(self, threshold: float) -> "Scorecard":
         return replace(self, threshold=float(threshold))
 
@@ -169,21 +181,14 @@ def build_scorecard(
 
 def score(card: Scorecard, x: Mapping[str, float]) -> float:
     """Sum of weights times feature values; integer-valued on 0/1 rows."""
-    total = 0.0
-    for name, w in card.entries:
-        try:
-            total += w * float(x[name])
-        except KeyError:
-            raise DataError(f"row is missing scorecard feature {name!r}") from None
-    return total
+    names = tuple(name for name, _ in card.entries if name in x)
+    values = np.array([x[name] for name in names], dtype=float)
+    return float(values @ card.weight_vector(names))
 
 
 def score_rows(card: Scorecard, ds: Dataset) -> np.ndarray:
     """Vectorized :func:`score` over every row of a dataset."""
-    total = np.zeros(ds.n)
-    for name, w in card.entries:
-        total += w * ds.column(name)
-    return total
+    return ds.rows @ card.weight_vector(ds.feature_names)
 
 
 def decide(card: Scorecard, x: Mapping[str, float]) -> str:
@@ -191,10 +196,3 @@ def decide(card: Scorecard, x: Mapping[str, float]) -> str:
     if card.threshold is None:
         raise DataError("scorecard has no decision threshold set")
     return RELEASE if score(card, x) < card.threshold else WITHHOLD
-
-
-def decide_rows(card: Scorecard, ds: Dataset) -> np.ndarray:
-    if card.threshold is None:
-        raise DataError("scorecard has no decision threshold set")
-    released = score_rows(card, ds) < card.threshold
-    return np.where(released, RELEASE, WITHHOLD)

@@ -25,15 +25,7 @@ import numpy as np
 from ._math import expit
 from .data import Bins, Dataset, EncodingSpec, encode
 from .errors import DataError, NumericError
-from .policy import (
-    ORACLE,
-    CaseRecord,
-    CaseTable,
-    Policy,
-    PolicyEstimate,
-    SensitivityParams,
-    stack_cases,
-)
+from .policy import ORACLE, CaseTable, Policy, PolicyEstimate, SensitivityParams
 from .srr import RELEASE, WITHHOLD
 
 AGE_LABELS = ("18_20", "21_25", "26_30", "31_35", "36_40", "41_45", "46_50", "51_plus")
@@ -98,7 +90,7 @@ class GeneratorConfig:
 class SyntheticCohort:
     """Generated cases with potential outcomes, plus the generating config."""
 
-    cases: tuple[CaseRecord, ...]
+    table: CaseTable
     feature_names: tuple[str, ...]
     column_groups: tuple[str, ...]
     config: GeneratorConfig | None
@@ -106,33 +98,24 @@ class SyntheticCohort:
     calibrated_intercepts: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "cases", tuple(self.cases))
         u = np.asarray(self.u, dtype=np.int8)
         u.flags.writeable = False
         object.__setattr__(self, "u", u)
 
     @property
     def n(self) -> int:
-        return len(self.cases)
-
-    def potential_outcomes(self) -> tuple[np.ndarray, np.ndarray]:
-        if any(c.outcome_if_released is None for c in self.cases):
-            raise DataError("cohort is missing potential outcomes")
-        po_r = np.array([c.outcome_if_released for c in self.cases], dtype=float)
-        po_w = np.array([c.outcome_if_withheld for c in self.cases], dtype=float)
-        return po_r, po_w
+        return len(self.table)
 
     def case_table(self) -> CaseTable:
-        return CaseTable.from_cases(self.cases)
+        return self.table
 
     def dataset(self) -> Dataset:
-        X, actions, outcomes = stack_cases(self.cases)
         return Dataset(
             feature_names=self.feature_names,
-            rows=X,
-            labels=outcomes.astype(int),
-            actions=actions,
-            group_ids=np.array([c.group_id for c in self.cases]),
+            rows=self.table.X,
+            labels=self.table.outcomes.astype(int),
+            actions=self.table.actions,
+            group_ids=self.table.group_ids,
             column_groups=self.column_groups,
         )
 
@@ -231,19 +214,17 @@ def generate(config: GeneratorConfig) -> SyntheticCohort:
     c_wh = _calibrate_intercept(eta_wh, config.adverse_rate_withheld, weights=1.0 - p_release)
     po_withhold = rng.random(n) < expit(eta_wh + c_wh)
 
-    cases = tuple(
-        CaseRecord(
-            covariates=X[i],
-            action=RELEASE if released[i] else WITHHOLD,
-            outcome=int(po_release[i] if released[i] else po_withhold[i]),
-            group_id=f"judge_{judges[i]:02d}",
-            outcome_if_released=int(po_release[i]),
-            outcome_if_withheld=int(po_withhold[i]),
-        )
-        for i in range(n)
+    judge_ids = np.array([f"judge_{j:02d}" for j in range(len(config.judge_offsets))])
+    table = CaseTable(
+        X=X,
+        actions=np.where(released, RELEASE, WITHHOLD),
+        outcomes=np.where(released, po_release, po_withhold),
+        group_ids=judge_ids[judges],
+        po_release=po_release,
+        po_withhold=po_withhold,
     )
     return SyntheticCohort(
-        cases=cases,
+        table=table,
         feature_names=names,
         column_groups=enc.column_groups,
         config=config,
@@ -258,22 +239,17 @@ def _age_weights(lo: int, hi: int) -> np.ndarray:
     return w / w.sum()
 
 
-def oracle_value(cohort: SyntheticCohort | CaseTable, policy: Policy) -> PolicyEstimate:
+def oracle_value(table: CaseTable, policy: Policy) -> PolicyEstimate:
     """Exact policy value from the stored potential outcomes."""
-    if isinstance(cohort, CaseTable):
-        if cohort.po_release is None or cohort.po_withhold is None:
-            raise DataError("cohort is missing potential outcomes")
-        X, po_r, po_w = cohort.X, cohort.po_release, cohort.po_withhold
-    else:
-        X, _, _ = stack_cases(cohort.cases)
-        po_r, po_w = cohort.potential_outcomes()
-    prescribed = np.asarray(policy.actions(X))
-    value = float(np.mean(np.where(prescribed == RELEASE, po_r, po_w)))
+    if table.po_release is None:
+        raise DataError("cohort is missing potential outcomes")
+    prescribed = np.asarray(policy.actions(table.X))
+    value = float(np.mean(np.where(prescribed == RELEASE, table.po_release, table.po_withhold)))
     return PolicyEstimate(
         action_rate=float(np.mean(prescribed == RELEASE)),
         value=value,
         method=ORACLE,
-        n_cases=len(po_r),
+        n_cases=len(table),
     )
 
 
@@ -281,37 +257,28 @@ def oracle_value(cohort: SyntheticCohort | CaseTable, policy: Policy) -> PolicyE
 # Cohort CSV round trip
 # ---------------------------------------------------------------------------
 
-_PO_RELEASE = "__po_release"
-_PO_WITHHOLD = "__po_withhold"
-_U_COL = "__u"
+# Trailing columns of a cohort CSV, after the features.  The reserved "__"
+# prefix makes load_csv refuse the file, so evaluation code cannot silently
+# treat stored potential outcomes as features.
+COHORT_COLUMNS = ("action", "outcome", "judge", "__po_release", "__po_withhold", "__u")
 
 
 def write_cohort_csv(cohort: SyntheticCohort, path) -> None:
-    """Cohort to CSV; potential-outcome columns carry the reserved prefix.
-
-    The reserved prefix makes load_csv refuse the file, so evaluation code
-    cannot silently treat stored potential outcomes as features; use
-    :func:`load_cohort_csv`.
-    """
-    header = (
-        list(cohort.feature_names)
-        + ["action", "outcome", "judge", _PO_RELEASE, _PO_WITHHOLD, _U_COL]
+    """Cohort to CSV; read it back with :func:`load_cohort_csv`."""
+    t = cohort.table
+    tail = zip(
+        t.actions.tolist(),
+        t.outcomes.astype(int).tolist(),
+        t.group_ids.tolist(),
+        t.po_release.astype(int).tolist(),
+        t.po_withhold.astype(int).tolist(),
+        cohort.u.tolist(),
     )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, case in enumerate(cohort.cases):
-            writer.writerow(
-                [repr(float(v)) for v in case.covariates]
-                + [
-                    case.action,
-                    case.outcome,
-                    case.group_id,
-                    case.outcome_if_released,
-                    case.outcome_if_withheld,
-                    int(cohort.u[i]),
-                ]
-            )
+        writer.writerow(list(cohort.feature_names) + list(COHORT_COLUMNS))
+        for x, rest in zip(t.X, tail):
+            writer.writerow([repr(float(v)) for v in x] + list(rest))
 
 
 def load_cohort_csv(path, column_groups: tuple[str, ...] | None = None) -> SyntheticCohort:
@@ -326,34 +293,38 @@ def load_cohort_csv(path, column_groups: tuple[str, ...] | None = None) -> Synth
         if header is None:
             raise DataError(f"{path}: empty file")
         rows = list(reader)
-    expected_tail = ["action", "outcome", "judge", _PO_RELEASE, _PO_WITHHOLD, _U_COL]
-    if header[-6:] != expected_tail or not rows:
-        raise DataError(f"{path}: not a cohort CSV (expected trailing columns {expected_tail})")
-    names = tuple(header[:-6])
-    cases = []
-    u = []
-    for row in rows:
-        cov = np.asarray([float(v) for v in row[: len(names)]])
-        action, outcome, judge, po_r, po_w, ui = row[len(names):]
-        cases.append(
-            CaseRecord(
-                covariates=cov,
-                action=action,
-                outcome=int(outcome),
-                group_id=judge,
-                outcome_if_released=int(po_r),
-                outcome_if_withheld=int(po_w),
-            )
-        )
-        u.append(int(ui))
+    tail = len(COHORT_COLUMNS)
+    if tuple(header[-tail:]) != COHORT_COLUMNS or not rows:
+        raise DataError(f"{path}: not a cohort CSV (expected trailing columns {list(COHORT_COLUMNS)})")
+    names = tuple(header[:-tail])
+    n, p = len(rows), len(names)
+    X = np.empty((n, p))
+    codes = np.empty((n, 4), dtype=np.int64)  # outcome, __po_release, __po_withhold, __u
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DataError(f"{path}: line {i + 2} has {len(row)} fields, expected {len(header)}")
+        try:
+            X[i] = [float(v) for v in row[:p]]
+            codes[i] = [int(row[p + j]) for j in (1, 3, 4, 5)]
+        except (ValueError, OverflowError):
+            raise DataError(f"{path}: line {i + 2} has a non-numeric field") from None
+    outcome, po_r, po_w, u = codes.T
+    table = CaseTable(
+        X=X,
+        actions=np.array([row[p] for row in rows]),
+        outcomes=outcome,
+        group_ids=np.array([row[p + 2] for row in rows]),
+        po_release=po_r,
+        po_withhold=po_w,
+    )
     if column_groups is None:
         column_groups = _infer_groups(names)
     return SyntheticCohort(
-        cases=tuple(cases),
+        table=table,
         feature_names=names,
         column_groups=column_groups,
         config=None,
-        u=np.asarray(u),
+        u=u,
     )
 
 

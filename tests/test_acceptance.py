@@ -93,13 +93,11 @@ def test_criterion_2_five_case_estimator_table():
             wh = np.array([self.table[x[0]][1] for x in np.atleast_2d(X)])
             return rel, wh
 
-    cases = [
-        policy.CaseRecord(covariates=np.array([1.0]), action=RELEASE, outcome=0),
-        policy.CaseRecord(covariates=np.array([2.0]), action=WITHHOLD, outcome=1),
-        policy.CaseRecord(covariates=np.array([3.0]), action=RELEASE, outcome=1),
-        policy.CaseRecord(covariates=np.array([4.0]), action=WITHHOLD, outcome=0),
-        policy.CaseRecord(covariates=np.array([5.0]), action=RELEASE, outcome=0),
-    ]
+    cases = policy.CaseTable(
+        X=[[1.0], [2.0], [3.0], [4.0], [5.0]],
+        actions=[RELEASE, WITHHOLD, RELEASE, WITHHOLD, RELEASE],
+        outcomes=[0, 1, 1, 0, 0],
+    )
     proposed = np.array([RELEASE, WITHHOLD, WITHHOLD, RELEASE, RELEASE])
     surface = Fixed(
         {
@@ -337,24 +335,21 @@ def test_criterion_9_property_suites():
 
     for _ in range(100):
         m = int(rng.integers(5, 40))
-        cases = [
-            policy.CaseRecord(
-                covariates=np.array([float(i)]),
-                action=RELEASE if rng.random() < 0.6 else WITHHOLD,
-                outcome=int(rng.random() < 0.3),
-            )
-            for i in range(m)
+        drawn = [
+            (RELEASE if rng.random() < 0.6 else WITHHOLD, int(rng.random() < 0.3))
+            for _ in range(m)
         ]
+        actions, outcomes = zip(*drawn)
+        cases = policy.CaseTable(
+            X=np.arange(m, dtype=float)[:, None], actions=actions, outcomes=outcomes
+        )
         stub = Stub(
             rng.uniform(0.05, 0.95, m), rng.uniform(0.05, 0.95, m), rng.uniform(0.05, 0.95, m)
         )
-        observed = np.array([c.action for c in cases])
         est_obs = policy.estimate_policy(
-            cases, policy.FixedActionsPolicy(fixed=observed), stub
+            cases, policy.FixedActionsPolicy(fixed=cases.actions), stub
         )
-        assert est_obs.value == pytest.approx(
-            np.mean([c.outcome for c in cases]), abs=1e-15
-        )
+        assert est_obs.value == pytest.approx(np.mean(cases.outcomes), abs=1e-15)
         pol = policy.ConstantPolicy(action=RELEASE if rng.random() < 0.5 else WITHHOLD)
         base = policy.estimate_policy(cases, pol, stub)
         params = policy.SensitivityParams(

@@ -1,8 +1,14 @@
 import csv
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import scorekit
 from scorekit import cli, synth
 
 
@@ -112,6 +118,12 @@ class TestSynthGen:
         run("synth-gen", "--n", "200", "--seed", "9", "--output-dir", str(b))
         assert (a / "cohort.csv").read_bytes() == (b / "cohort.csv").read_bytes()
 
+    def test_cohort_bytes_pinned(self, tmp_path):
+        # digest of the file written before the cohort was held column-wise
+        assert run("synth-gen", "--n", "2000", "--seed", "0", "--output-dir", str(tmp_path)) == 0
+        digest = hashlib.sha256((tmp_path / "cohort.csv").read_bytes()).hexdigest()
+        assert digest == "cddef265b019af371d6923c1e92065b2ad9cde74e6debf3930c566b2762a02b9"
+
 
 class TestPolicyEval:
     def test_observed_policy_row_equals_empirical_rate(self, cohort_csv, tmp_path):
@@ -161,6 +173,15 @@ class TestPolicyEval:
         hb = (b / "policy_eval.csv").read_text().splitlines()[1]
         assert ha != hb
 
+    def test_truncated_cohort_row_is_data_error(self, cohort_csv, tmp_path, capsys):
+        path = tmp_path / "cohort.csv"
+        shutil.copy(cohort_csv, path)
+        text = path.read_text(encoding="utf-8").rstrip("\n")
+        path.write_text(text[: text.rindex("\n") + 5] + "\n", encoding="utf-8")
+        code = run("policy-eval", "--input", str(path), "--output-dir", str(tmp_path))
+        assert code == 3
+        assert "data error" in capsys.readouterr().err
+
     def test_deterministic_given_seed(self, cohort_csv, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -205,3 +226,14 @@ class TestTheoryCurve:
         run("theory-curve", "--output-dir", str(tmp_path))
         first = (tmp_path / "theory_curve.csv").read_text().splitlines()[0]
         assert first.startswith("# scorekit theory-curve")
+
+
+@pytest.mark.parametrize("module", ["scorekit", "scorekit.cli"])
+def test_python_dash_m_runs_the_cli(module, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(scorekit.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "theory-curve", "--output-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "theory_curve.csv").exists()

@@ -25,9 +25,13 @@ class StubSurface:
         return np.array([self.release_probs[x[0]] for x in X])
 
 
-def case(key, action, outcome, group=None):
-    return policy.CaseRecord(
-        covariates=np.array([float(key)]), action=action, outcome=outcome, group_id=group
+def case_table(keys, actions, outcomes, groups=None):
+    """A CaseTable whose single covariate is each case's key."""
+    return policy.CaseTable(
+        X=np.asarray(keys, dtype=float)[:, None],
+        actions=np.asarray(actions),
+        outcomes=np.asarray(outcomes, dtype=float),
+        group_ids=groups,
     )
 
 
@@ -41,13 +45,11 @@ class TestEstimatePolicy:
         # proposed/observed/outcome plus model estimates (r_release, r_withhold);
         # observed outcomes are used on agreement, model estimates elsewhere:
         # (0 + 1 + 0.7 + 0.3 + 0) / 5 = 0.40
-        cases = [
-            case(1, RELEASE, 0),
-            case(2, WITHHOLD, 1),
-            case(3, RELEASE, 1),
-            case(4, WITHHOLD, 0),
-            case(5, RELEASE, 0),
-        ]
+        table = case_table(
+            [1, 2, 3, 4, 5],
+            [RELEASE, WITHHOLD, RELEASE, WITHHOLD, RELEASE],
+            [0, 1, 1, 0, 0],
+        )
         proposed = np.array([RELEASE, WITHHOLD, WITHHOLD, RELEASE, RELEASE])
         surface = StubSurface(
             {
@@ -58,33 +60,30 @@ class TestEstimatePolicy:
                 5.0: (0.20, 0.15),
             }
         )
-        est = policy.estimate_policy(cases, policy.FixedActionsPolicy(fixed=proposed), surface)
+        est = policy.estimate_policy(table, policy.FixedActionsPolicy(fixed=proposed), surface)
         assert est.value == pytest.approx(0.40, abs=1e-12)
         assert est.action_rate == pytest.approx(3 / 5)
         assert est.method == policy.RESPONSE_SURFACE
 
     def test_policy_equal_to_observed_collapses_to_empirical_mean(self):
         rng = np.random.default_rng(0)
-        cases = [
-            case(i, RELEASE if rng.random() < 0.6 else WITHHOLD, int(rng.random() < 0.3))
-            for i in range(200)
+        drawn = [
+            (RELEASE if rng.random() < 0.6 else WITHHOLD, int(rng.random() < 0.3))
+            for _ in range(200)
         ]
+        table = case_table(range(200), *zip(*drawn))
         surface = StubSurface({float(i): (rng.random(), rng.random()) for i in range(200)})
-        observed = np.array([c.action for c in cases])
-        est = policy.estimate_policy(cases, policy.FixedActionsPolicy(fixed=observed), surface)
-        assert est.value == pytest.approx(np.mean([c.outcome for c in cases]), abs=1e-15)
+        observed = table.actions
+        est = policy.estimate_policy(table, policy.FixedActionsPolicy(fixed=observed), surface)
+        assert est.value == pytest.approx(np.mean(table.outcomes), abs=1e-15)
 
-    def test_case_table_equivalent_to_record_list(self):
-        rng = np.random.default_rng(1)
-        cases = [
-            case(i, RELEASE if rng.random() < 0.5 else WITHHOLD, int(rng.random() < 0.4))
-            for i in range(50)
-        ]
-        surface = StubSurface({float(i): (0.3, 0.6) for i in range(50)})
-        pol = policy.ConstantPolicy(action=RELEASE)
-        a = policy.estimate_policy(cases, pol, surface)
-        b = policy.estimate_policy(policy.CaseTable.from_cases(cases), pol, surface)
-        assert a == b
+    def test_case_table_rejects_bad_columns(self):
+        with pytest.raises(DataError, match="one entry"):
+            case_table([1, 2, 3], [RELEASE, WITHHOLD], [0, 1, 0])
+        with pytest.raises(DataError, match="one entry"):
+            case_table([1, 2], [RELEASE, WITHHOLD], [0, 1], groups=np.array(["j1"]))
+        with pytest.raises(DataError, match="0 or 1"):
+            case_table([1, 2], [RELEASE, WITHHOLD], [0, 2])
 
 
 class TestFitResponseSurface:
@@ -337,10 +336,9 @@ def synthetic_cases_and_surface(seed=13, n=400):
     keys = np.arange(n, dtype=float)
     actions = np.where(rng.random(n) < 0.65, RELEASE, WITHHOLD)
     outcomes = (rng.random(n) < 0.25).astype(int)
-    cases = [case(k, a, o) for k, a, o in zip(keys, actions, outcomes)]
-    table = {k: (rng.uniform(0.05, 0.5), rng.uniform(0.05, 0.5)) for k in keys}
+    predictions = {k: (rng.uniform(0.05, 0.5), rng.uniform(0.05, 0.5)) for k in keys}
     qs = {k: rng.uniform(0.3, 0.9) for k in keys}
-    return cases, StubSurface(table, release_probs=qs)
+    return case_table(keys, actions, outcomes), StubSurface(predictions, release_probs=qs)
 
 
 class TestRrEstimate:
@@ -358,15 +356,14 @@ class TestRrEstimate:
         assert rr.method == policy.ROSENBAUM_RUBIN
 
     def test_full_agreement_ignores_params(self):
-        cases, surface = synthetic_cases_and_surface(seed=14)
-        observed = np.array([c.action for c in cases])
-        pol = policy.FixedActionsPolicy(fixed=observed)
+        table, surface = synthetic_cases_and_surface(seed=14)
+        pol = policy.FixedActionsPolicy(fixed=table.actions)
         vals = set()
         for alpha in (0.5, 2.0):
             params = policy.SensitivityParams(
                 p_u=0.3, alpha=alpha, delta_release=1.0, delta_withhold=-1.0
             )
-            vals.add(policy.rr_estimate(cases, pol, surface, params).value)
+            vals.add(policy.rr_estimate(table, pol, surface, params).value)
         assert len(vals) == 1
 
 
@@ -432,13 +429,14 @@ class TestPerGroup:
         rng = np.random.default_rng(19)
         n = 300
         groups = np.array(["big"] * (n - 10) + ["tiny"] * 10)
-        cases = [
-            case(i, RELEASE if rng.random() < 0.6 else WITHHOLD, int(rng.random() < 0.3), g)
-            for i, g in enumerate(groups)
+        drawn = [
+            (RELEASE if rng.random() < 0.6 else WITHHOLD, int(rng.random() < 0.3))
+            for _ in groups
         ]
         folds = data.kfold(n, 3, seed=0)
+        table = case_table(range(n), *zip(*drawn), groups=groups)
         report = policy.per_group_estimates(
-            cases, policy.ConstantPolicy(action=RELEASE), folds, min_group_size=50, n_lambda=10
+            table, policy.ConstantPolicy(action=RELEASE), folds, min_group_size=50, n_lambda=10
         )
         skipped = dict(report.skipped)
         assert "tiny" in skipped and "minimum" in skipped["tiny"]
@@ -463,10 +461,10 @@ class TestPerGroup:
         assert report.estimates[0].estimate == expected
 
     def test_missing_group_ids_rejected(self):
-        cases = [case(0, RELEASE, 0), case(1, WITHHOLD, 1)]
+        table = case_table([0, 1], [RELEASE, WITHHOLD], [0, 1])
         folds = data.kfold(2, 2, seed=0)
         with pytest.raises(DataError, match="group ids"):
-            policy.per_group_estimates(cases, policy.ConstantPolicy(action=RELEASE), folds)
+            policy.per_group_estimates(table, policy.ConstantPolicy(action=RELEASE), folds)
 
 
 class TestPolicies:
@@ -495,20 +493,29 @@ class TestPolicies:
             actions=np.array(["ROR", "BAIL"]),
             group_ids=np.array(["j1", "j2"]),
         )
-        cases = policy.cases_from_dataset(ds, release_value="ROR")
-        assert cases[0].action == RELEASE and cases[1].action == WITHHOLD
-        assert cases[1].group_id == "j2"
+        table = policy.cases_from_dataset(ds, release_value="ROR")
+        assert list(table.actions) == [RELEASE, WITHHOLD]
+        assert table.group_ids[1] == "j2"
         with pytest.raises(DataError, match="release_value"):
             policy.cases_from_dataset(ds)
 
-    def test_case_record_consistency_checks(self):
+    def test_case_table_consistency_checks(self):
         with pytest.raises(DataError, match="action"):
-            policy.CaseRecord(covariates=np.array([1.0]), action="hold", outcome=0)
+            case_table([1], ["hold"], [0])
         with pytest.raises(DataError, match="potential outcome"):
-            policy.CaseRecord(
-                covariates=np.array([1.0]),
-                action=RELEASE,
-                outcome=0,
-                outcome_if_released=1,
-                outcome_if_withheld=0,
+            policy.CaseTable(
+                X=[[1.0]],
+                actions=[RELEASE],
+                outcomes=[0],
+                po_release=[1],
+                po_withhold=[0],
             )
+
+    def test_scorecard_policy_rejects_layout_missing_a_card_feature(self):
+        from scorekit import srr
+
+        card = srr.Scorecard(
+            entries=(("a", 2), ("b", 3)), weight_bound=3, feature_budget=2, threshold=5.0
+        )
+        with pytest.raises(DataError, match="missing scorecard features \\['b'\\]"):
+            policy.ScorecardPolicy(card=card, feature_names=("a", "c"))

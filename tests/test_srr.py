@@ -140,6 +140,20 @@ class TestScoreDecide:
             x = dict(zip(ds.feature_names, ds.rows[i]))
             assert vec[i] == srr.score(TABLE_CARD, x)
 
+    def test_weight_vector_matches_per_feature_sum(self):
+        # reference: the per-feature accumulation, on a shuffled layout with
+        # extra columns off the card and continuous values
+        rng = np.random.default_rng(4)
+        names = [n for n, _ in TABLE_CARD.entries] + ["noise_0", "noise_1"]
+        layout = tuple(rng.permutation(names))
+        X = rng.normal(size=(50, len(layout)))
+        expected = np.zeros(50)
+        for name, w in TABLE_CARD.entries:
+            expected += w * X[:, layout.index(name)]
+        np.testing.assert_allclose(X @ TABLE_CARD.weight_vector(layout), expected, rtol=0, atol=1e-12)
+        with pytest.raises(DataError, match="missing scorecard features"):
+            TABLE_CARD.weight_vector(layout[1:])
+
 
 class TestBuildScorecard:
     def test_bail_shape(self):

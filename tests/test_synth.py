@@ -87,42 +87,25 @@ class TestOracleValue:
         assert v_rel.value - v_wh.value == pytest.approx(expected, abs=1e-12)
 
     def test_three_case_hand_computation(self):
-        cases = (
-            policy.CaseRecord(
-                covariates=np.array([1.0]), action=RELEASE, outcome=1,
-                outcome_if_released=1, outcome_if_withheld=0,
-            ),
-            policy.CaseRecord(
-                covariates=np.array([2.0]), action=WITHHOLD, outcome=0,
-                outcome_if_released=1, outcome_if_withheld=0,
-            ),
-            policy.CaseRecord(
-                covariates=np.array([3.0]), action=RELEASE, outcome=0,
-                outcome_if_released=0, outcome_if_withheld=1,
-            ),
-        )
-        cohort = synth.SyntheticCohort(
-            cases=cases, feature_names=("x",), column_groups=("x",), config=None,
-            u=np.zeros(3, dtype=int),
+        table = policy.CaseTable(
+            X=[[1.0], [2.0], [3.0]],
+            actions=[RELEASE, WITHHOLD, RELEASE],
+            outcomes=[1, 0, 0],
+            po_release=[1, 1, 0],
+            po_withhold=[0, 0, 1],
         )
         # release-everyone: potential outcomes (1, 1, 0) -> 2/3
-        est = synth.oracle_value(cohort, policy.ConstantPolicy(action=RELEASE))
+        est = synth.oracle_value(table, policy.ConstantPolicy(action=RELEASE))
         assert est.value == pytest.approx(2.0 / 3.0)
         assert est.action_rate == 1.0
         # withhold-everyone: (0, 0, 1) -> 1/3
-        est = synth.oracle_value(cohort, policy.ConstantPolicy(action=WITHHOLD))
+        est = synth.oracle_value(table, policy.ConstantPolicy(action=WITHHOLD))
         assert est.value == pytest.approx(1.0 / 3.0)
 
     def test_missing_potential_outcomes_rejected(self):
-        cases = (
-            policy.CaseRecord(covariates=np.array([1.0]), action=RELEASE, outcome=1),
-        )
-        cohort = synth.SyntheticCohort(
-            cases=cases, feature_names=("x",), column_groups=("x",), config=None,
-            u=np.zeros(1, dtype=int),
-        )
+        table = policy.CaseTable(X=[[1.0]], actions=[RELEASE], outcomes=[1])
         with pytest.raises(DataError, match="potential outcomes"):
-            synth.oracle_value(cohort, policy.ConstantPolicy(action=RELEASE))
+            synth.oracle_value(table, policy.ConstantPolicy(action=RELEASE))
 
 
 class TestCohortCsv:
@@ -146,6 +129,20 @@ class TestCohortCsv:
         synth.write_cohort_csv(cohort, path)
         with pytest.raises(DataError, match="reserved"):
             data.load_csv(path, label_column="outcome")
+
+    @pytest.mark.parametrize(
+        "last_line, message",
+        [("0.0,1.0", "line 4 has 2 fields"), (None, "line 4 has a non-numeric field")],
+    )
+    def test_malformed_row_is_data_error_naming_its_line(self, tmp_path, last_line, message):
+        cohort = synth.generate(synth.GeneratorConfig(n=3, seed=9))
+        path = tmp_path / "cohort.csv"
+        synth.write_cohort_csv(cohort, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[-1] = last_line or "x" + lines[-1][1:]  # None: garble the first field
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=message):
+            synth.load_cohort_csv(path)
 
     def test_non_cohort_file_rejected_by_cohort_loader(self, tmp_path):
         path = tmp_path / "plain.csv"
