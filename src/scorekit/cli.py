@@ -50,6 +50,8 @@ def _parse_float_grid(text: str) -> tuple[float, ...]:
         start, stop, step = (float(v) for v in parts)
         if step <= 0:
             raise ValueError("range step must be positive")
+        if start > stop:
+            raise ValueError(f"range start exceeds its stop in {text!r}")
         return tuple(np.arange(start, stop + 0.5 * step, step).round(12))
     return tuple(float(v) for v in text.split(","))
 
@@ -160,7 +162,7 @@ def _cmd_synth_gen(args) -> int:
 
 def _load_cohort_or_cases(args):
     """Returns (table, feature_names, column_groups) for policy commands."""
-    with open(args.input, "r", encoding="utf-8") as fh:
+    with open(args.input, "r", encoding="utf-8-sig") as fh:
         header = fh.readline().strip().split(",")
     if tuple(header[-3:]) == synth.COHORT_COLUMNS[-3:]:
         cohort = synth.load_cohort_csv(args.input)

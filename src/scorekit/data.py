@@ -358,6 +358,7 @@ def load_csv(
 ) -> Dataset:
     """Load a UTF-8, comma-separated, headered table into a Dataset.
 
+    A leading byte-order mark is skipped, not read into the first column name.
     The label column must take exactly two distinct values; the
     lexicographically larger raw value maps to 1 unless ``positive_label``
     overrides it.  The applied mapping is recorded on the Dataset.  Missing
@@ -365,7 +366,7 @@ def load_csv(
     as category codes and flagged for encoding in ``categorical_levels``.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:

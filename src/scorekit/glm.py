@@ -2,8 +2,12 @@
 
 Two fitting routes: unregularized maximum likelihood via iteratively
 reweighted least squares (:func:`fit_logistic`), and an L1-regularized
-coordinate-descent path (:func:`fit_lasso_path`) with cross-validated
-penalty selection (:func:`cv_select`).
+path (:func:`fit_lasso_path`) with cross-validated penalty selection
+(:func:`cv_select`).  Each proximal-Newton step of the path solves its
+small quadratic subproblem exactly on the active set, with a linear solve
+checked for sign consistency and against the KKT conditions of the inactive
+features; coordinate descent remains only as the fallback for dependent
+active columns.
 
 The lasso standardizes features internally for penalization and reports
 coefficients on the original scale; the intercept is never penalized.
@@ -203,14 +207,17 @@ class LassoPath:
     """Coefficients along a decreasing penalty grid, original scale.
 
     The first grid point is the smallest penalty that zeroes every slope,
-    so ``coefficients[0]`` is exactly zero.  ``cv_mean`` / ``cv_se`` hold the
-    per-penalty mean and standard error of validation deviance once
-    :func:`cv_select` has run; ``selected_index`` points at the winner.
+    so ``coefficients[0]`` is exactly zero.  ``converged[i]`` records whether
+    the fit at penalty ``i`` converged within the solver's iteration caps.
+    ``cv_mean`` / ``cv_se`` hold the per-penalty mean and standard error of
+    validation deviance once :func:`cv_select` has run; ``selected_index``
+    points at the winner.
     """
 
     lambda_grid: np.ndarray
     intercepts: np.ndarray
     coefficients: np.ndarray
+    converged: np.ndarray
     cv_mean: np.ndarray | None = None
     cv_se: np.ndarray | None = None
     selected_index: int | None = None
@@ -225,6 +232,9 @@ class LassoPath:
                 arr = np.asarray(arr, dtype=float)
                 arr.flags.writeable = False
                 object.__setattr__(self, name, arr)
+        converged = np.asarray(self.converged, dtype=bool)
+        converged.flags.writeable = False
+        object.__setattr__(self, "converged", converged)
 
     @property
     def n_lambda(self) -> int:
@@ -244,20 +254,18 @@ class LassoPath:
         return float(self.intercepts[i]), self.coefficients[i]
 
     def predict_prob(self, X, index: int | None = None) -> np.ndarray:
-        b0, coefs = self.coefficients_at(index)
-        X = np.asarray(X, dtype=float)
-        return expit(b0 + X @ coefs)
+        return expit(self.linear_score(X, index))
 
     def linear_score(self, X, index: int | None = None) -> np.ndarray:
         b0, coefs = self.coefficients_at(index)
-        X = np.asarray(X, dtype=float)
-        return b0 + X @ coefs
+        return linear_predictor(b0, coefs, X)
 
     def to_json(self) -> str:
         d = {
             "lambda_grid": [float(v) for v in self.lambda_grid],
             "intercepts": [float(v) for v in self.intercepts],
             "coefficients": [[float(v) for v in row] for row in self.coefficients],
+            "converged": [bool(v) for v in self.converged],
             "cv_mean": None if self.cv_mean is None else [float(v) for v in self.cv_mean],
             "cv_se": None if self.cv_se is None else [float(v) for v in self.cv_se],
             "selected_index": self.selected_index,
@@ -271,6 +279,7 @@ class LassoPath:
             lambda_grid=np.asarray(d["lambda_grid"], dtype=float),
             intercepts=np.asarray(d["intercepts"], dtype=float),
             coefficients=np.asarray(d["coefficients"], dtype=float),
+            converged=np.asarray(d["converged"], dtype=bool),
             cv_mean=None if d["cv_mean"] is None else np.asarray(d["cv_mean"], dtype=float),
             cv_se=None if d["cv_se"] is None else np.asarray(d["cv_se"], dtype=float),
             selected_index=d["selected_index"],
@@ -293,19 +302,23 @@ def _soft(v: float, t: float) -> float:
     return 0.0
 
 
-def _cd_weighted_lasso(G, h, beta, b0, lam, keep, tol, max_sweeps):
-    """Coordinate descent on the weighted quadratic surrogate, in Gram space.
+# an active column whose Cholesky pivot keeps less than this share of its
+# diagonal is (numerically) a combination of the other active columns, and
+# the active-set system has no unique solution
+_PIVOT_FLOOR = 1e-10
 
-    Minimizes  (1/2n) sum_i w_i (z_i - b0 - x_i beta)^2 + lam * ||beta||_1
-    given the Gram pieces of the augmented design [1, Xs]:
-    ``G = Xa' W Xa / n`` and ``h = Xa' W z / n``.  Each coordinate update is
-    O(p), so sweeps cost O(p^2) regardless of the sample count; coordinate 0
-    (the intercept) is unpenalized.  Uses an active-set strategy: full sweeps
-    to discover the active set, then cheap sweeps over nonzeros until stable.
-    Returns the updated intercept; `beta` is updated in place.
+
+def _coordinate_descent(G, h, aug, lam, keep, tol, max_sweeps) -> bool:
+    """Cyclic coordinate descent on the Gram-space subproblem, in place.
+
+    ``aug`` is ``[b0, beta...]`` and is updated in place.  Each coordinate
+    update is O(p), so sweeps cost O(p^2) regardless of the sample count;
+    coordinate 0 (the intercept) is unpenalized.  Full sweeps discover the
+    active set, then cheap sweeps over nonzeros run until stable.  Returns
+    whether a full sweep moved no coordinate by ``tol`` or more within
+    ``max_sweeps`` sweeps.
     """
-    p = len(beta)
-    aug = np.concatenate([[b0], beta])
+    p = len(aug) - 1
     q = G @ aug
 
     def update(j: int, penalty: float) -> float:
@@ -331,13 +344,67 @@ def _cd_weighted_lasso(G, h, beta, b0, lam, keep, tol, max_sweeps):
     all_idx = np.arange(p)
     for _ in range(max_sweeps):
         if sweep(all_idx) < tol:
-            break
+            return True
         active = np.flatnonzero(aug[1:])
         for _ in range(max_sweeps):
             if sweep(active) < tol:
                 break
-    beta[:] = aug[1:]
-    return float(aug[0])
+    return False
+
+
+def _cd_weighted_lasso(G, h, beta, b0, lam, keep, tol, max_sweeps):
+    """Exact active-set solve of the weighted quadratic surrogate, in Gram space.
+
+    Minimizes  (1/2n) sum_i w_i (z_i - b0 - x_i beta)^2 + lam * ||beta||_1
+    given the Gram pieces of the augmented design [1, Xs]:
+    ``G = Xa' W Xa / n`` and ``h = Xa' W z / n``; the intercept is
+    unpenalized.  Starting from S = {intercept} and the nonzeros of the warm
+    start ``(b0, beta)`` with their signs s, it solves
+    ``G[S,S] b = h[S] - lam * s[S]`` exactly, drops from S every coefficient
+    whose sign disagrees with s, and adds every inactive feature whose
+    gradient ``h - G b`` exceeds ``lam`` in magnitude, with that gradient's
+    sign, until no feature violates the optimality conditions (the
+    active-set cycling of glmnet and the sign-consistency test of the lasso
+    homotopy).  Dependent active columns (a failed Cholesky factorization or
+    a pivot below ``_PIVOT_FLOOR`` of its diagonal), a non-finite solution or
+    more than 2p+2 rounds fall back to :func:`_coordinate_descent` from the
+    warm start.  `beta` is updated in place.  Returns the intercept and
+    whether the solve converged (always, unless the fallback ran out of
+    ``max_sweeps``).
+    """
+    p = len(beta)
+    warm = np.concatenate([[b0], beta])
+    penalized = np.concatenate([[False], keep])
+    active = penalized & (warm != 0.0)
+    sign = np.sign(warm) * active
+    active[0] = True
+    for _ in range(2 * p + 2):
+        idx = np.flatnonzero(active)
+        G_SS = G[np.ix_(idx, idx)]
+        try:
+            pivots = np.diagonal(np.linalg.cholesky(G_SS)) ** 2
+            b = np.linalg.solve(G_SS, h[idx] - lam * sign[idx])
+        except np.linalg.LinAlgError:
+            break
+        if np.any(pivots < _PIVOT_FLOOR * np.diagonal(G_SS)) or not np.all(np.isfinite(b)):
+            break
+        flipped = b * sign[idx] < 0.0
+        if flipped.any():
+            active[idx[flipped]] = False
+            sign[idx[flipped]] = 0.0
+            continue
+        aug = np.zeros(p + 1)
+        aug[idx] = b
+        grad = h - G @ aug
+        enter = penalized & ~active & (np.abs(grad) > lam)
+        if not enter.any():
+            beta[:] = aug[1:]
+            return float(aug[0]), True
+        active |= enter
+        sign[enter] = np.sign(grad[enter])
+    converged = _coordinate_descent(G, h, warm, lam, keep, tol, max_sweeps)
+    beta[:] = warm[1:]
+    return float(warm[0]), converged
 
 
 def fit_lasso_path(
@@ -350,7 +417,7 @@ def fit_lasso_path(
     max_outer: int = 50,
     lambda_grid=None,
 ) -> LassoPath:
-    """L1-penalized logistic path by proximal Newton + coordinate descent.
+    """L1-penalized logistic path by proximal Newton with exact subproblem solves.
 
     The grid is log-spaced from the smallest penalty with an all-zero
     solution (computed from the null-model gradient) down to
@@ -378,6 +445,7 @@ def fit_lasso_path(
     L = len(grid)
     intercepts = np.empty(L)
     coefs_std = np.zeros((L, p))
+    converged = np.ones(L, dtype=bool)
     beta = np.zeros(p)
     b0 = float(logit(ybar))
 
@@ -402,9 +470,12 @@ def fit_lasso_path(
             h = (WXa.T @ z) / n
             before = beta.copy()
             b0_before = b0
-            b0 = _cd_weighted_lasso(G, h, beta, b0, lam, keep, tol, max_sweeps)
+            b0, solved = _cd_weighted_lasso(G, h, beta, b0, lam, keep, tol, max_sweeps)
             if max(np.max(np.abs(beta - before)), abs(b0 - b0_before)) < tol:
+                converged[i] = solved
                 break
+        else:
+            converged[i] = False
         intercepts[i] = b0
         coefs_std[i] = beta
 
@@ -414,6 +485,7 @@ def fit_lasso_path(
         lambda_grid=grid,
         intercepts=out_intercepts,
         coefficients=coefs,
+        converged=converged,
     )
 
 
@@ -507,13 +579,25 @@ def cv_select(
 # ---------------------------------------------------------------------------
 
 
+def linear_predictor(intercept: float, coefs, X) -> np.ndarray | float:
+    """``intercept + x . coefs`` for one row or each row of a matrix.
+
+    Each row is summed by the same loop wherever it sits, so identical rows
+    get bit-identical scores and rank as ties.  ``X @ coefs`` does not
+    promise that: BLAS gemv may round a row differently depending on its
+    position in the matrix, which splits a tie by one ulp and moves the AUC.
+    """
+    X = np.asarray(X, dtype=float)
+    return intercept + np.einsum("...j,j->...", X, np.asarray(coefs, dtype=float))
+
+
 def linear_score(fit: GlmFit, x) -> np.ndarray | float:
     """Linear predictor (logit scale) for one row or a matrix of rows."""
     x = np.asarray(x, dtype=float)
     p = len(fit.coefficients)
     if x.shape[-1] != p:
         raise DataError(f"feature vector has length {x.shape[-1]}, model expects {p}")
-    out = fit.intercept + x @ fit.coefficients
+    out = linear_predictor(fit.intercept, fit.coefficients, x)
     return float(out) if np.ndim(out) == 0 else out
 
 

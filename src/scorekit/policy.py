@@ -26,7 +26,7 @@ import numpy as np
 from ._math import clip_prob, expit, logit
 from .data import Dataset, FoldAssignment, kfold
 from .errors import DataError, NumericError
-from .glm import LassoPath, cv_select
+from .glm import LassoPath, cv_select, linear_predictor
 from .srr import RELEASE, WITHHOLD, Scorecard
 
 RESPONSE_SURFACE = "response_surface"
@@ -167,7 +167,7 @@ class RiskModelPolicy:
 
     def risk(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return expit(self.intercept + X @ np.asarray(self.coefficients, dtype=float))
+        return expit(linear_predictor(self.intercept, self.coefficients, X))
 
     def actions(self, X: np.ndarray) -> np.ndarray:
         return np.where(self.risk(X) < self.threshold, RELEASE, WITHHOLD)

@@ -282,9 +282,13 @@ def write_cohort_csv(cohort: SyntheticCohort, path) -> None:
 
 
 def load_cohort_csv(path, column_groups: tuple[str, ...] | None = None) -> SyntheticCohort:
-    """Read a cohort CSV written by :func:`write_cohort_csv`."""
+    """Read a cohort CSV written by :func:`write_cohort_csv`.
+
+    A leading UTF-8 byte-order mark, as some spreadsheet tools save, is
+    skipped so that it never becomes part of the first feature name.
+    """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:

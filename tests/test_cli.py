@@ -209,6 +209,16 @@ class TestSensitivitySweep:
             assert int(r["n_regimes"]) == 81
 
 
+    def test_reversed_threshold_range_is_usage_error(self, cohort_csv, tmp_path):
+        with pytest.raises(ValueError, match="exceeds its stop"):
+            cli._parse_float_grid("5:1:1")
+        assert cli._parse_float_grid("5:5:1") == (5.0,)
+        code = run("sensitivity-sweep", "--input", cohort_csv, "--thresholds", "5:1:1",
+                   "--n-lambda", "10", "--inner-folds", "3", "--output-dir", str(tmp_path))
+        assert code == 2
+        assert not (tmp_path / "sensitivity.csv").exists()
+
+
 class TestTheoryCurve:
     def test_grid_csv(self, tmp_path):
         code = run(

@@ -20,6 +20,11 @@ class TestLoadCsv:
         assert list(ds.labels) == [1, 0, 1, 0]
         assert ds.label_mapping == ("0", "1")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = write(tmp_path, "\ufeffage,prior,fta\n19,1,1\n30,0,0\n")
+        ds = data.load_csv(path, label_column="fta")
+        assert ds.feature_names == ("age", "prior")
+
     def test_label_not_binary(self, tmp_path):
         path = write(tmp_path, "x,y\n1,a\n2,b\n3,c\n")
         with pytest.raises(DataError, match="not binary"):

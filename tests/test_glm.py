@@ -171,6 +171,8 @@ class TestLassoPath:
         back = glm.LassoPath.from_json(path.to_json())
         assert np.array_equal(back.lambda_grid, path.lambda_grid)
         assert np.array_equal(back.coefficients, path.coefficients)
+        assert np.array_equal(back.converged, path.converged)
+        assert back.converged.dtype == bool
         assert back.selected_index == path.selected_index
 
     def test_glm_fit_json_round_trip(self):
@@ -182,6 +184,111 @@ class TestLassoPath:
         assert np.array_equal(back.coefficients, fit.coefficients)
         assert back.converged == fit.converged
         assert back.log_likelihood == fit.log_likelihood
+
+
+def cd_only(G, h, beta, b0, lam, keep, tol, max_sweeps):
+    """The coordinate-descent fallback alone, as a reference subproblem solver."""
+    aug = np.concatenate([[b0], beta])
+    converged = glm._coordinate_descent(G, h, aug, lam, keep, tol, max_sweeps)
+    beta[:] = aug[1:]
+    return float(aug[0]), converged
+
+
+def draw_labels(rng, eta):
+    y = (rng.random(len(eta)) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    y[0], y[1] = 0.0, 1.0
+    return y
+
+
+def solver_designs(rng):
+    """(name, X, y) for the active-set solver tests."""
+    n, p = 200, 6
+    X = (rng.random((n, p)) < rng.uniform(0.1, 0.6, p)).astype(float)
+    yield "indicator", X, draw_labels(rng, -0.5 + X @ rng.normal(size=p))
+    X = rng.normal(size=(n, p)) * rng.uniform(0.5, 3.0, p)
+    yield "continuous", X, draw_labels(rng, 0.3 + X @ rng.normal(scale=0.5, size=p))
+    # x2 tracks x1 + x3, so it enters first with a positive sign and ends negative
+    x1, x3 = rng.normal(size=(2, 400))
+    x2 = 0.7 * (x1 + x3) + 0.3 * rng.normal(size=400)
+    yield "sign_crossing", np.column_stack([x1, x2, x3]), draw_labels(
+        rng, 1.5 * x1 + 1.5 * x3 - 1.2 * x2
+    )
+    x1 = rng.normal(size=n)
+    X = np.column_stack([x1, x1 + 0.1 * rng.normal(size=n), rng.normal(size=(n, 2))])
+    yield "near_collinear", X, draw_labels(rng, X @ rng.normal(size=4))
+    X = rng.normal(size=(2000, 4))
+    yield "rare_positives", X, draw_labels(rng, np.log(0.01) + X @ rng.normal(scale=0.5, size=4))
+
+
+class TestActiveSetSolver:
+    def fit_pair(self, X, y, tol=1e-7):
+        """(active-set path, coordinate-descent-only reference on its grid)."""
+        path = glm.fit_lasso_path(X, y, n_lambda=15, tol=tol)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(glm, "_cd_weighted_lasso", cd_only)
+            ref = glm.fit_lasso_path(X, y, lambda_grid=path.lambda_grid, tol=1e-12)
+        assert path.converged.all() and ref.converged.all()
+        for i in range(path.n_lambda):
+            inactive_excess, active_resid = glm.kkt_violation(path, X, y, i)
+            assert inactive_excess <= 1e-9
+            assert active_resid <= 1e-9
+        return path, ref
+
+    def test_matches_coordinate_descent_reference(self):
+        rng = np.random.default_rng(20)
+        crossings = 0
+        for _ in range(4):
+            for name, X, y in solver_designs(rng):
+                path, ref = self.fit_pair(X, y)
+                assert np.max(np.abs(path.coefficients - ref.coefficients)) <= 1e-6, name
+                assert np.max(np.abs(path.intercepts - ref.intercepts)) <= 1e-6, name
+                if name == "sign_crossing":
+                    c = path.coefficients[:, 1]
+                    crossings += int(np.any(c > 0) and c[-1] < 0)
+        assert crossings == 4
+
+    def test_duplicated_column_falls_back_to_coordinate_descent(self, monkeypatch):
+        calls = []
+        fallback = glm._coordinate_descent
+
+        def counted(*args):
+            calls.append(1)
+            return fallback(*args)
+
+        monkeypatch.setattr(glm, "_coordinate_descent", counted)
+        rng = np.random.default_rng(21)
+        for _ in range(4):
+            X = rng.normal(size=(200, 4))
+            y = draw_labels(rng, X @ rng.normal(size=4))
+            X = np.column_stack([X, X[:, 1]])
+            calls.clear()
+            # the fallback is only as exact as its sweep tolerance, so the
+            # 1e-9 KKT bound needs a tighter one than the default
+            path, ref = self.fit_pair(X, y, tol=1e-9)
+            assert calls
+            # the split between the two copies is not identified; their sum is
+            def fold(c):
+                return np.column_stack([c[:, 0], c[:, 1] + c[:, 4], c[:, 2:4]])
+
+            assert np.max(np.abs(fold(path.coefficients) - fold(ref.coefficients))) <= 1e-6
+            assert np.max(np.abs(path.intercepts - ref.intercepts)) <= 1e-6
+
+    def test_converged_records_iteration_caps(self):
+        rng = np.random.default_rng(22)
+        X, y = random_instance(rng, n=80, p=3)
+        assert glm.fit_lasso_path(X, y, n_lambda=10).converged.all()
+        capped = glm.fit_lasso_path(X, y, n_lambda=10, max_outer=1)
+        assert capped.converged[0] and not capped.converged[1:].all()
+        # a duplicated column sends the subproblem to coordinate descent,
+        # which reports running out of sweeps
+        Xa = np.column_stack([np.ones(80), X, X[:, 0]])
+        G = Xa.T @ Xa / 80
+        h = Xa.T @ (y - y.mean()) / 80
+        keep = np.ones(4, dtype=bool)
+        for sweeps, expected in ((1, False), (10000, True)):
+            beta = np.zeros(4)
+            _, converged = glm._cd_weighted_lasso(G, h, beta, 0.0, 0.01, keep, 1e-7, sweeps)
+            assert converged is expected
 
 
 class TestCvSelect:
@@ -276,6 +383,23 @@ class TestPredict:
         )
         with pytest.raises(DataError, match="length"):
             glm.predict_prob(fit, np.zeros(3))
+
+    def test_identical_rows_score_bit_equal_wherever_they_sit(self):
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            p = int(rng.integers(2, 12))
+            base = (rng.random((int(rng.integers(20, 200)), p)) < 0.4).astype(float)
+            row = base[0]
+            at = rng.choice(len(base), size=5, replace=False)
+            base[at] = row
+            coefs = rng.normal(size=p)
+            fit = glm.GlmFit(
+                intercept=float(rng.normal()), coefficients=coefs, converged=True,
+                iterations=1, log_likelihood=-1.0,
+            )
+            scores = glm.linear_score(fit, base)
+            assert np.all(scores[at] == scores[at[0]])
+            assert np.all(scores[at] == glm.linear_score(fit, row))
 
     def test_linear_score_is_logit_of_prob(self):
         fit = glm.GlmFit(

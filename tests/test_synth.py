@@ -123,6 +123,16 @@ class TestCohortCsv:
         assert np.array_equal(ta.po_release, tb.po_release)
         assert np.array_equal(cohort.u, back.u)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        cohort = synth.generate(synth.GeneratorConfig(n=300, seed=9))
+        path = tmp_path / "cohort.csv"
+        synth.write_cohort_csv(cohort, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        back = synth.load_cohort_csv(path)
+        assert back.feature_names == cohort.feature_names
+        assert back.column_groups == cohort.column_groups
+        assert np.array_equal(back.case_table().X, cohort.case_table().X)
+
     def test_plain_loader_refuses_cohort_files(self, tmp_path):
         cohort = synth.generate(synth.GeneratorConfig(n=50, seed=10))
         path = tmp_path / "cohort.csv"
