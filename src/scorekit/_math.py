@@ -12,11 +12,8 @@ PROB_CLIP = 1e-6
 def expit(z):
     """Numerically stable logistic function, elementwise."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))  # never overflows; equals exp(z) where z < 0
+    out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     if out.ndim == 0:
         return float(out)
     return out

@@ -78,7 +78,7 @@ def _load_encoded(args) -> data.Dataset:
         positive_label=getattr(args, "positive_label", None),
     )
     if args.encoding:
-        with open(args.encoding, "r", encoding="utf-8") as fh:
+        with open(args.encoding, "r", encoding="utf-8-sig") as fh:
             spec = data.EncodingSpec.from_json(fh.read())
         ds = data.encode(ds, spec)
     elif ds.categorical_levels:
@@ -189,8 +189,10 @@ def _policy_setup(args):
     on the evaluation fold.  Returns (names, card, (risk intercept, risk
     coefficients), surface, evaluation table, scorecard thresholds, fold
     provenance); without --thresholds, the thresholds are every half-integer
-    between the extreme evaluation scores.
+    between the extreme evaluation scores.  A given --thresholds grid is
+    parsed before anything is fitted.
     """
+    thresholds = _parse_float_grid(args.thresholds) if args.thresholds else None
     table, names, groups = _load_cohort_or_cases(args)
     folds = data.kfold(len(table), 3, seed=args.seed, labels=table.outcomes.astype(int))
     roles = [(r + args.rotate) % 3 for r in range(3)]
@@ -217,19 +219,17 @@ def _policy_setup(args):
         len(surf_sub), args.inner_folds, seed=args.seed + 2, labels=surf_sub.outcomes.astype(int)
     )
     surface = policy.fit_response_surface(surf_sub, surf_folds, n_lambda=args.n_lambda)
-    if args.thresholds:
-        thresholds = _parse_float_grid(args.thresholds)
-    else:
+    if thresholds is None:
         scores = eval_sub.X @ card.weight_vector(names)
         thresholds = tuple(np.arange(np.min(scores), np.max(scores) + 1.0) + 0.5)
     return names, card, risk_path.coefficients_at(), surface, eval_sub, thresholds, provenance
 
 
 def _cmd_policy_eval(args) -> int:
+    risk_thresholds = _parse_float_grid(args.risk_thresholds)
     names, card, (risk_b0, risk_coefs), surface, eval_sub, thresholds, provenance = (
         _policy_setup(args)
     )
-    risk_thresholds = _parse_float_grid(args.risk_thresholds)
 
     out = _out_path(args, "policy_eval.csv")
     with open(out, "w", encoding="utf-8", newline="") as fh:

@@ -11,7 +11,9 @@ Given the four assumed parameters (prevalence of u, its log-odds effect on
 the decision, its log-odds effects on the outcome under each action), the
 observed data pin down the remaining selection/outcome intercepts through
 two-point logistic mixtures, and the counterfactual for the action not taken
-follows from the posterior of ``u`` given the action that was.
+follows from the posterior of ``u`` given the action that was.  A sweep over
+many regimes is one array pass: surface predictions once per call, and the
+chain solved once per distinct regime key that a disagreeing case needs.
 """
 
 from __future__ import annotations
@@ -304,7 +306,10 @@ def estimate_policy(
     the caller's job).
     """
     prescribed = np.asarray(policy.actions(cases.X))
-    r_rel, r_wh = surface.predict_both(cases.X)
+    return _surface_estimate(cases, prescribed, *surface.predict_both(cases.X))
+
+
+def _surface_estimate(cases: CaseTable, prescribed, r_rel, r_wh) -> PolicyEstimate:
     modeled = np.where(prescribed == RELEASE, r_rel, r_wh)
     agree = prescribed == cases.actions
     value = float(np.mean(np.where(agree, cases.outcomes, modeled)))
@@ -354,16 +359,28 @@ def _solve_two_point_mixture(target, p1, shift):
 
     Closed form: with A = e^shift and g = e^x the constraint is the
     quadratic  A(1-q) g^2 + ((1-p1) + p1 A - q(1+A)) g - q = 0, whose single
-    positive root gives x.  Falls back to bisection if the root's residual
-    exceeds 1e-10.  Vectorized over `target` (and broadcastable p1/shift).
+    positive root gives x.  Entries whose root misses by more than 1e-10 are
+    bisected instead, and a NumericError is raised if bisection misses too.
+    `target`, `p1` and `shift` broadcast against each other; a column of
+    parameters against a row of targets costs only the full-size arrays the
+    quadratic needs.
     """
     q = np.asarray(target, dtype=float)
-    p1 = np.broadcast_to(np.asarray(p1, dtype=float), q.shape).copy()
-    shift = np.broadcast_to(np.asarray(shift, dtype=float), q.shape)
+    p1 = np.clip(np.asarray(p1, dtype=float), 0.0, 1.0)
+    shift = np.asarray(shift, dtype=float)
     if np.any((q <= 0.0) | (q >= 1.0)):
         raise NumericError("mixture target must lie strictly inside (0, 1)")
-    p1 = np.clip(p1, 0.0, 1.0)
+    x = _mixture_closed_form(q, p1, shift)
+    bad = ~np.isfinite(x) | ~(np.abs(_mixture(x, p1, shift) - q) <= 1e-10)
+    if np.any(bad):
+        q, p1, shift = (np.broadcast_to(v, x.shape)[bad] for v in (q, p1, shift))
+        x[bad] = root = _bisect_two_point(q, p1, shift)
+        if not np.all(np.abs(_mixture(root, p1, shift) - q) <= 1e-10):
+            raise NumericError("two-point mixture solve did not reach a residual of 1e-10")
+    return x if x.ndim else float(x)
 
+
+def _mixture_closed_form(q, p1, shift):
     A = np.exp(shift)
     a = A * (1.0 - q)
     b = (1.0 - p1) + p1 * A - q * (1.0 + A)
@@ -371,22 +388,20 @@ def _solve_two_point_mixture(target, p1, shift):
     disc = b * b - 4.0 * a * c
     g = (-b + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a)
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.where(g > 0.0, np.log(np.where(g > 0.0, g, 1.0)), np.nan)
-
-    resid = np.abs((1.0 - p1) * expit(x) + p1 * expit(x + shift) - q)
-    bad = ~np.isfinite(x) | (resid > 1e-10)
-    if np.any(bad):
-        x = np.where(bad, _bisect_two_point(q, p1, shift), x)
-    return x if x.ndim else float(x)
+        return np.where(g > 0.0, np.log(np.where(g > 0.0, g, 1.0)), np.nan)
 
 
-def _bisect_two_point(q, p1, shift, lo=-60.0, hi=60.0, iters=200):
-    lo = np.full_like(q, lo)
-    hi = np.full_like(q, hi)
+def _mixture(x, p1, shift):
+    return (1.0 - p1) * expit(x) + p1 * expit(x + shift)
+
+
+def _bisect_two_point(q, p1, shift, iters=200):
+    # both logistic terms are within sigmoid(-60) of 0 at lo and of 1 at hi
+    lo = -60.0 - np.maximum(shift, 0.0)
+    hi = 60.0 + np.maximum(-shift, 0.0)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        val = (1.0 - p1) * expit(mid) + p1 * expit(mid + shift)
-        high = val > q
+        high = _mixture(mid, p1, shift) > q
         hi = np.where(high, mid, hi)
         lo = np.where(high, lo, mid)
     return 0.5 * (lo + hi)
@@ -428,6 +443,23 @@ def solve_beta(rhat, posterior_u1, delta):
     return _solve_two_point_mixture(rhat, posterior_u1, delta)
 
 
+def _counterfactual(q, r_other, p_u, alpha, delta_other, observed: str):
+    """Adjusted Pr(adverse outcome under the action not taken | `observed`, x).
+
+    The chain of solves for one observed action: gamma from the release
+    probability `q`, the posterior of u under each action, beta of the action
+    not taken from its surface estimate `r_other`, and that action's outcome
+    model mixed over the posterior of u given the action actually taken.
+    The regime parameters broadcast against the rows, so a column of regime
+    keys against a row of cases solves every key in one pass.
+    """
+    gamma = solve_gamma(p_u, alpha, clip_prob(q))
+    post_observed = posterior_u(gamma, alpha, p_u, observed)
+    post_other = posterior_u(gamma, alpha, p_u, WITHHOLD if observed == RELEASE else RELEASE)
+    beta = solve_beta(clip_prob(r_other), post_other, delta_other)
+    return (1.0 - post_observed) * expit(beta) + post_observed * expit(beta + delta_other)
+
+
 def rr_counterfactual(
     rhat_release,
     rhat_withhold,
@@ -438,34 +470,26 @@ def rr_counterfactual(
     """Adjusted counterfactual Pr(r(other action) = 1 | observed action, x).
 
     Chains the three solves: gamma from the release probability, the
-    posterior of u under each action, beta for each action from the surface
-    estimates, then mixes the not-taken action's outcome model over the
+    posterior of u under each action, beta for the action not taken from its
+    surface estimate, then mixes that action's outcome model over the
     posterior of u given the action actually taken.  Vectorized; `observed_action`
     may be a single action name or an array of them.
     """
-    q = clip_prob(np.asarray(release_prob, dtype=float))
-    r_rel = clip_prob(np.asarray(rhat_release, dtype=float))
-    r_wh = clip_prob(np.asarray(rhat_withhold, dtype=float))
-
-    gamma = solve_gamma(params.p_u, params.alpha, q)
-    post_rel = posterior_u(gamma, params.alpha, params.p_u, RELEASE)
-    post_wh = posterior_u(gamma, params.alpha, params.p_u, WITHHOLD)
-    beta_rel = solve_beta(r_rel, post_rel, params.delta_release)
-    beta_wh = solve_beta(r_wh, post_wh, params.delta_withhold)
-
-    # counterfactual for the action NOT taken, mixed over u | observed action
-    cf_if_released = (1.0 - np.asarray(post_rel)) * expit(beta_wh) + np.asarray(
-        post_rel
-    ) * expit(beta_wh + params.delta_withhold)
-    cf_if_withheld = (1.0 - np.asarray(post_wh)) * expit(beta_rel) + np.asarray(
-        post_wh
-    ) * expit(beta_rel + params.delta_release)
-
-    observed_action = np.asarray(observed_action)
-    if observed_action.ndim == 0:
-        out = cf_if_released if observed_action == RELEASE else cf_if_withheld
-        return float(out) if np.ndim(out) == 0 else out
-    return np.where(observed_action == RELEASE, cf_if_released, cf_if_withheld)
+    q, r_rel, r_wh, observed = np.broadcast_arrays(
+        np.asarray(release_prob, dtype=float),
+        np.asarray(rhat_release, dtype=float),
+        np.asarray(rhat_withhold, dtype=float),
+        np.asarray(observed_action),
+    )
+    released = observed == RELEASE
+    out = np.empty(q.shape)
+    out[released] = _counterfactual(
+        q[released], r_wh[released], params.p_u, params.alpha, params.delta_withhold, RELEASE
+    )
+    out[~released] = _counterfactual(
+        q[~released], r_rel[~released], params.p_u, params.alpha, params.delta_release, WITHHOLD
+    )
+    return out if out.ndim else float(out)
 
 
 def rr_estimate(
@@ -479,18 +503,12 @@ def rr_estimate(
     Identical to :func:`estimate_policy` except that, where the policy
     disagrees with the observed action, the counterfactual comes from the
     unobserved-covariate adjustment instead of the raw surface estimate.
+    This is the one-regime case of :func:`sensitivity_sweep`.
     """
-    prescribed = np.asarray(policy.actions(cases.X))
-    agree = prescribed == cases.actions
-    value_terms = cases.outcomes.copy()
-    if np.any(~agree):
-        Xd = cases.X[~agree]
-        r_rel, r_wh = surface.predict_both(Xd)
-        q = surface.release_prob(Xd)
-        value_terms[~agree] = rr_counterfactual(r_rel, r_wh, params, cases.actions[~agree], q)
+    band = sensitivity_sweep(cases, policy, surface, [params])
     return PolicyEstimate(
-        action_rate=float(np.mean(prescribed == RELEASE)),
-        value=float(np.mean(value_terms)),
+        action_rate=band.action_rate,
+        value=band.values[0],
         method=ROSENBAUM_RUBIN,
         n_cases=len(cases),
     )
@@ -515,23 +533,61 @@ class SensitivityBand:
         return self.high - self.low
 
 
+# keys x rows solved at once by sensitivity_sweep; bounds its temporaries to a
+# few MiB (a dozen float arrays of this size) whatever the table size
+_SWEEP_BLOCK = 1 << 15
+
+
 def sensitivity_sweep(
     cases: CaseTable,
     policy: Policy,
     surface: ResponseSurface,
     regimes: Sequence[SensitivityParams],
 ) -> SensitivityBand:
+    """The :func:`rr_estimate` value of every regime, and their band.
+
+    One array pass: the policy's actions and the surface predictions are
+    computed once per call, and the baseline comes from the same arrays.
+    The disagreeing cases are split by observed action, since a released
+    case needs only the withhold counterfactual and a withheld case only
+    the release one.  Within each branch the regimes collapse to their
+    distinct (p_u, alpha, delta of the action not taken) keys, the chain is
+    solved once per key as a keys x rows broadcast, and each key's row sum
+    is scattered back to its regimes.  The broadcast runs over blocks of
+    rows, at most ``_SWEEP_BLOCK`` key-row pairs each, so memory stays
+    bounded whatever the number of keys and disagreeing rows.
+    """
     if not regimes:
         raise DataError("need at least one sensitivity regime")
-    base = estimate_policy(cases, policy, surface)
-    values = [rr_estimate(cases, policy, surface, params).value for params in regimes]
-    everything = values + [base.value]
+    prescribed = np.asarray(policy.actions(cases.X))
+    r_rel, r_wh = surface.predict_both(cases.X)
+    base = _surface_estimate(cases, prescribed, r_rel, r_wh)
+    disagree = prescribed != cases.actions
+    totals = np.full(len(regimes), np.sum(cases.outcomes[~disagree]))
+    if np.any(disagree):
+        q = surface.release_prob(cases.X[disagree])
+        observed = cases.actions[disagree]
+        params = np.array([(p.p_u, p.alpha, p.delta_release, p.delta_withhold) for p in regimes])
+        for action, r_other, delta_column in ((RELEASE, r_wh, 3), (WITHHOLD, r_rel, 2)):
+            rows = np.flatnonzero(observed == action)
+            r_other = r_other[disagree]
+            keys, inverse = np.unique(
+                params[:, [0, 1, delta_column]], axis=0, return_inverse=True
+            )
+            p_u, alpha, delta = keys[:, 0:1], keys[:, 1:2], keys[:, 2:3]
+            sums = np.zeros(len(keys))
+            step = max(1, _SWEEP_BLOCK // len(keys))
+            for block in np.split(rows, np.arange(step, len(rows), step)):
+                cf = _counterfactual(q[block], r_other[block], p_u, alpha, delta, action)
+                sums += cf.sum(axis=1)
+            totals += sums[inverse.reshape(-1)]
+    values = totals / len(cases)
     return SensitivityBand(
-        low=float(min(everything)),
-        high=float(max(everything)),
+        low=float(min(values.min(), base.value)),
+        high=float(max(values.max(), base.value)),
         baseline=base.value,
         action_rate=base.action_rate,
-        values=tuple(values),
+        values=tuple(values.tolist()),
     )
 
 

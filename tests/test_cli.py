@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import scorekit
-from scorekit import cli, synth
+from scorekit import cli, srr, synth
 
 
 def run(*argv):
@@ -72,12 +72,21 @@ class TestTrain:
         assert code == 0
         table = (out / "scorecard.txt").read_text()
         assert "Feature" in table and "Score" in table
-        from scorekit import srr
-
         card = srr.Scorecard.from_json((out / "scorecard.json").read_text())
         assert card.weight_bound == 10 and card.feature_budget == 2
         assert card.threshold == 10.5
         assert max(abs(w) for _, w in card.entries) == 10
+
+    def test_bom_prefixed_encoding_is_read(self, train_csv, tmp_path):
+        data_path, spec_path = train_csv
+        bom_spec = tmp_path / "enc_bom.json"
+        bom_spec.write_bytes(b"\xef\xbb\xbf" + open(spec_path, "rb").read())
+        code = run(
+            "train", "--input", data_path, "--label", "fta", "--encoding", str(bom_spec),
+            "--k", "2", "--M", "10", "--folds", "5", "--n-lambda", "20",
+            "--output-dir", str(tmp_path / "out"),
+        )
+        assert code == 0
 
     def test_categorical_without_encoding_fails_with_data_error(self, tmp_path):
         path = tmp_path / "cat.csv"
@@ -181,6 +190,16 @@ class TestPolicyEval:
         code = run("policy-eval", "--input", str(path), "--output-dir", str(tmp_path))
         assert code == 3
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, grid", [("--thresholds", "5:1:1"), ("--risk-thresholds", "x")])
+    def test_malformed_grid_fails_before_any_fit(self, cohort_csv, tmp_path, monkeypatch, flag, grid):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the grids were parsed")
+
+        monkeypatch.setattr(srr, "build_scorecard", no_fit)
+        code = run("policy-eval", "--input", cohort_csv, flag, grid, "--output-dir", str(tmp_path))
+        assert code == 2
+        assert not (tmp_path / "policy_eval.csv").exists()
 
     def test_deterministic_given_seed(self, cohort_csv, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

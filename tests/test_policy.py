@@ -3,6 +3,7 @@ import pytest
 
 from oracles import bisect_mixture, rr_chain_oracle, sigmoid
 from scorekit import data, policy, synth
+from scorekit._math import clip_prob
 from scorekit.errors import DataError, NumericError
 from scorekit.policy import RELEASE, WITHHOLD
 
@@ -258,6 +259,38 @@ class TestSolveBeta:
             policy.solve_beta(0.0, 0.5, 1.0)
 
 
+class TestTwoPointMixture:
+    @pytest.mark.parametrize(
+        "q, p1, shift",
+        [(1e-6, 0.3, 50.0), (1e-6, 1.0, 50.0), (1 - 1e-6, 0.3, -50.0), (1 - 1e-6, 1.0, -50.0)],
+    )
+    def test_root_beyond_60_of_the_origin(self, q, p1, shift):
+        # the root lies past [-60, 60]; at shift=+50 the closed form cancels
+        expected = bisect_mixture(q, p1, shift)
+        assert abs(expected) > 60
+        x = policy._solve_two_point_mixture(q, p1, shift)
+        assert abs((1 - p1) * sigmoid(x) + p1 * sigmoid(x + shift) - q) <= 1e-10
+        assert x == pytest.approx(expected, abs=1e-8)
+        bisected = policy._bisect_two_point(np.array([q]), np.array([p1]), np.array([shift]))
+        assert bisected[0] == pytest.approx(expected, abs=1e-8)
+
+    def test_unsolvable_entry_raises(self):
+        with pytest.raises(NumericError, match="residual"):
+            policy._solve_two_point_mixture(np.array([0.3, 0.4]), 0.5, np.array([1.0, np.nan]))
+
+    def test_parameter_column_broadcasts_against_rows(self):
+        rng = np.random.default_rng(18)
+        q = rng.uniform(0.05, 0.95, size=7)
+        p1 = rng.uniform(0.05, 0.95, size=(4, 1))
+        shift = rng.uniform(-3, 3, size=(4, 1))
+        x = policy._solve_two_point_mixture(q, p1, shift)
+        assert x.shape == (4, 7)
+        for k in range(4):
+            for j in range(7):
+                scalar = policy._solve_two_point_mixture(q[j], p1[k, 0], shift[k, 0])
+                assert x[k, j] == pytest.approx(scalar, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Counterfactual chain
 # ---------------------------------------------------------------------------
@@ -392,6 +425,104 @@ class TestSensitivitySweep:
     def test_regime_grid_size(self):
         regimes = policy.regime_grid(np.log(2.0), [0.1, 0.5, 0.9], [-0.7, 0.0, 0.7])
         assert len(regimes) == 3 * 3 * 3
+
+
+def mixed_regimes():
+    """Two alphas, duplicated regimes, and settings off any grid."""
+    log2, log3 = np.log(2.0), np.log(3.0)
+    grid = policy.regime_grid(log2, [0.2, 0.7], [-log2, 0.0, log2])
+    grid += policy.regime_grid(log3, [0.5], [-log3, log3])
+    off_grid = [
+        policy.SensitivityParams(p_u=0.33, alpha=-1.2, delta_release=0.4, delta_withhold=-2.0),
+        policy.SensitivityParams(p_u=0.9, alpha=0.0, delta_release=-0.3, delta_withhold=1.1),
+    ]
+    return grid + off_grid + [grid[4], off_grid[0], grid[4]]
+
+
+@pytest.fixture(scope="module")
+def fitted_world():
+    table = synth.generate(synth.GeneratorConfig(n=3000, seed=19)).case_table()
+    fit = table.take(np.arange(2400))
+    folds = data.kfold(len(fit), 3, seed=0, labels=fit.outcomes.astype(int))
+    return table.take(np.arange(2400, 2460)), policy.fit_response_surface(fit, folds, n_lambda=10)
+
+
+def sweep_world(kind, fitted_world):
+    if kind == "stub":
+        return synthetic_cases_and_surface(seed=20, n=60)
+    return fitted_world
+
+
+def sweep_policy(kind, cases):
+    if kind == "agree_all":
+        return policy.FixedActionsPolicy(fixed=cases.actions)
+    if kind in (RELEASE, WITHHOLD):  # only cases observed under the other action disagree
+        return policy.ConstantPolicy(action=kind)
+    flips = np.random.default_rng(21).random(len(cases)) < 0.5
+    return policy.FixedActionsPolicy(
+        fixed=np.where(flips, np.where(cases.actions == RELEASE, WITHHOLD, RELEASE), cases.actions)
+    )
+
+
+POLICY_KINDS = ["agree_all", RELEASE, WITHHOLD, "mixed"]
+
+
+class TestSweepEquivalence:
+    @pytest.mark.parametrize("surface_kind", ["stub", "fitted"])
+    @pytest.mark.parametrize("policy_kind", POLICY_KINDS)
+    def test_matches_per_regime_loop(self, fitted_world, surface_kind, policy_kind):
+        cases, surface = sweep_world(surface_kind, fitted_world)
+        pol = sweep_policy(policy_kind, cases)
+        regimes = mixed_regimes()
+        band = policy.sensitivity_sweep(cases, pol, surface, regimes)
+
+        prescribed = np.asarray(pol.actions(cases.X))
+        agree = prescribed == cases.actions
+        r_rel, r_wh = surface.predict_both(cases.X)
+        q = surface.release_prob(cases.X)
+        loop = [
+            np.mean(np.where(agree, cases.outcomes,
+                             policy.rr_counterfactual(r_rel, r_wh, params, cases.actions, q)))
+            for params in regimes
+        ]
+        baseline = np.mean(np.where(agree, cases.outcomes, np.where(prescribed == RELEASE, r_rel, r_wh)))
+        assert len(band.values) == len(regimes)
+        np.testing.assert_allclose(band.values, loop, rtol=0, atol=1e-12)
+        assert band.baseline == pytest.approx(baseline, abs=1e-12)
+        assert band.action_rate == pytest.approx(np.mean(prescribed == RELEASE), abs=1e-12)
+        assert band.low == min(*band.values, band.baseline)
+        assert band.high == max(*band.values, band.baseline)
+        if policy_kind == "agree_all":
+            assert set(band.values) == {band.baseline}
+
+    @pytest.mark.parametrize("surface_kind", ["stub", "fitted"])
+    @pytest.mark.parametrize("policy_kind", POLICY_KINDS)
+    def test_matches_scalar_chain_oracle(self, fitted_world, surface_kind, policy_kind):
+        cases, surface = sweep_world(surface_kind, fitted_world)
+        pol = sweep_policy(policy_kind, cases)
+        regimes = mixed_regimes()[::3]
+        band = policy.sensitivity_sweep(cases, pol, surface, regimes)
+
+        agree = np.asarray(pol.actions(cases.X)) == cases.actions
+        r_rel, r_wh = (clip_prob(r) for r in surface.predict_both(cases.X))
+        q = clip_prob(surface.release_prob(cases.X))
+        for params, value in zip(regimes, band.values):
+            total = cases.outcomes[agree].sum() + sum(
+                rr_chain_oracle(
+                    r_rel[i], r_wh[i], params.p_u, params.alpha, params.delta_release,
+                    params.delta_withhold, cases.actions[i] == RELEASE, q[i],
+                )
+                for i in np.flatnonzero(~agree)
+            )
+            assert value == pytest.approx(total / len(cases), abs=1e-8)
+
+    def test_row_blocks_leave_values_unchanged(self, fitted_world, monkeypatch):
+        cases, surface = fitted_world
+        pol = sweep_policy("mixed", cases)
+        whole = policy.sensitivity_sweep(cases, pol, surface, mixed_regimes()).values
+        monkeypatch.setattr(policy, "_SWEEP_BLOCK", 20)  # one or two rows per block
+        blocked = policy.sensitivity_sweep(cases, pol, surface, mixed_regimes()).values
+        np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
