@@ -12,7 +12,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
+import math
 import os
 import sys
 
@@ -33,8 +33,10 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     for part in text.split(","):
         part = part.strip()
         if "-" in part and not part.startswith("-"):
-            a, b = part.split("-", 1)
-            values.extend(range(int(a), int(b) + 1))
+            a, b = (int(v) for v in part.split("-", 1))
+            if a > b:
+                raise ValueError(f"range start exceeds its stop in {text!r}")
+            values.extend(range(a, b + 1))
         else:
             values.append(int(part))
     if not values:
@@ -43,17 +45,21 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _parse_float_grid(text: str) -> tuple[float, ...]:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(v) for v in parts)
-        if step <= 0:
-            raise ValueError("range step must be positive")
-        if start > stop:
-            raise ValueError(f"range start exceeds its stop in {text!r}")
-        return tuple(np.arange(start, stop + 0.5 * step, step).round(12))
-    return tuple(float(v) for v in text.split(","))
+    is_range = ":" in text
+    parts = text.split(":" if is_range else ",")
+    if is_range and len(parts) != 3:
+        raise ValueError(f"range must be start:stop:step, got {text!r}")
+    values = [float(v) for v in parts]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"grid values must be finite, got {text!r}")
+    if not is_range:
+        return tuple(values)
+    start, stop, step = values
+    if step <= 0:
+        raise ValueError("range step must be positive")
+    if start > stop:
+        raise ValueError(f"range start exceeds its stop in {text!r}")
+    return tuple(np.arange(start, stop + 0.5 * step, step).round(12))
 
 
 def _out_path(args, name: str) -> str:
@@ -162,8 +168,7 @@ def _cmd_synth_gen(args) -> int:
 
 def _load_cohort_or_cases(args):
     """Returns (table, feature_names, column_groups) for policy commands."""
-    with open(args.input, "r", encoding="utf-8-sig") as fh:
-        header = fh.readline().strip().split(",")
+    header = data.read_table(args.input)[0]
     if tuple(header[-3:]) == synth.COHORT_COLUMNS[-3:]:
         cohort = synth.load_cohort_csv(args.input)
         return cohort.case_table(), cohort.feature_names, cohort.column_groups
@@ -231,31 +236,28 @@ def _cmd_policy_eval(args) -> int:
         _policy_setup(args)
     )
 
-    out = _out_path(args, "policy_eval.csv")
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {_config_comment(args)}\n")
-        fh.write(f"# {provenance}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["policy", "threshold", "action_rate", "value", "method", "regime"])
-
+    def rows():
         observed = policy.FixedActionsPolicy(fixed=eval_sub.actions)
         est = policy.estimate_policy(eval_sub, observed, surface)
-        writer.writerow(["observed", "", repr(est.action_rate), repr(est.value), est.method, ""])
-
+        yield ["observed", "", repr(est.action_rate), repr(est.value), est.method, ""]
         for thr in thresholds:
             pol = policy.ScorecardPolicy(card=card, feature_names=names, threshold=float(thr))
             est = policy.estimate_policy(eval_sub, pol, surface)
-            writer.writerow(
-                ["scorecard", thr, repr(est.action_rate), repr(est.value), est.method, ""]
-            )
+            yield ["scorecard", thr, repr(est.action_rate), repr(est.value), est.method, ""]
         for thr in risk_thresholds:
             pol = policy.RiskModelPolicy(
                 intercept=risk_b0, coefficients=risk_coefs, threshold=float(thr)
             )
             est = policy.estimate_policy(eval_sub, pol, surface)
-            writer.writerow(
-                ["risk_model", thr, repr(est.action_rate), repr(est.value), est.method, ""]
-            )
+            yield ["risk_model", thr, repr(est.action_rate), repr(est.value), est.method, ""]
+
+    out = _out_path(args, "policy_eval.csv")
+    data.write_table(
+        out,
+        ["policy", "threshold", "action_rate", "value", "method", "regime"],
+        rows(),
+        comments=[_config_comment(args), provenance],
+    )
     print(f"wrote {out}")
     print(provenance)
     return 0
@@ -266,23 +268,22 @@ def _cmd_sensitivity_sweep(args) -> int:
     spec = _REGIMES[args.regime]
     regimes = policy.regime_grid(spec["alpha"], _P_GRID, spec["deltas"])
 
-    out = _out_path(args, "sensitivity.csv")
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {_config_comment(args)}\n")
-        fh.write(f"# {provenance}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["policy", "threshold", "action_rate", "baseline", "min", "max", "n_regimes", "regime"]
-        )
+    def rows():
         for thr in thresholds:
             pol = policy.ScorecardPolicy(card=card, feature_names=names, threshold=float(thr))
             band = policy.sensitivity_sweep(eval_sub, pol, surface, regimes)
-            writer.writerow(
-                [
-                    "scorecard", thr, repr(band.action_rate), repr(band.baseline),
-                    repr(band.low), repr(band.high), len(regimes), args.regime,
-                ]
-            )
+            yield [
+                "scorecard", thr, repr(band.action_rate), repr(band.baseline),
+                repr(band.low), repr(band.high), len(regimes), args.regime,
+            ]
+
+    out = _out_path(args, "sensitivity.csv")
+    data.write_table(
+        out,
+        ["policy", "threshold", "action_rate", "baseline", "min", "max", "n_regimes", "regime"],
+        rows(),
+        comments=[_config_comment(args), provenance],
+    )
     print(f"wrote {out}")
     print(provenance)
     return 0
@@ -293,12 +294,12 @@ def _cmd_theory_curve(args) -> int:
         _parse_float_grid(args.auc_values), _parse_float_grid(args.gamma_values)
     )
     out = _out_path(args, "theory_curve.csv")
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {_config_comment(args)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["auc_y", "gamma", "auc_hat"])
-        for a, g, v in rows:
-            writer.writerow([a, g, repr(v)])
+    data.write_table(
+        out,
+        ["auc_y", "gamma", "auc_hat"],
+        ([a, g, repr(v)] for a, g, v in rows),
+        comments=[_config_comment(args)],
+    )
     print(f"wrote {out}")
     return 0
 

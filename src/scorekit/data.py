@@ -1,19 +1,24 @@
-"""Dataset ingestion, categorical/binned encoding, and cross-validation splits.
+"""Dataset ingestion, categorical/binned encoding, cross-validation splits, file I/O.
 
 A :class:`Dataset` is an immutable named feature matrix with binary labels and
 optional action / group columns.  Raw tables are turned into indicator designs
 with :func:`encode`, driven by an :class:`EncodingSpec`.  Fold assignments are
 deterministic given ``(n, k, seed)`` and stratified by label when labels are
 supplied.
+
+Every CSV file the package reads goes through :func:`read_table` and every
+CSV file it writes through :func:`write_table`; fitted artifacts round-trip
+through JSON with the :class:`JsonRecord` mixin.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence, Union
+from dataclasses import dataclass, field, fields, replace
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -27,6 +32,38 @@ RESERVED_PREFIX = "__"
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+class JsonRecord:
+    """JSON round trip for a dataclass whose ``__post_init__`` restores its types.
+
+    ``to_json`` writes the fields in declaration order, with arrays and
+    tuples as lists and nested records as objects.  ``from_json`` passes the
+    decoded object to the constructor as keywords, so the constructor's own
+    coercions and checks rebuild arrays, tuples and nested records.
+    """
+
+    def to_json(self) -> str:
+        return json.dumps(_plain(self), indent=2)
+
+    @classmethod
+    def from_json(cls, text: str):
+        try:
+            return cls(**json.loads(text))
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"not a valid {cls.__name__} record: {exc}") from None
+
+
+def _plain(value):
+    if isinstance(value, JsonRecord):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
 
 
 @dataclass(frozen=True)
@@ -98,13 +135,6 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.rows.shape[1]
-
-    def column(self, name: str) -> np.ndarray:
-        try:
-            j = self.feature_names.index(name)
-        except ValueError:
-            raise DataError(f"no column named {name!r}") from None
-        return self.rows[:, j]
 
     def take(self, indices) -> "Dataset":
         """Row subset as a new Dataset (shares encoding metadata)."""
@@ -349,6 +379,62 @@ class _NotNumeric(Exception):
     pass
 
 
+def _csv_records(path) -> Iterator[list[str]]:
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header = None
+            for row in reader:
+                if header is None:
+                    header = row
+                elif len(row) != len(header):
+                    raise DataError(
+                        f"{path}: line {reader.line_num} has {len(row)} fields, "
+                        f"expected {len(header)}"
+                    )
+                yield row
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path} is not a readable UTF-8 CSV file: {exc}") from None
+
+
+def read_table(path) -> tuple[list[str], Iterator[list[str]]]:
+    """Header and data rows of a UTF-8, comma-separated, headered file.
+
+    The one place a CSV file is opened for reading.  A leading byte-order
+    mark is skipped, not read into the first column name.  Rows are read as
+    they are consumed, so a caller that needs only the header reads no
+    further than the first row; the file closes when the rows run out or
+    are dropped.  An unreadable or non-UTF-8 file, an empty file, a file
+    with no data row, and a row whose width differs from the header's each
+    raise :class:`DataError` naming the file.
+    """
+    records = _csv_records(path)
+    header = next(records, None)
+    if header is None:
+        raise DataError(f"{path}: empty file (no header row)")
+    first = next(records, None)
+    if first is None:
+        raise DataError(f"{path}: no rows")
+    return header, itertools.chain([first], records)
+
+
+def write_table(
+    path, header: Sequence, rows: Iterable[Sequence], comments: Sequence[str] = ()
+) -> None:
+    """Write one ``# `` line per comment, the header, then each row as it comes.
+
+    The one place a CSV file is written.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def load_csv(
     path,
     label_column: str,
@@ -356,29 +442,16 @@ def load_csv(
     group_column: str | None = None,
     positive_label: str | None = None,
 ) -> Dataset:
-    """Load a UTF-8, comma-separated, headered table into a Dataset.
+    """Load a UTF-8, comma-separated, headered table (see :func:`read_table`)
+    into a Dataset.
 
-    A leading byte-order mark is skipped, not read into the first column name.
     The label column must take exactly two distinct values; the
     lexicographically larger raw value maps to 1 unless ``positive_label``
     overrides it.  The applied mapping is recorded on the Dataset.  Missing
     cells are rejected, not imputed.  Non-numeric feature columns are stored
     as category codes and flagged for encoding in ``categorical_levels``.
     """
-    try:
-        fh = open(path, "r", encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file (no header row)") from None
-        body = list(reader)
-
-    if not body:
-        raise DataError(f"{path}: no rows")
+    header, body = read_table(path)
     if len(set(header)) != len(header):
         raise DataError(f"{path}: duplicate column names in header")
     special = {label_column: "label"}
@@ -399,8 +472,6 @@ def load_csv(
 
     columns: dict[str, list[str]] = {name: [] for name in header}
     for i, row in enumerate(body, start=1):
-        if len(row) != len(header):
-            raise DataError(f"{path}: data row {i} has {len(row)} cells, expected {len(header)}")
         for name, cell in zip(header, row):
             if cell == "":
                 raise DataError(f"{path}: missing value in column {name!r}, data row {i}")
@@ -470,9 +541,8 @@ def write_csv(
     if ds.group_ids is not None:
         header.append(group_column)
     zero, one = ds.label_mapping if ds.label_mapping is not None else ("0", "1")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+
+    def rows():
         for i in range(ds.n):
             row = []
             for j, name in enumerate(ds.feature_names):
@@ -485,7 +555,9 @@ def write_csv(
                 row.append(str(ds.actions[i]))
             if ds.group_ids is not None:
                 row.append(str(ds.group_ids[i]))
-            writer.writerow(row)
+            yield row
+
+    write_table(path, header, rows())
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,12 @@ coefficients on the original scale; the intercept is never penalized.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._math import expit, log_likelihood_bernoulli, logit
-from .data import FoldAssignment
+from .data import FoldAssignment, JsonRecord
 from .errors import DataError, NumericError
 
 # |linear predictor| beyond this means fitted probabilities within ~3e-7 of
@@ -34,7 +33,7 @@ _MIN_WEIGHT = 1e-6
 
 
 @dataclass(frozen=True)
-class GlmFit:
+class GlmFit(JsonRecord):
     """A fitted logistic model: intercept, slope coefficients, diagnostics."""
 
     intercept: float
@@ -53,29 +52,6 @@ class GlmFit:
             and np.isfinite(self.log_likelihood)
         ):
             raise NumericError("converged fit contains non-finite values")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "intercept": self.intercept,
-                "coefficients": [float(c) for c in self.coefficients],
-                "converged": self.converged,
-                "iterations": self.iterations,
-                "log_likelihood": self.log_likelihood,
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GlmFit":
-        d = json.loads(text)
-        return cls(
-            intercept=d["intercept"],
-            coefficients=np.asarray(d["coefficients"], dtype=float),
-            converged=d["converged"],
-            iterations=d["iterations"],
-            log_likelihood=d["log_likelihood"],
-        )
 
 
 def _check_xy(X, y):
@@ -190,20 +166,13 @@ def fit_logistic(
     )
 
 
-def deviance(fit: GlmFit, X, y) -> float:
-    """Residual deviance, -2 * log-likelihood, of a fit on (X, y)."""
-    X, y = _check_xy(X, y)
-    eta = fit.intercept + X @ fit.coefficients
-    return -2.0 * log_likelihood_bernoulli(eta, y)
-
-
 # ---------------------------------------------------------------------------
 # L1-regularized path
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class LassoPath:
+class LassoPath(JsonRecord):
     """Coefficients along a decreasing penalty grid, original scale.
 
     The first grid point is the smallest penalty that zeroes every slope,
@@ -240,10 +209,6 @@ class LassoPath:
     def n_lambda(self) -> int:
         return len(self.lambda_grid)
 
-    @property
-    def selected_lambda(self) -> float:
-        return float(self.lambda_grid[self._need_selected()])
-
     def _need_selected(self) -> int:
         if self.selected_index is None:
             raise NumericError("no penalty selected; run cv_select first")
@@ -259,31 +224,6 @@ class LassoPath:
     def linear_score(self, X, index: int | None = None) -> np.ndarray:
         b0, coefs = self.coefficients_at(index)
         return linear_predictor(b0, coefs, X)
-
-    def to_json(self) -> str:
-        d = {
-            "lambda_grid": [float(v) for v in self.lambda_grid],
-            "intercepts": [float(v) for v in self.intercepts],
-            "coefficients": [[float(v) for v in row] for row in self.coefficients],
-            "converged": [bool(v) for v in self.converged],
-            "cv_mean": None if self.cv_mean is None else [float(v) for v in self.cv_mean],
-            "cv_se": None if self.cv_se is None else [float(v) for v in self.cv_se],
-            "selected_index": self.selected_index,
-        }
-        return json.dumps(d, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LassoPath":
-        d = json.loads(text)
-        return cls(
-            lambda_grid=np.asarray(d["lambda_grid"], dtype=float),
-            intercepts=np.asarray(d["intercepts"], dtype=float),
-            coefficients=np.asarray(d["coefficients"], dtype=float),
-            converged=np.asarray(d["converged"], dtype=bool),
-            cv_mean=None if d["cv_mean"] is None else np.asarray(d["cv_mean"], dtype=float),
-            cv_se=None if d["cv_se"] is None else np.asarray(d["cv_se"], dtype=float),
-            selected_index=d["selected_index"],
-        )
 
 
 def _standardize(X):

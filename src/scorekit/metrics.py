@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, FoldAssignment, kfold
+from .data import Dataset, FoldAssignment, kfold, write_table
 from .errors import DataError, NumericError
 from .glm import cv_select, fit_logistic, predict_prob
 from .selection import forward_stepwise
@@ -119,23 +118,20 @@ class SweepResult:
         return float(np.mean(vals))
 
     def to_csv(self, path, config_comment: str | None = None) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            if config_comment:
-                fh.write(f"# {config_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["method", "k", "M", "fold", "auc", "accuracy", "error"])
-            for c in self.cells:
-                writer.writerow(
-                    [
-                        c.method,
-                        "" if c.k is None else c.k,
-                        "" if c.M is None else c.M,
-                        c.fold,
-                        "" if c.error else repr(c.auc),
-                        "" if c.error else repr(c.accuracy),
-                        c.error or "",
-                    ]
-                )
+        rows = (
+            [
+                c.method,
+                "" if c.k is None else c.k,
+                "" if c.M is None else c.M,
+                c.fold,
+                "" if c.error else repr(c.auc),
+                "" if c.error else repr(c.accuracy),
+                c.error or "",
+            ]
+            for c in self.cells
+        )
+        header = ["method", "k", "M", "fold", "auc", "accuracy", "error"]
+        write_table(path, header, rows, comments=[config_comment] if config_comment else [])
 
 
 def _prob_cells(method, fold, prob_test, y_test) -> SweepCell:

@@ -18,7 +18,6 @@ chain solved once per distinct regime key that a disagreeing case needs.
 
 from __future__ import annotations
 
-import csv
 import zlib
 from dataclasses import dataclass
 from typing import Protocol, Sequence
@@ -26,7 +25,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from ._math import clip_prob, expit, logit
-from .data import Dataset, FoldAssignment, kfold
+from .data import Dataset, FoldAssignment, kfold, write_table
 from .errors import DataError, NumericError
 from .glm import LassoPath, cv_select, linear_predictor
 from .srr import RELEASE, WITHHOLD, Scorecard
@@ -347,12 +346,6 @@ class SensitivityParams:
             if not np.isfinite(v):
                 raise DataError("sensitivity shifts must be finite")
 
-    def describe(self) -> str:
-        return (
-            f"p_u={self.p_u:g},alpha={self.alpha:g},"
-            f"d_rel={self.delta_release:g},d_wh={self.delta_withhold:g}"
-        )
-
 
 def _solve_two_point_mixture(target, p1, shift):
     """The unique x with (1-p1)*sigmoid(x) + p1*sigmoid(x + shift) = target.
@@ -622,27 +615,21 @@ class GroupReport:
     skipped: tuple[tuple[str, str], ...]
 
     def to_csv(self, path, config_comment: str | None = None) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            if config_comment:
-                fh.write(f"# {config_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "group", "n_cases", "agreement_rate", "raw_release_rate",
-                    "raw_adverse_rate", "action_rate", "value", "method",
-                ]
-            )
-            for g in self.estimates:
-                writer.writerow(
-                    [
-                        g.group_id, g.n_cases, repr(g.agreement_rate),
-                        repr(g.raw_release_rate), repr(g.raw_adverse_rate),
-                        repr(g.estimate.action_rate), repr(g.estimate.value),
-                        g.estimate.method,
-                    ]
-                )
-            for gid, reason in self.skipped:
-                writer.writerow([gid, "", "", "", "", "", "", f"skipped: {reason}"])
+        header = [
+            "group", "n_cases", "agreement_rate", "raw_release_rate",
+            "raw_adverse_rate", "action_rate", "value", "method",
+        ]
+        rows = [
+            [
+                g.group_id, g.n_cases, repr(g.agreement_rate),
+                repr(g.raw_release_rate), repr(g.raw_adverse_rate),
+                repr(g.estimate.action_rate), repr(g.estimate.value),
+                g.estimate.method,
+            ]
+            for g in self.estimates
+        ]
+        rows += [[gid, "", "", "", "", "", "", f"skipped: {reason}"] for gid, reason in self.skipped]
+        write_table(path, header, rows, comments=[config_comment] if config_comment else [])
 
 
 def per_group_estimates(

@@ -9,10 +9,9 @@ so a binned age column enters or stays out as a block.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .data import Dataset
+from .data import Dataset, JsonRecord
 from .errors import DataError, NumericError
 from .glm import fit_logistic
 
@@ -20,7 +19,7 @@ _TIE_EPS = 1e-10
 
 
 @dataclass(frozen=True)
-class SelectionTrace:
+class SelectionTrace(JsonRecord):
     """Greedy selection order with the training deviance after each step."""
 
     ordered_features: tuple[int, ...]
@@ -36,27 +35,6 @@ class SelectionTrace:
         object.__setattr__(self, "step_groups", tuple(tuple(g) for g in self.step_groups))
         object.__setattr__(self, "step_names", tuple(self.step_names))
         object.__setattr__(self, "step_deviance", tuple(float(d) for d in self.step_deviance))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "ordered_features": list(self.ordered_features),
-                "step_groups": [list(g) for g in self.step_groups],
-                "step_names": list(self.step_names),
-                "step_deviance": list(self.step_deviance),
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SelectionTrace":
-        d = json.loads(text)
-        return cls(
-            ordered_features=tuple(d["ordered_features"]),
-            step_groups=tuple(tuple(g) for g in d["step_groups"]),
-            step_names=tuple(d["step_names"]),
-            step_deviance=tuple(d["step_deviance"]),
-        )
 
 
 def _feature_groups(ds: Dataset, grouped: bool) -> list[tuple[str, tuple[int, ...]]]:

@@ -11,14 +11,13 @@ threshold.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
 
 from ._math import round_half_away_from_zero
-from .data import Dataset, FoldAssignment
+from .data import Dataset, FoldAssignment, JsonRecord
 from .errors import DataError
 from .glm import cv_select
 from .selection import SelectionTrace, forward_stepwise
@@ -28,7 +27,7 @@ WITHHOLD = "withhold"
 
 
 @dataclass(frozen=True)
-class Scorecard:
+class Scorecard(JsonRecord):
     """An ordered list of (feature, integer weight) pairs plus a threshold.
 
     ``raw_coefficients`` / ``scaling`` / ``selection`` record how the card
@@ -41,11 +40,12 @@ class Scorecard:
     weight_bound: int
     feature_budget: int
     threshold: float | None = None
-    selection: SelectionTrace | None = None
     feature_names: tuple[str, ...] = ()
     raw_coefficients: tuple[float, ...] = ()
     intercept: float = 0.0
     scaling: float = 0.0
+    # declared last: the field order is scorecard.json's key order
+    selection: SelectionTrace | None = None
 
     def __post_init__(self):
         entries = tuple((str(name), int(w)) for name, w in self.entries)
@@ -58,6 +58,8 @@ class Scorecard:
         object.__setattr__(
             self, "raw_coefficients", tuple(float(c) for c in self.raw_coefficients)
         )
+        if isinstance(self.selection, dict):
+            object.__setattr__(self, "selection", SelectionTrace(**self.selection))
 
     def weight_vector(self, feature_names) -> np.ndarray:
         """The card's weights aligned to a column layout; columns off the card
@@ -73,38 +75,6 @@ class Scorecard:
 
     def with_threshold(self, threshold: float) -> "Scorecard":
         return replace(self, threshold=float(threshold))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "entries": [[name, w] for name, w in self.entries],
-                "weight_bound": self.weight_bound,
-                "feature_budget": self.feature_budget,
-                "threshold": self.threshold,
-                "feature_names": list(self.feature_names),
-                "raw_coefficients": list(self.raw_coefficients),
-                "intercept": self.intercept,
-                "scaling": self.scaling,
-                "selection": None if self.selection is None else json.loads(self.selection.to_json()),
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Scorecard":
-        d = json.loads(text)
-        sel = d.get("selection")
-        return cls(
-            entries=tuple((name, w) for name, w in d["entries"]),
-            weight_bound=d["weight_bound"],
-            feature_budget=d["feature_budget"],
-            threshold=d["threshold"],
-            selection=None if sel is None else SelectionTrace.from_json(json.dumps(sel)),
-            feature_names=tuple(d.get("feature_names", ())),
-            raw_coefficients=tuple(d.get("raw_coefficients", ())),
-            intercept=d.get("intercept", 0.0),
-            scaling=d.get("scaling", 0.0),
-        )
 
     def render(self) -> str:
         """Two-column Feature / Score table plus the threshold line."""

@@ -16,14 +16,13 @@ expectation.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from ._math import expit
-from .data import Bins, Dataset, EncodingSpec, encode
+from .data import Bins, Dataset, EncodingSpec, encode, read_table, write_table
 from .errors import DataError, NumericError
 from .policy import ORACLE, CaseTable, Policy, PolicyEstimate, SensitivityParams
 from .srr import RELEASE, WITHHOLD
@@ -274,50 +273,37 @@ def write_cohort_csv(cohort: SyntheticCohort, path) -> None:
         t.po_withhold.astype(int).tolist(),
         cohort.u.tolist(),
     )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(cohort.feature_names) + list(COHORT_COLUMNS))
-        for x, rest in zip(t.X, tail):
-            writer.writerow([repr(float(v)) for v in x] + list(rest))
+    rows = ([repr(float(v)) for v in x] + list(rest) for x, rest in zip(t.X, tail))
+    write_table(path, list(cohort.feature_names) + list(COHORT_COLUMNS), rows)
 
 
 def load_cohort_csv(path, column_groups: tuple[str, ...] | None = None) -> SyntheticCohort:
-    """Read a cohort CSV written by :func:`write_cohort_csv`.
-
-    A leading UTF-8 byte-order mark, as some spreadsheet tools save, is
-    skipped so that it never becomes part of the first feature name.
-    """
-    try:
-        fh = open(path, "r", encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        rows = list(reader)
+    """Read a cohort CSV written by :func:`write_cohort_csv` (see
+    :func:`~scorekit.data.read_table` for the checks every CSV gets)."""
+    header, rows = read_table(path)
     tail = len(COHORT_COLUMNS)
-    if tuple(header[-tail:]) != COHORT_COLUMNS or not rows:
+    if tuple(header[-tail:]) != COHORT_COLUMNS:
         raise DataError(f"{path}: not a cohort CSV (expected trailing columns {list(COHORT_COLUMNS)})")
     names = tuple(header[:-tail])
-    n, p = len(rows), len(names)
-    X = np.empty((n, p))
-    codes = np.empty((n, 4), dtype=np.int64)  # outcome, __po_release, __po_withhold, __u
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(f"{path}: line {i + 2} has {len(row)} fields, expected {len(header)}")
+    p = len(names)
+    # flat lists, reshaped once at the end: faster than a list per row
+    X, codes, actions, judges = [], [], [], []
+    for line, row in enumerate(rows, start=2):
         try:
-            X[i] = [float(v) for v in row[:p]]
-            codes[i] = [int(row[p + j]) for j in (1, 3, 4, 5)]
+            X.extend(map(float, row[:p]))
+            # outcome, __po_release, __po_withhold, __u
+            codes.extend([int(row[p + 1]), int(row[p + 3]), int(row[p + 4]), int(row[p + 5])])
         except (ValueError, OverflowError):
-            raise DataError(f"{path}: line {i + 2} has a non-numeric field") from None
-    outcome, po_r, po_w, u = codes.T
+            raise DataError(f"{path}: line {line} has a non-numeric field") from None
+        actions.append(row[p])
+        judges.append(row[p + 2])
+    n = len(actions)
+    outcome, po_r, po_w, u = np.array(codes, dtype=np.int64).reshape(n, 4).T
     table = CaseTable(
-        X=X,
-        actions=np.array([row[p] for row in rows]),
+        X=np.array(X, dtype=float).reshape(n, p),
+        actions=np.array(actions),
         outcomes=outcome,
-        group_ids=np.array([row[p + 2] for row in rows]),
+        group_ids=np.array(judges),
         po_release=po_r,
         po_withhold=po_w,
     )

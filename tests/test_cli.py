@@ -100,6 +100,15 @@ class TestTrain:
                    "--k", "1", "--M", "2", "--output-dir", str(tmp_path))
         assert code == 3
 
+    def test_non_utf8_input_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("town,y\nMálaga,0\nCádiz,1\n".encode("latin-1"))
+        code = run("train", "--input", str(path), "--label", "y", "--k", "1", "--M", "2",
+                   "--output-dir", str(tmp_path))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and str(path) in err
+
     def test_unknown_flag_is_usage_error(self):
         assert run("train", "--nonsense") == 2
 
@@ -111,6 +120,18 @@ class TestTrain:
         code = run("train", "--input", str(path), "--label", "y", "--k", "1", "--M", "2",
                    "--folds", "6", "--output-dir", str(tmp_path))
         assert code == 4
+
+
+class TestEvaluate:
+    def test_reversed_int_range_is_usage_error(self, train_csv, tmp_path):
+        with pytest.raises(ValueError, match="exceeds its stop"):
+            cli._parse_int_list("3-1,4")
+        assert cli._parse_int_list("2-2,4") == (2, 4)
+        data_path, spec_path = train_csv
+        code = run("evaluate", "--input", data_path, "--label", "fta", "--encoding", spec_path,
+                   "--k-values", "3-1,4", "--output-dir", str(tmp_path))
+        assert code == 2
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestSynthGen:
@@ -201,6 +222,58 @@ class TestPolicyEval:
         assert code == 2
         assert not (tmp_path / "policy_eval.csv").exists()
 
+    @pytest.mark.parametrize(
+        "grids",
+        [("--thresholds", "nan", "--risk-thresholds", "nan"), ("--risk-thresholds", "0.2,inf")],
+    )
+    def test_non_finite_grid_fails_before_any_fit(self, cohort_csv, tmp_path, monkeypatch, grids):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the grids were parsed")
+
+        monkeypatch.setattr(srr, "build_scorecard", no_fit)
+        code = run("policy-eval", "--input", cohort_csv, *grids, "--output-dir", str(tmp_path))
+        assert code == 2
+        assert not (tmp_path / "policy_eval.csv").exists()
+
+    def test_non_utf8_input_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("x,decision,fta\n1,libéré,0\n2,détenu,1\n".encode("latin-1"))
+        code = run("policy-eval", "--input", str(path), "--label", "fta", "--action", "decision",
+                   "--output-dir", str(tmp_path))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and str(path) in err
+
+    def test_plain_decision_csv(self, cohort_csv, tmp_path):
+        from scorekit import data as data_mod
+
+        cohort = synth.load_cohort_csv(cohort_csv)
+        table = cohort.case_table()
+        ds = data_mod.Dataset(
+            feature_names=cohort.feature_names,
+            rows=table.X,
+            labels=table.outcomes.astype(int),
+            actions=np.where(table.actions == srr.RELEASE, "ROR", "BAIL"),
+            group_ids=table.group_ids,
+        )
+        path = tmp_path / "decisions.csv"
+        data_mod.write_csv(ds, path, label_column="fta", action_column="decision",
+                           group_column="judge")
+        common = ("--input", str(path), "--label", "fta", "--thresholds", "2.5,4.5",
+                  "--n-lambda", "10", "--inner-folds", "3", "--seed", "4")
+        assert run("policy-eval", *common, "--output-dir", str(tmp_path / "no_action")) == 3
+        code = run("policy-eval", *common, "--action", "decision", "--group", "judge",
+                   "--release-value", "ROR", "--output-dir", str(tmp_path))
+        assert code == 0
+        rows = read_rows(tmp_path / "policy_eval.csv")
+        assert [r["policy"] for r in rows] == ["observed"] + ["scorecard"] * 2 + ["risk_model"] * 19
+        folds = data_mod.kfold(len(table), 3, seed=4, labels=table.outcomes.astype(int))
+        empirical = table.outcomes[folds.test_indices(2)].mean()
+        assert float(rows[0]["value"]) == pytest.approx(empirical, abs=1e-12)
+        for r in rows:
+            assert 0.0 <= float(r["action_rate"]) <= 1.0
+            assert 0.0 <= float(r["value"]) <= 1.0
+
     def test_deterministic_given_seed(self, cohort_csv, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -250,6 +323,11 @@ class TestTheoryCurve:
         exact = [r for r in rows if float(r["gamma"]) == 0.0]
         for r in exact:
             assert float(r["auc_hat"]) == pytest.approx(float(r["auc_y"]), rel=1e-10)
+
+    @pytest.mark.parametrize("flag, grid", [("--auc-values", "nan"), ("--gamma-values", "0:inf:1")])
+    def test_non_finite_grid_is_usage_error(self, tmp_path, flag, grid):
+        assert run("theory-curve", flag, grid, "--output-dir", str(tmp_path)) == 2
+        assert not (tmp_path / "theory_curve.csv").exists()
 
     def test_output_has_config_comment(self, tmp_path):
         run("theory-curve", "--output-dir", str(tmp_path))

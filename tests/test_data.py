@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -268,3 +270,83 @@ class TestDataset:
         sub = ds.take([2, 0])
         assert np.array_equal(sub.rows[:, 0], [41.0, 19.0])
         assert list(sub.labels) == [0, 0]
+
+
+class TestReadWriteTable:
+    def test_non_utf8_file_is_data_error_naming_it(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("town,y\nMálaga,0\nCádiz,1\n".encode("latin-1"))
+        with pytest.raises(DataError, match="not a readable UTF-8 CSV") as info:
+            data.load_csv(path, label_column="y")
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("text, message", [("", "empty file"), ("x,y\n", "no rows")])
+    def test_empty_file_and_header_only(self, tmp_path, text, message):
+        with pytest.raises(DataError, match=message):
+            data.read_table(write(tmp_path, text))
+
+    def test_rows_are_read_as_consumed_and_width_checked(self, tmp_path):
+        path = write(tmp_path, "\ufeffx,y\n1,0\n2,1\n3\n")
+        header, rows = data.read_table(path)
+        assert header == ["x", "y"]
+        assert next(rows) == ["1", "0"]
+        with pytest.raises(DataError, match="line 4 has 1 fields, expected 2"):
+            list(rows)
+
+    def test_write_table_layout(self, tmp_path):
+        path = tmp_path / "out.csv"
+        rows = iter([[1, "a,b"], [2.5, ""]])
+        data.write_table(path, ["n", "s"], rows, comments=["first", "second"])
+        assert path.read_bytes() == b'# first\n# second\nn,s\r\n1,"a,b"\r\n2.5,\r\n'
+
+
+def _records():
+    from scorekit import glm, selection, srr
+
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(120, 3))
+    y = (rng.random(120) < 1 / (1 + np.exp(-X[:, 0]))).astype(float)
+    folds = data.kfold(120, 3, seed=0, labels=y)
+    ds = data.Dataset(feature_names=("a", "b", "c"), rows=X, labels=y.astype(int))
+    card = srr.build_scorecard(ds, k=2, M=4, folds_for_lambda=folds, threshold=1.5, n_lambda=10)
+    return {
+        "GlmFit": glm.fit_logistic(X, y),
+        "LassoPath": glm.cv_select(X, y, folds, n_lambda=8),
+        "SelectionTrace": selection.forward_stepwise(ds, 2),
+        "Scorecard": card,
+    }
+
+
+RECORD_NAMES = ("GlmFit", "LassoPath", "SelectionTrace", "Scorecard")
+
+
+@pytest.fixture(scope="module")
+def records():
+    return _records()
+
+
+class TestJsonRecord:
+    @pytest.mark.parametrize("name", RECORD_NAMES)
+    def test_text_round_trip(self, records, name):
+        text = records[name].to_json()
+        assert type(records[name]).from_json(text).to_json() == text
+
+    @pytest.mark.parametrize("name", RECORD_NAMES)
+    def test_unknown_key_is_data_error(self, records, name):
+        fields = json.loads(records[name].to_json())
+        fields["unexpected"] = 1
+        with pytest.raises(DataError, match=f"not a valid {name} record"):
+            type(records[name]).from_json(json.dumps(fields))
+
+    @pytest.mark.parametrize("name", RECORD_NAMES)
+    def test_missing_required_key_is_data_error(self, records, name):
+        fields = json.loads(records[name].to_json())
+        del fields[next(iter(fields))]  # each record's first field has no default
+        with pytest.raises(DataError, match=f"not a valid {name} record"):
+            type(records[name]).from_json(json.dumps(fields))
+
+    def test_nested_record_is_checked_too(self, records):
+        fields = json.loads(records["Scorecard"].to_json())
+        fields["selection"]["unexpected"] = 1
+        with pytest.raises(DataError, match="not a valid Scorecard record"):
+            type(records["Scorecard"]).from_json(json.dumps(fields))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,21 @@ class TestBuildScorecard:
         assert back.raw_coefficients == card.raw_coefficients
         assert back.scaling == card.scaling
         assert back.selection == card.selection
+
+    def test_scorecard_json_key_order_pinned(self):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(200, 3))
+        y = (rng.random(200) < 1 / (1 + np.exp(-X[:, 0]))).astype(int)
+        ds = data.Dataset(feature_names=("a", "b", "c"), rows=X, labels=y)
+        folds = data.kfold(200, 4, seed=0, labels=y)
+        card = srr.build_scorecard(ds, k=2, M=5, folds_for_lambda=folds, n_lambda=20)
+        assert list(json.loads(card.to_json())) == [
+            "entries", "weight_bound", "feature_budget", "threshold", "feature_names",
+            "raw_coefficients", "intercept", "scaling", "selection",
+        ]
+        assert list(json.loads(card.to_json())["selection"]) == [
+            "ordered_features", "step_groups", "step_names", "step_deviance",
+        ]
 
     def test_render_has_feature_score_columns_and_threshold(self):
         text = TABLE_CARD.render()

@@ -133,6 +133,23 @@ class TestCohortCsv:
         assert back.column_groups == cohort.column_groups
         assert np.array_equal(back.case_table().X, cohort.case_table().X)
 
+    def test_round_trip_keeps_judges_and_withhold_outcomes(self, tmp_path):
+        cohort = synth.generate(synth.GeneratorConfig(n=300, seed=9))
+        path = tmp_path / "cohort.csv"
+        synth.write_cohort_csv(cohort, path)
+        ta, tb = cohort.case_table(), synth.load_cohort_csv(path).case_table()
+        assert np.array_equal(ta.group_ids, tb.group_ids)
+        assert np.array_equal(ta.po_withhold, tb.po_withhold)
+
+    def test_non_utf8_file_is_data_error_naming_it(self, tmp_path):
+        cohort = synth.generate(synth.GeneratorConfig(n=300, seed=9))
+        path = tmp_path / "cohort.csv"
+        synth.write_cohort_csv(cohort, path)
+        path.write_bytes(path.read_bytes().replace(b"judge_07", "judge_\xe9".encode("latin-1")))
+        with pytest.raises(DataError, match="not a readable UTF-8 CSV") as info:
+            synth.load_cohort_csv(path)
+        assert str(path) in str(info.value)
+
     def test_plain_loader_refuses_cohort_files(self, tmp_path):
         cohort = synth.generate(synth.GeneratorConfig(n=50, seed=10))
         path = tmp_path / "cohort.csv"

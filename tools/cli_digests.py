@@ -1,0 +1,87 @@
+"""Write the fixed-seed CLI output set and print the sha256 of each file.
+
+Usage::
+
+    PYTHONPATH=src python tools/cli_digests.py OUTDIR
+
+Runs, in one process and into subdirectories of OUTDIR:
+
+- ``synth-gen --n 20000`` at seeds 0 and 1 (``synth0/``, ``synth1/``)
+- ``policy-eval`` with default arguments on the seed-0 cohort (``policy_eval/``)
+- ``sensitivity-sweep --k 3 --M 5`` on the seed-1 cohort (``sensitivity/``)
+- ``evaluate`` on the bundled heart table (``evaluate/``)
+- ``theory-curve`` with default grids (``theory/``)
+- ``train`` on the bundled heart table (``train/``)
+
+The heart table and its encoding are first copied into OUTDIR, so the
+config comment lines, which record input and output paths, depend only on
+OUTDIR.  Running two versions of the package with the same OUTDIR and
+diffing the printed lines shows whether their outputs are byte-equal.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import os
+import shutil
+import sys
+
+from scorekit import cli, datasets
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HEART_CSV = os.path.join(os.path.dirname(datasets.__file__), "heart_synthetic.csv")
+HEART_ENCODING = os.path.join(REPO, "perfbench", "heart_encoding.json")
+
+
+def runs(out: str, heart: list[str]) -> list[tuple[list[str], list[str]]]:
+    """(arguments, files written) of each CLI run, files relative to OUTDIR."""
+    return [
+        (["synth-gen", "--n", "20000", "--seed", "0", "--output-dir", f"{out}/synth0"],
+         ["synth0/cohort.csv"]),
+        (["synth-gen", "--n", "20000", "--seed", "1", "--output-dir", f"{out}/synth1"],
+         ["synth1/cohort.csv"]),
+        (["policy-eval", "--input", f"{out}/synth0/cohort.csv",
+          "--output-dir", f"{out}/policy_eval"],
+         ["policy_eval/policy_eval.csv"]),
+        (["sensitivity-sweep", "--input", f"{out}/synth1/cohort.csv", "--k", "3", "--M", "5",
+          "--seed", "1", "--output-dir", f"{out}/sensitivity"],
+         ["sensitivity/sensitivity.csv"]),
+        (["evaluate", *heart, "--k-values", "1-3", "--M-values", "1,3", "--folds", "2",
+          "--inner-folds", "3", "--n-lambda", "10", "--output-dir", f"{out}/evaluate"],
+         ["evaluate/sweep.csv"]),
+        (["theory-curve", "--output-dir", f"{out}/theory"],
+         ["theory/theory_curve.csv"]),
+        (["train", *heart, "--k", "5", "--M", "3", "--folds", "5", "--n-lambda", "20",
+          "--output-dir", f"{out}/train"],
+         ["train/scorecard.txt", "train/scorecard.json"]),
+    ]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = argv[0]
+    os.makedirs(out, exist_ok=True)
+    shutil.copyfile(HEART_CSV, os.path.join(out, "heart.csv"))
+    shutil.copyfile(HEART_ENCODING, os.path.join(out, "heart_encoding.json"))
+    heart = ["--input", f"{out}/heart.csv", "--label", "disease",
+             "--encoding", f"{out}/heart_encoding.json"]
+    for args, files in runs(out, heart):
+        for name in files:  # a stale file from an earlier run must not pass as output
+            if os.path.exists(os.path.join(out, name)):
+                os.remove(os.path.join(out, name))
+        with contextlib.redirect_stdout(sys.stderr):
+            rc = cli.run(args)
+        if rc != 0:
+            print(f"scorekit {' '.join(args)} exited {rc}", file=sys.stderr)
+            return 1
+        for name in files:
+            with open(os.path.join(out, name), "rb") as fh:
+                print(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
