@@ -84,8 +84,13 @@ def _load_encoded(args) -> data.Dataset:
         positive_label=getattr(args, "positive_label", None),
     )
     if args.encoding:
-        with open(args.encoding, "r", encoding="utf-8-sig") as fh:
-            spec = data.EncodingSpec.from_json(fh.read())
+        try:
+            with open(args.encoding, "r", encoding="utf-8-sig") as fh:
+                spec = data.EncodingSpec.from_json(fh.read())
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{args.encoding} is not a readable UTF-8 file: {exc}") from None
+        except DataError as exc:
+            raise DataError(f"{args.encoding}: {exc}") from None
         ds = data.encode(ds, spec)
     elif ds.categorical_levels:
         raise DataError(

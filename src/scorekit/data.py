@@ -233,27 +233,45 @@ class EncodingSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "EncodingSpec":
-        raw = json.loads(text)
-        cols = raw.get("columns", raw)
+        """Parse ``{"columns": {name: directive}}`` (or the bare mapping).
+
+        Malformed JSON, a directive that is not an object, a directive
+        missing one of its required keys, and a directive whose values do
+        not make a valid one raise :class:`DataError` naming the column.
+        """
+        try:
+            raw = json.loads(text)
+        except ValueError as exc:
+            raise DataError(f"encoding spec is not valid JSON: {exc}") from None
+        cols = raw.get("columns", raw) if isinstance(raw, dict) else raw
+        if not isinstance(cols, dict):
+            raise DataError("encoding spec must map column names to directives")
         directives: dict[str, Directive] = {}
         for name, d in cols.items():
+            if not isinstance(d, dict):
+                raise DataError(f"encoding directive for column {name!r} is not an object")
             kind = d.get("type", "passthrough")
-            if kind == "passthrough":
-                directives[name] = Passthrough()
-            elif kind == "one_hot":
-                directives[name] = OneHot(
-                    categories=tuple(d["categories"]), reference=d["reference"]
-                )
-            elif kind == "bins":
-                directives[name] = Bins(
-                    cuts=tuple(d["cuts"]),
-                    reference=d["reference"],
-                    labels=tuple(d["labels"]) if d.get("labels") else None,
-                    lower=d.get("lower"),
-                    upper=d.get("upper"),
-                )
-            else:
+            if kind not in ("passthrough", "one_hot", "bins"):
                 raise DataError(f"unknown encoding directive type {kind!r} for column {name!r}")
+            try:
+                if kind == "one_hot":
+                    directives[name] = OneHot(
+                        categories=tuple(d["categories"]), reference=d["reference"]
+                    )
+                elif kind == "bins":
+                    directives[name] = Bins(
+                        cuts=tuple(d["cuts"]),
+                        reference=d["reference"],
+                        labels=tuple(d["labels"]) if d.get("labels") else None,
+                        lower=d.get("lower"),
+                        upper=d.get("upper"),
+                    )
+                else:
+                    directives[name] = Passthrough()
+            except KeyError as exc:
+                raise DataError(f"{kind} directive for column {name!r} lacks {exc}") from None
+            except (TypeError, ValueError, DataError) as exc:
+                raise DataError(f"{kind} directive for column {name!r}: {exc}") from None
         return cls(columns=directives)
 
 

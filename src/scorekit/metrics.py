@@ -13,6 +13,20 @@ from .selection import forward_stepwise
 from .srr import rescale_round
 
 
+def _tie_groups(scores: np.ndarray):
+    """Stable ascending order of `scores`, the sorted values, and tie-group starts.
+
+    The one sort behind :func:`auc` and :func:`best_threshold`.  Mergesort
+    keeps equal scores in input order.  ``first[i]`` is True where sorted
+    position ``i`` opens a run of equal scores; NaNs sort last, one per run.
+    """
+    order = np.argsort(scores, kind="mergesort")
+    ordered = scores[order]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return order, ordered, first
+
+
 def auc(scores, labels) -> float:
     """Probability a random positive outscores a random negative.
 
@@ -28,15 +42,12 @@ def auc(scores, labels) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC needs both classes present")
-    order = np.argsort(scores, kind="mergesort")
+    order, _, first = _tie_groups(scores)
+    # each tie group [s, e) of sorted positions shares the mid-rank of its 1-based ranks
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], len(scores))
     ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    # average ranks within tie groups
-    boundaries = np.flatnonzero(np.diff(sorted_scores) != 0) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [len(scores)]])
-    for s, e in zip(starts, ends):
-        ranks[order[s:e]] = 0.5 * (s + e - 1) + 1.0
+    ranks[order] = (0.5 * (starts + ends - 1) + 1.0)[np.cumsum(first) - 1]
     rank_sum = ranks[pos].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -54,17 +65,29 @@ def best_threshold(scores, labels) -> float:
     """Score cutoff (predict 1 iff score >= cutoff) maximizing accuracy.
 
     Candidates are the distinct observed scores plus one above the max;
-    ties break toward the smaller cutoff.
+    ties break toward the smaller cutoff.  A label counts as correct only
+    when it is 1 and predicted 1, or 0 and predicted 0.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
-    candidates = np.concatenate([np.unique(scores), [np.max(scores) + 1.0]])
-    best_t, best_acc = candidates[0], -1.0
-    for t in candidates:
-        acc = accuracy((scores >= t).astype(int), labels)
-        if acc > best_acc + 1e-12:
-            best_t, best_acc = t, acc
-    return float(best_t)
+    if scores.shape != labels.shape or scores.ndim != 1:
+        raise DataError("scores and labels must be 1-d and the same length")
+    top = np.max(scores) + 1.0  # NaN when any score is NaN
+    n_zero = np.count_nonzero(labels == 0)
+    # a NaN score is below every cutoff, and a NaN cutoff predicts all 0 as `top` does
+    kept = ~np.isnan(scores)
+    order, ordered, first = _tie_groups(scores[kept])
+    starts = np.flatnonzero(first)
+    cutoffs = np.append(ordered[starts], top)
+    # sorted position of each cutoff: the rows from there on are predicted 1
+    at = np.append(starts, np.searchsorted(ordered, top))
+    sorted_labels = labels[kept][order]
+    ones = np.concatenate([[0], np.cumsum(sorted_labels == 1)])
+    zeros = np.concatenate([[0], np.cumsum(sorted_labels == 0)])
+    correct = (ones[-1] - ones[at]) + n_zero - (zeros[-1] - zeros[at])
+    # accuracies are multiples of 1/n, so distinct ones differ by far more than
+    # the 1e-12 tie tolerance and the first maximum is the smallest best cutoff
+    return float(cutoffs[np.argmax(correct)])
 
 
 # ---------------------------------------------------------------------------

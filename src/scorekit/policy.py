@@ -411,19 +411,22 @@ def solve_gamma(p_u: float, alpha: float, q):
 
 def posterior_u(gamma, alpha, p_u, action: str):
     """Pr(u = 1 | action, x) by Bayes' rule under the logistic selection model."""
-    gamma = np.asarray(gamma, dtype=float)
+    if action not in (RELEASE, WITHHOLD):
+        raise DataError(f"unknown action {action!r}")
+    out = _posteriors(np.asarray(gamma, dtype=float), alpha, p_u)[action]
+    return out if np.ndim(out) else float(out)
+
+
+def _posteriors(gamma, alpha, p_u) -> dict:
+    """:func:`posterior_u` under both actions, from one pair of expit calls."""
     rel_u1 = expit(gamma + alpha)
     rel_u0 = expit(gamma)
-    if action == RELEASE:
-        num = rel_u1 * p_u
-        den = num + rel_u0 * (1.0 - p_u)
-    elif action == WITHHOLD:
-        num = (1.0 - rel_u1) * p_u
-        den = num + (1.0 - rel_u0) * (1.0 - p_u)
-    else:
-        raise DataError(f"unknown action {action!r}")
-    out = num / den
-    return out if np.ndim(out) else float(out)
+    num_rel = rel_u1 * p_u
+    num_wh = (1.0 - rel_u1) * p_u
+    return {
+        RELEASE: num_rel / (num_rel + rel_u0 * (1.0 - p_u)),
+        WITHHOLD: num_wh / (num_wh + (1.0 - rel_u0) * (1.0 - p_u)),
+    }
 
 
 def solve_beta(rhat, posterior_u1, delta):
@@ -436,19 +439,16 @@ def solve_beta(rhat, posterior_u1, delta):
     return _solve_two_point_mixture(rhat, posterior_u1, delta)
 
 
-def _counterfactual(q, r_other, p_u, alpha, delta_other, observed: str):
-    """Adjusted Pr(adverse outcome under the action not taken | `observed`, x).
+def _counterfactual(r_other, post_observed, post_other, delta_other):
+    """Adjusted Pr(adverse outcome under the action not taken | observed action, x).
 
-    The chain of solves for one observed action: gamma from the release
-    probability `q`, the posterior of u under each action, beta of the action
-    not taken from its surface estimate `r_other`, and that action's outcome
-    model mixed over the posterior of u given the action actually taken.
-    The regime parameters broadcast against the rows, so a column of regime
-    keys against a row of cases solves every key in one pass.
+    The last step of the chain, after gamma and the posteriors of u under
+    each action: beta of the action not taken from its surface estimate
+    `r_other` and the posterior of u given that action, then that action's
+    outcome model mixed over the posterior of u given the action actually
+    taken.  The regime parameters broadcast against the rows, so a column
+    of regime keys against a row of cases solves every key in one pass.
     """
-    gamma = solve_gamma(p_u, alpha, clip_prob(q))
-    post_observed = posterior_u(gamma, alpha, p_u, observed)
-    post_other = posterior_u(gamma, alpha, p_u, WITHHOLD if observed == RELEASE else RELEASE)
     beta = solve_beta(clip_prob(r_other), post_other, delta_other)
     return (1.0 - post_observed) * expit(beta) + post_observed * expit(beta + delta_other)
 
@@ -474,14 +474,15 @@ def rr_counterfactual(
         np.asarray(rhat_withhold, dtype=float),
         np.asarray(observed_action),
     )
-    released = observed == RELEASE
     out = np.empty(q.shape)
-    out[released] = _counterfactual(
-        q[released], r_wh[released], params.p_u, params.alpha, params.delta_withhold, RELEASE
-    )
-    out[~released] = _counterfactual(
-        q[~released], r_rel[~released], params.p_u, params.alpha, params.delta_release, WITHHOLD
-    )
+    for action, other, r_other, delta in (
+        (RELEASE, WITHHOLD, r_wh, params.delta_withhold),
+        (WITHHOLD, RELEASE, r_rel, params.delta_release),
+    ):
+        rows = observed == action
+        gamma = solve_gamma(params.p_u, params.alpha, clip_prob(q[rows]))
+        post = _posteriors(gamma, params.alpha, params.p_u)
+        out[rows] = _counterfactual(r_other[rows], post[action], post[other], delta)
     return out if out.ndim else float(out)
 
 
@@ -544,11 +545,13 @@ def sensitivity_sweep(
     The disagreeing cases are split by observed action, since a released
     case needs only the withhold counterfactual and a withheld case only
     the release one.  Within each branch the regimes collapse to their
-    distinct (p_u, alpha, delta of the action not taken) keys, the chain is
-    solved once per key as a keys x rows broadcast, and each key's row sum
-    is scattered back to its regimes.  The broadcast runs over blocks of
-    rows, at most ``_SWEEP_BLOCK`` key-row pairs each, so memory stays
-    bounded whatever the number of keys and disagreeing rows.
+    distinct (p_u, alpha, delta of the action not taken) keys.  Gamma and
+    the posteriors are solved once per distinct (p_u, alpha) pair and
+    indexed into the keys; beta and the mix are solved once per key as a
+    keys x rows broadcast, and each key's row sum is scattered back to its
+    regimes.  The broadcast runs over blocks of rows, at most
+    ``_SWEEP_BLOCK`` key-row pairs each, so memory stays bounded whatever
+    the number of keys and disagreeing rows.
     """
     if not regimes:
         raise DataError("need at least one sensitivity regime")
@@ -561,17 +564,25 @@ def sensitivity_sweep(
         q = surface.release_prob(cases.X[disagree])
         observed = cases.actions[disagree]
         params = np.array([(p.p_u, p.alpha, p.delta_release, p.delta_withhold) for p in regimes])
-        for action, r_other, delta_column in ((RELEASE, r_wh, 3), (WITHHOLD, r_rel, 2)):
+        for action, other, r_other, delta_column in (
+            (RELEASE, WITHHOLD, r_wh, 3),
+            (WITHHOLD, RELEASE, r_rel, 2),
+        ):
             rows = np.flatnonzero(observed == action)
             r_other = r_other[disagree]
             keys, inverse = np.unique(
                 params[:, [0, 1, delta_column]], axis=0, return_inverse=True
             )
-            p_u, alpha, delta = keys[:, 0:1], keys[:, 1:2], keys[:, 2:3]
+            pairs, pair_of_key = np.unique(keys[:, :2], axis=0, return_inverse=True)
+            p_u, alpha, delta = pairs[:, 0:1], pairs[:, 1:2], keys[:, 2:3]
+            pair_of_key = pair_of_key.reshape(-1)
             sums = np.zeros(len(keys))
             step = max(1, _SWEEP_BLOCK // len(keys))
             for block in np.split(rows, np.arange(step, len(rows), step)):
-                cf = _counterfactual(q[block], r_other[block], p_u, alpha, delta, action)
+                post = _posteriors(solve_gamma(p_u, alpha, clip_prob(q[block])), alpha, p_u)
+                cf = _counterfactual(
+                    r_other[block], post[action][pair_of_key], post[other][pair_of_key], delta
+                )
                 sums += cf.sum(axis=1)
             totals += sums[inverse.reshape(-1)]
     values = totals / len(cases)

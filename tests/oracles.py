@@ -60,6 +60,38 @@ def auc_brute_force(scores, labels):
     return total / (len(pos) * len(neg))
 
 
+def auc_tie_loop(scores, labels):
+    """Rank-sum AUC with a Python loop over tie groups: the reference for
+    the loop-free ranks, which must reproduce it bit for bit on finite scores."""
+    scores = np.asarray(scores, dtype=float)
+    pos = np.asarray(labels) == 1
+    n_pos = int(pos.sum())
+    n_neg = len(scores) - n_pos
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    boundaries = np.flatnonzero(np.diff(sorted_scores) != 0) + 1
+    starts = np.concatenate([[0], boundaries])
+    ends = np.concatenate([boundaries, [len(scores)]])
+    for s, e in zip(starts, ends):
+        ranks[order[s:e]] = 0.5 * (s + e - 1) + 1.0
+    rank_sum = ranks[pos].sum()
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def best_threshold_loop(scores, labels):
+    """Accuracy-maximizing cutoff by re-scoring every row at every candidate."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    candidates = np.concatenate([np.unique(scores), [np.max(scores) + 1.0]])
+    best_t, best_acc = candidates[0], -1.0
+    for t in candidates:
+        acc = float(np.mean((scores >= t).astype(int) == labels))
+        if acc > best_acc + 1e-12:
+            best_t, best_acc = t, acc
+    return float(best_t)
+
+
 def sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 

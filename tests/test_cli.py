@@ -109,6 +109,51 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "data error" in err and str(path) in err
 
+    @pytest.mark.parametrize(
+        "directive, missing",
+        [
+            ('{"type": "one_hot", "reference": 18}', "categories"),
+            ('{"type": "one_hot", "categories": [18, 19]}', "reference"),
+            ('{"type": "bins", "reference": "lt_30"}', "cuts"),
+            ('{"type": "bins", "cuts": [30]}', "reference"),
+        ],
+        ids=["one_hot-categories", "one_hot-reference", "bins-cuts", "bins-reference"],
+    )
+    def test_directive_missing_key_is_data_error(self, train_csv, tmp_path, capsys, directive, missing):
+        data_path, _ = train_csv
+        spec = tmp_path / "partial.json"
+        spec.write_text('{"columns": {"age": %s}}' % directive, encoding="utf-8")
+        code = run("train", "--input", data_path, "--label", "fta", "--encoding", str(spec),
+                   "--k", "1", "--M", "2", "--output-dir", str(tmp_path))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "'age'" in err and repr(missing) in err
+        assert str(spec) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"columns": {"age": {"type": "bins"}}}'.encode("utf-16"),
+            b'{"columns": {"age": ',
+            b'["age"]',
+            b'{"columns": {"age": "one_hot"}}',
+            b'{"columns": {"age": {"type": "one_hot", "categories": 5, "reference": 5}}}',
+            b'{"columns": {"age": {"type": "bins", "cuts": ["a"], "reference": "x"}}}',
+        ],
+        ids=["utf16", "truncated", "not-a-mapping", "directive-not-object",
+             "categories-not-a-list", "non-numeric-cut"],
+    )
+    def test_unreadable_encoding_file_is_data_error(self, train_csv, tmp_path, capsys, payload):
+        data_path, _ = train_csv
+        spec = tmp_path / "bad.json"
+        spec.write_bytes(payload)
+        code = run("train", "--input", data_path, "--label", "fta", "--encoding", str(spec),
+                   "--k", "1", "--M", "2", "--output-dir", str(tmp_path))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and str(spec) in err and "Traceback" not in err
+        assert not (tmp_path / "scorecard.json").exists()
+
     def test_unknown_flag_is_usage_error(self):
         assert run("train", "--nonsense") == 2
 

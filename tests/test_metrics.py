@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import auc_brute_force
+from oracles import auc_brute_force, auc_tie_loop, best_threshold_loop
 from scorekit import data, metrics
 from scorekit.errors import DataError
 
@@ -54,6 +54,85 @@ class TestAuc:
             if labels.min() == labels.max():
                 labels[0] = 1 - labels[0]
             assert metrics.auc(scores, labels) + metrics.auc(-scores, labels) == pytest.approx(1.0)
+
+
+def _score_draws(seed, trials):
+    """Seeded (scores, labels) pairs, n from 2 to 3,000, both classes present.
+
+    Even draws are small integers (heavy ties), odd draws continuous."""
+    rng = np.random.default_rng(seed)
+    for i in range(trials):
+        n = int(rng.integers(2, 3001))
+        if i % 2:
+            scores = rng.normal(size=n)
+        else:
+            scores = rng.integers(0, int(rng.integers(1, 12)), n).astype(float)
+        labels = rng.integers(0, 2, n)
+        if labels.min() == labels.max():
+            labels[0] = 1 - labels[0]
+        yield scores, labels
+
+
+class TestSortedScoreDifferential:
+    def test_auc_equals_tie_group_loop(self):
+        for scores, labels in _score_draws(20, 120):
+            assert metrics.auc(scores, labels) == auc_tie_loop(scores, labels)
+
+    def test_auc_matches_pair_count(self):
+        for scores, labels in _score_draws(21, 30):
+            assert metrics.auc(scores, labels) == pytest.approx(
+                auc_brute_force(scores, labels), abs=1e-12
+            )
+
+    def test_best_threshold_equals_per_candidate_loop(self):
+        for scores, labels in _score_draws(22, 120):
+            assert metrics.best_threshold(scores, labels) == best_threshold_loop(scores, labels)
+
+    def test_best_threshold_labels_outside_01(self):
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            n = int(rng.integers(2, 400))
+            scores = rng.integers(-4, 5, n).astype(float)
+            labels = rng.integers(-1, 3, n)
+            assert metrics.best_threshold(scores, labels) == best_threshold_loop(scores, labels)
+
+    def test_best_threshold_non_finite_scores(self):
+        rng = np.random.default_rng(24)
+        for _ in range(60):
+            n = int(rng.integers(2, 200))
+            scores = rng.integers(0, 4, n).astype(float)
+            scores[rng.random(n) < 0.2] = np.nan
+            scores[rng.random(n) < 0.2] = np.inf
+            labels = rng.integers(0, 2, n)
+            expected = best_threshold_loop(scores, labels)
+            got = metrics.best_threshold(scores, labels)
+            assert got == expected or (np.isnan(got) and np.isnan(expected))
+
+    def test_all_scores_tied(self):
+        labels = np.array([0, 1, 1, 0, 1])
+        scores = np.full(5, 2.0)
+        assert metrics.auc(scores, labels) == 0.5
+        assert metrics.best_threshold(scores, labels) == best_threshold_loop(scores, labels) == 2.0
+
+    def test_single_distinct_score(self):
+        # predicting all 1 (cutoff 7) beats all 0 (cutoff 8) with 2 of 3 positive
+        assert metrics.best_threshold([7.0, 7.0, 7.0], [1, 0, 1]) == 7.0
+        assert metrics.best_threshold([7.0], [0]) == 8.0
+
+    def test_cutoff_above_max_at_large_magnitude(self):
+        # max + 1 rounds back to max: the extra candidate ties the top score
+        scores = np.array([1e17, 1e17, 3.0, 5.0])
+        for labels in ([0, 0, 1, 0], [1, 1, 0, 0], [0, 0, 0, 0]):
+            assert metrics.best_threshold(scores, labels) == best_threshold_loop(scores, labels)
+
+    def test_tied_infinite_scores_count_one_half(self):
+        scores = [-np.inf, -np.inf, 0.0, np.inf, np.inf, np.inf]
+        labels = [0, 1, 0, 1, 0, 1]
+        assert metrics.auc(scores, labels) == pytest.approx(auc_brute_force(scores, labels))
+
+    def test_best_threshold_shape_mismatch(self):
+        with pytest.raises(DataError):
+            metrics.best_threshold([1.0, 2.0], [1, 0, 1])
 
 
 class TestAccuracy:
