@@ -193,14 +193,15 @@ def _load_cohort_or_cases(args):
 def _policy_setup(args):
     """The shared set-up of the policy commands.
 
-    Loads the input and splits it into three folds: the scorecard and a
-    full-feature risk model are fitted on the released cases of the construct
-    fold, the response surface on the surface fold, and policies are scored
-    on the evaluation fold.  Returns (names, card, (risk intercept, risk
-    coefficients), surface, evaluation table, scorecard thresholds, fold
-    provenance); without --thresholds, the thresholds are every half-integer
-    between the extreme evaluation scores.  A given --thresholds grid is
-    parsed before anything is fitted.
+    Loads the input and splits it into three folds: the scorecard is fitted
+    on the released cases of the construct fold, the response surface on the
+    surface fold, and policies are scored on the evaluation fold.  Returns
+    (names, card, (released construct cases, their lambda folds), surface,
+    evaluation table, scorecard thresholds, fold provenance); the released
+    construct cases are what ``policy-eval`` fits its full-feature risk model
+    on.  Without --thresholds, the thresholds are every half-integer between
+    the extreme evaluation scores.  A given --thresholds grid is parsed
+    before anything is fitted.
     """
     thresholds = _parse_float_grid(args.thresholds) if args.thresholds else None
     table, names, groups = _load_cohort_or_cases(args)
@@ -224,7 +225,6 @@ def _policy_setup(args):
     card = srr.build_scorecard(
         rule_ds, k=args.k, M=args.M, folds_for_lambda=lam_folds, n_lambda=args.n_lambda
     )
-    risk_path = glm.cv_select(rule_ds.rows, rule_ds.labels.astype(float), lam_folds, n_lambda=args.n_lambda)
     surf_folds = data.kfold(
         len(surf_sub), args.inner_folds, seed=args.seed + 2, labels=surf_sub.outcomes.astype(int)
     )
@@ -232,14 +232,17 @@ def _policy_setup(args):
     if thresholds is None:
         scores = eval_sub.X @ card.weight_vector(names)
         thresholds = tuple(np.arange(np.min(scores), np.max(scores) + 1.0) + 0.5)
-    return names, card, risk_path.coefficients_at(), surface, eval_sub, thresholds, provenance
+    return names, card, (rule_ds, lam_folds), surface, eval_sub, thresholds, provenance
 
 
 def _cmd_policy_eval(args) -> int:
     risk_thresholds = _parse_float_grid(args.risk_thresholds)
-    names, card, (risk_b0, risk_coefs), surface, eval_sub, thresholds, provenance = (
+    names, card, (rule_ds, lam_folds), surface, eval_sub, thresholds, provenance = (
         _policy_setup(args)
     )
+    risk_b0, risk_coefs = glm.cv_select(
+        rule_ds.rows, rule_ds.labels.astype(float), lam_folds, n_lambda=args.n_lambda
+    ).coefficients_at()
 
     def rows():
         observed = policy.FixedActionsPolicy(fixed=eval_sub.actions)

@@ -6,8 +6,11 @@ path (:func:`fit_lasso_path`) with cross-validated penalty selection
 (:func:`cv_select`).  Each proximal-Newton step of the path solves its
 small quadratic subproblem exactly on the active set, with a linear solve
 checked for sign consistency and against the KKT conditions of the inactive
-features; coordinate descent remains only as the fallback for dependent
-active columns.
+features.  ``cv_select`` fits the full-data path and every fold's path as
+one batch: at each penalty, one stacked Cholesky factorization and one
+stacked solve serve every problem still moving, and a single path is the
+batch of one.  Coordinate descent remains only as the fallback, taken by a
+problem alone, for dependent active columns.
 
 The lasso standardizes features internally for penalization and reports
 coefficients on the original scale; the intercept is never penalized.
@@ -234,6 +237,50 @@ def _standardize(X):
     return (X - mean) / sd_safe, mean, sd_safe, keep
 
 
+def _check_classes(y):
+    if len(y) < 2:
+        raise DataError("need at least two rows")
+    ybar = y.mean()
+    if ybar <= 0.0 or ybar >= 1.0:
+        raise DataError("y contains a single class; cannot fit a lasso path")
+
+
+def _default_grid(X, y, n_lambda, lambda_min_ratio):
+    """The default penalty grid, log-spaced from lambda_max down to
+    ``lambda_min_ratio`` times that.
+
+    lambda_max, the smallest penalty whose solution has every slope at zero,
+    comes from the null-model gradient on the standardized full data.
+    """
+    Xs = _standardize(X)[0]
+    lam_max = float(np.max(np.abs(Xs.T @ (y - y.mean()))) / len(y))
+    if lam_max <= 0.0:
+        lam_max = 1.0  # y independent of every column; any grid gives zeros
+    return np.geomspace(lam_max, lam_max * lambda_min_ratio, n_lambda)
+
+
+def _design(X, rows):
+    """One problem's design ``[1, standardized X[rows]]``, transposed.
+
+    Returns the C-contiguous ``(p+1) x n`` block, whose row 0 is the
+    intercept's ones, with the column means and scales it was standardized
+    by and the mask of columns that vary.  ``rows=None`` takes every row.
+    The block is filled and standardized in place.
+    """
+    n = X.shape[0] if rows is None else len(rows)
+    D = np.empty((X.shape[1] + 1, n))
+    D[0] = 1.0
+    Z = D[1:]
+    Z[...] = (X if rows is None else X[rows]).T
+    mean = Z.mean(axis=1)
+    Z -= mean[:, None]
+    sd = np.sqrt(np.einsum("ij,ij->i", Z, Z) / n)
+    keep = sd > 0.0
+    sd_safe = np.where(keep, sd, 1.0)
+    Z /= sd_safe[:, None]
+    return D, mean, sd_safe, keep
+
+
 def _soft(v: float, t: float) -> float:
     if v > t:
         return v - t
@@ -292,59 +339,157 @@ def _coordinate_descent(G, h, aug, lam, keep, tol, max_sweeps) -> bool:
     return False
 
 
-def _cd_weighted_lasso(G, h, beta, b0, lam, keep, tol, max_sweeps):
-    """Exact active-set solve of the weighted quadratic surrogate, in Gram space.
+def _squared_pivots(M):
+    """Squared Cholesky pivots of each matrix in a stack; 0 where one fails."""
+    try:
+        return np.linalg.cholesky(M).diagonal(axis1=1, axis2=2) ** 2
+    except np.linalg.LinAlgError:
+        pivots = np.zeros(M.shape[:2])
+        for k, m in enumerate(M):
+            try:
+                pivots[k] = np.linalg.cholesky(m).diagonal() ** 2
+            except np.linalg.LinAlgError:
+                pass
+        return pivots
 
-    Minimizes  (1/2n) sum_i w_i (z_i - b0 - x_i beta)^2 + lam * ||beta||_1
-    given the Gram pieces of the augmented design [1, Xs]:
-    ``G = Xa' W Xa / n`` and ``h = Xa' W z / n``; the intercept is
-    unpenalized.  Starting from S = {intercept} and the nonzeros of the warm
-    start ``(b0, beta)`` with their signs s, it solves
+
+def _active_set_solve(G, h, aug, lam, penalized, tol, max_sweeps) -> np.ndarray:
+    """Exact active-set solves of a batch of weighted quadratic surrogates.
+
+    Problem k minimizes  (1/2n) sum_i w_i (z_i - b0 - x_i beta)^2 + lam * ||beta||_1
+    given the Gram pieces of its augmented design [1, Xs]:
+    ``G[k] = Xa' W Xa / n`` and ``h[k] = Xa' W z / n``; ``penalized[k]``
+    marks the coordinates of ``aug[k] = [b0, beta...]`` that carry the
+    penalty (never the intercept).  Starting from S = {intercept} and the
+    nonzeros of the warm start ``aug[k]`` with their signs s, it solves
     ``G[S,S] b = h[S] - lam * s[S]`` exactly, drops from S every coefficient
     whose sign disagrees with s, and adds every inactive feature whose
     gradient ``h - G b`` exceeds ``lam`` in magnitude, with that gradient's
     sign, until no feature violates the optimality conditions (the
     active-set cycling of glmnet and the sign-consistency test of the lasso
-    homotopy).  Dependent active columns (a failed Cholesky factorization or
-    a pivot below ``_PIVOT_FLOOR`` of its diagonal), a non-finite solution or
-    more than 2p+2 rounds fall back to :func:`_coordinate_descent` from the
-    warm start.  `beta` is updated in place.  Returns the intercept and
-    whether the solve converged (always, unless the fallback ran out of
-    ``max_sweeps``).
+    homotopy).
+
+    Each round is one stacked Cholesky factorization and one stacked solve
+    for the whole batch: an inactive coordinate is an identity row and
+    column with a zero right-hand side, so it solves to exactly zero, and
+    each problem follows the iterates it would follow alone.  A problem with
+    dependent active columns (a failed factorization or a pivot below
+    ``_PIVOT_FLOOR`` of its diagonal), a non-finite solution or more than
+    2p+2 rounds falls back, alone, to :func:`_coordinate_descent` from its
+    warm start.  ``aug`` is updated in place.  Returns whether each solve
+    converged (always, unless a fallback ran out of ``max_sweeps``).
     """
-    p = len(beta)
-    warm = np.concatenate([[b0], beta])
-    penalized = np.concatenate([[False], keep])
+    B, q = aug.shape
+    warm = aug.copy()
     active = penalized & (warm != 0.0)
     sign = np.sign(warm) * active
-    active[0] = True
-    for _ in range(2 * p + 2):
-        idx = np.flatnonzero(active)
-        G_SS = G[np.ix_(idx, idx)]
-        try:
-            pivots = np.diagonal(np.linalg.cholesky(G_SS)) ** 2
-            b = np.linalg.solve(G_SS, h[idx] - lam * sign[idx])
-        except np.linalg.LinAlgError:
+    active[:, 0] = True
+    eye = np.eye(q)
+    cycling = np.ones(B, dtype=bool)
+    fallback = np.zeros(B, dtype=bool)
+    for _ in range(2 * q):
+        # a problem that has finished or fallen back rides along as an
+        # identity system, so that one factorization serves the whole batch
+        M = np.where(active[:, :, None] & active[:, None, :], G, eye)
+        M[~cycling] = eye
+        pivots = _squared_pivots(M)
+        dependent = ~(pivots >= _PIVOT_FLOOR * M.diagonal(axis1=1, axis2=2)).all(axis=1)
+        M[dependent] = eye
+        rhs = np.where(active, h - lam * sign, 0.0)
+        b = np.where(active, np.linalg.solve(M, rhs[:, :, None])[:, :, 0], 0.0)
+        fallback |= cycling & (dependent | ~np.isfinite(b).all(axis=1))
+        cycling &= ~fallback
+        flipped = b * sign < 0.0
+        grad = h - (G @ b[:, :, None])[:, :, 0]
+        enter = (np.abs(grad) > lam) & penalized & ~active & ~flipped.any(axis=1, keepdims=True)
+        done = cycling & ~(flipped | enter).any(axis=1)
+        aug[done] = b[done]
+        cycling &= ~done
+        if not cycling.any():
             break
-        if np.any(pivots < _PIVOT_FLOOR * np.diagonal(G_SS)) or not np.all(np.isfinite(b)):
-            break
-        flipped = b * sign[idx] < 0.0
-        if flipped.any():
-            active[idx[flipped]] = False
-            sign[idx[flipped]] = 0.0
-            continue
-        aug = np.zeros(p + 1)
-        aug[idx] = b
-        grad = h - G @ aug
-        enter = penalized & ~active & (np.abs(grad) > lam)
-        if not enter.any():
-            beta[:] = aug[1:]
-            return float(aug[0]), True
-        active |= enter
-        sign[enter] = np.sign(grad[enter])
-    converged = _coordinate_descent(G, h, warm, lam, keep, tol, max_sweeps)
-    beta[:] = warm[1:]
-    return float(warm[0]), converged
+        active = (active & ~flipped) | enter
+        sign = np.where(enter, np.sign(grad), sign * ~flipped)
+    fallback |= cycling
+    converged = np.ones(B, dtype=bool)
+    for k in np.flatnonzero(fallback):
+        converged[k] = _coordinate_descent(
+            G[k], h[k], warm[k], lam, penalized[k, 1:], tol, max_sweeps
+        )
+        aug[k] = warm[k]
+    return converged
+
+
+def _fit_paths(X, y, row_sets, grid, zero_first, tol, max_sweeps=10000, max_outer=50):
+    """Lasso paths of several row subsets of ``(X, y)`` over one grid, as one batch.
+
+    Problem k fits the rows ``row_sets[k]`` (``None`` for every row) on its
+    own standardized design.  When ``zero_first``, problem 0 takes grid
+    point 0 as the exact all-zero solution: the grid was computed from its
+    data, and at its lambda_max float noise would otherwise leak through.
+    At each penalty every problem still moving builds its Gram pieces from
+    its own design, one proximal-Newton step of all of them is one
+    :func:`_active_set_solve`, and a problem leaves once its step is below
+    ``tol``; after ``max_outer`` steps the rest are recorded as
+    unconverged.  Returns one :class:`LassoPath` per problem.
+    """
+    L, q, B = len(grid), X.shape[1] + 1, len(row_sets)
+    designs, ys, means, scales = [], [], [], []
+    penalized = np.zeros((B, q), dtype=bool)
+    aug = np.zeros((B, q))
+    for k, rows in enumerate(row_sets):
+        D, mean, sd, penalized[k, 1:] = _design(X, rows)
+        designs.append(D)
+        ys.append(y if rows is None else y[rows])
+        means.append(mean)
+        scales.append(sd)
+        aug[k, 0] = logit(ys[k].mean())
+    sizes = np.array([len(yk) for yk in ys])
+    solutions = np.empty((B, L, q))
+    converged = np.ones((B, L), dtype=bool)
+    everyone = np.arange(B)
+
+    for i, lam in enumerate(grid):
+        live = everyone[1:] if zero_first and i == 0 else everyone
+        for _ in range(max_outer):
+            if not live.size:
+                break
+            # the elementwise IRLS pieces of every live problem in one pass
+            ends = np.cumsum(sizes[live])
+            eta = np.concatenate([aug[k] @ designs[k] for k in live])
+            prob = expit(eta)
+            w = np.maximum(prob * (1.0 - prob), _MIN_WEIGHT)
+            z = eta + (np.concatenate([ys[k] for k in live]) - prob) / w
+            G = np.empty((len(live), q, q))
+            h = np.empty((len(live), q))
+            for j, k in enumerate(live):
+                rows = slice(ends[j] - sizes[k], ends[j])
+                WD = designs[k] * w[rows]
+                G[j] = WD @ designs[k].T
+                h[j] = WD @ z[rows]
+            G /= sizes[live, None, None]
+            h /= sizes[live, None]
+            step = aug[live]
+            solved = _active_set_solve(G, h, step, lam, penalized[live], tol, max_sweeps)
+            settled = np.max(np.abs(step - aug[live]), axis=1) < tol
+            aug[live] = step
+            converged[live[settled], i] = solved[settled]
+            live = live[~settled]
+        else:
+            converged[live, i] = False
+        solutions[:, i] = aug
+
+    paths = []
+    for k in range(B):
+        coefs = solutions[k, :, 1:] / scales[k]
+        paths.append(
+            LassoPath(
+                lambda_grid=grid,
+                intercepts=solutions[k, :, 0] - coefs @ means[k],
+                coefficients=coefs,
+                converged=converged[k],
+            )
+        )
+    return paths
 
 
 def fit_lasso_path(
@@ -362,71 +507,16 @@ def fit_lasso_path(
     The grid is log-spaced from the smallest penalty with an all-zero
     solution (computed from the null-model gradient) down to
     ``lambda_min_ratio`` times that; solutions are warm-started along the
-    path.  Passing ``lambda_grid`` overrides the grid (used by CV so every
-    fold shares one grid).
+    path.  Passing ``lambda_grid`` overrides the grid.  The fit is the
+    one-problem case of the batched solve :func:`cv_select` runs.
     """
     X, y = _check_xy(X, y)
-    n, p = X.shape
-    if n < 2:
-        raise DataError("need at least two rows")
-    ybar = y.mean()
-    if ybar <= 0.0 or ybar >= 1.0:
-        raise DataError("y contains a single class; cannot fit a lasso path")
-
-    Xs, mean, sd, keep = _standardize(X)
+    _check_classes(y)
     if lambda_grid is None:
-        lam_max = float(np.max(np.abs(Xs.T @ (y - ybar))) / n)
-        if lam_max <= 0.0:
-            lam_max = 1.0  # y independent of every column; any grid gives zeros
-        grid = np.geomspace(lam_max, lam_max * lambda_min_ratio, n_lambda)
+        grid = _default_grid(X, y, n_lambda, lambda_min_ratio)
     else:
         grid = np.asarray(lambda_grid, dtype=float)
-
-    L = len(grid)
-    intercepts = np.empty(L)
-    coefs_std = np.zeros((L, p))
-    converged = np.ones(L, dtype=bool)
-    beta = np.zeros(p)
-    b0 = float(logit(ybar))
-
-    start = 0
-    if lambda_grid is None:
-        # at the computed lambda_max the all-zero slope vector is the exact
-        # solution; assign it rather than letting float noise leak through CD
-        intercepts[0] = b0
-        start = 1
-
-    Xa = np.column_stack([np.ones(n), Xs])
-    for i, lam in enumerate(grid):
-        if i < start:
-            continue
-        for _ in range(max_outer):
-            eta = b0 + Xs @ beta
-            prob = expit(eta)
-            w = np.maximum(prob * (1.0 - prob), _MIN_WEIGHT)
-            z = eta + (y - prob) / w
-            WXa = Xa * w[:, None]
-            G = (Xa.T @ WXa) / n
-            h = (WXa.T @ z) / n
-            before = beta.copy()
-            b0_before = b0
-            b0, solved = _cd_weighted_lasso(G, h, beta, b0, lam, keep, tol, max_sweeps)
-            if max(np.max(np.abs(beta - before)), abs(b0 - b0_before)) < tol:
-                converged[i] = solved
-                break
-        else:
-            converged[i] = False
-        intercepts[i] = b0
-        coefs_std[i] = beta
-
-    coefs = coefs_std / sd
-    out_intercepts = intercepts - coefs @ mean
-    return LassoPath(
-        lambda_grid=grid,
-        intercepts=out_intercepts,
-        coefficients=coefs,
-        converged=converged,
-    )
+    return _fit_paths(X, y, [None], grid, lambda_grid is None, tol, max_sweeps, max_outer)[0]
 
 
 def kkt_violation(path: LassoPath, X, y, index: int) -> tuple[float, float]:
@@ -474,36 +564,38 @@ def cv_select(
 ) -> LassoPath:
     """Cross-validate the penalty grid and select the deviance minimizer.
 
-    The grid comes from a fit on the full data; each fold refits on its
-    training portion over the same grid and scores mean validation deviance.
-    Ties break toward the larger penalty.  ``rule="min"`` (the default)
-    takes the argmin of mean validation deviance; ``rule="1se"`` backs off
-    to the largest penalty within one standard error of that minimum, which
-    is far more conservative on pure-noise data (the min rule lets small
-    spurious coefficients through in a sizable minority of runs).
+    The grid comes from the full data; the full-data path and each fold's
+    path on its training portion are fitted over it as one batch, and each
+    fold scores mean validation deviance at every penalty.  Ties break
+    toward the larger penalty.  ``rule="min"`` (the default) takes the
+    argmin of mean validation deviance; ``rule="1se"`` backs off to the
+    largest penalty within one standard error of that minimum, which is far
+    more conservative on pure-noise data (the min rule lets small spurious
+    coefficients through in a sizable minority of runs).  Raises
+    ``NumericError`` when the selected penalty did not converge in the
+    full-data fit or in any fold.
     """
     if rule not in ("min", "1se"):
         raise ValueError("rule must be 'min' or '1se'")
     X, y = _check_xy(X, y)
     if folds.n != X.shape[0]:
         raise DataError("fold assignment does not cover X's rows")
-    full = fit_lasso_path(X, y, n_lambda=n_lambda, lambda_min_ratio=lambda_min_ratio, tol=tol)
-    grid = full.lambda_grid
-    per_fold = np.empty((folds.fold_count, len(grid)))
-    for f in range(folds.fold_count):
-        tr = folds.train_indices(f)
-        va = folds.test_indices(f)
-        for part, where in ((y[tr], "training"), (y[va], "validation")):
+    _check_classes(y)
+    grid = _default_grid(X, y, n_lambda, lambda_min_ratio)
+    train = [folds.train_indices(f) for f in range(folds.fold_count)]
+    for f, tr in enumerate(train):
+        for part, where in ((y[tr], "training"), (y[folds.test_indices(f)], "validation")):
             if len(np.unique(part)) < 2:
                 raise NumericError(
                     f"fold {f} has a single-class {where} split; "
                     "use stratified folds (kfold with labels)"
                 )
-        sub = fit_lasso_path(X[tr], y[tr], lambda_grid=grid, tol=tol)
-        for i in range(len(grid)):
-            per_fold[f, i] = validation_deviance(
-                sub.intercepts[i], sub.coefficients[i], X[va], y[va]
-            )
+    full, *subs = _fit_paths(X, y, [None, *train], grid, True, tol)
+    per_fold = np.empty((folds.fold_count, len(grid)))
+    for f, sub in enumerate(subs):
+        va = folds.test_indices(f)
+        eta = sub.intercepts[:, None] + sub.coefficients @ X[va].T
+        per_fold[f] = -2.0 * np.sum(y[va] * eta - np.logaddexp(0.0, eta), axis=1) / len(va)
     cv_mean = per_fold.mean(axis=0)
     cv_se = per_fold.std(axis=0, ddof=1) / np.sqrt(folds.fold_count)
     best = int(np.argmin(cv_mean))  # first minimum = largest penalty on ties
@@ -511,6 +603,13 @@ def cv_select(
         selected = int(np.argmax(cv_mean <= cv_mean[best] + cv_se[best]))
     else:
         selected = best
+    for k, path in enumerate([full, *subs]):
+        if not path.converged[selected]:
+            where = "the full-data fit" if k == 0 else f"fold {k - 1}"
+            raise NumericError(
+                f"lasso did not converge at the selected penalty "
+                f"(lambda index {selected}) in {where}"
+            )
     return replace(full, cv_mean=cv_mean, cv_se=cv_se, selected_index=selected)
 
 

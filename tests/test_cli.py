@@ -330,7 +330,10 @@ class TestPolicyEval:
 
 
 class TestSensitivitySweep:
-    def test_band_brackets_baseline_for_every_threshold(self, cohort_csv, tmp_path):
+    def test_band_brackets_baseline_for_every_threshold(self, cohort_csv, tmp_path, monkeypatch):
+        # the risk model is policy-eval's alone; the sweep must not fit it
+        risk_fits = []
+        monkeypatch.setattr(cli.glm, "cv_select", lambda *a, **k: risk_fits.append(a))
         code = run(
             "sensitivity-sweep", "--input", cohort_csv, "--regime", "log2",
             "--thresholds", "6.5,10.5,14.5", "--n-lambda", "15", "--inner-folds", "3",
@@ -344,6 +347,7 @@ class TestSensitivitySweep:
             assert lo <= base <= hi
             assert r["regime"] == "log2"
             assert int(r["n_regimes"]) == 81
+        assert not risk_fits
 
 
     def test_reversed_threshold_range_is_usage_error(self, cohort_csv, tmp_path):

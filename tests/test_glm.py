@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -186,12 +188,25 @@ class TestLassoPath:
         assert back.log_likelihood == fit.log_likelihood
 
 
-def cd_only(G, h, beta, b0, lam, keep, tol, max_sweeps):
-    """The coordinate-descent fallback alone, as a reference subproblem solver."""
-    aug = np.concatenate([[b0], beta])
-    converged = glm._coordinate_descent(G, h, aug, lam, keep, tol, max_sweeps)
-    beta[:] = aug[1:]
-    return float(aug[0]), converged
+# bound at import, so patching glm._coordinate_descent to count the active-set
+# solver's fallbacks does not count the reference's own calls
+_reference_cd = glm._coordinate_descent
+
+
+def cd_only(calls):
+    """A batch subproblem solver running coordinate descent alone, as the
+    reference; appends the batch size to ``calls`` on every call."""
+
+    def solve(G, h, aug, lam, penalized, tol, max_sweeps):
+        calls.append(len(aug))
+        return np.array(
+            [
+                _reference_cd(G[k], h[k], aug[k], lam, penalized[k, 1:], tol, max_sweeps)
+                for k in range(len(aug))
+            ]
+        )
+
+    return solve
 
 
 def draw_labels(rng, eta):
@@ -224,9 +239,11 @@ class TestActiveSetSolver:
     def fit_pair(self, X, y, tol=1e-7):
         """(active-set path, coordinate-descent-only reference on its grid)."""
         path = glm.fit_lasso_path(X, y, n_lambda=15, tol=tol)
+        calls = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(glm, "_cd_weighted_lasso", cd_only)
+            mp.setattr(glm, "_active_set_solve", cd_only(calls))
             ref = glm.fit_lasso_path(X, y, lambda_grid=path.lambda_grid, tol=1e-12)
+        assert calls, "the reference solver did not run"
         assert path.converged.all() and ref.converged.all()
         for i in range(path.n_lambda):
             inactive_excess, active_resid = glm.kkt_violation(path, X, y, i)
@@ -284,11 +301,97 @@ class TestActiveSetSolver:
         Xa = np.column_stack([np.ones(80), X, X[:, 0]])
         G = Xa.T @ Xa / 80
         h = Xa.T @ (y - y.mean()) / 80
-        keep = np.ones(4, dtype=bool)
+        penalized = np.array([[False, True, True, True, True]])
         for sweeps, expected in ((1, False), (10000, True)):
-            beta = np.zeros(4)
-            _, converged = glm._cd_weighted_lasso(G, h, beta, 0.0, 0.01, keep, 1e-7, sweeps)
-            assert converged is expected
+            aug = np.zeros((1, 5))
+            converged = glm._active_set_solve(G[None], h[None], aug, 0.01, penalized, 1e-7, sweeps)
+            assert converged.tolist() == [expected]
+
+
+def cv_batch(X, y, folds, **kwargs):
+    """(cv_select's result, the full-data and fold paths its batch fitted)."""
+    batches = []
+    fit_paths = glm._fit_paths
+
+    def spy(*args, **kw):
+        batches.append(fit_paths(*args, **kw))
+        return batches[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(glm, "_fit_paths", spy)
+        path = glm.cv_select(X, y, folds, **kwargs)
+    (paths,) = batches
+    return path, paths
+
+
+def assert_same_path(path, solo):
+    assert np.max(np.abs(path.coefficients - solo.coefficients)) <= 1e-9
+    assert np.max(np.abs(path.intercepts - solo.intercepts)) <= 1e-9
+    assert np.array_equal(path.converged, solo.converged)
+
+
+class TestBatchedPaths:
+    def test_batch_matches_solo_fits(self):
+        rng = np.random.default_rng(23)
+        for _ in range(2):
+            for name, X, y in solver_designs(rng):
+                folds = data.kfold(len(y), 3, seed=int(rng.integers(100)), labels=y)
+                path, (full, *subs) = cv_batch(X, y, folds, n_lambda=12)
+                grid = path.lambda_grid
+                assert np.array_equal(path.coefficients, full.coefficients)
+                solo = glm.fit_lasso_path(X, y, n_lambda=12)
+                assert np.array_equal(solo.lambda_grid, grid)
+                assert_same_path(full, solo)
+                fits = [(full, X, y)]
+                devs = np.empty((len(subs), len(grid)))
+                for f, sub in enumerate(subs):
+                    tr, va = folds.train_indices(f), folds.test_indices(f)
+                    assert_same_path(sub, glm.fit_lasso_path(X[tr], y[tr], lambda_grid=grid))
+                    fits.append((sub, X[tr], y[tr]))
+                    devs[f] = [
+                        glm.validation_deviance(sub.intercepts[i], sub.coefficients[i], X[va], y[va])
+                        for i in range(len(grid))
+                    ]
+                # one product per fold scores every penalty as validation_deviance does
+                assert np.max(np.abs(path.cv_mean - devs.mean(axis=0))) <= 1e-12, name
+                for fit, Xf, yf in fits:
+                    assert fit.converged.all(), name
+                    for i in range(len(grid)):
+                        assert max(glm.kkt_violation(fit, Xf, yf, i)) <= 1e-9, name
+
+    def test_only_the_dependent_problem_falls_back(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        n = 240
+        X = rng.normal(size=(n, 4))
+        y = draw_labels(rng, X @ rng.normal(size=4))
+        folds = data.kfold(n, 3, seed=1, labels=y)
+        # column 4 copies column 1 except on rows of fold 0's validation
+        # part, so only fold 0's training design has a dependent column
+        X = np.column_stack([X, X[:, 1]])
+        held = folds.test_indices(0)[:12]
+        X[held, 4] += rng.normal(size=len(held))
+        calls = []
+        fallback = glm._coordinate_descent
+
+        def counted(*args):
+            calls.append(1)
+            return fallback(*args)
+
+        monkeypatch.setattr(glm, "_coordinate_descent", counted)
+        solo_calls = []
+        solos = []
+        for rows in [None, *(folds.train_indices(f) for f in range(3))]:
+            calls.clear()
+            Xr, yr = (X, y) if rows is None else (X[rows], y[rows])
+            grid = solos[0].lambda_grid if solos else None
+            solos.append(glm.fit_lasso_path(Xr, yr, n_lambda=12, lambda_grid=grid))
+            solo_calls.append(len(calls))
+        assert solo_calls[1] > 0 and solo_calls[0] == solo_calls[2] == solo_calls[3] == 0
+        calls.clear()
+        _, paths = cv_batch(X, y, folds, n_lambda=12)
+        assert len(calls) == solo_calls[1]
+        for path, solo in zip(paths, solos):
+            assert_same_path(path, solo)
 
 
 class TestCvSelect:
@@ -341,6 +444,37 @@ class TestCvSelect:
         assert path.cv_mean is not None and len(path.cv_mean) == 20
         assert path.cv_se is not None and np.all(path.cv_se >= 0.0)
         assert path.selected_index == int(np.argmin(path.cv_mean))
+
+    def test_unconverged_selected_penalty_raises(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        X, y = random_instance(rng, n=80, p=3)
+        folds = data.kfold(80, 3, seed=0, labels=y)
+        assert glm.cv_select(X, y, folds, n_lambda=10).selected_index is not None
+        # every active-set solve falls back to a coordinate descent that
+        # reports running out of sweeps, so no penalty converges past the
+        # full fit's exact zero at grid point 0
+        descend = glm._coordinate_descent
+        monkeypatch.setattr(glm, "_PIVOT_FLOOR", 2.0)
+        monkeypatch.setattr(glm, "_coordinate_descent", lambda *args: descend(*args) and False)
+        with pytest.raises(
+            NumericError, match=r"did not converge .*\(lambda index \d+\) in (the full-data fit|fold 0)"
+        ):
+            glm.cv_select(X, y, folds, n_lambda=10)
+
+    def test_unconverged_fold_is_named(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        X, y = random_instance(rng, n=80, p=3)
+        folds = data.kfold(80, 3, seed=0, labels=y)
+        fit_paths = glm._fit_paths
+
+        def fold_1_unconverged(*args, **kwargs):
+            paths = fit_paths(*args, **kwargs)
+            paths[2] = replace(paths[2], converged=np.zeros(paths[2].n_lambda, dtype=bool))
+            return paths
+
+        monkeypatch.setattr(glm, "_fit_paths", fold_1_unconverged)
+        with pytest.raises(NumericError, match=r"\(lambda index \d+\) in fold 1$"):
+            glm.cv_select(X, y, folds, n_lambda=10)
 
     def test_single_class_fold_advises_stratification(self):
         X = np.linspace(0, 1, 12)[:, None]
