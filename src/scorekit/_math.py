@@ -27,8 +27,8 @@ def logit(p):
     return out
 
 
-def clip_prob(p, eps: float = PROB_CLIP):
-    return np.clip(p, eps, 1.0 - eps)
+def clip_prob(p):
+    return np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
 
 
 def log_likelihood_bernoulli(eta, y) -> float:

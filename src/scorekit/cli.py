@@ -75,27 +75,30 @@ def _config_comment(args) -> str:
     return f"scorekit {args.subcommand}: {fields}"
 
 
-def _load_encoded(args) -> data.Dataset:
+def _load_encoded(args, encoding=None, **columns) -> data.Dataset:
+    """--input as a Dataset, with ``columns`` passed on to ``load_csv``.
+
+    The spec file ``encoding`` one-hot encodes string columns; without one,
+    any string column is a DataError naming each of them.  The policy
+    commands take no --encoding, so their covariates must all be numeric.
+    """
     ds = data.load_csv(
-        args.input,
-        label_column=args.label,
-        action_column=getattr(args, "action", None),
-        group_column=getattr(args, "group", None),
-        positive_label=getattr(args, "positive_label", None),
+        args.input, label_column=args.label, positive_label=args.positive_label, **columns
     )
-    if args.encoding:
+    if encoding:
         try:
-            with open(args.encoding, "r", encoding="utf-8-sig") as fh:
+            with open(encoding, "r", encoding="utf-8-sig") as fh:
                 spec = data.EncodingSpec.from_json(fh.read())
         except UnicodeDecodeError as exc:
-            raise DataError(f"{args.encoding} is not a readable UTF-8 file: {exc}") from None
+            raise DataError(f"{encoding} is not a readable UTF-8 file: {exc}") from None
         except DataError as exc:
-            raise DataError(f"{args.encoding}: {exc}") from None
+            raise DataError(f"{encoding}: {exc}") from None
         ds = data.encode(ds, spec)
     elif ds.categorical_levels:
         raise DataError(
             f"columns {sorted(ds.categorical_levels)} are categorical; "
-            "provide --encoding with one-hot directives for them"
+            "provide --encoding with one-hot directives for them "
+            "(the policy commands take numeric covariates only)"
         )
     return ds
 
@@ -106,7 +109,7 @@ def _load_encoded(args) -> data.Dataset:
 
 
 def _cmd_train(args) -> int:
-    ds = _load_encoded(args)
+    ds = _load_encoded(args, args.encoding)
     folds = data.kfold(ds.n, args.folds, seed=args.seed, labels=ds.labels)
     card = srr.build_scorecard(
         ds,
@@ -130,7 +133,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    ds = _load_encoded(args)
+    ds = _load_encoded(args, args.encoding)
     folds = data.kfold(ds.n, args.folds, seed=args.seed, labels=ds.labels)
     sweep = metrics.cv_sweep(
         ds,
@@ -179,13 +182,7 @@ def _load_cohort_or_cases(args):
         return cohort.case_table(), cohort.feature_names, cohort.column_groups
     if not args.label or not args.action:
         raise DataError("non-cohort input needs --label and --action columns")
-    ds = data.load_csv(
-        args.input,
-        label_column=args.label,
-        action_column=args.action,
-        group_column=args.group,
-        positive_label=args.positive_label,
-    )
+    ds = _load_encoded(args, action_column=args.action, group_column=args.group)
     table = policy.cases_from_dataset(ds, release_value=args.release_value)
     return table, ds.feature_names, ds.column_groups
 
@@ -366,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help="cohort CSV or observed-decision CSV")
         p.add_argument("--label", help="outcome column (non-cohort input)")
         p.add_argument("--action", help="action column (non-cohort input)")
-        p.add_argument("--group", help="group/judge column (non-cohort input)")
+        p.add_argument("--group", help="column to leave out of the covariates (non-cohort input)")
         p.add_argument("--release-value", help="action value meaning release")
         p.add_argument("--positive-label", help="raw label value mapped to 1")
         p.add_argument("--k", type=int, default=2)

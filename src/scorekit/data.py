@@ -1,7 +1,7 @@
 """Dataset ingestion, categorical/binned encoding, cross-validation splits, file I/O.
 
 A :class:`Dataset` is an immutable named feature matrix with binary labels and
-optional action / group columns.  Raw tables are turned into indicator designs
+an optional action column.  Raw tables are turned into indicator designs
 with :func:`encode`, driven by an :class:`EncodingSpec`.  Fold assignments are
 deterministic given ``(n, k, seed)`` and stratified by label when labels are
 supplied.
@@ -82,7 +82,6 @@ class Dataset:
     rows: np.ndarray
     labels: np.ndarray
     actions: np.ndarray | None = None
-    group_ids: np.ndarray | None = None
     column_groups: tuple[str, ...] | None = None
     categorical_levels: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
     label_mapping: tuple[str, str] | None = None
@@ -115,11 +114,6 @@ class Dataset:
             if len(np.unique(actions)) > 2:
                 raise DataError("actions must take at most two distinct values")
             object.__setattr__(self, "actions", _freeze(actions))
-        if self.group_ids is not None:
-            groups = np.asarray(self.group_ids)
-            if groups.shape != (n,):
-                raise DataError("group_ids length does not match row count")
-            object.__setattr__(self, "group_ids", _freeze(groups))
         if self.column_groups is None:
             object.__setattr__(self, "column_groups", tuple(self.feature_names))
         else:
@@ -144,7 +138,6 @@ class Dataset:
             rows=self.rows[indices],
             labels=self.labels[indices],
             actions=None if self.actions is None else self.actions[indices],
-            group_ids=None if self.group_ids is None else self.group_ids[indices],
         )
 
 
@@ -371,7 +364,6 @@ def encode(ds: Dataset, spec: EncodingSpec) -> Dataset:
         rows=np.column_stack(out_cols),
         labels=ds.labels,
         actions=ds.actions,
-        group_ids=ds.group_ids,
         column_groups=tuple(out_groups),
         categorical_levels=remaining_cat,
         label_mapping=ds.label_mapping,
@@ -468,6 +460,8 @@ def load_csv(
     overrides it.  The applied mapping is recorded on the Dataset.  Missing
     cells are rejected, not imputed.  Non-numeric feature columns are stored
     as category codes and flagged for encoding in ``categorical_levels``.
+    ``group_column``, when given, must exist and is left out of the
+    features; its values are not stored.
     """
     header, body = read_table(path)
     if len(set(header)) != len(header):
@@ -535,47 +529,9 @@ def load_csv(
         rows=np.column_stack(cols),
         labels=labels,
         actions=np.asarray(columns[action_column]) if action_column else None,
-        group_ids=np.asarray(columns[group_column]) if group_column else None,
         categorical_levels=categorical,
         label_mapping=(zero, one),
     )
-
-
-def write_csv(
-    ds: Dataset,
-    path,
-    label_column: str = "label",
-    action_column: str = "action",
-    group_column: str = "group",
-) -> None:
-    """Canonical CSV writer; ``load_csv`` of the output round-trips exactly."""
-
-    def fmt(v: float) -> str:
-        return repr(float(v))
-
-    header = list(ds.feature_names) + [label_column]
-    if ds.actions is not None:
-        header.append(action_column)
-    if ds.group_ids is not None:
-        header.append(group_column)
-    zero, one = ds.label_mapping if ds.label_mapping is not None else ("0", "1")
-
-    def rows():
-        for i in range(ds.n):
-            row = []
-            for j, name in enumerate(ds.feature_names):
-                if name in ds.categorical_levels:
-                    row.append(ds.categorical_levels[name][int(ds.rows[i, j])])
-                else:
-                    row.append(fmt(ds.rows[i, j]))
-            row.append(one if ds.labels[i] == 1 else zero)
-            if ds.actions is not None:
-                row.append(str(ds.actions[i]))
-            if ds.group_ids is not None:
-                row.append(str(ds.group_ids[i]))
-            yield row
-
-    write_table(path, header, rows())
 
 
 # ---------------------------------------------------------------------------

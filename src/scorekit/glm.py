@@ -229,14 +229,6 @@ class LassoPath(JsonRecord):
         return linear_predictor(b0, coefs, X)
 
 
-def _standardize(X):
-    mean = X.mean(axis=0)
-    sd = X.std(axis=0)
-    keep = sd > 0.0
-    sd_safe = np.where(keep, sd, 1.0)
-    return (X - mean) / sd_safe, mean, sd_safe, keep
-
-
 def _check_classes(y):
     if len(y) < 2:
         raise DataError("need at least two rows")
@@ -252,8 +244,8 @@ def _default_grid(X, y, n_lambda, lambda_min_ratio):
     lambda_max, the smallest penalty whose solution has every slope at zero,
     comes from the null-model gradient on the standardized full data.
     """
-    Xs = _standardize(X)[0]
-    lam_max = float(np.max(np.abs(Xs.T @ (y - y.mean()))) / len(y))
+    Z = _design(X, None)[0][1:]
+    lam_max = float(np.max(np.abs(Z @ (y - y.mean()))) / len(y))
     if lam_max <= 0.0:
         lam_max = 1.0  # y independent of every column; any grid gives zeros
     return np.geomspace(lam_max, lam_max * lambda_min_ratio, n_lambda)
@@ -264,8 +256,9 @@ def _design(X, rows):
 
     Returns the C-contiguous ``(p+1) x n`` block, whose row 0 is the
     intercept's ones, with the column means and scales it was standardized
-    by and the mask of columns that vary.  ``rows=None`` takes every row.
-    The block is filled and standardized in place.
+    by and the mask of columns that vary: sd > 1e-12 * max(|mean|, 1), since
+    a float constant such as 0.1 gets an sd near 1e-17, not 0.  ``rows=None``
+    takes every row.  The block is filled and standardized in place.
     """
     n = X.shape[0] if rows is None else len(rows)
     D = np.empty((X.shape[1] + 1, n))
@@ -275,7 +268,7 @@ def _design(X, rows):
     mean = Z.mean(axis=1)
     Z -= mean[:, None]
     sd = np.sqrt(np.einsum("ij,ij->i", Z, Z) / n)
-    keep = sd > 0.0
+    keep = sd > 1e-12 * np.maximum(np.abs(mean), 1.0)
     sd_safe = np.where(keep, sd, 1.0)
     Z /= sd_safe[:, None]
     return D, mean, sd_safe, keep
@@ -293,6 +286,9 @@ def _soft(v: float, t: float) -> float:
 # diagonal is (numerically) a combination of the other active columns, and
 # the active-set system has no unique solution
 _PIVOT_FLOOR = 1e-10
+
+# sweeps a coordinate-descent fallback takes before it reports non-convergence
+_MAX_SWEEPS = 10000
 
 
 def _coordinate_descent(G, h, aug, lam, keep, tol, max_sweeps) -> bool:
@@ -419,7 +415,7 @@ def _active_set_solve(G, h, aug, lam, penalized, tol, max_sweeps) -> np.ndarray:
     return converged
 
 
-def _fit_paths(X, y, row_sets, grid, zero_first, tol, max_sweeps=10000, max_outer=50):
+def _fit_paths(X, y, row_sets, grid, zero_first, tol=1e-7, max_outer=50):
     """Lasso paths of several row subsets of ``(X, y)`` over one grid, as one batch.
 
     Problem k fits the rows ``row_sets[k]`` (``None`` for every row) on its
@@ -469,7 +465,7 @@ def _fit_paths(X, y, row_sets, grid, zero_first, tol, max_sweeps=10000, max_oute
             G /= sizes[live, None, None]
             h /= sizes[live, None]
             step = aug[live]
-            solved = _active_set_solve(G, h, step, lam, penalized[live], tol, max_sweeps)
+            solved = _active_set_solve(G, h, step, lam, penalized[live], tol, _MAX_SWEEPS)
             settled = np.max(np.abs(step - aug[live]), axis=1) < tol
             aug[live] = step
             converged[live[settled], i] = solved[settled]
@@ -498,7 +494,6 @@ def fit_lasso_path(
     n_lambda: int = 100,
     lambda_min_ratio: float = 1e-4,
     tol: float = 1e-7,
-    max_sweeps: int = 10000,
     max_outer: int = 50,
     lambda_grid=None,
 ) -> LassoPath:
@@ -516,7 +511,7 @@ def fit_lasso_path(
         grid = _default_grid(X, y, n_lambda, lambda_min_ratio)
     else:
         grid = np.asarray(lambda_grid, dtype=float)
-    return _fit_paths(X, y, [None], grid, lambda_grid is None, tol, max_sweeps, max_outer)[0]
+    return _fit_paths(X, y, [None], grid, lambda_grid is None, tol, max_outer)[0]
 
 
 def kkt_violation(path: LassoPath, X, y, index: int) -> tuple[float, float]:
@@ -528,13 +523,12 @@ def kkt_violation(path: LassoPath, X, y, index: int) -> tuple[float, float]:
     applies.
     """
     X, y = _check_xy(X, y)
-    n = X.shape[0]
-    Xs, mean, sd, keep = _standardize(X)
+    D, mean, sd, keep = _design(X, None)
     lam = float(path.lambda_grid[index])
     b0, coefs = path.coefficients_at(index)
     beta_std = coefs * sd
     eta = b0 + X @ coefs
-    grad = Xs.T @ (expit(eta) - y) / n
+    grad = D[1:] @ (expit(eta) - y) / len(y)
     zero = (beta_std == 0.0) & keep
     active = (beta_std != 0.0) & keep
     inactive_excess = float(np.max(np.abs(grad[zero]) - lam)) if zero.any() else 0.0
@@ -559,7 +553,6 @@ def cv_select(
     folds: FoldAssignment,
     n_lambda: int = 100,
     lambda_min_ratio: float = 1e-4,
-    tol: float = 1e-7,
     rule: str = "min",
 ) -> LassoPath:
     """Cross-validate the penalty grid and select the deviance minimizer.
@@ -590,7 +583,7 @@ def cv_select(
                     f"fold {f} has a single-class {where} split; "
                     "use stratified folds (kfold with labels)"
                 )
-    full, *subs = _fit_paths(X, y, [None, *train], grid, True, tol)
+    full, *subs = _fit_paths(X, y, [None, *train], grid, True)
     per_fold = np.empty((folds.fold_count, len(grid)))
     for f, sub in enumerate(subs):
         va = folds.test_indices(f)

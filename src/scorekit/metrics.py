@@ -175,7 +175,6 @@ def cv_sweep(
     folds: FoldAssignment,
     grouped: bool = True,
     n_lambda: int = 30,
-    lambda_min_ratio: float = 1e-3,
     inner_folds: int = 5,
     seed: int = 0,
 ) -> SweepResult:
@@ -210,7 +209,7 @@ def cv_sweep(
         inner = kfold(train.n, inner_folds, seed=seed * 100003 + f, labels=train.labels)
         try:
             full_path = cv_select(
-                train.rows, y_tr, inner, n_lambda=n_lambda, lambda_min_ratio=lambda_min_ratio
+                train.rows, y_tr, inner, n_lambda=n_lambda, lambda_min_ratio=1e-3
             )
             cells.append(_prob_cells(LASSO_FULL, f, full_path.predict_prob(test.rows), y_te))
         except (DataError, NumericError) as exc:
@@ -233,11 +232,7 @@ def cv_sweep(
                     )
                 cols = [j for g in trace.step_groups[:k] for j in g]
                 path = cv_select(
-                    train.rows[:, cols],
-                    y_tr,
-                    inner,
-                    n_lambda=n_lambda,
-                    lambda_min_ratio=lambda_min_ratio,
+                    train.rows[:, cols], y_tr, inner, n_lambda=n_lambda, lambda_min_ratio=1e-3
                 )
                 intercept, coefs = path.coefficients_at()
                 score_te_raw = path.linear_score(test.rows[:, cols])

@@ -18,14 +18,13 @@ chain solved once per distinct regime key that a disagreeing case needs.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from ._math import clip_prob, expit, logit
-from .data import Dataset, FoldAssignment, kfold, write_table
+from ._math import clip_prob, expit
+from .data import Dataset, FoldAssignment
 from .errors import DataError, NumericError
 from .glm import LassoPath, cv_select, linear_predictor
 from .srr import RELEASE, WITHHOLD, Scorecard
@@ -119,7 +118,6 @@ def cases_from_dataset(ds: Dataset, release_value: str | None = None) -> CaseTab
         X=ds.rows,
         actions=np.where(ds.actions == release_value, RELEASE, WITHHOLD),
         outcomes=ds.labels,
-        group_ids=None if ds.group_ids is None else ds.group_ids.astype(str),
     )
 
 
@@ -248,7 +246,6 @@ def fit_response_surface(
     cases: CaseTable,
     folds: FoldAssignment,
     n_lambda: int = 100,
-    lambda_min_ratio: float = 1e-4,
 ) -> ResponseSurface:
     """Fit the outcome and release models on a set of observed cases."""
     released = cases.actions == RELEASE
@@ -257,19 +254,9 @@ def fit_response_surface(
     if folds.n != len(cases):
         raise DataError("fold assignment does not cover the cases")
     outcome_path = cv_select(
-        surface_design(cases.X, released),
-        cases.outcomes,
-        folds,
-        n_lambda=n_lambda,
-        lambda_min_ratio=lambda_min_ratio,
+        surface_design(cases.X, released), cases.outcomes, folds, n_lambda=n_lambda
     )
-    release_path = cv_select(
-        cases.X,
-        released.astype(float),
-        folds,
-        n_lambda=n_lambda,
-        lambda_min_ratio=lambda_min_ratio,
-    )
+    release_path = cv_select(cases.X, released.astype(float), folds, n_lambda=n_lambda)
     return ResponseSurface(
         outcome_path=outcome_path, release_path=release_path, n_features=cases.X.shape[1]
     )
@@ -603,108 +590,3 @@ def regime_grid(alpha: float, p_values, delta_values) -> list[SensitivityParams]
         for dr in delta_values
         for dw in delta_values
     ]
-
-
-# ---------------------------------------------------------------------------
-# Per-group (per-judge) estimates
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GroupEstimate:
-    group_id: str
-    n_cases: int
-    agreement_rate: float
-    raw_release_rate: float
-    raw_adverse_rate: float
-    estimate: PolicyEstimate
-
-
-@dataclass(frozen=True)
-class GroupReport:
-    estimates: tuple[GroupEstimate, ...]
-    skipped: tuple[tuple[str, str], ...]
-
-    def to_csv(self, path, config_comment: str | None = None) -> None:
-        header = [
-            "group", "n_cases", "agreement_rate", "raw_release_rate",
-            "raw_adverse_rate", "action_rate", "value", "method",
-        ]
-        rows = [
-            [
-                g.group_id, g.n_cases, repr(g.agreement_rate),
-                repr(g.raw_release_rate), repr(g.raw_adverse_rate),
-                repr(g.estimate.action_rate), repr(g.estimate.value),
-                g.estimate.method,
-            ]
-            for g in self.estimates
-        ]
-        rows += [[gid, "", "", "", "", "", "", f"skipped: {reason}"] for gid, reason in self.skipped]
-        write_table(path, header, rows, comments=[config_comment] if config_comment else [])
-
-
-def per_group_estimates(
-    cases: CaseTable,
-    policy: Policy,
-    folds: FoldAssignment,
-    min_group_size: int = 50,
-    n_lambda: int = 30,
-) -> GroupReport:
-    """Refit the response surface within each group and re-estimate.
-
-    Groups too small to fit (below ``min_group_size``, single-action,
-    single-outcome, or where the penalty cross-validation fails) are skipped
-    with a reason.  Within each group the penalty is re-cross-validated on a
-    deterministic per-group refold (restricting a global balanced fold
-    assignment to a subgroup rarely leaves balanced folds), using the passed
-    assignment's fold count as the target.
-    """
-    if folds.n != len(cases):
-        raise DataError("fold assignment does not cover the cases")
-    if cases.group_ids is None:
-        raise DataError("per-group estimation needs group ids on every case")
-    by_group: dict[str, list[int]] = {}
-    for i, gid in enumerate(cases.group_ids):
-        by_group.setdefault(str(gid), []).append(i)
-
-    estimates: list[GroupEstimate] = []
-    skipped: list[tuple[str, str]] = []
-    for gid in sorted(by_group):
-        idx = np.asarray(by_group[gid])
-        sub = cases.take(idx)
-        if len(sub) < min_group_size:
-            skipped.append((gid, f"only {len(sub)} cases (minimum {min_group_size})"))
-            continue
-        released = sub.actions == RELEASE
-        if released.all() or (~released).all():
-            skipped.append((gid, "single observed action"))
-            continue
-        if len(np.unique(sub.outcomes)) < 2:
-            skipped.append((gid, "single observed outcome"))
-            continue
-        sub_folds = _group_folds(folds.fold_count, gid, sub.outcomes)
-        try:
-            surface = fit_response_surface(sub, sub_folds, n_lambda=n_lambda)
-            est = estimate_policy(sub, policy, surface)
-        except (DataError, NumericError) as exc:
-            skipped.append((gid, str(exc)))
-            continue
-        prescribed = np.asarray(policy.actions(sub.X))
-        estimates.append(
-            GroupEstimate(
-                group_id=gid,
-                n_cases=len(sub),
-                agreement_rate=float(np.mean(prescribed == sub.actions)),
-                raw_release_rate=float(np.mean(released)),
-                raw_adverse_rate=float(np.mean(sub.outcomes)),
-                estimate=est,
-            )
-        )
-    return GroupReport(estimates=tuple(estimates), skipped=tuple(skipped))
-
-
-def _group_folds(fold_count: int, group_id: str, labels: np.ndarray) -> FoldAssignment:
-    n = len(labels)
-    k = max(2, min(fold_count, n // 20))
-    seed = zlib.crc32(group_id.encode("utf-8"))
-    return kfold(n, k, seed=seed, labels=labels)

@@ -112,7 +112,6 @@ def build_scorecard(
     threshold: float | None = None,
     grouped: bool = True,
     n_lambda: int = 100,
-    lambda_min_ratio: float = 1e-4,
 ) -> Scorecard:
     """Run select -> regress -> round on an encoded dataset.
 
@@ -123,11 +122,7 @@ def build_scorecard(
     cols = list(trace.ordered_features)
     names = tuple(ds.feature_names[j] for j in cols)
     path = cv_select(
-        ds.rows[:, cols],
-        ds.labels.astype(float),
-        folds_for_lambda,
-        n_lambda=n_lambda,
-        lambda_min_ratio=lambda_min_ratio,
+        ds.rows[:, cols], ds.labels.astype(float), folds_for_lambda, n_lambda=n_lambda
     )
     intercept, coefs = path.coefficients_at()
     weights = rescale_round(coefs, M)

@@ -94,7 +94,6 @@ class SyntheticCohort:
     column_groups: tuple[str, ...]
     config: GeneratorConfig | None
     u: np.ndarray
-    calibrated_intercepts: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=np.int8)
@@ -114,7 +113,6 @@ class SyntheticCohort:
             rows=self.table.X,
             labels=self.table.outcomes.astype(int),
             actions=self.table.actions,
-            group_ids=self.table.group_ids,
             column_groups=self.column_groups,
         )
 
@@ -228,7 +226,6 @@ def generate(config: GeneratorConfig) -> SyntheticCohort:
         column_groups=enc.column_groups,
         config=config,
         u=u,
-        calibrated_intercepts=(c_sel, c_rel, c_wh),
     )
 
 
@@ -277,7 +274,7 @@ def write_cohort_csv(cohort: SyntheticCohort, path) -> None:
     write_table(path, list(cohort.feature_names) + list(COHORT_COLUMNS), rows)
 
 
-def load_cohort_csv(path, column_groups: tuple[str, ...] | None = None) -> SyntheticCohort:
+def load_cohort_csv(path) -> SyntheticCohort:
     """Read a cohort CSV written by :func:`write_cohort_csv` (see
     :func:`~scorekit.data.read_table` for the checks every CSV gets)."""
     header, rows = read_table(path)
@@ -307,12 +304,10 @@ def load_cohort_csv(path, column_groups: tuple[str, ...] | None = None) -> Synth
         po_release=po_r,
         po_withhold=po_w,
     )
-    if column_groups is None:
-        column_groups = _infer_groups(names)
     return SyntheticCohort(
         table=table,
         feature_names=names,
-        column_groups=column_groups,
+        column_groups=_infer_groups(names),
         config=None,
         u=u,
     )

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import scorekit
-from scorekit import cli, srr, synth
+from scorekit import cli, data, srr, synth
 
 
 def run(*argv):
@@ -289,21 +289,23 @@ class TestPolicyEval:
         err = capsys.readouterr().err
         assert "data error" in err and str(path) in err
 
-    def test_plain_decision_csv(self, cohort_csv, tmp_path):
-        from scorekit import data as data_mod
-
+    @staticmethod
+    def write_decision_csv(cohort_csv, path):
+        """The cohort as an observed-decision CSV with a string judge column."""
         cohort = synth.load_cohort_csv(cohort_csv)
         table = cohort.case_table()
-        ds = data_mod.Dataset(
-            feature_names=cohort.feature_names,
-            rows=table.X,
-            labels=table.outcomes.astype(int),
-            actions=np.where(table.actions == srr.RELEASE, "ROR", "BAIL"),
-            group_ids=table.group_ids,
+        decisions = np.where(table.actions == srr.RELEASE, "ROR", "BAIL")
+        tail = zip(table.outcomes.astype(int).tolist(), decisions, table.group_ids)
+        data.write_table(
+            path,
+            [*cohort.feature_names, "fta", "decision", "judge"],
+            ([repr(float(v)) for v in x] + list(rest) for x, rest in zip(table.X, tail)),
         )
+        return cohort
+
+    def test_plain_decision_csv(self, cohort_csv, tmp_path):
         path = tmp_path / "decisions.csv"
-        data_mod.write_csv(ds, path, label_column="fta", action_column="decision",
-                           group_column="judge")
+        table = self.write_decision_csv(cohort_csv, path).case_table()
         common = ("--input", str(path), "--label", "fta", "--thresholds", "2.5,4.5",
                   "--n-lambda", "10", "--inner-folds", "3", "--seed", "4")
         assert run("policy-eval", *common, "--output-dir", str(tmp_path / "no_action")) == 3
@@ -312,12 +314,24 @@ class TestPolicyEval:
         assert code == 0
         rows = read_rows(tmp_path / "policy_eval.csv")
         assert [r["policy"] for r in rows] == ["observed"] + ["scorecard"] * 2 + ["risk_model"] * 19
-        folds = data_mod.kfold(len(table), 3, seed=4, labels=table.outcomes.astype(int))
+        folds = data.kfold(len(table), 3, seed=4, labels=table.outcomes.astype(int))
         empirical = table.outcomes[folds.test_indices(2)].mean()
         assert float(rows[0]["value"]) == pytest.approx(empirical, abs=1e-12)
         for r in rows:
             assert 0.0 <= float(r["action_rate"]) <= 1.0
             assert 0.0 <= float(r["value"]) <= 1.0
+
+    def test_string_covariate_is_data_error(self, cohort_csv, tmp_path, capsys):
+        # without --group, the judge column would be read as a covariate
+        path = tmp_path / "decisions.csv"
+        self.write_decision_csv(cohort_csv, path)
+        code = run("policy-eval", "--input", str(path), "--label", "fta", "--action", "decision",
+                   "--release-value", "ROR", "--thresholds", "2.5,4.5", "--n-lambda", "10",
+                   "--inner-folds", "3", "--output-dir", str(tmp_path))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "['judge']" in err
+        assert not (tmp_path / "policy_eval.csv").exists()
 
     def test_deterministic_given_seed(self, cohort_csv, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -394,6 +394,31 @@ class TestBatchedPaths:
             assert_same_path(path, solo)
 
 
+class TestConstantColumn:
+    """A float constant beside a varying column.  The computed mean of
+    ``np.full(60, 0.1)`` is one ulp off 0.1, so its sd is ~4e-17, not 0."""
+
+    @staticmethod
+    def instance():
+        X, y = random_instance(np.random.default_rng(23), n=60, p=1)
+        return np.column_stack([X[:, 0], np.full(60, 0.1)]), y
+
+    def test_design_marks_it_constant(self):
+        X, _ = self.instance()
+        keep = glm._design(X, None)[3]
+        assert list(keep) == [True, False]
+
+    def test_fits_leave_it_at_zero(self):
+        X, y = self.instance()
+        path = glm.fit_lasso_path(X, y, n_lambda=20)
+        selected = glm.cv_select(X, y, data.kfold(60, 3, seed=0, labels=y), n_lambda=20)
+        for fit in (path, selected):
+            assert np.all(fit.coefficients[:, 1] == 0.0)
+            assert np.all(np.isfinite(fit.intercepts))
+            for i in range(fit.n_lambda):
+                assert np.all(np.isfinite(glm.kkt_violation(fit, X, y, i)))
+
+
 class TestCvSelect:
     def test_deterministic_selection(self):
         rng = np.random.default_rng(9)

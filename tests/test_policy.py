@@ -525,79 +525,6 @@ class TestSweepEquivalence:
         np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# Per-group estimates
-# ---------------------------------------------------------------------------
-
-
-class TestPerGroup:
-    def test_two_judges_with_different_release_rates_agree_with_pooled(self):
-        cfg = synth.GeneratorConfig(
-            n=16000, seed=18, judge_offsets=(-1.0, 1.8), release_rate=0.7
-        )
-        cohort = synth.generate(cfg)
-        table = cohort.case_table()
-        rel_by_judge = {
-            g: np.mean(table.actions[table.group_ids == g] == RELEASE)
-            for g in np.unique(table.group_ids)
-        }
-        rates = sorted(rel_by_judge.values())
-        assert rates[0] < 0.6 and rates[1] > 0.8  # genuinely different judges
-
-        card_pol = policy.ConstantPolicy(action=RELEASE)
-        folds = data.kfold(len(table), 4, seed=0, labels=table.outcomes.astype(int))
-        report = policy.per_group_estimates(table, card_pol, folds, min_group_size=100)
-        assert not report.skipped
-        assert len(report.estimates) == 2
-        pooled_folds = data.kfold(len(table), 4, seed=1, labels=table.outcomes.astype(int))
-        pooled_surface = policy.fit_response_surface(table, pooled_folds, n_lambda=30)
-        pooled = policy.estimate_policy(table, card_pol, pooled_surface)
-        for g in report.estimates:
-            assert abs(g.estimate.value - pooled.value) <= 0.02
-            assert 0.0 <= g.agreement_rate <= 1.0
-
-    def test_undersized_group_skipped_with_reason(self):
-        rng = np.random.default_rng(19)
-        n = 300
-        groups = np.array(["big"] * (n - 10) + ["tiny"] * 10)
-        drawn = [
-            (RELEASE if rng.random() < 0.6 else WITHHOLD, int(rng.random() < 0.3))
-            for _ in groups
-        ]
-        folds = data.kfold(n, 3, seed=0)
-        table = case_table(range(n), *zip(*drawn), groups=groups)
-        report = policy.per_group_estimates(
-            table, policy.ConstantPolicy(action=RELEASE), folds, min_group_size=50, n_lambda=10
-        )
-        skipped = dict(report.skipped)
-        assert "tiny" in skipped and "minimum" in skipped["tiny"]
-        assert all(g.group_id != "tiny" for g in report.estimates)
-
-    def test_single_group_reproduces_estimate_policy(self):
-        rng = np.random.default_rng(20)
-        n = 600
-        X = rng.normal(size=(n, 2))
-        actions = np.where(rng.random(n) < 0.6, RELEASE, WITHHOLD)
-        outcomes = (rng.random(n) < sigmoid(-1.0 + X[:, 0])).astype(float)
-        table = policy.CaseTable(
-            X=X, actions=actions, outcomes=outcomes, group_ids=np.array(["only"] * n)
-        )
-        pol = policy.ConstantPolicy(action=RELEASE)
-        folds = data.kfold(n, 4, seed=0, labels=outcomes.astype(int))
-        report = policy.per_group_estimates(table, pol, folds, min_group_size=10, n_lambda=20)
-        assert len(report.estimates) == 1
-        inner_folds = policy._group_folds(4, "only", outcomes)
-        surface = policy.fit_response_surface(table, inner_folds, n_lambda=20)
-        expected = policy.estimate_policy(table, pol, surface)
-        assert report.estimates[0].estimate == expected
-
-    def test_missing_group_ids_rejected(self):
-        table = case_table([0, 1], [RELEASE, WITHHOLD], [0, 1])
-        folds = data.kfold(2, 2, seed=0)
-        with pytest.raises(DataError, match="group ids"):
-            policy.per_group_estimates(table, policy.ConstantPolicy(action=RELEASE), folds)
-
-
 class TestPolicies:
     def test_scorecard_policy_uses_strict_threshold(self):
         from scorekit import srr
@@ -622,11 +549,9 @@ class TestPolicies:
             rows=np.array([[1.0], [2.0]]),
             labels=np.array([0, 1]),
             actions=np.array(["ROR", "BAIL"]),
-            group_ids=np.array(["j1", "j2"]),
         )
         table = policy.cases_from_dataset(ds, release_value="ROR")
         assert list(table.actions) == [RELEASE, WITHHOLD]
-        assert table.group_ids[1] == "j2"
         with pytest.raises(DataError, match="release_value"):
             policy.cases_from_dataset(ds)
 
