@@ -14,6 +14,9 @@ two-point logistic mixtures, and the counterfactual for the action not taken
 follows from the posterior of ``u`` given the action that was.  A sweep over
 many regimes is one array pass: surface predictions once per call, and the
 chain solved once per distinct regime key that a disagreeing case needs.
+Each mixture solve hands back the two sigmoids its residual check already
+evaluated at the root, and the posteriors and the counterfactual mix are
+built from those, so no sigmoid of the chain is evaluated twice.
 """
 
 from __future__ import annotations
@@ -231,11 +234,19 @@ class ResponseSurface:
         return X
 
     def predict_both(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """(r^(release | x), r^(withhold | x)) for every row."""
+        """(r^(release | x), r^(withhold | x)) for every row.
+
+        The outcome coefficients split into the covariate, action and
+        interaction blocks of :func:`surface_design`, so each action's linear
+        predictor is one pass over ``X`` with that action's coefficients; no
+        interaction design is built.
+        """
         X = self._check(X)
-        ones = np.ones(X.shape[0], dtype=bool)
-        released = self.outcome_path.predict_prob(surface_design(X, ones))
-        withheld = self.outcome_path.predict_prob(surface_design(X, ~ones))
+        b0, coefs = self.outcome_path.coefficients_at()
+        p = self.n_features
+        c_x, c_a, c_ax = coefs[:p], coefs[p], coefs[p + 1 :]
+        released = expit(linear_predictor(b0 + c_a, c_x + c_ax, X))
+        withheld = expit(linear_predictor(b0, c_x, X))
         return released, withheld
 
     def release_prob(self, X) -> np.ndarray:
@@ -345,19 +356,32 @@ def _solve_two_point_mixture(target, p1, shift):
     parameters against a row of targets costs only the full-size arrays the
     quadratic needs.
     """
+    x = _mixture_root(target, p1, shift)[0]
+    return x if x.ndim else float(x)
+
+
+def _mixture_root(target, p1, shift):
+    """(x, sigmoid(x), sigmoid(x + shift)) for :func:`_solve_two_point_mixture`.
+
+    The two sigmoids are the ones the 1e-10 residual check evaluates, so a
+    caller that needs them next (the posteriors of u, the counterfactual mix)
+    gets them without evaluating them again.
+    """
     q = np.asarray(target, dtype=float)
     p1 = np.clip(np.asarray(p1, dtype=float), 0.0, 1.0)
     shift = np.asarray(shift, dtype=float)
     if np.any((q <= 0.0) | (q >= 1.0)):
         raise NumericError("mixture target must lie strictly inside (0, 1)")
     x = _mixture_closed_form(q, p1, shift)
-    bad = ~np.isfinite(x) | ~(np.abs(_mixture(x, p1, shift) - q) <= 1e-10)
+    s0, s1 = np.asarray(expit(x)), np.asarray(expit(x + shift))
+    bad = ~np.isfinite(x) | ~(np.abs((1.0 - p1) * s0 + p1 * s1 - q) <= 1e-10)
     if np.any(bad):
         q, p1, shift = (np.broadcast_to(v, x.shape)[bad] for v in (q, p1, shift))
         x[bad] = root = _bisect_two_point(q, p1, shift)
-        if not np.all(np.abs(_mixture(root, p1, shift) - q) <= 1e-10):
+        s0[bad], s1[bad] = expit(root), expit(root + shift)
+        if not np.all(np.abs((1.0 - p1) * s0[bad] + p1 * s1[bad] - q) <= 1e-10):
             raise NumericError("two-point mixture solve did not reach a residual of 1e-10")
-    return x if x.ndim else float(x)
+    return x, s0, s1
 
 
 def _mixture_closed_form(q, p1, shift):
@@ -406,8 +430,11 @@ def posterior_u(gamma, alpha, p_u, action: str):
 
 def _posteriors(gamma, alpha, p_u) -> dict:
     """:func:`posterior_u` under both actions, from one pair of expit calls."""
-    rel_u1 = expit(gamma + alpha)
-    rel_u0 = expit(gamma)
+    return _bayes_u(expit(gamma), expit(gamma + alpha), p_u)
+
+
+def _bayes_u(rel_u0, rel_u1, p_u) -> dict:
+    """Posteriors of u from Pr(release | u = 0, x) and Pr(release | u = 1, x)."""
     num_rel = rel_u1 * p_u
     num_wh = (1.0 - rel_u1) * p_u
     return {
@@ -436,8 +463,8 @@ def _counterfactual(r_other, post_observed, post_other, delta_other):
     taken.  The regime parameters broadcast against the rows, so a column
     of regime keys against a row of cases solves every key in one pass.
     """
-    beta = solve_beta(clip_prob(r_other), post_other, delta_other)
-    return (1.0 - post_observed) * expit(beta) + post_observed * expit(beta + delta_other)
+    _, s0, s1 = _mixture_root(clip_prob(r_other), post_other, delta_other)
+    return (1.0 - post_observed) * s0 + post_observed * s1
 
 
 def rr_counterfactual(
@@ -467,8 +494,8 @@ def rr_counterfactual(
         (WITHHOLD, RELEASE, r_rel, params.delta_release),
     ):
         rows = observed == action
-        gamma = solve_gamma(params.p_u, params.alpha, clip_prob(q[rows]))
-        post = _posteriors(gamma, params.alpha, params.p_u)
+        _, rel_u0, rel_u1 = _mixture_root(clip_prob(q[rows]), params.p_u, params.alpha)
+        post = _bayes_u(rel_u0, rel_u1, params.p_u)
         out[rows] = _counterfactual(r_other[rows], post[action], post[other], delta)
     return out if out.ndim else float(out)
 
@@ -536,9 +563,12 @@ def sensitivity_sweep(
     the posteriors are solved once per distinct (p_u, alpha) pair and
     indexed into the keys; beta and the mix are solved once per key as a
     keys x rows broadcast, and each key's row sum is scattered back to its
-    regimes.  The broadcast runs over blocks of rows, at most
-    ``_SWEEP_BLOCK`` key-row pairs each, so memory stays bounded whatever
-    the number of keys and disagreeing rows.
+    regimes.  The posteriors use sigmoid(gamma) and sigmoid(gamma + alpha),
+    and the mix sigmoid(beta) and sigmoid(beta + delta), as the gamma and
+    beta solves computed them for their residual checks.  The broadcast
+    runs over blocks of rows, at most ``_SWEEP_BLOCK`` key-row pairs each,
+    so memory stays bounded whatever the number of keys and disagreeing
+    rows.
     """
     if not regimes:
         raise DataError("need at least one sensitivity regime")
@@ -566,7 +596,8 @@ def sensitivity_sweep(
             sums = np.zeros(len(keys))
             step = max(1, _SWEEP_BLOCK // len(keys))
             for block in np.split(rows, np.arange(step, len(rows), step)):
-                post = _posteriors(solve_gamma(p_u, alpha, clip_prob(q[block])), alpha, p_u)
+                _, rel_u0, rel_u1 = _mixture_root(clip_prob(q[block]), p_u, alpha)
+                post = _bayes_u(rel_u0, rel_u1, p_u)
                 cf = _counterfactual(
                     r_other[block], post[action][pair_of_key], post[other][pair_of_key], delta
                 )

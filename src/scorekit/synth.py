@@ -257,26 +257,44 @@ def oracle_value(table: CaseTable, policy: Policy) -> PolicyEstimate:
 # prefix makes load_csv refuse the file, so evaluation code cannot silently
 # treat stored potential outcomes as features.
 COHORT_COLUMNS = ("action", "outcome", "judge", "__po_release", "__po_withhold", "__u")
+# the 0/1 columns of a cohort CSV, in the order load_cohort_csv collects them
+_CODE_COLUMNS = ("outcome", "__po_release", "__po_withhold", "__u")
 
 
 def write_cohort_csv(cohort: SyntheticCohort, path) -> None:
     """Cohort to CSV; read it back with :func:`load_cohort_csv`."""
     t = cohort.table
-    tail = zip(
+    columns = [_float_cells(column) for column in t.X.T] + [
         t.actions.tolist(),
         t.outcomes.astype(int).tolist(),
         t.group_ids.tolist(),
         t.po_release.astype(int).tolist(),
         t.po_withhold.astype(int).tolist(),
         cohort.u.tolist(),
-    )
-    rows = ([repr(float(v)) for v in x] + list(rest) for x, rest in zip(t.X, tail))
-    write_table(path, list(cohort.feature_names) + list(COHORT_COLUMNS), rows)
+    ]
+    write_table(path, list(cohort.feature_names) + list(COHORT_COLUMNS), zip(*columns))
+
+
+def _float_cells(column: np.ndarray) -> list[str]:
+    """``repr`` of every float in a column, formatted once per distinct value.
+
+    Values are told apart by their bit pattern: ``np.unique`` on the floats
+    would merge -0.0 with 0.0.
+    """
+    bits, inverse = np.unique(np.ascontiguousarray(column, dtype=float).view(np.uint64),
+                              return_inverse=True)
+    cells = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+    return cells[inverse].tolist()
 
 
 def load_cohort_csv(path) -> SyntheticCohort:
     """Read a cohort CSV written by :func:`write_cohort_csv` (see
-    :func:`~scorekit.data.read_table` for the checks every CSV gets)."""
+    :func:`~scorekit.data.read_table` for the checks every CSV gets).
+
+    A feature cell that is NaN or infinite, and an ``outcome``,
+    ``__po_release``, ``__po_withhold`` or ``__u`` cell that is not 0 or 1,
+    raise :class:`DataError` naming the file, the line and the column.
+    """
     header, rows = read_table(path)
     tail = len(COHORT_COLUMNS)
     if tuple(header[-tail:]) != COHORT_COLUMNS:
@@ -288,16 +306,26 @@ def load_cohort_csv(path) -> SyntheticCohort:
     for line, row in enumerate(rows, start=2):
         try:
             X.extend(map(float, row[:p]))
-            # outcome, __po_release, __po_withhold, __u
             codes.extend([int(row[p + 1]), int(row[p + 3]), int(row[p + 4]), int(row[p + 5])])
         except (ValueError, OverflowError):
             raise DataError(f"{path}: line {line} has a non-numeric field") from None
         actions.append(row[p])
         judges.append(row[p + 2])
     n = len(actions)
-    outcome, po_r, po_w, u = np.array(codes, dtype=np.int64).reshape(n, 4).T
+    if not set(codes) <= {0, 1}:
+        k = next(k for k, code in enumerate(codes) if code not in (0, 1))
+        raise DataError(f"{path}: line {k // 4 + 2} column {_CODE_COLUMNS[k % 4]!r} "
+                        f"must be 0 or 1, got {codes[k]}")
+    X = np.array(X, dtype=float).reshape(n, p)
+    bad = np.argwhere(~np.isfinite(X))
+    if len(bad):
+        i, j = bad[0]
+        raise DataError(f"{path}: line {i + 2} column {names[j]!r} must be a finite number, "
+                        f"got {X[i, j]}")
+    codes = np.array(codes, dtype=np.int8).reshape(n, 4)
+    outcome, po_r, po_w, u = codes.T
     table = CaseTable(
-        X=np.array(X, dtype=float).reshape(n, p),
+        X=X,
         actions=np.array(actions),
         outcomes=outcome,
         group_ids=np.array(judges),

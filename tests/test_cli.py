@@ -257,6 +257,19 @@ class TestPolicyEval:
         assert code == 3
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["policy-eval", "sensitivity-sweep"])
+    @pytest.mark.parametrize("column, cell", [("__u", "300"), ("age_18_20", "nan")])
+    def test_bad_cohort_cell_is_data_error(self, cohort_csv, tmp_path, capsys, command, column, cell):
+        with open(cohort_csv, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[5][rows[0].index(column)] = cell  # line 6
+        path = tmp_path / "cohort.csv"
+        data.write_table(path, rows[0], rows[1:])
+        code = run(command, "--input", str(path), "--output-dir", str(tmp_path))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and f"line 6 column {column!r}" in err and str(path) in err
+
     @pytest.mark.parametrize("flag, grid", [("--thresholds", "5:1:1"), ("--risk-thresholds", "x")])
     def test_malformed_grid_fails_before_any_fit(self, cohort_csv, tmp_path, monkeypatch, flag, grid):
         def no_fit(*args, **kwargs):

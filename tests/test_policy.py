@@ -115,6 +115,19 @@ class TestFitResponseSurface:
         _, coefs = surface.outcome_path.coefficients_at()
         assert coefs[3] == pytest.approx(tau, abs=0.05)  # action indicator column
 
+    def test_predict_both_matches_the_interaction_design(self, fitted_world):
+        cases, surface = fitted_world
+        _, coefs = surface.outcome_path.coefficients_at()
+        assert np.any(coefs[cases.X.shape[1]:] != 0.0)  # the action terms are in play
+        X = np.vstack([cases.X, cases.X[:5]])  # the last five rows repeat the first five
+        r_rel, r_wh = surface.predict_both(X)
+        for released, r in ((True, r_rel), (False, r_wh)):
+            design = policy.surface_design(X, np.full(len(X), released))
+            np.testing.assert_allclose(
+                r, surface.outcome_path.predict_prob(design), rtol=0, atol=1e-12
+            )
+            assert np.array_equal(r[-5:], r[:5])
+
     def test_single_action_data_rejected(self):
         rng = np.random.default_rng(4)
         cases = policy.CaseTable(
@@ -467,6 +480,23 @@ def sweep_policy(kind, cases):
 POLICY_KINDS = ["agree_all", RELEASE, WITHHOLD, "mixed"]
 
 
+def assert_sweep_matches_chain_oracle(cases, pol, surface):
+    regimes = mixed_regimes()[::3]
+    band = policy.sensitivity_sweep(cases, pol, surface, regimes)
+    agree = np.asarray(pol.actions(cases.X)) == cases.actions
+    r_rel, r_wh = (clip_prob(r) for r in surface.predict_both(cases.X))
+    q = clip_prob(surface.release_prob(cases.X))
+    for params, value in zip(regimes, band.values):
+        total = cases.outcomes[agree].sum() + sum(
+            rr_chain_oracle(
+                r_rel[i], r_wh[i], params.p_u, params.alpha, params.delta_release,
+                params.delta_withhold, cases.actions[i] == RELEASE, q[i],
+            )
+            for i in np.flatnonzero(~agree)
+        )
+        assert value == pytest.approx(total / len(cases), abs=1e-8)
+
+
 class TestSweepEquivalence:
     @pytest.mark.parametrize("surface_kind", ["stub", "fitted"])
     @pytest.mark.parametrize("policy_kind", POLICY_KINDS)
@@ -499,22 +529,21 @@ class TestSweepEquivalence:
     @pytest.mark.parametrize("policy_kind", POLICY_KINDS)
     def test_matches_scalar_chain_oracle(self, fitted_world, surface_kind, policy_kind):
         cases, surface = sweep_world(surface_kind, fitted_world)
-        pol = sweep_policy(policy_kind, cases)
-        regimes = mixed_regimes()[::3]
-        band = policy.sensitivity_sweep(cases, pol, surface, regimes)
+        assert_sweep_matches_chain_oracle(cases, sweep_policy(policy_kind, cases), surface)
 
-        agree = np.asarray(pol.actions(cases.X)) == cases.actions
-        r_rel, r_wh = (clip_prob(r) for r in surface.predict_both(cases.X))
-        q = clip_prob(surface.release_prob(cases.X))
-        for params, value in zip(regimes, band.values):
-            total = cases.outcomes[agree].sum() + sum(
-                rr_chain_oracle(
-                    r_rel[i], r_wh[i], params.p_u, params.alpha, params.delta_release,
-                    params.delta_withhold, cases.actions[i] == RELEASE, q[i],
-                )
-                for i in np.flatnonzero(~agree)
-            )
-            assert value == pytest.approx(total / len(cases), abs=1e-8)
+    @pytest.mark.parametrize("surface_kind", ["stub", "fitted"])
+    @pytest.mark.parametrize("policy_kind", POLICY_KINDS)
+    def test_bisected_roots_match_scalar_chain_oracle(
+        self, fitted_world, monkeypatch, surface_kind, policy_kind
+    ):
+        # every entry misses the residual check, so every root and both of its
+        # sigmoids come from the bisection branch
+        monkeypatch.setattr(
+            policy, "_mixture_closed_form",
+            lambda q, p1, shift: np.full(np.broadcast_shapes(q.shape, p1.shape, shift.shape), np.nan),
+        )
+        cases, surface = sweep_world(surface_kind, fitted_world)
+        assert_sweep_matches_chain_oracle(cases, sweep_policy(policy_kind, cases), surface)
 
     def test_row_blocks_leave_values_unchanged(self, fitted_world, monkeypatch):
         cases, surface = fitted_world

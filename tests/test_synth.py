@@ -1,3 +1,7 @@
+import csv
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -169,6 +173,38 @@ class TestCohortCsv:
         lines[-1] = last_line or "x" + lines[-1][1:]  # None: garble the first field
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(DataError, match=message):
+            synth.load_cohort_csv(path)
+
+    def test_float_cells_are_the_repr_of_each_value(self, tmp_path):
+        cohort = synth.generate(synth.GeneratorConfig(n=6, seed=9))
+        X = cohort.table.X.copy()
+        X[:, 0] = [-0.0, 0.0, 0.1, -0.0, 5e-324, 1e300]  # one cell text per bit pattern
+        cohort = dataclasses.replace(cohort, table=dataclasses.replace(cohort.table, X=X))
+        path = tmp_path / "cohort.csv"
+        synth.write_cohort_csv(cohort, path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        p = len(cohort.feature_names)
+        assert [row[:p] for row in rows] == [[repr(float(v)) for v in x] for x in X]
+        back = synth.load_cohort_csv(path).case_table().X
+        assert np.array_equal(back, X) and np.array_equal(np.signbit(back), np.signbit(X))
+
+    @pytest.mark.parametrize(
+        "column, cell, must",
+        [("__u", "300", "be 0 or 1"), ("outcome", "-1", "be 0 or 1"),
+         (-1, "nan", "be a finite number"), (0, "-inf", "be a finite number")],
+    )
+    def test_bad_cell_is_data_error_naming_line_and_column(self, tmp_path, column, cell, must):
+        cohort = synth.generate(synth.GeneratorConfig(n=3, seed=9))
+        path = tmp_path / "cohort.csv"
+        synth.write_cohort_csv(cohort, path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        name = column if isinstance(column, str) else cohort.feature_names[column]
+        rows[2][rows[0].index(name)] = cell  # line 3
+        data.write_table(path, rows[0], rows[1:])
+        message = f"{path}: line 3 column {name!r} must {must}, got {cell}"
+        with pytest.raises(DataError, match=re.escape(message)):
             synth.load_cohort_csv(path)
 
     def test_non_cohort_file_rejected_by_cohort_loader(self, tmp_path):

@@ -3,6 +3,7 @@
 Usage::
 
     PYTHONPATH=src python tools/cli_digests.py OUTDIR
+    PYTHONPATH=src python tools/cli_digests.py --compare OLD_OUTDIR NEW_OUTDIR
 
 Runs, in one process and into subdirectories of OUTDIR:
 
@@ -17,11 +18,18 @@ The heart table and its encoding are first copied into OUTDIR, so the
 config comment lines, which record input and output paths, depend only on
 OUTDIR.  Running two versions of the package with the same OUTDIR and
 diffing the printed lines shows whether their outputs are byte-equal.
+
+``--compare`` reads the CSV files of two such output sets and prints, for
+each column, the largest absolute difference between the two versions
+(numeric columns) or the number of cells that differ (text columns).  Lines
+starting with ``#`` are skipped.  It exits 1 when a file's header or row
+count differs, or when a text cell differs.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import os
 import shutil
@@ -58,7 +66,37 @@ def runs(out: str, heart: list[str]) -> list[tuple[list[str], list[str]]]:
     ]
 
 
+def _csv_rows(path: str) -> list[list[str]]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(line for line in fh if not line.startswith("#")))
+
+
+def compare(old: str, new: str) -> int:
+    """Print the per-column differences of every CSV file of two output sets."""
+    status = 0
+    for name in [f for _, files in runs(old, []) for f in files if f.endswith(".csv")]:
+        header, *a = _csv_rows(os.path.join(old, name))
+        other, *b = _csv_rows(os.path.join(new, name))
+        if header != other or len(a) != len(b):
+            print(f"{name}: header or row count differs")
+            status = 1
+            continue
+        print(f"{name}: {len(a)} rows")
+        for j, column in enumerate(header):
+            pairs = [(x[j], y[j]) for x, y in zip(a, b) if x[j] != y[j]]
+            try:
+                diff = max((abs(float(x) - float(y)) for x, y in pairs), default=0.0)
+            except ValueError:
+                print(f"  {column}: {len(pairs)} text cells differ")
+                status = 1
+            else:
+                print(f"  {column}: max |diff| {diff:.3g} ({len(pairs)} cells differ)")
+    return status
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(argv[1], argv[2])
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
