@@ -23,7 +23,7 @@ table = cohort.case_table()
 folds3 = data.kfold(len(table), 3, seed=0, labels=table.outcomes.astype(int))
 construct, surface_part, evaluate = (table.take(folds3.test_indices(f)) for f in range(3))
 
-released = np.flatnonzero(construct.actions == srr.RELEASE)
+released = np.flatnonzero(construct.released)  # the boolean release mask
 rule_ds = data.Dataset(
     feature_names=cohort.feature_names,
     rows=construct.X[released],
@@ -43,7 +43,7 @@ surface = policy.fit_response_surface(surface_part, surf_folds, n_lambda=40)
 print(f"\nresponse surface fit on fold 1 ({len(surface_part)} cases)")
 
 observed_rate = surface_part.outcomes.mean()
-print(f"status quo: release rate {np.mean(table.actions == srr.RELEASE):.2f}, "
+print(f"status quo: release rate {np.mean(table.released):.2f}, "
       f"adverse rate {table.outcomes.mean():.3f}\n")
 
 print("threshold sweep on fold 2, estimate vs the stored-potential-outcome truth:")

@@ -24,10 +24,11 @@ log2, log3 = np.log(2.0), np.log(3.0)
 params = policy.SensitivityParams(p_u=0.3, alpha=log2, delta_release=log2, delta_withhold=log2)
 q, r_rel = 0.69, 0.15
 gamma = policy.solve_gamma(params.p_u, params.alpha, q)
-post_rel = policy.posterior_u(gamma, params.alpha, params.p_u, srr.RELEASE)
-post_wh = policy.posterior_u(gamma, params.alpha, params.p_u, srr.WITHHOLD)
+# actions are release flags: True = released, False = withheld
+post_rel = policy.posterior_u(gamma, params.alpha, params.p_u, True)
+post_wh = policy.posterior_u(gamma, params.alpha, params.p_u, False)
 beta = policy.solve_beta(r_rel, post_rel, params.delta_release)
-cf = policy.rr_counterfactual(r_rel, 0.09, params, srr.WITHHOLD, q)
+cf = policy.rr_counterfactual(r_rel, 0.09, params, False, q)
 print("worked single case (release prob 0.69, surface release-risk 0.15):")
 print(f"  selection baseline gamma      = {gamma:+.4f}")
 print(f"  Pr(u=1 | released)            = {post_rel:.4f}  (prior {params.p_u})")
@@ -46,8 +47,8 @@ surface = policy.fit_response_surface(
 
 ds = data.Dataset(
     feature_names=cohort.feature_names,
-    rows=fit_part.X[fit_part.actions == srr.RELEASE],
-    labels=fit_part.outcomes[fit_part.actions == srr.RELEASE].astype(int),
+    rows=fit_part.X[fit_part.released],
+    labels=fit_part.outcomes[fit_part.released].astype(int),
     column_groups=cohort.column_groups,
 )
 card = srr.build_scorecard(

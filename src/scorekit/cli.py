@@ -165,7 +165,7 @@ def _cmd_synth_gen(args) -> int:
     out = _out_path(args, "cohort.csv")
     synth.write_cohort_csv(cohort, out)
     table = cohort.case_table()
-    released = table.actions == srr.RELEASE
+    released = table.released
     print(f"wrote {out}")
     print(
         f"n={cohort.n} release_rate={released.mean():.3f} "
@@ -209,7 +209,7 @@ def _policy_setup(args):
         f"fold_roles: construct=fold{roles[0]} surface=fold{roles[1]} "
         f"evaluate=fold{roles[2]} (disjoint)"
     )
-    released = np.flatnonzero(construct.actions == srr.RELEASE)
+    released = np.flatnonzero(construct.released)
     if len(released) < 20:
         raise DataError("too few released cases in the construction fold")
     rule_ds = data.Dataset(
@@ -242,7 +242,7 @@ def _cmd_policy_eval(args) -> int:
     ).coefficients_at()
 
     def rows():
-        observed = policy.FixedActionsPolicy(fixed=eval_sub.actions)
+        observed = policy.FixedActionsPolicy(fixed=eval_sub.released)
         est = policy.estimate_policy(eval_sub, observed, surface)
         yield ["observed", "", repr(est.action_rate), repr(est.value), est.method, ""]
         for thr in thresholds:

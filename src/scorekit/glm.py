@@ -83,30 +83,21 @@ def fit_logistic(
     separated and the MLE does not exist; by default this raises,
     ``on_divergence="clamp"`` instead returns the (unconverged) fit at the
     point the bound was hit, which is what forward selection uses to rank a
-    perfectly separating candidate.
+    perfectly separating candidate.  A column that does not vary (the rule
+    of :func:`_varying`, shared with the lasso) gets coefficient 0.
     """
     if on_divergence not in ("error", "clamp"):
         raise ValueError("on_divergence must be 'error' or 'clamp'")
     X, y = _check_xy(X, y)
     n, p = X.shape
-    # identically-zero columns carry no information; give them coefficient 0
-    # rather than letting them make the normal equations singular
-    live = np.any(X != 0.0, axis=0)
-    if not live.all():
-        reduced = fit_logistic(X[:, live], y, max_iter=max_iter, tol=tol, on_divergence=on_divergence)
-        coefs = np.zeros(p)
-        coefs[live] = reduced.coefficients
-        return GlmFit(
-            intercept=reduced.intercept,
-            coefficients=coefs,
-            converged=reduced.converged,
-            iterations=reduced.iterations,
-            log_likelihood=reduced.log_likelihood,
-        )
-    beta = np.zeros(p + 1)
-    Xa = np.column_stack([np.ones(n), X])
+    # a constant column would copy the intercept and make the normal
+    # equations singular
+    live = _varying(X.mean(axis=0), X.std(axis=0))
+    Xa = np.column_stack([np.ones(n), X[:, live]])
+    beta = np.zeros(Xa.shape[1])
     eta = Xa @ beta
     ll = log_likelihood_bernoulli(eta, y)
+    converged, iterations = False, max_iter
 
     for it in range(1, max_iter + 1):
         prob = expit(eta)
@@ -138,13 +129,8 @@ def fit_logistic(
         ll = cand_ll
 
         if delta < tol:
-            return GlmFit(
-                intercept=float(beta[0]),
-                coefficients=beta[1:].copy(),
-                converged=True,
-                iterations=it,
-                log_likelihood=ll,
-            )
+            converged, iterations = True, it
+            break
         if np.max(np.abs(eta)) > DIVERGENCE_BOUND:
             if on_divergence == "error":
                 raise NumericError(
@@ -152,19 +138,16 @@ def fit_logistic(
                     f"fitted log-odds exceeded +-{DIVERGENCE_BOUND:g}; "
                     "the MLE does not exist for these data"
                 )
-            return GlmFit(
-                intercept=float(beta[0]),
-                coefficients=beta[1:].copy(),
-                converged=False,
-                iterations=it,
-                log_likelihood=ll,
-            )
+            iterations = it
+            break
 
+    coefs = np.zeros(p)
+    coefs[live] = beta[1:]
     return GlmFit(
         intercept=float(beta[0]),
-        coefficients=beta[1:].copy(),
-        converged=False,
-        iterations=max_iter,
+        coefficients=coefs,
+        converged=converged,
+        iterations=iterations,
         log_likelihood=ll,
     )
 
@@ -256,8 +239,7 @@ def _design(X, rows):
 
     Returns the C-contiguous ``(p+1) x n`` block, whose row 0 is the
     intercept's ones, with the column means and scales it was standardized
-    by and the mask of columns that vary: sd > 1e-12 * max(|mean|, 1), since
-    a float constant such as 0.1 gets an sd near 1e-17, not 0.  ``rows=None``
+    by and the :func:`_varying` mask of columns that vary.  ``rows=None``
     takes every row.  The block is filled and standardized in place.
     """
     n = X.shape[0] if rows is None else len(rows)
@@ -268,10 +250,16 @@ def _design(X, rows):
     mean = Z.mean(axis=1)
     Z -= mean[:, None]
     sd = np.sqrt(np.einsum("ij,ij->i", Z, Z) / n)
-    keep = sd > 1e-12 * np.maximum(np.abs(mean), 1.0)
+    keep = _varying(mean, sd)
     sd_safe = np.where(keep, sd, 1.0)
     Z /= sd_safe[:, None]
     return D, mean, sd_safe, keep
+
+
+def _varying(mean, sd):
+    """The columns that vary: sd > 1e-12 * max(|mean|, 1), since a float
+    constant such as 0.1 gets an sd near 1e-17, not 0."""
+    return sd > 1e-12 * np.maximum(np.abs(mean), 1.0)
 
 
 def _soft(v: float, t: float) -> float:

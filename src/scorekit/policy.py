@@ -3,7 +3,8 @@
 The value of a candidate policy (its adverse-outcome rate if followed for
 every case) is estimated with a response surface: where the policy agrees
 with the observed action, the observed outcome is used; elsewhere the
-fitted counterfactual stands in.
+fitted counterfactual stands in.  Actions are boolean release masks
+throughout (True = release); strings appear only where text is read or written.
 
 The sensitivity analysis quantifies how much that estimate moves if an
 unobserved binary covariate ``u`` shifted both the decision and the outcome.
@@ -40,7 +41,7 @@ ORACLE = "oracle"
 # CaseTable columns and the dtype each is stored as (None: as given)
 _CASE_COLUMNS = (
     ("X", float),
-    ("actions", None),
+    ("released", None),
     ("outcomes", float),
     ("group_ids", None),
     ("po_release", float),
@@ -48,19 +49,30 @@ _CASE_COLUMNS = (
 )
 
 
+def _mask(value, what: str) -> np.ndarray:
+    """``value`` as a boolean release mask (True = release); anything else
+    is a DataError.  Never a cast: numpy casts every non-empty string,
+    ``"withhold"`` included, to True."""
+    mask = np.asarray(value)
+    if mask.dtype != bool:
+        raise DataError(f"{what} must be a boolean release mask, got dtype {mask.dtype}")
+    return mask
+
+
 @dataclass(frozen=True)
 class CaseTable:
     """Observed decision cases, held column by column.
 
-    ``X`` has one covariate row per case, ``actions`` the observed action
-    (release or withhold) and ``outcomes`` the observed 0/1 outcome.
-    Potential outcomes are carried only by synthetic cohorts; when present,
-    the observed outcome must equal the potential outcome of the observed
-    action.
+    ``X`` has one covariate row per case, ``released`` the observed action
+    as a boolean mask (True = released) and ``outcomes`` the observed 0/1
+    outcome.  Potential outcomes are carried only by synthetic cohorts; when
+    present, the observed outcome must equal the potential outcome of the
+    observed action.  ``actions`` is the mask as ``release``/``withhold``
+    strings, for output.
     """
 
     X: np.ndarray
-    actions: np.ndarray
+    released: np.ndarray
     outcomes: np.ndarray
     group_ids: np.ndarray | None = None
     po_release: np.ndarray | None = None
@@ -71,6 +83,7 @@ class CaseTable:
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, np.asarray(value, dtype=dtype))
+        _mask(self.released, "released")
         n = len(self.outcomes)
         if n == 0:
             raise DataError("no cases")
@@ -79,16 +92,17 @@ class CaseTable:
             raise DataError("case columns must all have one entry (X: one row) per case")
         if not np.all(np.isfinite(self.X)):
             raise DataError("covariates contain non-finite values")
-        bad = self.actions[~np.isin(self.actions, (RELEASE, WITHHOLD))]
-        if len(bad):
-            raise DataError(f"action must be {RELEASE!r} or {WITHHOLD!r}, got {str(bad[0])!r}")
         po = [col for col in (self.po_release, self.po_withhold) if col is not None]
         if len(po) == 1:
             raise DataError("either both potential outcomes are present or neither")
         if not all(np.isin(col, (0.0, 1.0)).all() for col in [self.outcomes, *po]):
             raise DataError("outcome must be 0 or 1")
-        if po and np.any(self.outcomes != np.where(self.actions == RELEASE, po[0], po[1])):
+        if po and np.any(self.outcomes != np.where(self.released, po[0], po[1])):
             raise DataError("observed outcome must equal the potential outcome of the action taken")
+
+    @property
+    def actions(self) -> np.ndarray:
+        return np.where(self.released, RELEASE, WITHHOLD)
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -97,7 +111,7 @@ class CaseTable:
         indices = np.asarray(indices)
         return CaseTable(
             X=self.X[indices],
-            actions=self.actions[indices],
+            released=self.released[indices],
             outcomes=self.outcomes[indices],
             group_ids=None if self.group_ids is None else self.group_ids[indices],
             po_release=None if self.po_release is None else self.po_release[indices],
@@ -106,10 +120,10 @@ class CaseTable:
 
 
 def cases_from_dataset(ds: Dataset, release_value: str | None = None) -> CaseTable:
-    """Interpret a Dataset's action column as release/withhold cases."""
+    """Cases from a Dataset, released where the action is ``release_value``."""
     if ds.actions is None:
         raise DataError("dataset has no action column")
-    values = sorted(set(ds.actions))
+    values = sorted(set(ds.actions.tolist()))
     if release_value is None:
         if set(values) <= {RELEASE, WITHHOLD}:
             release_value = RELEASE
@@ -117,11 +131,9 @@ def cases_from_dataset(ds: Dataset, release_value: str | None = None) -> CaseTab
             raise DataError(
                 f"action values {values} are not {RELEASE!r}/{WITHHOLD!r}; pass release_value"
             )
-    return CaseTable(
-        X=ds.rows,
-        actions=np.where(ds.actions == release_value, RELEASE, WITHHOLD),
-        outcomes=ds.labels,
-    )
+    if release_value not in values:
+        raise DataError(f"release value {release_value!r} is none of the action values {values}")
+    return CaseTable(X=ds.rows, released=ds.actions == release_value, outcomes=ds.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +142,9 @@ def cases_from_dataset(ds: Dataset, release_value: str | None = None) -> CaseTab
 
 
 class Policy(Protocol):
-    """A total, deterministic decision function over covariate rows."""
+    """A total, deterministic decision function: one release flag per covariate row."""
 
-    def actions(self, X: np.ndarray) -> np.ndarray: ...
+    def released(self, X: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -155,8 +167,8 @@ class ScorecardPolicy:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return X @ self.card.weight_vector(self.feature_names)
 
-    def actions(self, X: np.ndarray) -> np.ndarray:
-        return np.where(self.scores(X) < self.threshold, RELEASE, WITHHOLD)
+    def released(self, X: np.ndarray) -> np.ndarray:
+        return self.scores(X) < self.threshold
 
 
 @dataclass(frozen=True)
@@ -171,32 +183,25 @@ class RiskModelPolicy:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return expit(linear_predictor(self.intercept, self.coefficients, X))
 
-    def actions(self, X: np.ndarray) -> np.ndarray:
-        return np.where(self.risk(X) < self.threshold, RELEASE, WITHHOLD)
-
-
-@dataclass(frozen=True)
-class ConstantPolicy:
-    """Prescribe one action for every case (release-all / withhold-all)."""
-
-    action: str
-
-    def actions(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.full(X.shape[0], self.action)
+    def released(self, X: np.ndarray) -> np.ndarray:
+        return self.risk(X) < self.threshold
 
 
 @dataclass(frozen=True)
 class FixedActionsPolicy:
-    """Replay a precomputed action vector (audit tool, not a function of x)."""
+    """Replay a precomputed release mask (audit tool, not a function of x);
+    ``np.full(n, True)`` releases every case."""
 
     fixed: np.ndarray
 
-    def actions(self, X: np.ndarray) -> np.ndarray:
+    def __post_init__(self):
+        object.__setattr__(self, "fixed", _mask(self.fixed, "fixed"))
+
+    def released(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[0] != len(self.fixed):
             raise DataError("fixed action vector does not match the case count")
-        return np.asarray(self.fixed)
+        return self.fixed
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +264,7 @@ def fit_response_surface(
     n_lambda: int = 100,
 ) -> ResponseSurface:
     """Fit the outcome and release models on a set of observed cases."""
-    released = cases.actions == RELEASE
+    released = cases.released
     if released.all() or (~released).all():
         raise DataError("cannot identify counterfactuals: only one action observed")
     if folds.n != len(cases):
@@ -302,16 +307,16 @@ def estimate_policy(
     must have been fitted on cases disjoint from these (fold discipline is
     the caller's job).
     """
-    prescribed = np.asarray(policy.actions(cases.X))
-    return _surface_estimate(cases, prescribed, *surface.predict_both(cases.X))
+    released = _mask(policy.released(cases.X), "policy.released(X)")
+    return _surface_estimate(cases, released, *surface.predict_both(cases.X))
 
 
-def _surface_estimate(cases: CaseTable, prescribed, r_rel, r_wh) -> PolicyEstimate:
-    modeled = np.where(prescribed == RELEASE, r_rel, r_wh)
-    agree = prescribed == cases.actions
+def _surface_estimate(cases: CaseTable, released, r_rel, r_wh) -> PolicyEstimate:
+    modeled = np.where(released, r_rel, r_wh)
+    agree = released == cases.released
     value = float(np.mean(np.where(agree, cases.outcomes, modeled)))
     return PolicyEstimate(
-        action_rate=float(np.mean(prescribed == RELEASE)),
+        action_rate=float(np.mean(released)),
         value=value,
         method=RESPONSE_SURFACE,
         n_cases=len(cases),
@@ -420,27 +425,28 @@ def solve_gamma(p_u: float, alpha: float, q):
     return _solve_two_point_mixture(q, p_u, alpha)
 
 
-def posterior_u(gamma, alpha, p_u, action: str):
-    """Pr(u = 1 | action, x) by Bayes' rule under the logistic selection model."""
-    if action not in (RELEASE, WITHHOLD):
-        raise DataError(f"unknown action {action!r}")
-    out = _posteriors(np.asarray(gamma, dtype=float), alpha, p_u)[action]
+def posterior_u(gamma, alpha, p_u, released):
+    """Pr(u = 1 | action, x) by Bayes' rule under the logistic selection model.
+
+    ``released`` is the action's release flag: a bool, or a bool array that
+    broadcasts against ``gamma``.
+    """
+    released = _mask(released, "released")
+    gamma = np.asarray(gamma, dtype=float)
+    post_withheld, post_released = _bayes_u(expit(gamma), expit(gamma + alpha), p_u)
+    out = np.where(released, post_released, post_withheld)
     return out if np.ndim(out) else float(out)
 
 
-def _posteriors(gamma, alpha, p_u) -> dict:
-    """:func:`posterior_u` under both actions, from one pair of expit calls."""
-    return _bayes_u(expit(gamma), expit(gamma + alpha), p_u)
-
-
-def _bayes_u(rel_u0, rel_u1, p_u) -> dict:
-    """Posteriors of u from Pr(release | u = 0, x) and Pr(release | u = 1, x)."""
+def _bayes_u(rel_u0, rel_u1, p_u) -> tuple:
+    """(Pr(u = 1 | withheld, x), Pr(u = 1 | released, x)), indexed by the
+    release flag, from Pr(release | u = 0, x) and Pr(release | u = 1, x)."""
     num_rel = rel_u1 * p_u
     num_wh = (1.0 - rel_u1) * p_u
-    return {
-        RELEASE: num_rel / (num_rel + rel_u0 * (1.0 - p_u)),
-        WITHHOLD: num_wh / (num_wh + (1.0 - rel_u0) * (1.0 - p_u)),
-    }
+    return (
+        num_wh / (num_wh + (1.0 - rel_u0) * (1.0 - p_u)),
+        num_rel / (num_rel + rel_u0 * (1.0 - p_u)),
+    )
 
 
 def solve_beta(rhat, posterior_u1, delta):
@@ -453,17 +459,25 @@ def solve_beta(rhat, posterior_u1, delta):
     return _solve_two_point_mixture(rhat, posterior_u1, delta)
 
 
-def _counterfactual(r_other, post_observed, post_other, delta_other):
-    """Adjusted Pr(adverse outcome under the action not taken | observed action, x).
+def _counterfactual(q, r_other, released: bool, p_u, alpha, delta, pair_of_key=slice(None)):
+    """Adjusted Pr(adverse outcome under the action not taken | observed action, x)
+    for rows all observed under one action, ``released`` its flag.
 
-    The last step of the chain, after gamma and the posteriors of u under
-    each action: beta of the action not taken from its surface estimate
-    `r_other` and the posterior of u given that action, then that action's
-    outcome model mixed over the posterior of u given the action actually
-    taken.  The regime parameters broadcast against the rows, so a column
-    of regime keys against a row of cases solves every key in one pass.
+    The whole chain: gamma from the release probabilities ``q``, the
+    posteriors of u under each action, beta of the action not taken from its
+    surface estimates ``r_other`` and the posterior of u given that action,
+    then that action's outcome model mixed over the posterior of u given
+    the action actually taken.  The posteriors use sigmoid(gamma) and
+    sigmoid(gamma + alpha), and the mix sigmoid(beta) and sigmoid(beta +
+    delta), as the two solves computed them for their residual checks.
+    The regime parameters broadcast against the rows: a column of distinct
+    (p_u, alpha) pairs, ``pair_of_key`` mapping each row of the ``delta``
+    column to its pair, solves every regime key in one pass.
     """
-    _, s0, s1 = _mixture_root(clip_prob(r_other), post_other, delta_other)
+    _, rel_u0, rel_u1 = _mixture_root(clip_prob(q), p_u, alpha)
+    post = _bayes_u(rel_u0, rel_u1, p_u)
+    post_observed, post_other = post[released][pair_of_key], post[not released][pair_of_key]
+    _, s0, s1 = _mixture_root(clip_prob(r_other), post_other, delta)
     return (1.0 - post_observed) * s0 + post_observed * s1
 
 
@@ -471,7 +485,7 @@ def rr_counterfactual(
     rhat_release,
     rhat_withhold,
     params: SensitivityParams,
-    observed_action,
+    observed_released,
     release_prob,
 ):
     """Adjusted counterfactual Pr(r(other action) = 1 | observed action, x).
@@ -479,24 +493,23 @@ def rr_counterfactual(
     Chains the three solves: gamma from the release probability, the
     posterior of u under each action, beta for the action not taken from its
     surface estimate, then mixes that action's outcome model over the
-    posterior of u given the action actually taken.  Vectorized; `observed_action`
-    may be a single action name or an array of them.
+    posterior of u given the action actually taken.  Vectorized;
+    ``observed_released`` is the observed action's release flag, a bool or a
+    bool array.
     """
     q, r_rel, r_wh, observed = np.broadcast_arrays(
         np.asarray(release_prob, dtype=float),
         np.asarray(rhat_release, dtype=float),
         np.asarray(rhat_withhold, dtype=float),
-        np.asarray(observed_action),
+        _mask(observed_released, "observed_released"),
     )
     out = np.empty(q.shape)
-    for action, other, r_other, delta in (
-        (RELEASE, WITHHOLD, r_wh, params.delta_withhold),
-        (WITHHOLD, RELEASE, r_rel, params.delta_release),
+    for released, r_other, delta in (
+        (True, r_wh, params.delta_withhold),
+        (False, r_rel, params.delta_release),
     ):
-        rows = observed == action
-        _, rel_u0, rel_u1 = _mixture_root(clip_prob(q[rows]), params.p_u, params.alpha)
-        post = _bayes_u(rel_u0, rel_u1, params.p_u)
-        out[rows] = _counterfactual(r_other[rows], post[action], post[other], delta)
+        rows = observed == released
+        out[rows] = _counterfactual(q[rows], r_other[rows], released, params.p_u, params.alpha, delta)
     return out if out.ndim else float(out)
 
 
@@ -554,38 +567,32 @@ def sensitivity_sweep(
 ) -> SensitivityBand:
     """The :func:`rr_estimate` value of every regime, and their band.
 
-    One array pass: the policy's actions and the surface predictions are
-    computed once per call, and the baseline comes from the same arrays.
+    One array pass: the policy's release mask and the surface predictions
+    are computed once per call, and the baseline comes from the same arrays.
     The disagreeing cases are split by observed action, since a released
     case needs only the withhold counterfactual and a withheld case only
     the release one.  Within each branch the regimes collapse to their
-    distinct (p_u, alpha, delta of the action not taken) keys.  Gamma and
-    the posteriors are solved once per distinct (p_u, alpha) pair and
-    indexed into the keys; beta and the mix are solved once per key as a
-    keys x rows broadcast, and each key's row sum is scattered back to its
-    regimes.  The posteriors use sigmoid(gamma) and sigmoid(gamma + alpha),
-    and the mix sigmoid(beta) and sigmoid(beta + delta), as the gamma and
-    beta solves computed them for their residual checks.  The broadcast
-    runs over blocks of rows, at most ``_SWEEP_BLOCK`` key-row pairs each,
-    so memory stays bounded whatever the number of keys and disagreeing
-    rows.
+    distinct (p_u, alpha, delta of the action not taken) keys, and one
+    :func:`_counterfactual` call per block of rows solves gamma and the
+    posteriors once per distinct (p_u, alpha) pair, indexed into the keys,
+    and beta and the mix once per key as a keys x rows broadcast; each
+    key's row sum is scattered back to its regimes.  A block holds at most
+    ``_SWEEP_BLOCK`` key-row pairs, so memory stays bounded whatever the
+    number of keys and disagreeing rows.
     """
     if not regimes:
         raise DataError("need at least one sensitivity regime")
-    prescribed = np.asarray(policy.actions(cases.X))
+    released = _mask(policy.released(cases.X), "policy.released(X)")
     r_rel, r_wh = surface.predict_both(cases.X)
-    base = _surface_estimate(cases, prescribed, r_rel, r_wh)
-    disagree = prescribed != cases.actions
+    base = _surface_estimate(cases, released, r_rel, r_wh)
+    disagree = released != cases.released
     totals = np.full(len(regimes), np.sum(cases.outcomes[~disagree]))
     if np.any(disagree):
         q = surface.release_prob(cases.X[disagree])
-        observed = cases.actions[disagree]
+        observed = cases.released[disagree]
         params = np.array([(p.p_u, p.alpha, p.delta_release, p.delta_withhold) for p in regimes])
-        for action, other, r_other, delta_column in (
-            (RELEASE, WITHHOLD, r_wh, 3),
-            (WITHHOLD, RELEASE, r_rel, 2),
-        ):
-            rows = np.flatnonzero(observed == action)
+        for released, r_other, delta_column in ((True, r_wh, 3), (False, r_rel, 2)):
+            rows = np.flatnonzero(observed == released)
             r_other = r_other[disagree]
             keys, inverse = np.unique(
                 params[:, [0, 1, delta_column]], axis=0, return_inverse=True
@@ -596,10 +603,8 @@ def sensitivity_sweep(
             sums = np.zeros(len(keys))
             step = max(1, _SWEEP_BLOCK // len(keys))
             for block in np.split(rows, np.arange(step, len(rows), step)):
-                _, rel_u0, rel_u1 = _mixture_root(clip_prob(q[block]), p_u, alpha)
-                post = _bayes_u(rel_u0, rel_u1, p_u)
                 cf = _counterfactual(
-                    r_other[block], post[action][pair_of_key], post[other][pair_of_key], delta
+                    q[block], r_other[block], released, p_u, alpha, delta, pair_of_key
                 )
                 sums += cf.sum(axis=1)
             totals += sums[inverse.reshape(-1)]

@@ -24,7 +24,7 @@ import numpy as np
 from ._math import expit
 from .data import Bins, Dataset, EncodingSpec, encode, read_table, write_table
 from .errors import DataError, NumericError
-from .policy import ORACLE, CaseTable, Policy, PolicyEstimate, SensitivityParams
+from .policy import ORACLE, CaseTable, Policy, PolicyEstimate, SensitivityParams, _mask
 from .srr import RELEASE, WITHHOLD
 
 AGE_LABELS = ("18_20", "21_25", "26_30", "31_35", "36_40", "41_45", "46_50", "51_plus")
@@ -118,11 +118,10 @@ class SyntheticCohort:
 
     def released_dataset(self) -> Dataset:
         """The subset a rule-construction fit sees: released cases only."""
-        ds = self.dataset()
-        released = np.flatnonzero(ds.actions == RELEASE)
+        released = np.flatnonzero(self.table.released)
         if len(released) == 0:
             raise DataError("no released cases in cohort")
-        return ds.take(released)
+        return self.dataset().take(released)
 
 
 def _calibrate_intercept(eta: np.ndarray, target: float, weights: np.ndarray | None = None) -> float:
@@ -214,7 +213,7 @@ def generate(config: GeneratorConfig) -> SyntheticCohort:
     judge_ids = np.array([f"judge_{j:02d}" for j in range(len(config.judge_offsets))])
     table = CaseTable(
         X=X,
-        actions=np.where(released, RELEASE, WITHHOLD),
+        released=released,
         outcomes=np.where(released, po_release, po_withhold),
         group_ids=judge_ids[judges],
         po_release=po_release,
@@ -239,10 +238,10 @@ def oracle_value(table: CaseTable, policy: Policy) -> PolicyEstimate:
     """Exact policy value from the stored potential outcomes."""
     if table.po_release is None:
         raise DataError("cohort is missing potential outcomes")
-    prescribed = np.asarray(policy.actions(table.X))
-    value = float(np.mean(np.where(prescribed == RELEASE, table.po_release, table.po_withhold)))
+    released = _mask(policy.released(table.X), "policy.released(X)")
+    value = float(np.mean(np.where(released, table.po_release, table.po_withhold)))
     return PolicyEstimate(
-        action_rate=float(np.mean(prescribed == RELEASE)),
+        action_rate=float(np.mean(released)),
         value=value,
         method=ORACLE,
         n_cases=len(table),
@@ -291,9 +290,10 @@ def load_cohort_csv(path) -> SyntheticCohort:
     """Read a cohort CSV written by :func:`write_cohort_csv` (see
     :func:`~scorekit.data.read_table` for the checks every CSV gets).
 
-    A feature cell that is NaN or infinite, and an ``outcome``,
-    ``__po_release``, ``__po_withhold`` or ``__u`` cell that is not 0 or 1,
-    raise :class:`DataError` naming the file, the line and the column.
+    A feature cell that is NaN or infinite, an ``action`` cell that is not
+    ``release`` or ``withhold``, and an ``outcome``, ``__po_release``,
+    ``__po_withhold`` or ``__u`` cell that is not 0 or 1 raise
+    :class:`DataError` naming the file, the line and the column.
     """
     header, rows = read_table(path)
     tail = len(COHORT_COLUMNS)
@@ -316,6 +316,10 @@ def load_cohort_csv(path) -> SyntheticCohort:
         k = next(k for k, code in enumerate(codes) if code not in (0, 1))
         raise DataError(f"{path}: line {k // 4 + 2} column {_CODE_COLUMNS[k % 4]!r} "
                         f"must be 0 or 1, got {codes[k]}")
+    if not set(actions) <= {RELEASE, WITHHOLD}:
+        k = next(k for k, action in enumerate(actions) if action not in (RELEASE, WITHHOLD))
+        raise DataError(f"{path}: line {k + 2} column 'action' "
+                        f"must be {RELEASE!r} or {WITHHOLD!r}, got {actions[k]}")
     X = np.array(X, dtype=float).reshape(n, p)
     bad = np.argwhere(~np.isfinite(X))
     if len(bad):
@@ -326,7 +330,7 @@ def load_cohort_csv(path) -> SyntheticCohort:
     outcome, po_r, po_w, u = codes.T
     table = CaseTable(
         X=X,
-        actions=np.array(actions),
+        released=np.array(actions) == RELEASE,
         outcomes=outcome,
         group_ids=np.array(judges),
         po_release=po_r,

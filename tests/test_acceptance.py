@@ -19,7 +19,6 @@ from oracles import (
 )
 from scorekit import data, glm, metrics, noise, policy, selection, srr, synth
 from scorekit.datasets import load_heart
-from scorekit.policy import RELEASE, WITHHOLD
 
 
 class Stopwatch:
@@ -95,10 +94,10 @@ def test_criterion_2_five_case_estimator_table():
 
     cases = policy.CaseTable(
         X=[[1.0], [2.0], [3.0], [4.0], [5.0]],
-        actions=[RELEASE, WITHHOLD, RELEASE, WITHHOLD, RELEASE],
+        released=[True, False, True, False, True],
         outcomes=[0, 1, 1, 0, 0],
     )
-    proposed = np.array([RELEASE, WITHHOLD, WITHHOLD, RELEASE, RELEASE])
+    proposed = np.array([True, False, False, True, True])
     surface = Fixed(
         {
             1.0: (0.20, 0.10),
@@ -336,21 +335,21 @@ def test_criterion_9_property_suites():
     for _ in range(100):
         m = int(rng.integers(5, 40))
         drawn = [
-            (RELEASE if rng.random() < 0.6 else WITHHOLD, int(rng.random() < 0.3))
+            (rng.random() < 0.6, int(rng.random() < 0.3))
             for _ in range(m)
         ]
-        actions, outcomes = zip(*drawn)
+        released, outcomes = zip(*drawn)
         cases = policy.CaseTable(
-            X=np.arange(m, dtype=float)[:, None], actions=actions, outcomes=outcomes
+            X=np.arange(m, dtype=float)[:, None], released=released, outcomes=outcomes
         )
         stub = Stub(
             rng.uniform(0.05, 0.95, m), rng.uniform(0.05, 0.95, m), rng.uniform(0.05, 0.95, m)
         )
         est_obs = policy.estimate_policy(
-            cases, policy.FixedActionsPolicy(fixed=cases.actions), stub
+            cases, policy.FixedActionsPolicy(fixed=cases.released), stub
         )
         assert est_obs.value == pytest.approx(np.mean(cases.outcomes), abs=1e-15)
-        pol = policy.ConstantPolicy(action=RELEASE if rng.random() < 0.5 else WITHHOLD)
+        pol = policy.FixedActionsPolicy(fixed=np.full(m, rng.random() < 0.5))
         base = policy.estimate_policy(cases, pol, stub)
         params = policy.SensitivityParams(
             p_u=float(rng.uniform(0.05, 0.95)),

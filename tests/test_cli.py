@@ -167,6 +167,31 @@ class TestTrain:
         assert code == 4
 
 
+class TestConstantColumn:
+    @pytest.fixture()
+    def constant_csv(self, tmp_path):
+        rng = np.random.default_rng(0)
+        n = 300
+        x = rng.integers(0, 2, n)
+        noise = rng.normal(size=n)
+        y = (rng.random(n) < 1 / (1 + np.exp(1 - 2 * x))).astype(int)
+        path = tmp_path / "constant.csv"
+        data.write_table(path, ["k", "x", "z", "y"], zip([1] * n, x, noise.tolist(), y))
+        return str(path)
+
+    def test_train_and_evaluate_give_it_weight_zero(self, constant_csv, tmp_path):
+        # the all-ones column k copies the intercept: it must get weight 0, not a singular fit
+        code = run("train", "--input", constant_csv, "--label", "y", "--k", "2", "--M", "3",
+                   "--threshold", "1.5", "--output-dir", str(tmp_path))
+        assert code == 0
+        card = srr.Scorecard.from_json((tmp_path / "scorecard.json").read_text())
+        assert "k" not in dict(card.entries) and dict(card.entries)["x"] > 0
+        code = run("evaluate", "--input", constant_csv, "--label", "y", "--k-values", "1-3",
+                   "--folds", "3", "--n-lambda", "10", "--output-dir", str(tmp_path))
+        assert code == 0
+        assert len(read_rows(tmp_path / "sweep.csv")) > 0
+
+
 class TestEvaluate:
     def test_reversed_int_range_is_usage_error(self, train_csv, tmp_path):
         with pytest.raises(ValueError, match="exceeds its stop"):
@@ -258,7 +283,9 @@ class TestPolicyEval:
         assert "data error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["policy-eval", "sensitivity-sweep"])
-    @pytest.mark.parametrize("column, cell", [("__u", "300"), ("age_18_20", "nan")])
+    @pytest.mark.parametrize(
+        "column, cell", [("__u", "300"), ("age_18_20", "nan"), ("action", "parole")]
+    )
     def test_bad_cohort_cell_is_data_error(self, cohort_csv, tmp_path, capsys, command, column, cell):
         with open(cohort_csv, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -307,7 +334,7 @@ class TestPolicyEval:
         """The cohort as an observed-decision CSV with a string judge column."""
         cohort = synth.load_cohort_csv(cohort_csv)
         table = cohort.case_table()
-        decisions = np.where(table.actions == srr.RELEASE, "ROR", "BAIL")
+        decisions = np.where(table.released, "ROR", "BAIL")
         tail = zip(table.outcomes.astype(int).tolist(), decisions, table.group_ids)
         data.write_table(
             path,
@@ -316,12 +343,18 @@ class TestPolicyEval:
         )
         return cohort
 
-    def test_plain_decision_csv(self, cohort_csv, tmp_path):
+    def test_plain_decision_csv(self, cohort_csv, tmp_path, capsys):
         path = tmp_path / "decisions.csv"
         table = self.write_decision_csv(cohort_csv, path).case_table()
         common = ("--input", str(path), "--label", "fta", "--thresholds", "2.5,4.5",
                   "--n-lambda", "10", "--inner-folds", "3", "--seed", "4")
         assert run("policy-eval", *common, "--output-dir", str(tmp_path / "no_action")) == 3
+        # a release value that matches no action would release no case
+        assert run("policy-eval", *common, "--action", "decision", "--group", "judge",
+                   "--release-value", "ror", "--output-dir", str(tmp_path / "ror")) == 3
+        err = capsys.readouterr().err
+        assert "release value 'ror' is none of the action values ['BAIL', 'ROR']" in err
+        assert not (tmp_path / "ror" / "policy_eval.csv").exists()
         code = run("policy-eval", *common, "--action", "decision", "--group", "judge",
                    "--release-value", "ROR", "--output-dir", str(tmp_path))
         assert code == 0

@@ -408,6 +408,15 @@ class TestConstantColumn:
         keep = glm._design(X, None)[3]
         assert list(keep) == [True, False]
 
+    def test_fit_logistic_leaves_it_at_zero(self):
+        X, y = self.instance()
+        X = np.column_stack([X, np.ones(60)])  # a second constant, equal to the intercept
+        fit = glm.fit_logistic(X, y)
+        reduced = glm.fit_logistic(X[:, :1], y)
+        assert fit.converged and list(fit.coefficients[1:]) == [0.0, 0.0]
+        assert fit.coefficients[0] == reduced.coefficients[0]
+        assert fit.intercept == reduced.intercept
+
     def test_fits_leave_it_at_zero(self):
         X, y = self.instance()
         path = glm.fit_lasso_path(X, y, n_lambda=20)

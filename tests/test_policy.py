@@ -5,7 +5,6 @@ from oracles import bisect_mixture, rr_chain_oracle, sigmoid
 from scorekit import data, policy, synth
 from scorekit._math import clip_prob
 from scorekit.errors import DataError, NumericError
-from scorekit.policy import RELEASE, WITHHOLD
 
 
 class StubSurface:
@@ -26,11 +25,11 @@ class StubSurface:
         return np.array([self.release_probs[x[0]] for x in X])
 
 
-def case_table(keys, actions, outcomes, groups=None):
+def case_table(keys, released, outcomes, groups=None):
     """A CaseTable whose single covariate is each case's key."""
     return policy.CaseTable(
         X=np.asarray(keys, dtype=float)[:, None],
-        actions=np.asarray(actions),
+        released=np.asarray(released),
         outcomes=np.asarray(outcomes, dtype=float),
         group_ids=groups,
     )
@@ -48,10 +47,10 @@ class TestEstimatePolicy:
         # (0 + 1 + 0.7 + 0.3 + 0) / 5 = 0.40
         table = case_table(
             [1, 2, 3, 4, 5],
-            [RELEASE, WITHHOLD, RELEASE, WITHHOLD, RELEASE],
+            [True, False, True, False, True],
             [0, 1, 1, 0, 0],
         )
-        proposed = np.array([RELEASE, WITHHOLD, WITHHOLD, RELEASE, RELEASE])
+        proposed = np.array([True, False, False, True, True])
         surface = StubSurface(
             {
                 1.0: (0.20, 0.10),
@@ -69,22 +68,22 @@ class TestEstimatePolicy:
     def test_policy_equal_to_observed_collapses_to_empirical_mean(self):
         rng = np.random.default_rng(0)
         drawn = [
-            (RELEASE if rng.random() < 0.6 else WITHHOLD, int(rng.random() < 0.3))
+            (rng.random() < 0.6, int(rng.random() < 0.3))
             for _ in range(200)
         ]
         table = case_table(range(200), *zip(*drawn))
         surface = StubSurface({float(i): (rng.random(), rng.random()) for i in range(200)})
-        observed = table.actions
+        observed = table.released
         est = policy.estimate_policy(table, policy.FixedActionsPolicy(fixed=observed), surface)
         assert est.value == pytest.approx(np.mean(table.outcomes), abs=1e-15)
 
     def test_case_table_rejects_bad_columns(self):
         with pytest.raises(DataError, match="one entry"):
-            case_table([1, 2, 3], [RELEASE, WITHHOLD], [0, 1, 0])
+            case_table([1, 2, 3], [True, False], [0, 1, 0])
         with pytest.raises(DataError, match="one entry"):
-            case_table([1, 2], [RELEASE, WITHHOLD], [0, 1], groups=np.array(["j1"]))
+            case_table([1, 2], [True, False], [0, 1], groups=np.array(["j1"]))
         with pytest.raises(DataError, match="0 or 1"):
-            case_table([1, 2], [RELEASE, WITHHOLD], [0, 2])
+            case_table([1, 2], [True, False], [0, 2])
 
 
 class TestFitResponseSurface:
@@ -92,9 +91,9 @@ class TestFitResponseSurface:
         rng = np.random.default_rng(2)
         n, q = 20000, 0.37
         X = rng.normal(size=(n, 3))
-        actions = np.where(rng.random(n) < 0.5, RELEASE, WITHHOLD)
+        released = rng.random(n) < 0.5
         outcomes = (rng.random(n) < q).astype(int)
-        cases = policy.CaseTable(X=X, actions=actions, outcomes=outcomes.astype(float))
+        cases = policy.CaseTable(X=X, released=released, outcomes=outcomes.astype(float))
         folds = data.kfold(n, 3, seed=0, labels=outcomes)
         surface = policy.fit_response_surface(cases, folds, n_lambda=20)
         r_rel, r_wh = surface.predict_both(X[:500])
@@ -106,10 +105,9 @@ class TestFitResponseSurface:
         n, tau = 50000, 0.7
         X = rng.normal(size=(n, 3))
         released = rng.random(n) < sigmoid(0.4 * X[:, 0])
-        actions = np.where(released, RELEASE, WITHHOLD)
         eta = -1.0 + X @ np.array([0.5, -0.3, 0.0]) + tau * released
         outcomes = (rng.random(n) < sigmoid(eta)).astype(float)
-        cases = policy.CaseTable(X=X, actions=actions, outcomes=outcomes)
+        cases = policy.CaseTable(X=X, released=released, outcomes=outcomes)
         folds = data.kfold(n, 3, seed=1, labels=outcomes.astype(int))
         surface = policy.fit_response_surface(cases, folds, n_lambda=30)
         _, coefs = surface.outcome_path.coefficients_at()
@@ -132,7 +130,7 @@ class TestFitResponseSurface:
         rng = np.random.default_rng(4)
         cases = policy.CaseTable(
             X=rng.normal(size=(40, 2)),
-            actions=np.array([RELEASE] * 40),
+            released=np.full(40, True),
             outcomes=rng.integers(0, 2, 40).astype(float),
         )
         folds = data.kfold(40, 4, seed=0)
@@ -143,7 +141,7 @@ class TestFitResponseSurface:
         rng = np.random.default_rng(5)
         cases = policy.CaseTable(
             X=rng.normal(size=(40, 2)),
-            actions=np.where(rng.random(40) < 0.5, RELEASE, WITHHOLD),
+            released=rng.random(40) < 0.5,
             outcomes=np.zeros(40),
         )
         folds = data.kfold(40, 4, seed=0)
@@ -210,8 +208,8 @@ class TestSolveGamma:
 class TestPosteriorU:
     def test_uninformative_when_alpha_zero(self):
         g = policy.solve_gamma(0.3, 0.0, 0.6)
-        for action in (RELEASE, WITHHOLD):
-            assert policy.posterior_u(g, 0.0, 0.3, action) == pytest.approx(0.3)
+        for released in (True, False):
+            assert policy.posterior_u(g, 0.0, 0.3, released) == pytest.approx(0.3)
 
     def test_update_direction(self):
         rng = np.random.default_rng(9)
@@ -220,12 +218,12 @@ class TestPosteriorU:
             alpha = float(rng.uniform(0.1, 3.0))
             q = float(rng.uniform(0.05, 0.95))
             g = policy.solve_gamma(p_u, alpha, q)
-            assert policy.posterior_u(g, alpha, p_u, RELEASE) > p_u
-            assert policy.posterior_u(g, alpha, p_u, WITHHOLD) < p_u
+            assert policy.posterior_u(g, alpha, p_u, True) > p_u
+            assert policy.posterior_u(g, alpha, p_u, False) < p_u
 
     def test_worked_value(self):
         g = policy.solve_gamma(0.5, np.log(2.0), 0.5)
-        post = policy.posterior_u(g, np.log(2.0), 0.5, RELEASE)
+        post = policy.posterior_u(g, np.log(2.0), 0.5, True)
         assert post == pytest.approx(sigmoid(g + np.log(2.0)), abs=1e-12)
         assert post == pytest.approx(0.5858, abs=2e-4)
 
@@ -238,8 +236,8 @@ class TestPosteriorU:
             p1, p0 = sigmoid(gamma + alpha), sigmoid(gamma)
             expected_rel = p1 * p_u / (p1 * p_u + p0 * (1 - p_u))
             expected_wh = (1 - p1) * p_u / ((1 - p1) * p_u + (1 - p0) * (1 - p_u))
-            assert policy.posterior_u(gamma, alpha, p_u, RELEASE) == pytest.approx(expected_rel)
-            assert policy.posterior_u(gamma, alpha, p_u, WITHHOLD) == pytest.approx(expected_wh)
+            assert policy.posterior_u(gamma, alpha, p_u, True) == pytest.approx(expected_rel)
+            assert policy.posterior_u(gamma, alpha, p_u, False) == pytest.approx(expected_wh)
 
 
 class TestSolveBeta:
@@ -314,7 +312,7 @@ class TestRrCounterfactual:
         params = policy.SensitivityParams(
             p_u=0.3, alpha=np.log(2.0), delta_release=0.0, delta_withhold=0.0
         )
-        for observed, expected in ((RELEASE, 0.22), (WITHHOLD, 0.45)):
+        for observed, expected in ((True, 0.22), (False, 0.45)):
             cf = policy.rr_counterfactual(0.45, 0.22, params, observed, 0.6)
             assert cf == pytest.approx(expected, abs=1e-11)
 
@@ -322,8 +320,8 @@ class TestRrCounterfactual:
         params = policy.SensitivityParams(
             p_u=0.4, alpha=0.0, delta_release=np.log(2.0), delta_withhold=-np.log(2.0)
         )
-        a = policy.rr_counterfactual(0.3, 0.12, params, RELEASE, 0.7)
-        b = policy.rr_counterfactual(0.3, 0.12, params, WITHHOLD, 0.7)
+        a = policy.rr_counterfactual(0.3, 0.12, params, True, 0.7)
+        b = policy.rr_counterfactual(0.3, 0.12, params, False, 0.7)
         # posterior equals prior under alpha=0, so both mixtures reproduce
         # the surface estimate of the other action
         assert a == pytest.approx(0.12, abs=1e-10)
@@ -333,11 +331,10 @@ class TestRrCounterfactual:
         params = policy.SensitivityParams(
             p_u=0.3, alpha=np.log(2.0), delta_release=np.log(2.0), delta_withhold=np.log(2.0)
         )
-        for observed in (RELEASE, WITHHOLD):
+        for observed in (True, False):
             mine = policy.rr_counterfactual(0.15, 0.15, params, observed, 0.69)
             oracle = rr_chain_oracle(
-                0.15, 0.15, 0.3, np.log(2.0), np.log(2.0), np.log(2.0),
-                observed == RELEASE, 0.69,
+                0.15, 0.15, 0.3, np.log(2.0), np.log(2.0), np.log(2.0), observed, 0.69,
             )
             assert mine == pytest.approx(oracle, abs=1e-8)
 
@@ -351,14 +348,12 @@ class TestRrCounterfactual:
             d_rel = float(rng.uniform(-2.5, 2.5))
             d_wh = float(rng.uniform(-2.5, 2.5))
             q = float(rng.uniform(0.05, 0.95))
-            observed = RELEASE if rng.random() < 0.5 else WITHHOLD
+            observed = bool(rng.random() < 0.5)
             params = policy.SensitivityParams(
                 p_u=p_u, alpha=alpha, delta_release=d_rel, delta_withhold=d_wh
             )
             mine = policy.rr_counterfactual(r_rel, r_wh, params, observed, q)
-            oracle = rr_chain_oracle(
-                r_rel, r_wh, p_u, alpha, d_rel, d_wh, observed == RELEASE, q
-            )
+            oracle = rr_chain_oracle(r_rel, r_wh, p_u, alpha, d_rel, d_wh, observed, q)
             assert mine == pytest.approx(oracle, abs=1e-8)
 
     def test_vectorized_matches_scalar(self):
@@ -368,29 +363,32 @@ class TestRrCounterfactual:
         r_rel = np.array([0.1, 0.4, 0.7])
         r_wh = np.array([0.2, 0.3, 0.5])
         q = np.array([0.3, 0.6, 0.8])
-        actions = np.array([RELEASE, WITHHOLD, RELEASE])
-        vec = policy.rr_counterfactual(r_rel, r_wh, params, actions, q)
+        released = np.array([True, False, True])
+        vec = policy.rr_counterfactual(r_rel, r_wh, params, released, q)
         for i in range(3):
-            s = policy.rr_counterfactual(
-                r_rel[i], r_wh[i], params, str(actions[i]), q[i]
-            )
+            s = policy.rr_counterfactual(r_rel[i], r_wh[i], params, bool(released[i]), q[i])
             assert vec[i] == pytest.approx(s, abs=1e-12)
 
 
 def synthetic_cases_and_surface(seed=13, n=400):
     rng = np.random.default_rng(seed)
     keys = np.arange(n, dtype=float)
-    actions = np.where(rng.random(n) < 0.65, RELEASE, WITHHOLD)
+    released = rng.random(n) < 0.65
     outcomes = (rng.random(n) < 0.25).astype(int)
     predictions = {k: (rng.uniform(0.05, 0.5), rng.uniform(0.05, 0.5)) for k in keys}
     qs = {k: rng.uniform(0.3, 0.9) for k in keys}
-    return case_table(keys, actions, outcomes), StubSurface(predictions, release_probs=qs)
+    return case_table(keys, released, outcomes), StubSurface(predictions, release_probs=qs)
+
+
+def constant_policy(cases, released):
+    """Release every case, or withhold every case."""
+    return policy.FixedActionsPolicy(fixed=np.full(len(cases), released))
 
 
 class TestRrEstimate:
     def test_zero_delta_equals_response_surface_estimate(self):
         cases, surface = synthetic_cases_and_surface()
-        pol = policy.ConstantPolicy(action=RELEASE)
+        pol = constant_policy(cases, True)
         base = policy.estimate_policy(cases, pol, surface)
         for alpha in (np.log(2.0), np.log(3.0), -1.0):
             for p_u in (0.1, 0.5, 0.9):
@@ -403,7 +401,7 @@ class TestRrEstimate:
 
     def test_full_agreement_ignores_params(self):
         table, surface = synthetic_cases_and_surface(seed=14)
-        pol = policy.FixedActionsPolicy(fixed=table.actions)
+        pol = policy.FixedActionsPolicy(fixed=table.released)
         vals = set()
         for alpha in (0.5, 2.0):
             params = policy.SensitivityParams(
@@ -416,7 +414,7 @@ class TestRrEstimate:
 class TestSensitivitySweep:
     def test_single_regime_zero_width_at_zero_delta(self):
         cases, surface = synthetic_cases_and_surface(seed=15)
-        pol = policy.ConstantPolicy(action=WITHHOLD)
+        pol = constant_policy(cases, False)
         params = policy.SensitivityParams(
             p_u=0.5, alpha=1.0, delta_release=0.0, delta_withhold=0.0
         )
@@ -425,7 +423,7 @@ class TestSensitivitySweep:
 
     def test_baseline_always_inside_band(self):
         cases, surface = synthetic_cases_and_surface(seed=16)
-        pol = policy.ConstantPolicy(action=RELEASE)
+        pol = constant_policy(cases, True)
         regimes = policy.regime_grid(np.log(2.0), [0.2, 0.8], [-np.log(2.0), 0.0, np.log(2.0)])
         band = policy.sensitivity_sweep(cases, pol, surface, regimes)
         assert band.low <= band.baseline <= band.high
@@ -433,7 +431,7 @@ class TestSensitivitySweep:
     def test_empty_regimes_rejected(self):
         cases, surface = synthetic_cases_and_surface(seed=17)
         with pytest.raises(DataError):
-            policy.sensitivity_sweep(cases, policy.ConstantPolicy(action=RELEASE), surface, [])
+            policy.sensitivity_sweep(cases, constant_policy(cases, True), surface, [])
 
     def test_regime_grid_size(self):
         regimes = policy.regime_grid(np.log(2.0), [0.1, 0.5, 0.9], [-0.7, 0.0, 0.7])
@@ -468,29 +466,27 @@ def sweep_world(kind, fitted_world):
 
 def sweep_policy(kind, cases):
     if kind == "agree_all":
-        return policy.FixedActionsPolicy(fixed=cases.actions)
-    if kind in (RELEASE, WITHHOLD):  # only cases observed under the other action disagree
-        return policy.ConstantPolicy(action=kind)
+        return policy.FixedActionsPolicy(fixed=cases.released)
+    if kind in ("release", "withhold"):  # only cases observed under the other action disagree
+        return constant_policy(cases, kind == "release")
     flips = np.random.default_rng(21).random(len(cases)) < 0.5
-    return policy.FixedActionsPolicy(
-        fixed=np.where(flips, np.where(cases.actions == RELEASE, WITHHOLD, RELEASE), cases.actions)
-    )
+    return policy.FixedActionsPolicy(fixed=cases.released ^ flips)
 
 
-POLICY_KINDS = ["agree_all", RELEASE, WITHHOLD, "mixed"]
+POLICY_KINDS = ["agree_all", "release", "withhold", "mixed"]
 
 
 def assert_sweep_matches_chain_oracle(cases, pol, surface):
     regimes = mixed_regimes()[::3]
     band = policy.sensitivity_sweep(cases, pol, surface, regimes)
-    agree = np.asarray(pol.actions(cases.X)) == cases.actions
+    agree = pol.released(cases.X) == cases.released
     r_rel, r_wh = (clip_prob(r) for r in surface.predict_both(cases.X))
     q = clip_prob(surface.release_prob(cases.X))
     for params, value in zip(regimes, band.values):
         total = cases.outcomes[agree].sum() + sum(
             rr_chain_oracle(
                 r_rel[i], r_wh[i], params.p_u, params.alpha, params.delta_release,
-                params.delta_withhold, cases.actions[i] == RELEASE, q[i],
+                params.delta_withhold, cases.released[i], q[i],
             )
             for i in np.flatnonzero(~agree)
         )
@@ -506,20 +502,20 @@ class TestSweepEquivalence:
         regimes = mixed_regimes()
         band = policy.sensitivity_sweep(cases, pol, surface, regimes)
 
-        prescribed = np.asarray(pol.actions(cases.X))
-        agree = prescribed == cases.actions
+        prescribed = pol.released(cases.X)
+        agree = prescribed == cases.released
         r_rel, r_wh = surface.predict_both(cases.X)
         q = surface.release_prob(cases.X)
         loop = [
             np.mean(np.where(agree, cases.outcomes,
-                             policy.rr_counterfactual(r_rel, r_wh, params, cases.actions, q)))
+                             policy.rr_counterfactual(r_rel, r_wh, params, cases.released, q)))
             for params in regimes
         ]
-        baseline = np.mean(np.where(agree, cases.outcomes, np.where(prescribed == RELEASE, r_rel, r_wh)))
+        baseline = np.mean(np.where(agree, cases.outcomes, np.where(prescribed, r_rel, r_wh)))
         assert len(band.values) == len(regimes)
         np.testing.assert_allclose(band.values, loop, rtol=0, atol=1e-12)
         assert band.baseline == pytest.approx(baseline, abs=1e-12)
-        assert band.action_rate == pytest.approx(np.mean(prescribed == RELEASE), abs=1e-12)
+        assert band.action_rate == pytest.approx(np.mean(prescribed), abs=1e-12)
         assert band.low == min(*band.values, band.baseline)
         assert band.high == max(*band.values, band.baseline)
         if policy_kind == "agree_all":
@@ -554,6 +550,50 @@ class TestSweepEquivalence:
         np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-12)
 
 
+NOT_MASKS = {
+    "withhold_array": np.array(["withhold", "withhold"]),
+    "action_list": ["release", "withhold"],
+    "action_name": "withhold",
+    "zero_one": np.array([0, 1]),
+}
+PARAMS = policy.SensitivityParams(0.3, 0.5, 0.4, -0.4)
+TWO_CASES = policy.CaseTable(
+    X=[[1.0], [2.0]], released=[True, False], outcomes=[0, 1], po_release=[0, 0], po_withhold=[0, 1]
+)
+TWO_SURFACE = StubSurface({1.0: (0.2, 0.1), 2.0: (0.3, 0.2)}, release_probs={1.0: 0.5, 2.0: 0.5})
+
+
+class Returns:
+    """A policy whose release mask is whatever it was given."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def released(self, X):
+        return np.asarray(self.value)
+
+
+MASK_ENTRIES = {
+    "CaseTable": lambda v: policy.CaseTable(X=[[1.0], [2.0]], released=v, outcomes=[0, 1]),
+    "FixedActionsPolicy": lambda v: policy.FixedActionsPolicy(fixed=v),
+    "posterior_u": lambda v: policy.posterior_u(0.2, 0.5, 0.3, v),
+    "rr_counterfactual": lambda v: policy.rr_counterfactual(0.3, 0.2, PARAMS, v, 0.6),
+    "estimate_policy": lambda v: policy.estimate_policy(TWO_CASES, Returns(v), TWO_SURFACE),
+    "sensitivity_sweep": lambda v: policy.sensitivity_sweep(
+        TWO_CASES, Returns(v), TWO_SURFACE, [PARAMS]
+    ),
+    "oracle_value": lambda v: synth.oracle_value(TWO_CASES, Returns(v)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MASK_ENTRIES))
+@pytest.mark.parametrize("value", sorted(NOT_MASKS))
+def test_non_boolean_mask_is_data_error(entry, value):
+    # numpy casts "withhold" to True: a cast would release every case
+    with pytest.raises(DataError, match="must be a boolean release mask"):
+        MASK_ENTRIES[entry](NOT_MASKS[value])
+
+
 class TestPolicies:
     def test_scorecard_policy_uses_strict_threshold(self):
         from scorekit import srr
@@ -563,14 +603,14 @@ class TestPolicies:
         )
         pol = policy.ScorecardPolicy(card=card, feature_names=("a", "b"))
         X = np.array([[1.0, 1.0], [1.0, 0.0]])
-        assert list(pol.actions(X)) == [WITHHOLD, RELEASE]  # 5 is not < 5
+        assert pol.released(X).tolist() == [False, True]  # 5 is not < 5
 
     def test_risk_model_policy(self):
         pol = policy.RiskModelPolicy(
             intercept=0.0, coefficients=np.array([1.0]), threshold=0.5
         )
         X = np.array([[-1.0], [1.0]])
-        assert list(pol.actions(X)) == [RELEASE, WITHHOLD]
+        assert pol.released(X).tolist() == [True, False]
 
     def test_cases_from_dataset_maps_actions(self):
         ds = data.Dataset(
@@ -580,17 +620,20 @@ class TestPolicies:
             actions=np.array(["ROR", "BAIL"]),
         )
         table = policy.cases_from_dataset(ds, release_value="ROR")
-        assert list(table.actions) == [RELEASE, WITHHOLD]
+        assert table.released.tolist() == [True, False]
+        assert table.actions.tolist() == [policy.RELEASE, policy.WITHHOLD]
         with pytest.raises(DataError, match="release_value"):
             policy.cases_from_dataset(ds)
+        with pytest.raises(DataError, match=r"release value 'ror' is none of .*\['BAIL', 'ROR'\]"):
+            policy.cases_from_dataset(ds, release_value="ror")
 
     def test_case_table_consistency_checks(self):
-        with pytest.raises(DataError, match="action"):
+        with pytest.raises(DataError, match="boolean release mask"):
             case_table([1], ["hold"], [0])
         with pytest.raises(DataError, match="potential outcome"):
             policy.CaseTable(
                 X=[[1.0]],
-                actions=[RELEASE],
+                released=[True],
                 outcomes=[0],
                 po_release=[1],
                 po_withhold=[0],

@@ -7,7 +7,11 @@ import pytest
 
 from scorekit import data, glm, policy, synth
 from scorekit.errors import DataError
-from scorekit.policy import RELEASE, WITHHOLD
+
+
+def constant_policy(table, released):
+    """Release every case, or withhold every case."""
+    return policy.FixedActionsPolicy(fixed=np.full(len(table), released))
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +22,8 @@ def big_cohort():
 class TestGenerate:
     def test_target_marginals(self, big_cohort):
         ds = big_cohort.dataset()
-        released = ds.actions == RELEASE
+        released = big_cohort.table.released
+        assert np.array_equal(ds.actions == policy.RELEASE, released)
         assert np.mean(released) == pytest.approx(0.69, abs=0.01)
         assert ds.labels[np.flatnonzero(released)].mean() == pytest.approx(0.15, abs=0.01)
         assert ds.labels[np.flatnonzero(~released)].mean() == pytest.approx(0.09, abs=0.01)
@@ -40,7 +45,7 @@ class TestGenerate:
         cohort = synth.generate(synth.GeneratorConfig(n=20000, seed=5))
         table = cohort.case_table()
         X = np.column_stack([table.X, cohort.u.astype(float)])
-        released = (table.actions == RELEASE).astype(float)
+        released = table.released.astype(float)
         fit = glm.fit_logistic(X, released)
         # z-statistic of the u coefficient from the observed information
         prob = 1 / (1 + np.exp(-(fit.intercept + X @ fit.coefficients)))
@@ -56,14 +61,13 @@ class TestGenerate:
         )
         cohort = synth.generate(synth.GeneratorConfig(n=20000, seed=6, hidden_u=params))
         table = cohort.case_table()
-        rel_u1 = np.mean(table.actions[cohort.u == 1] == RELEASE)
-        rel_u0 = np.mean(table.actions[cohort.u == 0] == RELEASE)
+        rel_u1 = np.mean(table.released[cohort.u == 1])
+        rel_u0 = np.mean(table.released[cohort.u == 0])
         assert rel_u1 - rel_u0 > 0.1
 
     def test_observed_outcome_equals_potential_of_action(self, big_cohort):
         table = big_cohort.case_table()
-        released = table.actions == RELEASE
-        expected = np.where(released, table.po_release, table.po_withhold)
+        expected = np.where(table.released, table.po_release, table.po_withhold)
         assert np.array_equal(expected, table.outcomes)
 
     def test_column_groups_group_indicators(self, big_cohort):
@@ -78,38 +82,38 @@ class TestGenerate:
 class TestOracleValue:
     def test_observed_policy_matches_empirical_mean(self, big_cohort):
         table = big_cohort.case_table()
-        pol = policy.FixedActionsPolicy(fixed=table.actions)
+        pol = policy.FixedActionsPolicy(fixed=table.released)
         est = synth.oracle_value(table, pol)
         assert est.value == pytest.approx(table.outcomes.mean(), abs=1e-15)
         assert est.method == policy.ORACLE
 
     def test_release_all_minus_withhold_all_is_average_effect(self, big_cohort):
         table = big_cohort.case_table()
-        v_rel = synth.oracle_value(table, policy.ConstantPolicy(action=RELEASE))
-        v_wh = synth.oracle_value(table, policy.ConstantPolicy(action=WITHHOLD))
+        v_rel = synth.oracle_value(table, constant_policy(table, True))
+        v_wh = synth.oracle_value(table, constant_policy(table, False))
         expected = float(np.mean(table.po_release - table.po_withhold))
         assert v_rel.value - v_wh.value == pytest.approx(expected, abs=1e-12)
 
     def test_three_case_hand_computation(self):
         table = policy.CaseTable(
             X=[[1.0], [2.0], [3.0]],
-            actions=[RELEASE, WITHHOLD, RELEASE],
+            released=[True, False, True],
             outcomes=[1, 0, 0],
             po_release=[1, 1, 0],
             po_withhold=[0, 0, 1],
         )
         # release-everyone: potential outcomes (1, 1, 0) -> 2/3
-        est = synth.oracle_value(table, policy.ConstantPolicy(action=RELEASE))
+        est = synth.oracle_value(table, constant_policy(table, True))
         assert est.value == pytest.approx(2.0 / 3.0)
         assert est.action_rate == 1.0
         # withhold-everyone: (0, 0, 1) -> 1/3
-        est = synth.oracle_value(table, policy.ConstantPolicy(action=WITHHOLD))
+        est = synth.oracle_value(table, constant_policy(table, False))
         assert est.value == pytest.approx(1.0 / 3.0)
 
     def test_missing_potential_outcomes_rejected(self):
-        table = policy.CaseTable(X=[[1.0]], actions=[RELEASE], outcomes=[1])
+        table = policy.CaseTable(X=[[1.0]], released=[True], outcomes=[1])
         with pytest.raises(DataError, match="potential outcomes"):
-            synth.oracle_value(table, policy.ConstantPolicy(action=RELEASE))
+            synth.oracle_value(table, constant_policy(table, True))
 
 
 class TestCohortCsv:
@@ -122,7 +126,7 @@ class TestCohortCsv:
         assert back.column_groups == cohort.column_groups
         ta, tb = cohort.case_table(), back.case_table()
         assert np.array_equal(ta.X, tb.X)
-        assert np.array_equal(ta.actions, tb.actions)
+        assert np.array_equal(ta.released, tb.released)
         assert np.array_equal(ta.outcomes, tb.outcomes)
         assert np.array_equal(ta.po_release, tb.po_release)
         assert np.array_equal(cohort.u, back.u)
@@ -192,7 +196,8 @@ class TestCohortCsv:
     @pytest.mark.parametrize(
         "column, cell, must",
         [("__u", "300", "be 0 or 1"), ("outcome", "-1", "be 0 or 1"),
-         (-1, "nan", "be a finite number"), (0, "-inf", "be a finite number")],
+         (-1, "nan", "be a finite number"), (0, "-inf", "be a finite number"),
+         ("action", "parole", "be 'release' or 'withhold'")],
     )
     def test_bad_cell_is_data_error_naming_line_and_column(self, tmp_path, column, cell, must):
         cohort = synth.generate(synth.GeneratorConfig(n=3, seed=9))
@@ -233,7 +238,7 @@ class TestHiddenUBandCoverage:
             fit_part, eval_part = table.take(np.arange(half)), table.take(np.arange(half, len(table)))
             folds = data.kfold(half, 3, seed=seed, labels=fit_part.outcomes.astype(int))
             surface = policy.fit_response_surface(fit_part, folds, n_lambda=20)
-            pol = policy.ConstantPolicy(action=RELEASE)
+            pol = constant_policy(eval_part, True)
             band = policy.sensitivity_sweep(eval_part, pol, surface, regimes)
             oracle = synth.oracle_value(eval_part, pol).value
             lo, hi = band.low - 0.005, band.high + 0.005  # sampling slack

@@ -9,6 +9,9 @@ Runs, in one process and into subdirectories of OUTDIR:
 
 - ``synth-gen --n 20000`` at seeds 0 and 1 (``synth0/``, ``synth1/``)
 - ``policy-eval`` with default arguments on the seed-0 cohort (``policy_eval/``)
+- ``policy-eval`` with default arguments on the seed-0 cohort rewritten as a
+  plain observed-decision CSV, ``decisions.csv``, whose ``decision`` column
+  holds ``ROR`` (release) or ``BAIL`` (``policy_eval_decisions/``)
 - ``sensitivity-sweep --k 3 --M 5`` on the seed-1 cohort (``sensitivity/``)
 - ``evaluate`` on the bundled heart table (``evaluate/``)
 - ``theory-curve`` with default grids (``theory/``)
@@ -40,6 +43,7 @@ from scorekit import cli, datasets
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HEART_CSV = os.path.join(os.path.dirname(datasets.__file__), "heart_synthetic.csv")
 HEART_ENCODING = os.path.join(REPO, "perfbench", "heart_encoding.json")
+DECISIONS = "decisions.csv"
 
 
 def runs(out: str, heart: list[str]) -> list[tuple[list[str], list[str]]]:
@@ -52,6 +56,10 @@ def runs(out: str, heart: list[str]) -> list[tuple[list[str], list[str]]]:
         (["policy-eval", "--input", f"{out}/synth0/cohort.csv",
           "--output-dir", f"{out}/policy_eval"],
          ["policy_eval/policy_eval.csv"]),
+        (["policy-eval", "--input", f"{out}/{DECISIONS}", "--label", "fta",
+          "--action", "decision", "--release-value", "ROR", "--group", "judge",
+          "--output-dir", f"{out}/policy_eval_decisions"],
+         ["policy_eval_decisions/policy_eval.csv"]),
         (["sensitivity-sweep", "--input", f"{out}/synth1/cohort.csv", "--k", "3", "--M", "5",
           "--seed", "1", "--output-dir", f"{out}/sensitivity"],
          ["sensitivity/sensitivity.csv"]),
@@ -64,6 +72,24 @@ def runs(out: str, heart: list[str]) -> list[tuple[list[str], list[str]]]:
           "--output-dir", f"{out}/train"],
          ["train/scorecard.txt", "train/scorecard.json"]),
     ]
+
+
+def write_decision_csv(cohort: str, path: str) -> None:
+    """A cohort CSV as an observed-decision CSV: its feature cells, then
+    ``fta`` (the outcome), ``decision`` (``ROR`` or ``BAIL``) and ``judge``.
+
+    Only the csv module touches the cells, so every version of the package
+    reads the same file.
+    """
+    with open(cohort, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    p = header.index("action")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header[:p] + ["fta", "decision", "judge"])
+        for row in rows:
+            decision = {"release": "ROR", "withhold": "BAIL"}[row[p]]
+            writer.writerow(row[:p] + [row[p + 1], decision, row[p + 2]])
 
 
 def _csv_rows(path: str) -> list[list[str]]:
@@ -107,6 +133,9 @@ def main(argv: list[str]) -> int:
     heart = ["--input", f"{out}/heart.csv", "--label", "disease",
              "--encoding", f"{out}/heart_encoding.json"]
     for args, files in runs(out, heart):
+        if f"{out}/{DECISIONS}" in args:
+            write_decision_csv(os.path.join(out, "synth0", "cohort.csv"),
+                               os.path.join(out, DECISIONS))
         for name in files:  # a stale file from an earlier run must not pass as output
             if os.path.exists(os.path.join(out, name)):
                 os.remove(os.path.join(out, name))
