@@ -150,7 +150,13 @@ def _cmd_evaluate(args) -> int:
     print(f"wrote {out}")
     for k in sweep.k_values:
         for M in sweep.M_values:
-            print(f"k={k} M={M} mean AUC {sweep.mean_auc(metrics.SCORECARD, k, M):.4f}")
+            try:
+                print(f"k={k} M={M} mean AUC {sweep.mean_auc(metrics.SCORECARD, k, M):.4f}")
+            except NumericError:
+                error = next(c.error for c in sweep.cells
+                             if c.method == metrics.SCORECARD and (c.k, c.M) == (k, M))
+                print(f"k={k} M={M} failed: {error}")
+    sweep.mean_auc(metrics.SCORECARD)  # raises, so exits 4, when every scorecard cell failed
     print(f"benchmark lasso_full mean AUC {sweep.mean_auc(metrics.LASSO_FULL):.4f}")
     print(f"benchmark logistic_full mean AUC {sweep.mean_auc(metrics.LOGISTIC_FULL):.4f}")
     return 0

@@ -14,13 +14,18 @@ from .srr import rescale_round
 
 
 def _tie_groups(scores: np.ndarray):
-    """Stable ascending order of `scores`, the sorted values, and tie-group starts.
+    """Ascending order of `scores`, the sorted values, and tie-group starts.
 
-    The one sort behind :func:`auc` and :func:`best_threshold`.  Mergesort
-    keeps equal scores in input order.  ``first[i]`` is True where sorted
-    position ``i`` opens a run of equal scores; NaNs sort last, one per run.
+    The one sort behind :func:`auc` and :func:`best_threshold`.  ``first[i]``
+    is True where sorted position ``i`` opens a run of equal scores; NaNs
+    sort last, one per run.  The sort is numpy's default (unstable) kind, so
+    the rows inside a run come in no fixed order, and neither caller reads
+    that order: ``auc`` gives every row of a run the same mid-rank, and
+    ``best_threshold`` reads its cumulative label counts only at run starts.
+    A NaN is a run of its own whose place depends on the sort, which is why
+    ``auc`` rejects NaN scores and ``best_threshold`` drops them first.
     """
-    order = np.argsort(scores, kind="mergesort")
+    order = np.argsort(scores)
     ordered = scores[order]
     first = np.ones(len(ordered), dtype=bool)
     first[1:] = ordered[1:] != ordered[:-1]
@@ -31,24 +36,26 @@ def auc(scores, labels) -> float:
     """Probability a random positive outscores a random negative.
 
     Mann-Whitney statistic computed by rank-sum in O(n log n); tied pairs
-    count one half.
+    count one half.  Raises :class:`DataError` when a score is NaN.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise DataError("scores and labels must be 1-d and the same length")
+    if np.isnan(scores).any():
+        raise DataError("AUC scores contain NaN")
     pos = labels == 1
     n_pos = int(pos.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC needs both classes present")
     order, _, first = _tie_groups(scores)
-    # each tie group [s, e) of sorted positions shares the mid-rank of its 1-based ranks
+    # each tie group [s, e) of sorted positions shares the mid-rank of its
+    # 1-based ranks; the terms are half-integers, and below 9e7 rows every
+    # partial sum stays under 2**52, so the rank sum is exact in any order
     starts = np.flatnonzero(first)
     ends = np.append(starts[1:], len(scores))
-    ranks = np.empty(len(scores))
-    ranks[order] = (0.5 * (starts + ends - 1) + 1.0)[np.cumsum(first) - 1]
-    rank_sum = ranks[pos].sum()
+    rank_sum = (0.5 * (starts + ends - 1) + 1.0) @ np.add.reduceat(pos[order], starts)
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
@@ -137,7 +144,8 @@ class SweepResult:
             and (k is None or c.k == k) and (M is None or c.M == M)
         ]
         if not vals:
-            raise NumericError(f"no successful cells for {method} (k={k}, M={M})")
+            cell = "" if k is None and M is None else f" (k={k}, M={M})"
+            raise NumericError(f"no successful cells for {method}{cell}")
         return float(np.mean(vals))
 
     def to_csv(self, path, config_comment: str | None = None) -> None:

@@ -203,6 +203,71 @@ class TestEvaluate:
         assert code == 2
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_default_k_values_on_two_features(self, tmp_path, capsys):
+        # k 3-10 cannot be met by two feature groups: those cells fail, the command does not
+        rng = np.random.default_rng(1)
+        n = 300
+        x0, x1 = rng.integers(0, 2, n), rng.integers(0, 2, n)
+        y = (rng.random(n) < np.where(x0 > 0, 0.7, 0.3)).astype(int)
+        path = tmp_path / "two.csv"
+        data.write_table(path, ["x0", "x1", "y"], zip(x0, x1, y))
+        assert run("evaluate", "--input", str(path), "--label", "y",
+                   "--output-dir", str(tmp_path)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len([ln for ln in lines if "mean AUC" in ln and ln.startswith("k=")]) == 2 * 3
+        assert "k=10 M=3 failed: k=10 exceeds the 2 selectable features" in lines
+        assert len(read_rows(tmp_path / "sweep.csv")) > 0
+
+
+def _csv_text(header, rows, newline="\n"):
+    return newline.join([header, *(",".join(str(v) for v in row) for row in rows)]) + newline
+
+
+def _adversarial_input(case):
+    """CSV text of one malformed or degenerate training table."""
+    rng = np.random.default_rng(0)
+    n = 200
+    x0, x1 = rng.integers(0, 2, n), rng.integers(0, 2, n)
+    y = (rng.random(n) < np.where(x0 > 0, 0.7, 0.3)).astype(int)
+    rows = list(zip(x0, x1, y))
+    if case == "nan-cell":
+        rows[5] = (x0[5], "nan", y[5])
+    if case == "three-valued-label":
+        rows[7] = (x0[7], x1[7], 2)
+    if case == "n-below-p":
+        X = rng.integers(0, 2, (12, 30))
+        names = ",".join(f"x{j}" for j in range(30))
+        return _csv_text(f"{names},y", [(*row, i % 2) for i, row in enumerate(X)])
+    if case == "one-positive":
+        rows = [(a, b, int(i == 0)) for i, (a, b, _) in enumerate(rows)]
+    if case == "separable":
+        rows = [(a, b, a) for a, b, _ in rows]
+    header = {"duplicate-header": "x0,x0,y", "quoted-comma-header": '"x0,a",x1,y'}
+    return _csv_text(header.get(case, "x0,x1,y"), rows, "\r\n" if case == "crlf" else "\n")
+
+
+class TestAdversarialInput:
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize(
+        "case, code",
+        [
+            ("nan-cell", 3), ("duplicate-header", 3), ("three-valued-label", 3),
+            ("n-below-p", 4), ("one-positive", 4),
+            ("separable", 0), ("crlf", 0), ("quoted-comma-header", 0),
+        ],
+    )
+    def test_exit_code_without_traceback(self, tmp_path, capsys, command, case, code):
+        path = tmp_path / "input.csv"
+        path.write_bytes(_adversarial_input(case).encode("utf-8"))
+        # evaluate keeps its default k-values, 1-10, more than the two-feature tables hold;
+        # 3 outer folds keep the n-below-p case under a second (10 take 15 s)
+        sizes = ["--k", "2", "--M", "3"] if command == "train" else ["--folds", "3"]
+        got = run(command, "--input", str(path), "--label", "y", *sizes,
+                  "--output-dir", str(tmp_path))
+        err = capsys.readouterr().err
+        assert got == code, err
+        assert "Traceback" not in err
+
 
 class TestSynthGen:
     def test_writes_cohort(self, tmp_path):

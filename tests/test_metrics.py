@@ -21,6 +21,15 @@ class TestAuc:
         with pytest.raises(DataError, match="both classes"):
             metrics.auc([0.1, 0.2], [1, 1])
 
+    def test_nan_score_rejected(self):
+        # each NaN is a tie group of its own, ranked wherever the sort leaves it:
+        # mergesort gave 0.889 in this row order and 0.667 reversed
+        scores = np.array([0.1, np.nan, 0.3, np.nan, 0.2, np.nan])
+        labels = np.array([0, 0, 1, 1, 0, 1])
+        for rows in (slice(None), slice(None, None, -1)):
+            with pytest.raises(DataError, match="NaN"):
+                metrics.auc(scores[rows], labels[rows])
+
     def test_matches_brute_force_randomized(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -78,6 +87,18 @@ class TestSortedScoreDifferential:
         for scores, labels in _score_draws(20, 120):
             assert metrics.auc(scores, labels) == auc_tie_loop(scores, labels)
 
+    @pytest.mark.parametrize("n", [50_000, 200_000])
+    @pytest.mark.parametrize("distinct", [None, 3, 40])
+    def test_auc_equals_tie_group_loop_at_noise_mc_size(self, n, distinct):
+        # the size of one verify_theorem_mc draw and four times it; None is continuous
+        rng = np.random.default_rng(n + (distinct or 0))
+        if distinct is None:
+            scores = rng.normal(size=n)
+        else:
+            scores = rng.integers(0, distinct, n).astype(float)
+        labels = rng.integers(0, 2, n)
+        assert metrics.auc(scores, labels) == auc_tie_loop(scores, labels)
+
     def test_auc_matches_pair_count(self):
         for scores, labels in _score_draws(21, 30):
             assert metrics.auc(scores, labels) == pytest.approx(
@@ -133,6 +154,48 @@ class TestSortedScoreDifferential:
     def test_best_threshold_shape_mismatch(self):
         with pytest.raises(DataError):
             metrics.best_threshold([1.0, 2.0], [1, 0, 1])
+
+
+def _tie_heavy_draws(seed, trials):
+    """Seeded (scores, labels) pairs with many tied rows: small integers, all
+    scores tied, and small integers with -inf and +inf runs mixed in."""
+    rng = np.random.default_rng(seed)
+    for i in range(trials):
+        n = int(rng.integers(2, 2001))
+        scores = rng.integers(-3, 4, n).astype(float)
+        if i % 3 == 1:
+            scores[:] = scores[0]
+        elif i % 3 == 2:
+            scores[scores == 3] = np.inf
+            scores[scores == -3] = -np.inf
+        labels = rng.integers(0, 2, n)
+        if labels.min() == labels.max():
+            labels[0] = 1 - labels[0]
+        yield scores, labels
+
+
+class TestOrderFreeSort:
+    """`_tie_groups` leaves the rows of a tie group in no fixed order, so
+    permuting the rows must not change a bit of either result."""
+
+    def test_auc_permutation_invariant(self):
+        rng = np.random.default_rng(30)
+        for scores, labels in _tie_heavy_draws(31, 90):
+            expected = metrics.auc(scores, labels)
+            for _ in range(3):
+                perm = rng.permutation(len(scores))
+                assert metrics.auc(scores[perm], labels[perm]) == expected
+
+    def test_best_threshold_permutation_invariant(self):
+        rng = np.random.default_rng(32)
+        for i, (scores, labels) in enumerate(_tie_heavy_draws(33, 90)):
+            if i % 2:
+                scores[rng.random(len(scores)) < 0.2] = np.nan
+            expected = metrics.best_threshold(scores, labels)
+            for _ in range(3):
+                perm = rng.permutation(len(scores))
+                got = metrics.best_threshold(scores[perm], labels[perm])
+                assert got == expected or (np.isnan(got) and np.isnan(expected))
 
 
 class TestAccuracy:
