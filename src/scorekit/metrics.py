@@ -9,7 +9,7 @@ import numpy as np
 from .data import Dataset, FoldAssignment, kfold, write_table
 from .errors import DataError, NumericError
 from .glm import cv_select, fit_logistic, predict_prob
-from .selection import forward_stepwise
+from .selection import forward_stepwise, selectable_groups
 from .srr import rescale_round
 
 
@@ -224,7 +224,8 @@ def cv_sweep(
             cells.append(SweepCell(LASSO_FULL, None, None, f, np.nan, np.nan, str(exc)))
 
         try:
-            trace = forward_stepwise(train, min(k_max, _n_selectable(train, grouped)), grouped=grouped)
+            k_fit = min(k_max, len(selectable_groups(train, grouped)))
+            trace = forward_stepwise(train, k_fit, grouped=grouped)
         except (DataError, NumericError) as exc:
             for k in k_values:
                 cells.append(SweepCell(LASSO_SELECTED, k, None, f, np.nan, np.nan, str(exc)))
@@ -281,7 +282,3 @@ def cv_sweep(
                     cells.append(SweepCell(SCORECARD, k, M, f, np.nan, np.nan, str(exc)))
 
     return SweepResult(cells=tuple(cells), k_values=k_values, M_values=M_values)
-
-
-def _n_selectable(ds: Dataset, grouped: bool) -> int:
-    return len(set(ds.column_groups)) if grouped else ds.p

@@ -15,9 +15,10 @@ two-point logistic mixtures, and the counterfactual for the action not taken
 follows from the posterior of ``u`` given the action that was.  A sweep over
 many regimes is one array pass: surface predictions once per call, and the
 chain solved once per distinct regime key that a disagreeing case needs.
-Each mixture solve hands back the two sigmoids its residual check already
-evaluated at the root, and the posteriors and the counterfactual mix are
-built from those, so no sigmoid of the chain is evaluated twice.
+Each mixture solve works on the odds scale: it hands back the two sigmoids
+its residual check evaluated at the quadratic's root, one division each,
+and the posteriors and the counterfactual mix are built from those, so the
+chain takes no logarithm and evaluates no sigmoid twice.
 """
 
 from __future__ import annotations
@@ -353,51 +354,63 @@ class SensitivityParams:
 def _solve_two_point_mixture(target, p1, shift):
     """The unique x with (1-p1)*sigmoid(x) + p1*sigmoid(x + shift) = target.
 
-    Closed form: with A = e^shift and g = e^x the constraint is the
-    quadratic  A(1-q) g^2 + ((1-p1) + p1 A - q(1+A)) g - q = 0, whose single
-    positive root gives x.  Entries whose root misses by more than 1e-10 are
-    bisected instead, and a NumericError is raised if bisection misses too.
-    `target`, `p1` and `shift` broadcast against each other; a column of
-    parameters against a row of targets costs only the full-size arrays the
-    quadratic needs.
+    x is the log of the odds root g of :func:`_mixture_root`, or the bisected
+    root itself where the closed form missed.  Entries that bisection misses
+    too raise a NumericError.  `target`, `p1` and `shift` broadcast against
+    each other; a column of parameters against a row of targets costs only
+    the full-size arrays the quadratic needs.
     """
-    x = _mixture_root(target, p1, shift)[0]
+    g, _, _, bisected, root = _mixture_root(target, p1, shift)
+    with np.errstate(divide="ignore", invalid="ignore"):  # missed entries are replaced
+        x = np.asarray(np.log(g))
+    x[bisected] = root
     return x if x.ndim else float(x)
 
 
 def _mixture_root(target, p1, shift):
-    """(x, sigmoid(x), sigmoid(x + shift)) for :func:`_solve_two_point_mixture`.
+    """(g, sigmoid(x), sigmoid(x + shift), bisected, root) on the odds scale.
 
-    The two sigmoids are the ones the 1e-10 residual check evaluates, so a
-    caller that needs them next (the posteriors of u, the counterfactual mix)
-    gets them without evaluating them again.
+    ``g = e^x`` is the closed form's positive root and the sigmoids are
+    ``g/(1+g)`` and ``Ag/(1+Ag)`` with ``A = e^shift``: one division each,
+    and the ones the 1e-10 residual check evaluates, so a caller that needs
+    them next (the posteriors of u, the counterfactual mix) gets them
+    without a log or a sigmoid.  A non-finite or non-positive g fails the
+    check.  Entries that fail it (the mask ``bisected``) are bisected
+    instead: ``root`` holds their log-odds roots, the sigmoids there are
+    ``expit`` of those roots, and ``g`` there is meaningless.  A
+    NumericError is raised if bisection misses too.
     """
     q = np.asarray(target, dtype=float)
     p1 = np.clip(np.asarray(p1, dtype=float), 0.0, 1.0)
     shift = np.asarray(shift, dtype=float)
     if np.any((q <= 0.0) | (q >= 1.0)):
         raise NumericError("mixture target must lie strictly inside (0, 1)")
-    x = _mixture_closed_form(q, p1, shift)
-    s0, s1 = np.asarray(expit(x)), np.asarray(expit(x + shift))
-    bad = ~np.isfinite(x) | ~(np.abs((1.0 - p1) * s0 + p1 * s1 - q) <= 1e-10)
-    if np.any(bad):
-        q, p1, shift = (np.broadcast_to(v, x.shape)[bad] for v in (q, p1, shift))
-        x[bad] = root = _bisect_two_point(q, p1, shift)
-        s0[bad], s1[bad] = expit(root), expit(root + shift)
-        if not np.all(np.abs((1.0 - p1) * s0[bad] + p1 * s1[bad] - q) <= 1e-10):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        g = np.asarray(_mixture_closed_form(q, p1, shift))
+        Ag = np.exp(shift) * g
+        s0, s1 = np.asarray(g / (1.0 + g)), np.asarray(Ag / (1.0 + Ag))
+        # a NaN residual (from an infinite or NaN g) fails the comparison;
+        # at tiny q, g can round to 0 while the residual, q, is below 1e-10
+        bisected = ~((g > 0.0) & (np.abs((1.0 - p1) * s0 + p1 * s1 - q) <= 1e-10))
+    root = np.empty(0)
+    if np.any(bisected):
+        q, p1, shift = (np.broadcast_to(v, g.shape)[bisected] for v in (q, p1, shift))
+        root = _bisect_two_point(q, p1, shift)
+        s0[bisected], s1[bisected] = expit(root), expit(root + shift)
+        if not np.all(np.abs((1.0 - p1) * s0[bisected] + p1 * s1[bisected] - q) <= 1e-10):
             raise NumericError("two-point mixture solve did not reach a residual of 1e-10")
-    return x, s0, s1
+    return g, s0, s1, bisected, root
 
 
 def _mixture_closed_form(q, p1, shift):
+    """The positive root g = e^x of A(1-q) g^2 + ((1-p1) + p1 A - q(1+A)) g - q = 0,
+    A = e^shift.  NaN (or any g that is not positive and finite) means the
+    closed form missed; :func:`_mixture_root` then bisects."""
     A = np.exp(shift)
     a = A * (1.0 - q)
     b = (1.0 - p1) + p1 * A - q * (1.0 + A)
-    c = -q
-    disc = b * b - 4.0 * a * c
-    g = (-b + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(g > 0.0, np.log(np.where(g > 0.0, g, 1.0)), np.nan)
+    # b^2 + 4 a q >= 0 for 0 < q < 1, so the square root is real
+    return (-b + np.sqrt(b * b + 4.0 * a * q)) / (2.0 * a)
 
 
 def _mixture(x, p1, shift):
@@ -474,10 +487,10 @@ def _counterfactual(q, r_other, released: bool, p_u, alpha, delta, pair_of_key=s
     (p_u, alpha) pairs, ``pair_of_key`` mapping each row of the ``delta``
     column to its pair, solves every regime key in one pass.
     """
-    _, rel_u0, rel_u1 = _mixture_root(clip_prob(q), p_u, alpha)
+    _, rel_u0, rel_u1, _, _ = _mixture_root(clip_prob(q), p_u, alpha)
     post = _bayes_u(rel_u0, rel_u1, p_u)
     post_observed, post_other = post[released][pair_of_key], post[not released][pair_of_key]
-    _, s0, s1 = _mixture_root(clip_prob(r_other), post_other, delta)
+    _, s0, s1, _, _ = _mixture_root(clip_prob(r_other), post_other, delta)
     return (1.0 - post_observed) * s0 + post_observed * s1
 
 
@@ -571,14 +584,17 @@ def sensitivity_sweep(
     are computed once per call, and the baseline comes from the same arrays.
     The disagreeing cases are split by observed action, since a released
     case needs only the withhold counterfactual and a withheld case only
-    the release one.  Within each branch the regimes collapse to their
-    distinct (p_u, alpha, delta of the action not taken) keys, and one
-    :func:`_counterfactual` call per block of rows solves gamma and the
-    posteriors once per distinct (p_u, alpha) pair, indexed into the keys,
+    the release one.  The distinct (p_u, alpha) pairs are numbered once for
+    both branches; within each branch the regimes collapse to their
+    distinct (pair, delta of the action not taken) keys, both tables in
+    first-seen order.  One :func:`_counterfactual` call per block of rows
+    solves gamma and the posteriors once per pair, indexed into the keys,
     and beta and the mix once per key as a keys x rows broadcast; each
-    key's row sum is scattered back to its regimes.  A block holds at most
-    ``_SWEEP_BLOCK`` key-row pairs, so memory stays bounded whatever the
-    number of keys and disagreeing rows.
+    key's row sum is scattered back to its regimes.  A key's sum depends
+    only on the key and on the key count, so the order of the regimes
+    changes no value.  A block holds at most ``_SWEEP_BLOCK`` key-row
+    pairs, so memory stays bounded whatever the number of keys and
+    disagreeing rows.
     """
     if not regimes:
         raise DataError("need at least one sensitivity regime")
@@ -590,16 +606,19 @@ def sensitivity_sweep(
     if np.any(disagree):
         q = surface.release_prob(cases.X[disagree])
         observed = cases.released[disagree]
-        params = np.array([(p.p_u, p.alpha, p.delta_release, p.delta_withhold) for p in regimes])
-        for released, r_other, delta_column in ((True, r_wh, 3), (False, r_rel, 2)):
+        pairs: dict[tuple[float, float], int] = {}  # (p_u, alpha) -> pair number
+        pair_of_regime = [pairs.setdefault((p.p_u, p.alpha), len(pairs)) for p in regimes]
+        p_u, alpha = np.array(list(pairs)).T[:, :, None]
+        for released, r_other, deltas in (
+            (True, r_wh, [p.delta_withhold for p in regimes]),
+            (False, r_rel, [p.delta_release for p in regimes]),
+        ):
             rows = np.flatnonzero(observed == released)
             r_other = r_other[disagree]
-            keys, inverse = np.unique(
-                params[:, [0, 1, delta_column]], axis=0, return_inverse=True
-            )
-            pairs, pair_of_key = np.unique(keys[:, :2], axis=0, return_inverse=True)
-            p_u, alpha, delta = pairs[:, 0:1], pairs[:, 1:2], keys[:, 2:3]
-            pair_of_key = pair_of_key.reshape(-1)
+            keys: dict[tuple[int, float], int] = {}  # (pair, delta) -> key number
+            key_of_regime = [keys.setdefault(k, len(keys)) for k in zip(pair_of_regime, deltas)]
+            pair_of_key = np.array([pair for pair, _ in keys])
+            delta = np.array([[d] for _, d in keys])
             sums = np.zeros(len(keys))
             step = max(1, _SWEEP_BLOCK // len(keys))
             for block in np.split(rows, np.arange(step, len(rows), step)):
@@ -607,7 +626,7 @@ def sensitivity_sweep(
                     q[block], r_other[block], released, p_u, alpha, delta, pair_of_key
                 )
                 sums += cf.sum(axis=1)
-            totals += sums[inverse.reshape(-1)]
+            totals += sums[key_of_regime]
     values = totals / len(cases)
     return SensitivityBand(
         low=float(min(values.min(), base.value)),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .data import Dataset, JsonRecord
 from .errors import DataError, NumericError
-from .glm import fit_logistic
+from .glm import _varying, fit_logistic
 
 _TIE_EPS = 1e-10
 
@@ -37,17 +37,19 @@ class SelectionTrace(JsonRecord):
         object.__setattr__(self, "step_deviance", tuple(float(d) for d in self.step_deviance))
 
 
-def _feature_groups(ds: Dataset, grouped: bool) -> list[tuple[str, tuple[int, ...]]]:
+def selectable_groups(ds: Dataset, grouped: bool) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, columns) of each candidate: a column group, or one column when
+    ``grouped`` is False.  A candidate whose columns are all constant on
+    ``ds`` (the :func:`glm._varying` rule the fits use) is left out: its fit
+    would give it coefficient 0 and the deviance of the features already in.
+    """
+    live = _varying(ds.rows.mean(axis=0), ds.rows.std(axis=0))
     if not grouped:
-        return [(name, (j,)) for j, name in enumerate(ds.feature_names)]
-    seen: dict[str, list[int]] = {}
-    order: list[str] = []
+        return [(name, (j,)) for j, name in enumerate(ds.feature_names) if live[j]]
+    groups: dict[str, list[int]] = {}
     for j, g in enumerate(ds.column_groups):
-        if g not in seen:
-            seen[g] = []
-            order.append(g)
-        seen[g].append(j)
-    return [(g, tuple(seen[g])) for g in order]
+        groups.setdefault(g, []).append(j)
+    return [(g, tuple(cols)) for g, cols in groups.items() if live[cols].any()]
 
 
 def forward_stepwise(
@@ -59,12 +61,13 @@ def forward_stepwise(
 ) -> SelectionTrace:
     """Greedily select ``k`` features (column groups) by training deviance.
 
-    Ties break toward the lower column index.  A perfectly separating
-    candidate is ranked by the deviance reached when the solver hits its
-    divergence bound, which is effectively zero, so it still wins the step.
+    Only :func:`selectable_groups` are offered.  Ties break toward the lower
+    column index.  A perfectly separating candidate is ranked by the
+    deviance reached when the solver hits its divergence bound, which is
+    effectively zero, so it still wins the step.
     Genuine solver failures are re-raised with the step and candidate named.
     """
-    groups = _feature_groups(ds, grouped)
+    groups = selectable_groups(ds, grouped)
     if not 1 <= k <= len(groups):
         raise DataError(
             f"k must be between 1 and the number of selectable features ({len(groups)}); got {k}"

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import bisect_mixture, rr_chain_oracle, sigmoid
 from scorekit import data, policy, synth
-from scorekit._math import clip_prob
+from scorekit._math import clip_prob, expit
 from scorekit.errors import DataError, NumericError
 
 
@@ -302,6 +302,53 @@ class TestTwoPointMixture:
                 assert x[k, j] == pytest.approx(scalar, abs=1e-12)
 
 
+# q near 0 and 1, p1 including both ends, |shift| <= 50: a (p1, shift, q) grid.
+# At q = 1e-12 and a large shift the closed form's g cancels to 0 while its
+# residual, q, is already below 1e-10.
+GRID_Q = np.array([1e-12, 1e-9, 1e-6, 1e-4, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-6, 1 - 1e-12])
+GRID_P1 = np.array([0.0, 1e-6, 0.05, 0.3, 0.5, 0.95, 1 - 1e-6, 1.0])[:, None, None]
+GRID_SHIFT = np.array([-50.0, -20.0, -5.0, -1.0, -0.1, 0.0, 0.1, 1.0, 5.0, 20.0, 50.0])[:, None]
+
+
+class TestOddsScaleRoot:
+    def test_sigmoids_match_expit_of_the_root(self):
+        g, s0, s1, bisected, _ = policy._mixture_root(GRID_Q, GRID_P1, GRID_SHIFT)
+        x = policy._solve_two_point_mixture(GRID_Q, GRID_P1, GRID_SHIFT)
+        assert 0 < bisected.sum() < bisected.size / 4  # both branches, mostly the closed form
+        assert np.all(np.isfinite(x))
+        z = x + GRID_SHIFT
+        # expit(x) carries the rounding of x = log(g), about |x| ulp after exp,
+        # so the allowance grows with |x|; near the origin it is 2 ulp
+        for s, ref, cond in ((s0, expit(x), np.abs(x)), (s1, expit(z), np.abs(x) + np.abs(z))):
+            assert np.all(np.abs(s - ref) <= 2.0 * (1.0 + cond) * np.spacing(ref))
+            assert np.array_equal(s[bisected], ref[bisected])
+        hit = ~bisected
+        assert np.array_equal(s0[hit], g[hit] / (1 + g[hit]))
+
+    def test_bisected_entries_keep_the_bisected_root(self):
+        q, p1, shift = np.broadcast_arrays(GRID_Q, GRID_P1, GRID_SHIFT)
+        _, _, _, bisected, _ = policy._mixture_root(q, p1, shift)
+        x = policy._solve_two_point_mixture(q, p1, shift)
+        assert bisected.any()
+        expected = policy._bisect_two_point(q[bisected], p1[bisected], shift[bisected])
+        assert np.array_equal(x[bisected], expected)
+
+    def test_every_missed_entry_is_bisected(self, monkeypatch):
+        monkeypatch.setattr(
+            policy, "_mixture_closed_form",
+            lambda q, p1, shift: np.full(np.broadcast(q, p1, shift).shape, np.nan),
+        )
+        q, p1, shift = np.broadcast_arrays(GRID_Q[3:9], GRID_P1, GRID_SHIFT[2:9])
+        g, s0, s1, bisected, root = policy._mixture_root(q, p1, shift)
+        assert bisected.all()
+        assert np.array_equal(root, policy._bisect_two_point(q.ravel(), p1.ravel(), shift.ravel()))
+        assert np.array_equal(policy._solve_two_point_mixture(q, p1, shift).ravel(), root)
+        assert np.array_equal(s0.ravel(), expit(root))
+        assert np.array_equal(s1.ravel(), expit(root + shift.ravel()))
+        assert policy._solve_two_point_mixture(0.3, 0.5, 1.0) == policy._bisect_two_point(
+            np.array([0.3]), np.array([0.5]), np.array([1.0]))[0]
+
+
 # ---------------------------------------------------------------------------
 # Counterfactual chain
 # ---------------------------------------------------------------------------
@@ -540,6 +587,19 @@ class TestSweepEquivalence:
         )
         cases, surface = sweep_world(surface_kind, fitted_world)
         assert_sweep_matches_chain_oracle(cases, sweep_policy(policy_kind, cases), surface)
+
+    @pytest.mark.parametrize("surface_kind", ["stub", "fitted"])
+    def test_permuted_regimes_permute_values_bit_for_bit(self, fitted_world, surface_kind):
+        cases, surface = sweep_world(surface_kind, fitted_world)
+        pol = sweep_policy("mixed", cases)
+        regimes = mixed_regimes()
+        band = policy.sensitivity_sweep(cases, pol, surface, regimes)
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(len(regimes))
+            permuted = policy.sensitivity_sweep(cases, pol, surface, [regimes[i] for i in order])
+            assert permuted.values == tuple(band.values[i] for i in order)
+            assert (permuted.low, permuted.high, permuted.baseline) == (
+                band.low, band.high, band.baseline)
 
     def test_row_blocks_leave_values_unchanged(self, fitted_world, monkeypatch):
         cases, surface = fitted_world

@@ -142,3 +142,49 @@ class TestForwardStepwise:
         )
         back = selection.SelectionTrace.from_json(trace.to_json())
         assert back == trace
+
+
+class TestConstantColumn:
+    """The table of ``tests/test_cli.py::TestConstantColumn``: an all-ones
+    column ``k`` beside an informative 0/1 column ``x`` and a noise column ``z``."""
+
+    @staticmethod
+    def table(with_constant=True):
+        rng = np.random.default_rng(0)
+        n = 300
+        x = rng.integers(0, 2, n)
+        noise = rng.normal(size=n)
+        y = (rng.random(n) < 1 / (1 + np.exp(1 - 2 * x))).astype(int)
+        columns = {"k": np.ones(n), "x": x.astype(float), "z": noise}
+        if not with_constant:
+            del columns["k"]
+        return data.Dataset(
+            feature_names=tuple(columns), rows=np.column_stack(list(columns.values())), labels=y
+        )
+
+    @pytest.mark.parametrize("grouped", [True, False])
+    def test_constant_group_is_never_offered(self, monkeypatch, grouped):
+        offered = []
+        fit_logistic = selection.fit_logistic
+
+        def spy(X, y, **kwargs):
+            offered.append(X)
+            return fit_logistic(X, y, **kwargs)
+
+        monkeypatch.setattr(selection, "fit_logistic", spy)
+        ds = self.table()
+        trace = selection.forward_stepwise(ds, 2, grouped=grouped)
+        assert len(offered) == 2 + 1  # x and z at step 1, the other at step 2
+        assert all(np.ptp(X, axis=0).min() > 0 for X in offered)
+        assert "k" not in trace.step_names
+        assert [name for name, _ in selection.selectable_groups(ds, grouped)] == ["x", "z"]
+
+    @pytest.mark.parametrize("grouped", [True, False])
+    def test_trace_otherwise_unchanged(self, grouped):
+        trace = selection.forward_stepwise(self.table(), 2, grouped=grouped)
+        reduced = selection.forward_stepwise(self.table(with_constant=False), 2, grouped=grouped)
+        assert trace.step_names == reduced.step_names
+        assert trace.step_deviance == reduced.step_deviance
+        assert trace.ordered_features == tuple(j + 1 for j in reduced.ordered_features)
+        with pytest.raises(DataError, match=r"selectable features \(2\)"):
+            selection.forward_stepwise(self.table(), 3, grouped=grouped)

@@ -26,7 +26,9 @@ diffing the printed lines shows whether their outputs are byte-equal.
 each column, the largest absolute difference between the two versions
 (numeric columns) or the number of cells that differ (text columns).  Lines
 starting with ``#`` are skipped.  It exits 1 when a file's header or row
-count differs, or when a text cell differs.
+count differs, when a text cell differs, or when a numeric column differs
+by more than ``TOLERANCE`` (1e-6, the agreement a solver change must keep);
+each such column is named on a ``FAIL`` line.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HEART_CSV = os.path.join(os.path.dirname(datasets.__file__), "heart_synthetic.csv")
 HEART_ENCODING = os.path.join(REPO, "perfbench", "heart_encoding.json")
 DECISIONS = "decisions.csv"
+TOLERANCE = 1e-6
 
 
 def runs(out: str, heart: list[str]) -> list[tuple[list[str], list[str]]]:
@@ -117,6 +120,9 @@ def compare(old: str, new: str) -> int:
                 status = 1
             else:
                 print(f"  {column}: max |diff| {diff:.3g} ({len(pairs)} cells differ)")
+                if not diff <= TOLERANCE:
+                    print(f"FAIL {name}: column {column} differs by {diff:.3g} > {TOLERANCE:g}")
+                    status = 1
     return status
 
 
