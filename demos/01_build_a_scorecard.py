@@ -14,7 +14,8 @@ from scorekit import data, selection, srr, synth
 print(__doc__)
 
 cohort = synth.generate(synth.GeneratorConfig(n=40000, seed=7))
-ds = cohort.released_dataset()  # rules are fit where the outcome is observable
+table = cohort.case_table()
+ds = table.released_dataset()  # rules are fit where the outcome is observable
 print(f"cohort: {cohort.n} cases, rule fit on {ds.n} released cases")
 print(f"encoded features: {ds.feature_names}\n")
 

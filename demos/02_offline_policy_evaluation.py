@@ -18,18 +18,11 @@ from scorekit import data, policy, srr, synth
 print(__doc__)
 
 # three disjoint folds: construct the rule / fit the surface / evaluate
-cohort = synth.generate(synth.GeneratorConfig(n=45000, seed=11))
-table = cohort.case_table()
+table = synth.generate(synth.GeneratorConfig(n=45000, seed=11)).case_table()
 folds3 = data.kfold(len(table), 3, seed=0, labels=table.outcomes.astype(int))
 construct, surface_part, evaluate = (table.take(folds3.test_indices(f)) for f in range(3))
 
-released = np.flatnonzero(construct.released)  # the boolean release mask
-rule_ds = data.Dataset(
-    feature_names=cohort.feature_names,
-    rows=construct.X[released],
-    labels=construct.outcomes[released].astype(int),
-    column_groups=cohort.column_groups,
-)
+rule_ds = construct.released_dataset()  # the outcome is observable where released
 card = srr.build_scorecard(
     rule_ds, k=2, M=10,
     folds_for_lambda=data.kfold(rule_ds.n, 5, seed=1, labels=rule_ds.labels),
@@ -49,7 +42,7 @@ print(f"status quo: release rate {np.mean(table.released):.2f}, "
 print("threshold sweep on fold 2, estimate vs the stored-potential-outcome truth:")
 print("  thr   release-rate   estimated   true     error")
 for thr in np.arange(4.5, 18.6, 2.0):
-    pol = policy.ScorecardPolicy(card=card, feature_names=cohort.feature_names, threshold=float(thr))
+    pol = policy.ScorecardPolicy(card=card, feature_names=table.feature_names, threshold=float(thr))
     est = policy.estimate_policy(evaluate, pol, surface)
     truth = synth.oracle_value(evaluate, pol)
     print(

@@ -37,20 +37,14 @@ print(f"  outcome baseline beta         = {beta:+.4f}")
 print(f"  adjusted release counterfactual for a withheld case = {cf:.4f} (surface said {r_rel})\n")
 
 # now whole-policy bands over the two standard regimes
-cohort = synth.generate(synth.GeneratorConfig(n=45000, seed=21))
-table = cohort.case_table()
+table = synth.generate(synth.GeneratorConfig(n=45000, seed=21)).case_table()
 half = len(table) // 2
 fit_part, eval_part = table.take(np.arange(half)), table.take(np.arange(half, len(table)))
 surface = policy.fit_response_surface(
     fit_part, data.kfold(half, 5, seed=0, labels=fit_part.outcomes.astype(int)), n_lambda=40
 )
 
-ds = data.Dataset(
-    feature_names=cohort.feature_names,
-    rows=fit_part.X[fit_part.released],
-    labels=fit_part.outcomes[fit_part.released].astype(int),
-    column_groups=cohort.column_groups,
-)
+ds = fit_part.released_dataset()
 card = srr.build_scorecard(
     ds, k=2, M=10, folds_for_lambda=data.kfold(ds.n, 5, seed=1, labels=ds.labels), n_lambda=40
 )
@@ -64,7 +58,7 @@ for name, grid in regimes.items():
     print(f"regime {name}: {len(grid)} parameter settings")
     print("  thr   release-rate   baseline    band [min, max]    width")
     for thr in (8.5, 10.5, 12.5):
-        pol = policy.ScorecardPolicy(card=card, feature_names=cohort.feature_names, threshold=thr)
+        pol = policy.ScorecardPolicy(card=card, feature_names=table.feature_names, threshold=thr)
         band = policy.sensitivity_sweep(eval_part, pol, surface, grid)
         print(
             f" {thr:5.1f}     {band.action_rate:6.3f}      {band.baseline:7.4f}"

@@ -180,17 +180,16 @@ def _cmd_synth_gen(args) -> int:
     return 0
 
 
-def _load_cohort_or_cases(args):
-    """Returns (table, feature_names, column_groups) for policy commands."""
+def _load_cohort_or_cases(args) -> policy.CaseTable:
+    """--input as the observed cases of the policy commands: a cohort CSV,
+    or a plain CSV with --label and --action columns."""
     header = data.read_table(args.input)[0]
     if tuple(header[-3:]) == synth.COHORT_COLUMNS[-3:]:
-        cohort = synth.load_cohort_csv(args.input)
-        return cohort.case_table(), cohort.feature_names, cohort.column_groups
+        return synth.load_cohort_csv(args.input).case_table()
     if not args.label or not args.action:
         raise DataError("non-cohort input needs --label and --action columns")
     ds = _load_encoded(args, action_column=args.action, group_column=args.group)
-    table = policy.cases_from_dataset(ds, release_value=args.release_value)
-    return table, ds.feature_names, ds.column_groups
+    return policy.cases_from_dataset(ds, release_value=args.release_value)
 
 
 def _policy_setup(args):
@@ -199,7 +198,7 @@ def _policy_setup(args):
     Loads the input and splits it into three folds: the scorecard is fitted
     on the released cases of the construct fold, the response surface on the
     surface fold, and policies are scored on the evaluation fold.  Returns
-    (names, card, (released construct cases, their lambda folds), surface,
+    (card, (released construct cases, their lambda folds), surface,
     evaluation table, scorecard thresholds, fold provenance); the released
     construct cases are what ``policy-eval`` fits its full-feature risk model
     on.  Without --thresholds, the thresholds are every half-integer between
@@ -207,7 +206,7 @@ def _policy_setup(args):
     before anything is fitted.
     """
     thresholds = _parse_float_grid(args.thresholds) if args.thresholds else None
-    table, names, groups = _load_cohort_or_cases(args)
+    table = _load_cohort_or_cases(args)
     folds = data.kfold(len(table), 3, seed=args.seed, labels=table.outcomes.astype(int))
     roles = [(r + args.rotate) % 3 for r in range(3)]
     construct, surf_sub, eval_sub = (table.take(folds.test_indices(r)) for r in roles)
@@ -215,15 +214,9 @@ def _policy_setup(args):
         f"fold_roles: construct=fold{roles[0]} surface=fold{roles[1]} "
         f"evaluate=fold{roles[2]} (disjoint)"
     )
-    released = np.flatnonzero(construct.released)
-    if len(released) < 20:
+    if np.count_nonzero(construct.released) < 20:
         raise DataError("too few released cases in the construction fold")
-    rule_ds = data.Dataset(
-        feature_names=names,
-        rows=construct.X[released],
-        labels=construct.outcomes[released].astype(int),
-        column_groups=groups,
-    )
+    rule_ds = construct.released_dataset()
     lam_folds = data.kfold(rule_ds.n, args.inner_folds, seed=args.seed + 1, labels=rule_ds.labels)
     card = srr.build_scorecard(
         rule_ds, k=args.k, M=args.M, folds_for_lambda=lam_folds, n_lambda=args.n_lambda
@@ -233,16 +226,14 @@ def _policy_setup(args):
     )
     surface = policy.fit_response_surface(surf_sub, surf_folds, n_lambda=args.n_lambda)
     if thresholds is None:
-        scores = eval_sub.X @ card.weight_vector(names)
+        scores = eval_sub.X @ card.weight_vector(eval_sub.feature_names)
         thresholds = tuple(np.arange(np.min(scores), np.max(scores) + 1.0) + 0.5)
-    return names, card, (rule_ds, lam_folds), surface, eval_sub, thresholds, provenance
+    return card, (rule_ds, lam_folds), surface, eval_sub, thresholds, provenance
 
 
 def _cmd_policy_eval(args) -> int:
     risk_thresholds = _parse_float_grid(args.risk_thresholds)
-    names, card, (rule_ds, lam_folds), surface, eval_sub, thresholds, provenance = (
-        _policy_setup(args)
-    )
+    card, (rule_ds, lam_folds), surface, eval_sub, thresholds, provenance = _policy_setup(args)
     risk_b0, risk_coefs = glm.cv_select(
         rule_ds.rows, rule_ds.labels.astype(float), lam_folds, n_lambda=args.n_lambda
     ).coefficients_at()
@@ -252,7 +243,9 @@ def _cmd_policy_eval(args) -> int:
         est = policy.estimate_policy(eval_sub, observed, surface)
         yield ["observed", "", repr(est.action_rate), repr(est.value), est.method, ""]
         for thr in thresholds:
-            pol = policy.ScorecardPolicy(card=card, feature_names=names, threshold=float(thr))
+            pol = policy.ScorecardPolicy(
+                card=card, feature_names=eval_sub.feature_names, threshold=float(thr)
+            )
             est = policy.estimate_policy(eval_sub, pol, surface)
             yield ["scorecard", thr, repr(est.action_rate), repr(est.value), est.method, ""]
         for thr in risk_thresholds:
@@ -275,13 +268,15 @@ def _cmd_policy_eval(args) -> int:
 
 
 def _cmd_sensitivity_sweep(args) -> int:
-    names, card, _, surface, eval_sub, thresholds, provenance = _policy_setup(args)
+    card, _, surface, eval_sub, thresholds, provenance = _policy_setup(args)
     spec = _REGIMES[args.regime]
     regimes = policy.regime_grid(spec["alpha"], _P_GRID, spec["deltas"])
 
     def rows():
         for thr in thresholds:
-            pol = policy.ScorecardPolicy(card=card, feature_names=names, threshold=float(thr))
+            pol = policy.ScorecardPolicy(
+                card=card, feature_names=eval_sub.feature_names, threshold=float(thr)
+            )
             band = policy.sensitivity_sweep(eval_sub, pol, surface, regimes)
             yield [
                 "scorecard", thr, repr(band.action_rate), repr(band.baseline),

@@ -541,23 +541,16 @@ def cv_select(
     folds: FoldAssignment,
     n_lambda: int = 100,
     lambda_min_ratio: float = 1e-4,
-    rule: str = "min",
 ) -> LassoPath:
     """Cross-validate the penalty grid and select the deviance minimizer.
 
     The grid comes from the full data; the full-data path and each fold's
     path on its training portion are fitted over it as one batch, and each
-    fold scores mean validation deviance at every penalty.  Ties break
-    toward the larger penalty.  ``rule="min"`` (the default) takes the
-    argmin of mean validation deviance; ``rule="1se"`` backs off to the
-    largest penalty within one standard error of that minimum, which is far
-    more conservative on pure-noise data (the min rule lets small spurious
-    coefficients through in a sizable minority of runs).  Raises
-    ``NumericError`` when the selected penalty did not converge in the
-    full-data fit or in any fold.
+    fold scores mean validation deviance at every penalty.  The selected
+    penalty is the argmin of mean validation deviance, ties breaking toward
+    the larger penalty.  Raises ``NumericError`` when the selected penalty
+    did not converge in the full-data fit or in any fold.
     """
-    if rule not in ("min", "1se"):
-        raise ValueError("rule must be 'min' or '1se'")
     X, y = _check_xy(X, y)
     if folds.n != X.shape[0]:
         raise DataError("fold assignment does not cover X's rows")
@@ -579,11 +572,7 @@ def cv_select(
         per_fold[f] = -2.0 * np.sum(y[va] * eta - np.logaddexp(0.0, eta), axis=1) / len(va)
     cv_mean = per_fold.mean(axis=0)
     cv_se = per_fold.std(axis=0, ddof=1) / np.sqrt(folds.fold_count)
-    best = int(np.argmin(cv_mean))  # first minimum = largest penalty on ties
-    if rule == "1se":
-        selected = int(np.argmax(cv_mean <= cv_mean[best] + cv_se[best]))
-    else:
-        selected = best
+    selected = int(np.argmin(cv_mean))  # first minimum = largest penalty on ties
     for k, path in enumerate([full, *subs]):
         if not path.converged[selected]:
             where = "the full-data fit" if k == 0 else f"fold {k - 1}"

@@ -79,17 +79,14 @@ def auc_under_noise(auc_y: float, gamma: float):
     return float(out) if out.ndim == 0 else out
 
 
-def estimate_gamma(
-    true_scores, simple_scores, scale_factor: float, labels, pooled: bool = False
-) -> ScoreModel:
+def estimate_gamma(true_scores, simple_scores, scale_factor: float, labels) -> ScoreModel:
     """Noise ratio of a simple rule relative to the true (logit-scale) scores.
 
     ``scale_factor`` is the rescale-and-round constant M / max|coef|; the
     integer scores divided by it live on the true-score scale.  The
     difference is centered before taking its variance because the simple
     score carries no intercept, so its level is arbitrary.  The within-class
-    variance is the unweighted mean of the two class-conditional variances
-    (``pooled=True`` weights them by class df instead).
+    variance is the unweighted mean of the two class-conditional variances.
     """
     true_scores = np.asarray(true_scores, dtype=float)
     simple_scores = np.asarray(simple_scores, dtype=float)
@@ -110,15 +107,10 @@ def estimate_gamma(
     var_n = float(np.var(true_scores[~pos], ddof=1))
     if var_p == 0.0 or var_n == 0.0:
         raise NumericError("a class has zero within-class variance of true scores")
-    if pooled:
-        df_p, df_n = pos.sum() - 1, (~pos).sum() - 1
-        sigma = math.sqrt((df_p * var_p + df_n * var_n) / (df_p + df_n))
-    else:
-        sigma = math.sqrt(0.5 * (var_p + var_n))
     return ScoreModel(
         mu_p=float(true_scores[pos].mean()),
         mu_n=float(true_scores[~pos].mean()),
-        sigma=sigma,
+        sigma=math.sqrt(0.5 * (var_p + var_n)),
         sigma_eps=sigma_eps,
     )
 

@@ -1,5 +1,9 @@
 """Offline policy evaluation on observed decision data.
 
+Observed cases live in one container, :class:`CaseTable`: covariates, the
+observed action and outcome, optional potential outcomes, and the covariate
+layout (feature names and their source groups) that rule construction needs.
+
 The value of a candidate policy (its adverse-outcome rate if followed for
 every case) is estimated with a response surface: where the policy agrees
 with the observed action, the observed outcome is used; elsewhere the
@@ -23,7 +27,7 @@ chain takes no logarithm and evaluates no sigmoid twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -39,12 +43,11 @@ ROSENBAUM_RUBIN = "rosenbaum_rubin"
 ORACLE = "oracle"
 
 
-# CaseTable columns and the dtype each is stored as (None: as given)
+# CaseTable's per-case columns and the dtype each is stored as (None: as given)
 _CASE_COLUMNS = (
     ("X", float),
     ("released", None),
     ("outcomes", float),
-    ("group_ids", None),
     ("po_release", float),
     ("po_withhold", float),
 )
@@ -62,7 +65,7 @@ def _mask(value, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CaseTable:
-    """Observed decision cases, held column by column.
+    """Observed decision cases, held column by column, and their covariate layout.
 
     ``X`` has one covariate row per case, ``released`` the observed action
     as a boolean mask (True = released) and ``outcomes`` the observed 0/1
@@ -70,14 +73,21 @@ class CaseTable:
     present, the observed outcome must equal the potential outcome of the
     observed action.  ``actions`` is the mask as ``release``/``withhold``
     strings, for output.
+
+    ``feature_names`` names the columns of ``X`` and ``column_groups`` the
+    source feature of each, under :class:`~scorekit.data.Dataset`'s rules:
+    the names are unique, one per column, and the groups default to the
+    names.  Without names the columns are ``x0`` ... ``x{p-1}``.
+    :meth:`released_dataset` is the one conversion to a ``Dataset``.
     """
 
     X: np.ndarray
     released: np.ndarray
     outcomes: np.ndarray
-    group_ids: np.ndarray | None = None
     po_release: np.ndarray | None = None
     po_withhold: np.ndarray | None = None
+    feature_names: tuple[str, ...] | None = None
+    column_groups: tuple[str, ...] | None = None
 
     def __post_init__(self):
         for name, dtype in _CASE_COLUMNS:
@@ -91,6 +101,16 @@ class CaseTable:
         columns = [getattr(self, name) for name, _ in _CASE_COLUMNS]
         if self.X.ndim != 2 or any(col is not None and len(col) != n for col in columns):
             raise DataError("case columns must all have one entry (X: one row) per case")
+        p = self.X.shape[1]
+        names = self.feature_names
+        names = tuple(f"x{j}" for j in range(p)) if names is None else tuple(names)
+        groups = names if self.column_groups is None else tuple(self.column_groups)
+        if len(names) != p or len(groups) != p:
+            raise DataError("feature_names and column_groups need one entry per column of X")
+        if len(set(names)) != p:
+            raise DataError("feature names must be unique")
+        object.__setattr__(self, "feature_names", names)
+        object.__setattr__(self, "column_groups", groups)
         if not np.all(np.isfinite(self.X)):
             raise DataError("covariates contain non-finite values")
         po = [col for col in (self.po_release, self.po_withhold) if col is not None]
@@ -109,19 +129,31 @@ class CaseTable:
         return len(self.outcomes)
 
     def take(self, indices) -> "CaseTable":
+        """Row subset with the same covariate layout."""
         indices = np.asarray(indices)
-        return CaseTable(
-            X=self.X[indices],
-            released=self.released[indices],
-            outcomes=self.outcomes[indices],
-            group_ids=None if self.group_ids is None else self.group_ids[indices],
-            po_release=None if self.po_release is None else self.po_release[indices],
-            po_withhold=None if self.po_withhold is None else self.po_withhold[indices],
+        return replace(self, **{
+            name: getattr(self, name)[indices]
+            for name, _ in _CASE_COLUMNS
+            if getattr(self, name) is not None
+        })
+
+    def released_dataset(self) -> Dataset:
+        """The released cases as a Dataset with this layout: rules are fit
+        where the outcome under release was observed."""
+        released = np.flatnonzero(self.released)
+        if len(released) == 0:
+            raise DataError("no released cases")
+        return Dataset(
+            feature_names=self.feature_names,
+            rows=self.X[released],
+            labels=self.outcomes[released].astype(int),
+            column_groups=self.column_groups,
         )
 
 
 def cases_from_dataset(ds: Dataset, release_value: str | None = None) -> CaseTable:
-    """Cases from a Dataset, released where the action is ``release_value``."""
+    """Cases from a Dataset, released where the action is ``release_value``,
+    with the Dataset's covariate layout."""
     if ds.actions is None:
         raise DataError("dataset has no action column")
     values = sorted(set(ds.actions.tolist()))
@@ -134,7 +166,13 @@ def cases_from_dataset(ds: Dataset, release_value: str | None = None) -> CaseTab
             )
     if release_value not in values:
         raise DataError(f"release value {release_value!r} is none of the action values {values}")
-    return CaseTable(X=ds.rows, released=ds.actions == release_value, outcomes=ds.labels)
+    return CaseTable(
+        X=ds.rows,
+        released=ds.actions == release_value,
+        outcomes=ds.labels,
+        feature_names=ds.feature_names,
+        column_groups=ds.column_groups,
+    )
 
 
 # ---------------------------------------------------------------------------

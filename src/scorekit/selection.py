@@ -52,13 +52,7 @@ def selectable_groups(ds: Dataset, grouped: bool) -> list[tuple[str, tuple[int, 
     return [(g, tuple(cols)) for g, cols in groups.items() if live[cols].any()]
 
 
-def forward_stepwise(
-    ds: Dataset,
-    k: int,
-    grouped: bool = True,
-    max_iter: int = 60,
-    tol: float = 1e-8,
-) -> SelectionTrace:
+def forward_stepwise(ds: Dataset, k: int, grouped: bool = True) -> SelectionTrace:
     """Greedily select ``k`` features (column groups) by training deviance.
 
     Only :func:`selectable_groups` are offered.  Ties break toward the lower
@@ -86,7 +80,7 @@ def forward_stepwise(
             trial = selected_cols + list(cols)
             try:
                 fit = fit_logistic(
-                    ds.rows[:, trial], y, max_iter=max_iter, tol=tol, on_divergence="clamp"
+                    ds.rows[:, trial], y, max_iter=60, tol=1e-8, on_divergence="clamp"
                 )
             except NumericError as exc:
                 raise NumericError(

@@ -9,14 +9,19 @@ computed and used as ground truth for the estimators that only see observed
 data.  Ignorability holds by construction unless a hidden covariate is
 switched on.
 
-Intercepts are calibrated by root-finding so the cohort hits target
-marginals (release rate, adverse rate among released / withheld) in
-expectation.
+The generator's design is fixed; only the size, the seed and the hidden
+covariate are settable.  Intercepts are calibrated by root-finding so the
+cohort hits its target marginals (release rate, adverse rate among released
+/ withheld) in expectation.
+
+A cohort is a :class:`~scorekit.policy.CaseTable` (covariate layout and
+potential outcomes included) plus what only the generator knows: each
+case's hidden covariate ``u`` and judge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -30,98 +35,92 @@ from .srr import RELEASE, WITHHOLD
 AGE_LABELS = ("18_20", "21_25", "26_30", "31_35", "36_40", "41_45", "46_50", "51_plus")
 PRIOR_LABELS = ("0", "1", "2", "3", "4_plus")
 
+# Covariate draws: ages over _AGE_SPAN, binned at _AGE_CUTS; prior failures
+# 0.._PRIOR_MAX with Pr(k) proportional to _PRIOR_DECAY^k; _N_NOISE standard
+# normal noise features.
+_AGE_CUTS = (21, 26, 31, 36, 41, 46, 51)
+_AGE_SPAN = (18, 69)
+_PRIOR_MAX = 6
+_PRIOR_DECAY = 0.5
+_N_NOISE = 2
+
+# Target marginals the intercepts are calibrated to.
+_RELEASE_RATE = 0.69
+_ADVERSE_RATE_RELEASED = 0.15
+_ADVERSE_RATE_WITHHELD = 0.09
+
 # Adverse-outcome log-odds profiles: risk falls with age, rises with prior
 # failures; the withheld profile is flatter (failing after posting bail is
 # rarer and less covariate-driven).
-_DEFAULT_OUTCOME_RELEASE = {
+_OUTCOME_RELEASE = {
     "age_18_20": 1.8, "age_21_25": 1.4, "age_26_30": 1.0, "age_31_35": 0.7,
     "age_36_40": 0.55, "age_41_45": 0.4, "age_46_50": 0.25,
     "priors_1": 1.1, "priors_2": 1.5, "priors_3": 1.75, "priors_4_plus": 2.0,
 }
-_DEFAULT_OUTCOME_WITHHOLD = {name: 0.5 * v for name, v in _DEFAULT_OUTCOME_RELEASE.items()}
+_OUTCOME_WITHHOLD = {name: 0.5 * v for name, v in _OUTCOME_RELEASE.items()}
 
 # Judges release clean-record defendants far more readily, but beyond that
 # first drop the release rate correlates only weakly with risk; the large
 # judge-to-judge intercept spread dominates.
-_DEFAULT_SELECTION = {
+_SELECTION = {
     "age_18_20": -0.96, "age_21_25": -0.72, "age_26_30": -0.51, "age_31_35": -0.35,
     "age_36_40": -0.22, "age_41_45": -0.11,
     "priors_1": -1.76, "priors_2": -2.0, "priors_3": -2.16, "priors_4_plus": -2.32,
 }
-_DEFAULT_JUDGE_OFFSETS = (-1.2, -0.8, -0.4, -0.1, 0.1, 0.4, 0.9, 1.5)
+_JUDGE_OFFSETS = (-1.2, -0.8, -0.4, -0.1, 0.1, 0.4, 0.9, 1.5)
+
+# u is always drawn and recorded; without a hidden covariate it has no effects
+_NO_HIDDEN_U = SensitivityParams(p_u=0.3, alpha=0.0, delta_release=0.0, delta_withhold=0.0)
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
+    """Cohort size, seed and, optionally, a hidden covariate ``u`` with
+    these effects on the decision and the outcomes."""
+
     n: int
     seed: int
-    age_cuts: tuple[float, ...] = (21, 26, 31, 36, 41, 46, 51)
-    age_span: tuple[int, int] = (18, 69)
-    prior_max: int = 6
-    prior_decay: float = 0.5
-    n_noise: int = 2
-    release_rate: float = 0.69
-    adverse_rate_released: float = 0.15
-    adverse_rate_withheld: float = 0.09
-    judge_offsets: tuple[float, ...] = _DEFAULT_JUDGE_OFFSETS
-    selection_coefs: Mapping[str, float] = field(default_factory=lambda: dict(_DEFAULT_SELECTION))
-    outcome_release_coefs: Mapping[str, float] = field(
-        default_factory=lambda: dict(_DEFAULT_OUTCOME_RELEASE)
-    )
-    outcome_withhold_coefs: Mapping[str, float] = field(
-        default_factory=lambda: dict(_DEFAULT_OUTCOME_WITHHOLD)
-    )
     hidden_u: SensitivityParams | None = None
-    p_u: float = 0.3  # u is always drawn and recorded; it has effects only when hidden_u is set
 
     def __post_init__(self):
         if self.n < 1:
             raise DataError("n must be at least 1")
-        for name in ("release_rate", "adverse_rate_released", "adverse_rate_withheld", "p_u"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise DataError(f"{name} must lie strictly inside (0, 1)")
-        if len(self.judge_offsets) < 1:
-            raise DataError("need at least one judge")
 
 
 @dataclass(frozen=True)
 class SyntheticCohort:
-    """Generated cases with potential outcomes, plus the generating config."""
+    """Generated cases with potential outcomes, plus each case's hidden
+    covariate ``u`` (0/1) and judge id.
+
+    ``feature_names`` and ``column_groups`` are the table's covariate layout.
+    """
 
     table: CaseTable
-    feature_names: tuple[str, ...]
-    column_groups: tuple[str, ...]
-    config: GeneratorConfig | None
     u: np.ndarray
+    judges: np.ndarray
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=np.int8)
         u.flags.writeable = False
         object.__setattr__(self, "u", u)
+        object.__setattr__(self, "judges", np.asarray(self.judges))
+        if u.shape != (self.n,) or self.judges.shape != (self.n,):
+            raise DataError("u and judges must have one entry per case")
 
     @property
     def n(self) -> int:
         return len(self.table)
 
+    @property
+    def feature_names(self) -> tuple[str, ...]:
+        return self.table.feature_names
+
+    @property
+    def column_groups(self) -> tuple[str, ...]:
+        return self.table.column_groups
+
     def case_table(self) -> CaseTable:
         return self.table
-
-    def dataset(self) -> Dataset:
-        return Dataset(
-            feature_names=self.feature_names,
-            rows=self.table.X,
-            labels=self.table.outcomes.astype(int),
-            actions=self.table.actions,
-            column_groups=self.column_groups,
-        )
-
-    def released_dataset(self) -> Dataset:
-        """The subset a rule-construction fit sees: released cases only."""
-        released = np.flatnonzero(self.table.released)
-        if len(released) == 0:
-            raise DataError("no released cases in cohort")
-        return self.dataset().take(released)
 
 
 def _calibrate_intercept(eta: np.ndarray, target: float, weights: np.ndarray | None = None) -> float:
@@ -151,16 +150,14 @@ def _calibrate_intercept(eta: np.ndarray, target: float, weights: np.ndarray | N
 def _linear_term(names: tuple[str, ...], X: np.ndarray, coefs: Mapping[str, float]) -> np.ndarray:
     eta = np.zeros(X.shape[0])
     for name, v in coefs.items():
-        if name not in names:
-            raise DataError(f"coefficient refers to unknown encoded feature {name!r}")
         eta += v * X[:, names.index(name)]
     return eta
 
 
-def bail_encoding_spec(config: GeneratorConfig) -> EncodingSpec:
+def bail_encoding_spec() -> EncodingSpec:
     return EncodingSpec(
         columns={
-            "age": Bins(cuts=config.age_cuts, labels=AGE_LABELS, reference=AGE_LABELS[-1]),
+            "age": Bins(cuts=_AGE_CUTS, labels=AGE_LABELS, reference=AGE_LABELS[-1]),
             "priors": Bins(
                 cuts=(1, 2, 3, 4), labels=PRIOR_LABELS, reference=PRIOR_LABELS[0]
             ),
@@ -173,59 +170,51 @@ def generate(config: GeneratorConfig) -> SyntheticCohort:
     rng = np.random.default_rng(config.seed)
     n = config.n
 
-    lo, hi = config.age_span
+    lo, hi = _AGE_SPAN
     ages = rng.choice(np.arange(lo, hi + 1), size=n, p=_age_weights(lo, hi))
-    prior_support = np.arange(config.prior_max + 1)
-    prior_p = config.prior_decay ** prior_support
+    prior_support = np.arange(_PRIOR_MAX + 1)
+    prior_p = _PRIOR_DECAY ** prior_support
     priors = rng.choice(prior_support, size=n, p=prior_p / prior_p.sum())
-    noise = rng.standard_normal((n, config.n_noise)) if config.n_noise else np.zeros((n, 0))
+    noise = rng.standard_normal((n, _N_NOISE))
 
     raw = Dataset(
-        feature_names=("age", "priors") + tuple(f"noise_{j}" for j in range(config.n_noise)),
+        feature_names=("age", "priors") + tuple(f"noise_{j}" for j in range(_N_NOISE)),
         rows=np.column_stack([ages.astype(float), priors.astype(float), noise]),
         labels=np.zeros(n, dtype=np.int8),
     )
-    enc = encode(raw, bail_encoding_spec(config))
+    enc = encode(raw, bail_encoding_spec())
     X = enc.rows
     names = enc.feature_names
 
-    u = rng.binomial(1, config.hidden_u.p_u if config.hidden_u else config.p_u, size=n)
-    judges = rng.integers(0, len(config.judge_offsets), size=n)
-    offsets = np.asarray(config.judge_offsets, dtype=float)[judges]
+    hidden = config.hidden_u or _NO_HIDDEN_U
+    u = rng.binomial(1, hidden.p_u, size=n)
+    judges = rng.integers(0, len(_JUDGE_OFFSETS), size=n)
+    offsets = np.asarray(_JUDGE_OFFSETS, dtype=float)[judges]
 
-    alpha = config.hidden_u.alpha if config.hidden_u else 0.0
-    d_rel = config.hidden_u.delta_release if config.hidden_u else 0.0
-    d_wh = config.hidden_u.delta_withhold if config.hidden_u else 0.0
-
-    eta_sel = _linear_term(names, X, config.selection_coefs) + offsets + alpha * u
-    c_sel = _calibrate_intercept(eta_sel, config.release_rate)
+    eta_sel = _linear_term(names, X, _SELECTION) + offsets + hidden.alpha * u
+    c_sel = _calibrate_intercept(eta_sel, _RELEASE_RATE)
     p_release = expit(eta_sel + c_sel)
     released = rng.random(n) < p_release
 
-    eta_rel = _linear_term(names, X, config.outcome_release_coefs) + d_rel * u
-    c_rel = _calibrate_intercept(eta_rel, config.adverse_rate_released, weights=p_release)
+    eta_rel = _linear_term(names, X, _OUTCOME_RELEASE) + hidden.delta_release * u
+    c_rel = _calibrate_intercept(eta_rel, _ADVERSE_RATE_RELEASED, weights=p_release)
     po_release = rng.random(n) < expit(eta_rel + c_rel)
 
-    eta_wh = _linear_term(names, X, config.outcome_withhold_coefs) + d_wh * u
-    c_wh = _calibrate_intercept(eta_wh, config.adverse_rate_withheld, weights=1.0 - p_release)
+    eta_wh = _linear_term(names, X, _OUTCOME_WITHHOLD) + hidden.delta_withhold * u
+    c_wh = _calibrate_intercept(eta_wh, _ADVERSE_RATE_WITHHELD, weights=1.0 - p_release)
     po_withhold = rng.random(n) < expit(eta_wh + c_wh)
 
-    judge_ids = np.array([f"judge_{j:02d}" for j in range(len(config.judge_offsets))])
     table = CaseTable(
         X=X,
         released=released,
         outcomes=np.where(released, po_release, po_withhold),
-        group_ids=judge_ids[judges],
         po_release=po_release,
         po_withhold=po_withhold,
-    )
-    return SyntheticCohort(
-        table=table,
         feature_names=names,
         column_groups=enc.column_groups,
-        config=config,
-        u=u,
     )
+    judge_ids = np.array([f"judge_{j:02d}" for j in range(len(_JUDGE_OFFSETS))])
+    return SyntheticCohort(table=table, u=u, judges=judge_ids[judges])
 
 
 def _age_weights(lo: int, hi: int) -> np.ndarray:
@@ -266,7 +255,7 @@ def write_cohort_csv(cohort: SyntheticCohort, path) -> None:
     columns = [_float_cells(column) for column in t.X.T] + [
         t.actions.tolist(),
         t.outcomes.astype(int).tolist(),
-        t.group_ids.tolist(),
+        cohort.judges.tolist(),
         t.po_release.astype(int).tolist(),
         t.po_withhold.astype(int).tolist(),
         cohort.u.tolist(),
@@ -332,17 +321,12 @@ def load_cohort_csv(path) -> SyntheticCohort:
         X=X,
         released=np.array(actions) == RELEASE,
         outcomes=outcome,
-        group_ids=np.array(judges),
         po_release=po_r,
         po_withhold=po_w,
-    )
-    return SyntheticCohort(
-        table=table,
         feature_names=names,
         column_groups=_infer_groups(names),
-        config=None,
-        u=u,
     )
+    return SyntheticCohort(table=table, u=u, judges=np.array(judges))
 
 
 def _infer_groups(names: tuple[str, ...]) -> tuple[str, ...]:

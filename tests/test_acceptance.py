@@ -48,7 +48,7 @@ def report(line: str) -> None:
 @pytest.fixture(scope="module")
 def bail_card():
     cohort = synth.generate(synth.GeneratorConfig(n=50000, seed=999))
-    ds = cohort.released_dataset()
+    ds = cohort.case_table().released_dataset()
     folds = data.kfold(ds.n, 5, seed=0, labels=ds.labels)
     card = srr.build_scorecard(ds, k=2, M=10, folds_for_lambda=folds, n_lambda=40)
     return card, cohort.feature_names

@@ -400,7 +400,7 @@ class TestPolicyEval:
         cohort = synth.load_cohort_csv(cohort_csv)
         table = cohort.case_table()
         decisions = np.where(table.released, "ROR", "BAIL")
-        tail = zip(table.outcomes.astype(int).tolist(), decisions, table.group_ids)
+        tail = zip(table.outcomes.astype(int).tolist(), decisions, cohort.judges)
         data.write_table(
             path,
             [*cohort.feature_names, "fta", "decision", "judge"],

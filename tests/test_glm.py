@@ -439,21 +439,17 @@ class TestCvSelect:
 
     def test_pure_noise_selects_intercept_only(self):
         # the min-deviance rule lets tiny spurious coefficients through in a
-        # minority of runs (flat CV curve near the top of the grid); the
-        # one-SE rule is the conservative variant and stays intercept-only
-        # in >= 90% of seeded runs
-        hits = {"min": 0, "1se": 0}
+        # minority of runs (flat CV curve near the top of the grid)
+        hits = 0
         for seed in range(50):
             rng = np.random.default_rng(seed)
             X = rng.normal(size=(300, 3))
             y = (rng.random(300) < 0.5).astype(float)
             folds = data.kfold(300, 10, seed=seed, labels=y)
-            for rule in hits:
-                path = glm.cv_select(X, y, folds, n_lambda=30, rule=rule)
-                _, coefs = path.coefficients_at()
-                hits[rule] += int(np.all(coefs == 0.0))
-        assert hits["1se"] >= 45
-        assert hits["min"] >= 25
+            path = glm.cv_select(X, y, folds, n_lambda=30)
+            _, coefs = path.coefficients_at()
+            hits += int(np.all(coefs == 0.0))
+        assert hits >= 25
 
     def test_perfect_feature_survives_selection(self):
         hits = 0

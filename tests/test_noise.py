@@ -111,18 +111,6 @@ class TestEstimateGamma:
         b = noise.estimate_gamma(true, 2.0 * (true + eps) + 11.0, 2.0, labels)
         assert b.gamma == pytest.approx(a.gamma, rel=1e-12)
 
-    def test_pooled_flag_weights_by_class_size(self):
-        rng = np.random.default_rng(3)
-        n = 4000
-        labels = np.concatenate([np.zeros(n - 400, int), np.ones(400, int)])
-        true = np.where(labels == 1, 1.0, -1.0) + rng.normal(0.0, 1.0, n) * np.where(
-            labels == 1, 2.0, 1.0
-        )
-        simple = 2.0 * true + rng.normal(0.0, 1.0, n)
-        plain = noise.estimate_gamma(true, simple, 2.0, labels)
-        pooled = noise.estimate_gamma(true, simple, 2.0, labels, pooled=True)
-        assert pooled.sigma < plain.sigma  # small high-variance class downweighted
-
     def test_zero_within_class_variance_rejected(self):
         true = np.array([1.0, 1.0, 0.0, 0.5])
         labels = np.array([1, 1, 0, 0])

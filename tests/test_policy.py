@@ -25,13 +25,12 @@ class StubSurface:
         return np.array([self.release_probs[x[0]] for x in X])
 
 
-def case_table(keys, released, outcomes, groups=None):
+def case_table(keys, released, outcomes):
     """A CaseTable whose single covariate is each case's key."""
     return policy.CaseTable(
         X=np.asarray(keys, dtype=float)[:, None],
         released=np.asarray(released),
         outcomes=np.asarray(outcomes, dtype=float),
-        group_ids=groups,
     )
 
 
@@ -81,9 +80,63 @@ class TestEstimatePolicy:
         with pytest.raises(DataError, match="one entry"):
             case_table([1, 2, 3], [True, False], [0, 1, 0])
         with pytest.raises(DataError, match="one entry"):
-            case_table([1, 2], [True, False], [0, 1], groups=np.array(["j1"]))
+            policy.CaseTable(X=[[1.0], [2.0]], released=[True, False], outcomes=[0, 1],
+                             po_release=[0], po_withhold=[0])
         with pytest.raises(DataError, match="0 or 1"):
             case_table([1, 2], [True, False], [0, 2])
+
+
+class TestCaseTableLayout:
+    def table(self, **layout):
+        return policy.CaseTable(
+            X=[[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]],
+            released=[True, False, True],
+            outcomes=[1, 0, 0],
+            po_release=[1, 1, 0],
+            po_withhold=[0, 0, 1],
+            **layout,
+        )
+
+    def test_without_names_columns_are_x0_on_and_groups_are_names(self):
+        table = self.table()
+        assert table.feature_names == ("x0", "x1")
+        assert table.column_groups == ("x0", "x1")
+        assert self.table(feature_names=["a", "b"]).column_groups == ("a", "b")
+
+    @pytest.mark.parametrize(
+        "layout, message",
+        [(dict(feature_names=("a", "a")), "unique"),
+         (dict(feature_names=("a",)), "one entry per column"),
+         (dict(feature_names=("a", "b", "c")), "one entry per column"),
+         (dict(column_groups=("g",)), "one entry per column"),
+         (dict(feature_names=("a", "b"), column_groups=("g", "g", "g")), "one entry per column")],
+    )
+    def test_bad_layout_is_data_error(self, layout, message):
+        with pytest.raises(DataError, match=message):
+            self.table(**layout)
+
+    def test_take_keeps_the_layout_and_every_case_column(self):
+        table = self.table(feature_names=("a", "b"), column_groups=("g", "g"))
+        sub = table.take([2, 0])
+        assert (sub.feature_names, sub.column_groups) == (("a", "b"), ("g", "g"))
+        for name in ("X", "released", "outcomes", "po_release", "po_withhold"):
+            assert np.array_equal(getattr(sub, name), getattr(table, name)[[2, 0]]), name
+
+    def test_released_dataset_needs_a_released_case(self):
+        table = policy.CaseTable(X=[[1.0], [2.0]], released=[False, False], outcomes=[0, 1])
+        with pytest.raises(DataError, match="no released cases"):
+            table.released_dataset()
+
+    def test_cases_from_dataset_keep_its_layout(self):
+        ds = data.Dataset(
+            feature_names=("a", "b"),
+            rows=[[1.0, 0.0], [0.0, 1.0]],
+            labels=[0, 1],
+            actions=np.array([policy.RELEASE, policy.WITHHOLD]),
+            column_groups=("g", "g"),
+        )
+        table = policy.cases_from_dataset(ds)
+        assert (table.feature_names, table.column_groups) == (("a", "b"), ("g", "g"))
 
 
 class TestFitResponseSurface:

@@ -162,7 +162,7 @@ class TestBuildScorecard:
         # a synthetic decision cohort whose risk falls with age and rises
         # with prior failures must yield a card with that shape
         cohort = synth.generate(synth.GeneratorConfig(n=30000, seed=42))
-        ds = cohort.released_dataset()
+        ds = cohort.case_table().released_dataset()
         folds = data.kfold(ds.n, 5, seed=0, labels=ds.labels)
         card = srr.build_scorecard(ds, k=2, M=10, folds_for_lambda=folds, n_lambda=40)
         weights = dict(card.entries)
@@ -191,7 +191,7 @@ class TestBuildScorecard:
 
     def test_M1_bounds_weights(self):
         cohort = synth.generate(synth.GeneratorConfig(n=8000, seed=3))
-        ds = cohort.released_dataset()
+        ds = cohort.case_table().released_dataset()
         folds = data.kfold(ds.n, 5, seed=0, labels=ds.labels)
         card = srr.build_scorecard(ds, k=3, M=1, folds_for_lambda=folds, n_lambda=30)
         assert card.entries  # something survived
@@ -199,7 +199,7 @@ class TestBuildScorecard:
 
     def test_feature_count_bounded_by_budget(self):
         cohort = synth.generate(synth.GeneratorConfig(n=8000, seed=4))
-        ds = cohort.released_dataset()
+        ds = cohort.case_table().released_dataset()
         folds = data.kfold(ds.n, 5, seed=0, labels=ds.labels)
         card = srr.build_scorecard(ds, k=2, M=3, folds_for_lambda=folds, n_lambda=30)
         sources = {ds.column_groups[ds.feature_names.index(n)] for n, _ in card.entries}

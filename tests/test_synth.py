@@ -21,12 +21,12 @@ def big_cohort():
 
 class TestGenerate:
     def test_target_marginals(self, big_cohort):
-        ds = big_cohort.dataset()
-        released = big_cohort.table.released
-        assert np.array_equal(ds.actions == policy.RELEASE, released)
+        table = big_cohort.case_table()
+        released = table.released
+        assert np.array_equal(table.actions == policy.RELEASE, released)
         assert np.mean(released) == pytest.approx(0.69, abs=0.01)
-        assert ds.labels[np.flatnonzero(released)].mean() == pytest.approx(0.15, abs=0.01)
-        assert ds.labels[np.flatnonzero(~released)].mean() == pytest.approx(0.09, abs=0.01)
+        assert table.outcomes[np.flatnonzero(released)].mean() == pytest.approx(0.15, abs=0.01)
+        assert table.outcomes[np.flatnonzero(~released)].mean() == pytest.approx(0.09, abs=0.01)
 
     def test_same_seed_identical(self, tmp_path):
         a = synth.generate(synth.GeneratorConfig(n=2000, seed=7))
@@ -74,9 +74,36 @@ class TestGenerate:
         groups = set(big_cohort.column_groups)
         assert "age" in groups and "priors" in groups
 
-    def test_infeasible_marginal_rejected(self):
-        with pytest.raises(DataError):
-            synth.GeneratorConfig(n=100, seed=0, release_rate=1.5)
+
+class TestCohortContainer:
+    def test_released_dataset_equals_the_rule_dataset_built_by_hand(self):
+        cohort = synth.generate(synth.GeneratorConfig(n=3000, seed=12))
+        table = cohort.case_table()
+        folds = data.kfold(len(table), 3, seed=0, labels=table.outcomes.astype(int))
+        construct = table.take(folds.test_indices(0))
+        released = np.flatnonzero(construct.released)
+        by_hand = data.Dataset(
+            feature_names=cohort.feature_names,
+            rows=construct.X[released],
+            labels=construct.outcomes[released].astype(int),
+            column_groups=cohort.column_groups,
+        )
+        ds = construct.released_dataset()
+        assert ds.feature_names == by_hand.feature_names
+        assert ds.column_groups == by_hand.column_groups
+        assert ds.rows.dtype == by_hand.rows.dtype and np.array_equal(ds.rows, by_hand.rows)
+        assert ds.labels.dtype == by_hand.labels.dtype
+        assert np.array_equal(ds.labels, by_hand.labels)
+
+    @pytest.mark.parametrize("field", ["u", "judges"])
+    def test_bookkeeping_of_the_wrong_length_rejected(self, field):
+        cohort = synth.generate(synth.GeneratorConfig(n=50, seed=10))
+        with pytest.raises(DataError, match="one entry per case"):
+            dataclasses.replace(cohort, **{field: getattr(cohort, field)[:-1]})
+
+    def test_empty_cohort_rejected(self):
+        with pytest.raises(DataError, match="n must be at least 1"):
+            synth.GeneratorConfig(n=0, seed=0)
 
 
 class TestOracleValue:
@@ -145,9 +172,9 @@ class TestCohortCsv:
         cohort = synth.generate(synth.GeneratorConfig(n=300, seed=9))
         path = tmp_path / "cohort.csv"
         synth.write_cohort_csv(cohort, path)
-        ta, tb = cohort.case_table(), synth.load_cohort_csv(path).case_table()
-        assert np.array_equal(ta.group_ids, tb.group_ids)
-        assert np.array_equal(ta.po_withhold, tb.po_withhold)
+        back = synth.load_cohort_csv(path)
+        assert np.array_equal(cohort.judges, back.judges)
+        assert np.array_equal(cohort.case_table().po_withhold, back.case_table().po_withhold)
 
     def test_non_utf8_file_is_data_error_naming_it(self, tmp_path):
         cohort = synth.generate(synth.GeneratorConfig(n=300, seed=9))

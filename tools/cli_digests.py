@@ -8,6 +8,8 @@ Usage::
 Runs, in one process and into subdirectories of OUTDIR:
 
 - ``synth-gen --n 20000`` at seeds 0 and 1 (``synth0/``, ``synth1/``)
+- ``synth-gen --n 20000 --seed 2`` with a hidden covariate, ``--hidden-u
+  0.3,0.693,0.693,0.693`` (``synth_hidden/``)
 - ``policy-eval`` with default arguments on the seed-0 cohort (``policy_eval/``)
 - ``policy-eval`` with default arguments on the seed-0 cohort rewritten as a
   plain observed-decision CSV, ``decisions.csv``, whose ``decision`` column
@@ -56,6 +58,9 @@ def runs(out: str, heart: list[str]) -> list[tuple[list[str], list[str]]]:
          ["synth0/cohort.csv"]),
         (["synth-gen", "--n", "20000", "--seed", "1", "--output-dir", f"{out}/synth1"],
          ["synth1/cohort.csv"]),
+        (["synth-gen", "--n", "20000", "--seed", "2", "--hidden-u", "0.3,0.693,0.693,0.693",
+          "--output-dir", f"{out}/synth_hidden"],
+         ["synth_hidden/cohort.csv"]),
         (["policy-eval", "--input", f"{out}/synth0/cohort.csv",
           "--output-dir", f"{out}/policy_eval"],
          ["policy_eval/policy_eval.csv"]),
