@@ -35,7 +35,6 @@ surf_folds = data.kfold(len(surface_part), 5, seed=2, labels=surface_part.outcom
 surface = policy.fit_response_surface(surface_part, surf_folds, n_lambda=40)
 print(f"\nresponse surface fit on fold 1 ({len(surface_part)} cases)")
 
-observed_rate = surface_part.outcomes.mean()
 print(f"status quo: release rate {np.mean(table.released):.2f}, "
       f"adverse rate {table.outcomes.mean():.3f}\n")
 

@@ -39,7 +39,7 @@ print(card.render())
 
 full_model = glm.cv_select(ds.rows, ds.labels.astype(float), folds)
 true_scores = full_model.linear_score(ds.rows)
-simple_scores = srr.score_rows(card, ds)
+simple_scores = card.scores(ds.rows, ds.feature_names)
 model = noise.estimate_gamma(true_scores, simple_scores, card.scaling, ds.labels)
 print(f"\n  within-class sd of true scores: {model.sigma:.3f}")
 print(f"  sd of the rounding noise:       {model.sigma_eps:.3f}")

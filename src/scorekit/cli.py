@@ -75,6 +75,14 @@ def _config_comment(args) -> str:
     return f"scorekit {args.subcommand}: {fields}"
 
 
+def _write_csv(args, name: str, header, rows, *comments) -> None:
+    """Write one output CSV, the config comment line first, then ``comments``;
+    print its ``wrote`` line."""
+    out = _out_path(args, name)
+    data.write_table(out, header, rows, comments=[_config_comment(args), *comments])
+    print(f"wrote {out}")
+
+
 def _load_encoded(args, encoding=None, **columns) -> data.Dataset:
     """--input as a Dataset, with ``columns`` passed on to ``load_csv``.
 
@@ -108,9 +116,14 @@ def _load_encoded(args, encoding=None, **columns) -> data.Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_train(args) -> int:
+def _load_with_folds(args) -> tuple[data.Dataset, data.FoldAssignment]:
+    """The labeled input of train and evaluate, and its --folds split."""
     ds = _load_encoded(args, args.encoding)
-    folds = data.kfold(ds.n, args.folds, seed=args.seed, labels=ds.labels)
+    return ds, data.kfold(ds.n, args.folds, seed=args.seed, labels=ds.labels)
+
+
+def _cmd_train(args) -> int:
+    ds, folds = _load_with_folds(args)
     card = srr.build_scorecard(
         ds,
         k=args.k,
@@ -133,8 +146,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    ds = _load_encoded(args, args.encoding)
-    folds = data.kfold(ds.n, args.folds, seed=args.seed, labels=ds.labels)
+    ds, folds = _load_with_folds(args)
     sweep = metrics.cv_sweep(
         ds,
         k_values=_parse_int_list(args.k_values),
@@ -145,9 +157,7 @@ def _cmd_evaluate(args) -> int:
         inner_folds=args.inner_folds,
         seed=args.seed,
     )
-    out = _out_path(args, "sweep.csv")
-    sweep.to_csv(out, config_comment=_config_comment(args))
-    print(f"wrote {out}")
+    _write_csv(args, "sweep.csv", metrics.SWEEP_HEADER, sweep.rows())
     for k in sweep.k_values:
         for M in sweep.M_values:
             try:
@@ -198,12 +208,12 @@ def _policy_setup(args):
     Loads the input and splits it into three folds: the scorecard is fitted
     on the released cases of the construct fold, the response surface on the
     surface fold, and policies are scored on the evaluation fold.  Returns
-    (card, (released construct cases, their lambda folds), surface,
-    evaluation table, scorecard thresholds, fold provenance); the released
-    construct cases are what ``policy-eval`` fits its full-feature risk model
-    on.  Without --thresholds, the thresholds are every half-integer between
-    the extreme evaluation scores.  A given --thresholds grid is parsed
-    before anything is fitted.
+    ([(threshold, scorecard policy) per threshold], (released construct
+    cases, their lambda folds), surface, evaluation table, fold provenance);
+    the released construct cases are what ``policy-eval`` fits its
+    full-feature risk model on.  Without --thresholds, the thresholds are
+    every half-integer between the extreme evaluation scores.  A given
+    --thresholds grid is parsed before anything is fitted.
     """
     thresholds = _parse_float_grid(args.thresholds) if args.thresholds else None
     table = _load_cohort_or_cases(args)
@@ -226,71 +236,61 @@ def _policy_setup(args):
     )
     surface = policy.fit_response_surface(surf_sub, surf_folds, n_lambda=args.n_lambda)
     if thresholds is None:
-        scores = eval_sub.X @ card.weight_vector(eval_sub.feature_names)
+        scores = card.scores(eval_sub.X, eval_sub.feature_names)
         thresholds = tuple(np.arange(np.min(scores), np.max(scores) + 1.0) + 0.5)
-    return card, (rule_ds, lam_folds), surface, eval_sub, thresholds, provenance
+    scorecards = [
+        (thr, policy.ScorecardPolicy(
+            card=card, feature_names=eval_sub.feature_names, threshold=float(thr)))
+        for thr in thresholds
+    ]
+    return scorecards, (rule_ds, lam_folds), surface, eval_sub, provenance
 
 
 def _cmd_policy_eval(args) -> int:
     risk_thresholds = _parse_float_grid(args.risk_thresholds)
-    card, (rule_ds, lam_folds), surface, eval_sub, thresholds, provenance = _policy_setup(args)
+    scorecards, (rule_ds, lam_folds), surface, eval_sub, provenance = _policy_setup(args)
     risk_b0, risk_coefs = glm.cv_select(
         rule_ds.rows, rule_ds.labels.astype(float), lam_folds, n_lambda=args.n_lambda
     ).coefficients_at()
+    candidates = [("observed", "", policy.FixedActionsPolicy(fixed=eval_sub.released))]
+    candidates += [("scorecard", thr, pol) for thr, pol in scorecards]
+    candidates += [
+        ("risk_model", thr,
+         policy.RiskModelPolicy(intercept=risk_b0, coefficients=risk_coefs, threshold=float(thr)))
+        for thr in risk_thresholds
+    ]
 
     def rows():
-        observed = policy.FixedActionsPolicy(fixed=eval_sub.released)
-        est = policy.estimate_policy(eval_sub, observed, surface)
-        yield ["observed", "", repr(est.action_rate), repr(est.value), est.method, ""]
-        for thr in thresholds:
-            pol = policy.ScorecardPolicy(
-                card=card, feature_names=eval_sub.feature_names, threshold=float(thr)
-            )
+        for name, thr, pol in candidates:
             est = policy.estimate_policy(eval_sub, pol, surface)
-            yield ["scorecard", thr, repr(est.action_rate), repr(est.value), est.method, ""]
-        for thr in risk_thresholds:
-            pol = policy.RiskModelPolicy(
-                intercept=risk_b0, coefficients=risk_coefs, threshold=float(thr)
-            )
-            est = policy.estimate_policy(eval_sub, pol, surface)
-            yield ["risk_model", thr, repr(est.action_rate), repr(est.value), est.method, ""]
+            yield [name, thr, repr(est.action_rate), repr(est.value), est.method, ""]
 
-    out = _out_path(args, "policy_eval.csv")
-    data.write_table(
-        out,
-        ["policy", "threshold", "action_rate", "value", "method", "regime"],
-        rows(),
-        comments=[_config_comment(args), provenance],
+    _write_csv(
+        args, "policy_eval.csv",
+        ["policy", "threshold", "action_rate", "value", "method", "regime"], rows(), provenance,
     )
-    print(f"wrote {out}")
     print(provenance)
     return 0
 
 
 def _cmd_sensitivity_sweep(args) -> int:
-    card, _, surface, eval_sub, thresholds, provenance = _policy_setup(args)
+    scorecards, _, surface, eval_sub, provenance = _policy_setup(args)
     spec = _REGIMES[args.regime]
     regimes = policy.regime_grid(spec["alpha"], _P_GRID, spec["deltas"])
 
     def rows():
-        for thr in thresholds:
-            pol = policy.ScorecardPolicy(
-                card=card, feature_names=eval_sub.feature_names, threshold=float(thr)
-            )
+        for thr, pol in scorecards:
             band = policy.sensitivity_sweep(eval_sub, pol, surface, regimes)
             yield [
                 "scorecard", thr, repr(band.action_rate), repr(band.baseline),
                 repr(band.low), repr(band.high), len(regimes), args.regime,
             ]
 
-    out = _out_path(args, "sensitivity.csv")
-    data.write_table(
-        out,
+    _write_csv(
+        args, "sensitivity.csv",
         ["policy", "threshold", "action_rate", "baseline", "min", "max", "n_regimes", "regime"],
-        rows(),
-        comments=[_config_comment(args), provenance],
+        rows(), provenance,
     )
-    print(f"wrote {out}")
     print(provenance)
     return 0
 
@@ -299,14 +299,8 @@ def _cmd_theory_curve(args) -> int:
     rows = noise.theory_curve(
         _parse_float_grid(args.auc_values), _parse_float_grid(args.gamma_values)
     )
-    out = _out_path(args, "theory_curve.csv")
-    data.write_table(
-        out,
-        ["auc_y", "gamma", "auc_hat"],
-        ([a, g, repr(v)] for a, g, v in rows),
-        comments=[_config_comment(args)],
-    )
-    print(f"wrote {out}")
+    _write_csv(args, "theory_curve.csv", ["auc_y", "gamma", "auc_hat"],
+               ([a, g, repr(v)] for a, g, v in rows))
     return 0
 
 
@@ -322,9 +316,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
-        p.add_argument("--output-dir", default=".", help="directory for output files")
+    def command(name, func, help, *option_sets):
+        """A subcommand running ``func``, with each option set and the
+        common --seed and --output-dir options."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        common = p.add_argument_group("common options")
+        common.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
+        common.add_argument("--output-dir", default=".", help="directory for output files")
+        for add in option_sets:
+            add(p)
+        return p
 
     def add_tabular(p):
         p.add_argument("--input", required=True, help="input CSV path")
@@ -333,32 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--positive-label", help="raw label value mapped to 1")
         p.add_argument("--per-indicator", action="store_true",
                        help="select indicator columns individually, not as source-column groups")
-
-    p = sub.add_parser("train", help="build a scorecard from labeled data")
-    add_tabular(p)
-    p.add_argument("--k", type=int, required=True, help="feature budget")
-    p.add_argument("--M", type=int, required=True, help="integer weight bound")
-    p.add_argument("--threshold", type=float, help="decision threshold stored on the card")
-    p.add_argument("--folds", type=int, default=10, help="folds for penalty selection")
-    p.add_argument("--n-lambda", type=int, default=100, help="penalty grid size (up to 1000)")
-    add_common(p)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("evaluate", help="cross-validated k x M sweep with benchmarks")
-    add_tabular(p)
-    p.add_argument("--k-values", default="1-10", help="e.g. 1-10 or 1,2,5")
-    p.add_argument("--M-values", default="1,2,3")
-    p.add_argument("--folds", type=int, default=10, help="outer CV folds")
-    p.add_argument("--inner-folds", type=int, default=5, help="folds for penalty selection")
-    p.add_argument("--n-lambda", type=int, default=30)
-    add_common(p)
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("synth-gen", help="generate a synthetic decision cohort")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--hidden-u", help="enable a hidden covariate: p,alpha,delta_rel,delta_wh")
-    add_common(p)
-    p.set_defaults(func=_cmd_synth_gen)
 
     def add_policy_io(p):
         p.add_argument("--input", required=True, help="cohort CSV or observed-decision CSV")
@@ -374,25 +350,38 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-lambda", type=int, default=50)
         p.add_argument("--rotate", type=int, default=0, help="rotate the three fold roles")
 
-    p = sub.add_parser("policy-eval", help="estimate policies over a threshold sweep")
-    add_policy_io(p)
+    p = command("train", _cmd_train, "build a scorecard from labeled data", add_tabular)
+    p.add_argument("--k", type=int, required=True, help="feature budget")
+    p.add_argument("--M", type=int, required=True, help="integer weight bound")
+    p.add_argument("--threshold", type=float, help="decision threshold stored on the card")
+    p.add_argument("--folds", type=int, default=10, help="folds for penalty selection")
+    p.add_argument("--n-lambda", type=int, default=100, help="penalty grid size (up to 1000)")
+
+    p = command("evaluate", _cmd_evaluate, "cross-validated k x M sweep with benchmarks",
+                add_tabular)
+    p.add_argument("--k-values", default="1-10", help="e.g. 1-10 or 1,2,5")
+    p.add_argument("--M-values", default="1,2,3")
+    p.add_argument("--folds", type=int, default=10, help="outer CV folds")
+    p.add_argument("--inner-folds", type=int, default=5, help="folds for penalty selection")
+    p.add_argument("--n-lambda", type=int, default=30)
+
+    p = command("synth-gen", _cmd_synth_gen, "generate a synthetic decision cohort")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--hidden-u", help="enable a hidden covariate: p,alpha,delta_rel,delta_wh")
+
+    p = command("policy-eval", _cmd_policy_eval, "estimate policies over a threshold sweep",
+                add_policy_io)
     p.add_argument("--risk-thresholds", default="0.05:0.95:0.05",
                    help="risk-model release thresholds")
-    add_common(p)
-    p.set_defaults(func=_cmd_policy_eval)
 
-    p = sub.add_parser("sensitivity-sweep", help="hidden-covariate sensitivity bands")
-    add_policy_io(p)
+    p = command("sensitivity-sweep", _cmd_sensitivity_sweep, "hidden-covariate sensitivity bands",
+                add_policy_io)
     p.add_argument("--regime", choices=sorted(_REGIMES), default="log2",
                    help="log2: odds shifts of 2; log3: odds shifts of 3")
-    add_common(p)
-    p.set_defaults(func=_cmd_sensitivity_sweep)
 
-    p = sub.add_parser("theory-curve", help="analytic AUC-under-noise grid")
+    p = command("theory-curve", _cmd_theory_curve, "analytic AUC-under-noise grid")
     p.add_argument("--auc-values", default="0.55:0.95:0.05")
     p.add_argument("--gamma-values", default="0:2:0.1")
-    add_common(p)
-    p.set_defaults(func=_cmd_theory_curve)
 
     return parser
 

@@ -66,6 +66,19 @@ def _plain(value):
     return value
 
 
+def covariate_layout(feature_names, column_groups, p: int) -> tuple[tuple, tuple]:
+    """``(names, groups)`` of a ``p``-column covariate matrix, under the one
+    layout rule of :class:`Dataset` and ``policy.CaseTable``: the names are
+    unique, one per column, and the groups default to the names."""
+    names = tuple(feature_names)
+    groups = names if column_groups is None else tuple(column_groups)
+    if len(names) != p or len(groups) != p:
+        raise DataError("feature_names and column_groups need one entry per column")
+    if len(set(names)) != p:
+        raise DataError("feature names must be unique")
+    return names, groups
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Named feature matrix with binary outcome labels.
@@ -93,10 +106,7 @@ class Dataset:
         n, p = rows.shape
         if n < 1 or p < 1:
             raise DataError("dataset needs at least one row and one feature")
-        if len(self.feature_names) != p:
-            raise DataError("feature_names length does not match row width")
-        if len(set(self.feature_names)) != p:
-            raise DataError("feature names must be unique")
+        names, groups = covariate_layout(self.feature_names, self.column_groups, p)
         if not np.all(np.isfinite(rows)):
             raise DataError("feature matrix contains non-finite values")
         labels = np.asarray(self.labels)
@@ -106,7 +116,8 @@ class Dataset:
             raise DataError("labels must contain only 0 or 1")
         object.__setattr__(self, "rows", _freeze(rows))
         object.__setattr__(self, "labels", _freeze(labels.astype(np.int8)))
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
+        object.__setattr__(self, "feature_names", names)
+        object.__setattr__(self, "column_groups", groups)
         if self.actions is not None:
             actions = np.asarray(self.actions)
             if actions.shape != (n,):
@@ -114,12 +125,6 @@ class Dataset:
             if len(np.unique(actions)) > 2:
                 raise DataError("actions must take at most two distinct values")
             object.__setattr__(self, "actions", _freeze(actions))
-        if self.column_groups is None:
-            object.__setattr__(self, "column_groups", tuple(self.feature_names))
-        else:
-            if len(self.column_groups) != p:
-                raise DataError("column_groups length does not match row width")
-            object.__setattr__(self, "column_groups", tuple(self.column_groups))
         object.__setattr__(self, "categorical_levels", dict(self.categorical_levels))
 
     @property

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, FoldAssignment, kfold, write_table
+from .data import Dataset, FoldAssignment, kfold
 from .errors import DataError, NumericError
 from .glm import cv_select, fit_logistic, predict_prob
 from .selection import forward_stepwise, selectable_groups
@@ -105,6 +105,7 @@ SCORECARD = "scorecard"
 LOGISTIC_FULL = "logistic_full"
 LASSO_FULL = "lasso_full"
 LASSO_SELECTED = "lasso_selected"
+SWEEP_HEADER = ("method", "k", "M", "fold", "auc", "accuracy", "error")
 
 
 @dataclass(frozen=True)
@@ -148,9 +149,11 @@ class SweepResult:
             raise NumericError(f"no successful cells for {method}{cell}")
         return float(np.mean(vals))
 
-    def to_csv(self, path, config_comment: str | None = None) -> None:
-        rows = (
-            [
+    def rows(self):
+        """One :data:`SWEEP_HEADER` row per cell; a failed cell has empty
+        metrics and its error text."""
+        for c in self.cells:
+            yield [
                 c.method,
                 "" if c.k is None else c.k,
                 "" if c.M is None else c.M,
@@ -159,10 +162,6 @@ class SweepResult:
                 "" if c.error else repr(c.accuracy),
                 c.error or "",
             ]
-            for c in self.cells
-        )
-        header = ["method", "k", "M", "fold", "auc", "accuracy", "error"]
-        write_table(path, header, rows, comments=[config_comment] if config_comment else [])
 
 
 def _prob_cells(method, fold, prob_test, y_test) -> SweepCell:

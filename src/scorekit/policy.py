@@ -33,7 +33,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from ._math import clip_prob, expit
-from .data import Dataset, FoldAssignment
+from .data import Dataset, FoldAssignment, covariate_layout
 from .errors import DataError, NumericError
 from .glm import LassoPath, cv_select, linear_predictor
 from .srr import RELEASE, WITHHOLD, Scorecard
@@ -75,7 +75,8 @@ class CaseTable:
     strings, for output.
 
     ``feature_names`` names the columns of ``X`` and ``column_groups`` the
-    source feature of each, under :class:`~scorekit.data.Dataset`'s rules:
+    source feature of each, under the layout rule that
+    :class:`~scorekit.data.Dataset` shares (:func:`~scorekit.data.covariate_layout`):
     the names are unique, one per column, and the groups default to the
     names.  Without names the columns are ``x0`` ... ``x{p-1}``.
     :meth:`released_dataset` is the one conversion to a ``Dataset``.
@@ -102,13 +103,8 @@ class CaseTable:
         if self.X.ndim != 2 or any(col is not None and len(col) != n for col in columns):
             raise DataError("case columns must all have one entry (X: one row) per case")
         p = self.X.shape[1]
-        names = self.feature_names
-        names = tuple(f"x{j}" for j in range(p)) if names is None else tuple(names)
-        groups = names if self.column_groups is None else tuple(self.column_groups)
-        if len(names) != p or len(groups) != p:
-            raise DataError("feature_names and column_groups need one entry per column of X")
-        if len(set(names)) != p:
-            raise DataError("feature names must be unique")
+        names = [f"x{j}" for j in range(p)] if self.feature_names is None else self.feature_names
+        names, groups = covariate_layout(names, self.column_groups, p)
         object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "column_groups", groups)
         if not np.all(np.isfinite(self.X)):
@@ -203,8 +199,7 @@ class ScorecardPolicy:
         self.card.weight_vector(self.feature_names)  # rejects a layout missing a card feature
 
     def scores(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return X @ self.card.weight_vector(self.feature_names)
+        return self.card.scores(X, self.feature_names)
 
     def released(self, X: np.ndarray) -> np.ndarray:
         return self.scores(X) < self.threshold

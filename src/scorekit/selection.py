@@ -59,7 +59,9 @@ def forward_stepwise(ds: Dataset, k: int, grouped: bool = True) -> SelectionTrac
     column index.  A perfectly separating candidate is ranked by the
     deviance reached when the solver hits its divergence bound, which is
     effectively zero, so it still wins the step.
-    Genuine solver failures are re-raised with the step and candidate named.
+    A candidate whose fit raises NumericError (say, the complement of a
+    column already in) is skipped; only a step where no candidate fits
+    raises, naming the step and its first failed candidate.
     """
     groups = selectable_groups(ds, grouped)
     if not 1 <= k <= len(groups):
@@ -76,6 +78,7 @@ def forward_stepwise(ds: Dataset, k: int, grouped: bool = True) -> SelectionTrac
 
     for step in range(k):
         best = None  # (deviance, position, name, cols)
+        failure = None  # (name, error) of the step's first unfittable candidate
         for pos, (name, cols) in enumerate(remaining):
             trial = selected_cols + list(cols)
             try:
@@ -83,12 +86,17 @@ def forward_stepwise(ds: Dataset, k: int, grouped: bool = True) -> SelectionTrac
                     ds.rows[:, trial], y, max_iter=60, tol=1e-8, on_divergence="clamp"
                 )
             except NumericError as exc:
-                raise NumericError(
-                    f"step {step + 1}: solver failed for candidate {name!r}: {exc}"
-                ) from exc
+                failure = failure or (name, exc)
+                continue
             dev = -2.0 * fit.log_likelihood
             if best is None or dev < best[0] - _TIE_EPS:
                 best = (dev, pos, name, cols)
+        if best is None:
+            name, exc = failure
+            raise NumericError(
+                f"step {step + 1}: solver failed for every candidate, "
+                f"first {name!r}: {exc}"
+            ) from exc
         dev, pos, name, cols = best
         del remaining[pos]
         selected_cols.extend(cols)

@@ -63,7 +63,7 @@ class Scorecard(JsonRecord):
 
     def weight_vector(self, feature_names) -> np.ndarray:
         """The card's weights aligned to a column layout; columns off the card
-        weigh 0.  A score is then ``X @ weight_vector(layout)``."""
+        weigh 0.  A layout missing a card feature is a DataError."""
         names = tuple(feature_names)
         missing = [name for name, _ in self.entries if name not in names]
         if missing:
@@ -72,6 +72,12 @@ class Scorecard(JsonRecord):
         for name, weight in self.entries:
             w[names.index(name)] = weight
         return w
+
+    def scores(self, X, feature_names) -> np.ndarray:
+        """The score of every row of ``X``, whose columns ``feature_names``
+        names: the one place a card meets a covariate matrix."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return X @ self.weight_vector(feature_names)
 
     def with_threshold(self, threshold: float) -> "Scorecard":
         return replace(self, threshold=float(threshold))
@@ -145,15 +151,10 @@ def build_scorecard(
 
 
 def score(card: Scorecard, x: Mapping[str, float]) -> float:
-    """Sum of weights times feature values; integer-valued on 0/1 rows."""
+    """Sum of weights times feature values; integer-valued on 0/1 rows.
+    Only the card's features are read from ``x``."""
     names = tuple(name for name, _ in card.entries if name in x)
-    values = np.array([x[name] for name in names], dtype=float)
-    return float(values @ card.weight_vector(names))
-
-
-def score_rows(card: Scorecard, ds: Dataset) -> np.ndarray:
-    """Vectorized :func:`score` over every row of a dataset."""
-    return ds.rows @ card.weight_vector(ds.feature_names)
+    return float(card.scores([[x[name] for name in names]], names)[0])
 
 
 def decide(card: Scorecard, x: Mapping[str, float]) -> str:

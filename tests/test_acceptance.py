@@ -252,7 +252,8 @@ def test_criterion_8_gamma_pipeline():
     card = srr.build_scorecard(ds, k=5, M=3, folds_for_lambda=folds, n_lambda=30)
     true_path = glm.cv_select(ds.rows, ds.labels.astype(float), folds, n_lambda=30)
     heart_model = noise.estimate_gamma(
-        true_path.linear_score(ds.rows), srr.score_rows(card, ds), card.scaling, ds.labels
+        true_path.linear_score(ds.rows), card.scores(ds.rows, ds.feature_names),
+        card.scaling, ds.labels,
     )
     assert np.isfinite(heart_model.gamma) and heart_model.gamma > 0.0
     watch.check()

@@ -242,6 +242,11 @@ def _adversarial_input(case):
         rows = [(a, b, int(i == 0)) for i, (a, b, _) in enumerate(rows)]
     if case == "separable":
         rows = [(a, b, a) for a, b, _ in rows]
+    if case == "complement-column":
+        # female = 1 - male copies the intercept once male is in: that candidate cannot be fit
+        male, x = rng.integers(0, 2, 2 * n), rng.normal(size=2 * n)
+        y = (rng.random(2 * n) < 1 / (1 + np.exp(0.75 - 1.5 * male - 0.3 * x))).astype(int)
+        return _csv_text("male,female,x,y", zip(male, 1 - male, x, y))
     header = {"duplicate-header": "x0,x0,y", "quoted-comma-header": '"x0,a",x1,y'}
     return _csv_text(header.get(case, "x0,x1,y"), rows, "\r\n" if case == "crlf" else "\n")
 
@@ -254,19 +259,29 @@ class TestAdversarialInput:
             ("nan-cell", 3), ("duplicate-header", 3), ("three-valued-label", 3),
             ("n-below-p", 4), ("one-positive", 4),
             ("separable", 0), ("crlf", 0), ("quoted-comma-header", 0),
+            ("complement-column", 0),
         ],
     )
     def test_exit_code_without_traceback(self, tmp_path, capsys, command, case, code):
         path = tmp_path / "input.csv"
         path.write_bytes(_adversarial_input(case).encode("utf-8"))
         # evaluate keeps its default k-values, 1-10, more than the two-feature tables hold;
-        # 3 outer folds keep the n-below-p case under a second (10 take 15 s)
+        # 3 outer folds keep the n-below-p case under a second (10 take 15 s).  The
+        # complement table's third step has only the unfittable candidate left, so it
+        # asks for k 1-2.
         sizes = ["--k", "2", "--M", "3"] if command == "train" else ["--folds", "3"]
+        if command == "evaluate" and case == "complement-column":
+            sizes += ["--k-values", "1-2"]
         got = run(command, "--input", str(path), "--label", "y", *sizes,
                   "--output-dir", str(tmp_path))
         err = capsys.readouterr().err
         assert got == code, err
         assert "Traceback" not in err
+        if command == "evaluate" and code == 0:
+            # the only rule cells allowed to fail are the k beyond the table's features
+            errors = {r["error"] for r in read_rows(tmp_path / "sweep.csv")
+                      if r["method"] in ("scorecard", "lasso_selected")} - {""}
+            assert all("selectable features" in e for e in errors), errors
 
 
 class TestSynthGen:
@@ -503,10 +518,35 @@ class TestTheoryCurve:
         assert run("theory-curve", flag, grid, "--output-dir", str(tmp_path)) == 2
         assert not (tmp_path / "theory_curve.csv").exists()
 
-    def test_output_has_config_comment(self, tmp_path):
-        run("theory-curve", "--output-dir", str(tmp_path))
-        first = (tmp_path / "theory_curve.csv").read_text().splitlines()[0]
-        assert first.startswith("# scorekit theory-curve")
+
+class TestCsvOutput:
+    @pytest.mark.parametrize(
+        "command", ["evaluate", "policy-eval", "sensitivity-sweep", "theory-curve"]
+    )
+    def test_output_has_config_comment(self, train_csv, cohort_csv, tmp_path, capsys, command):
+        # every CSV goes through one writer: the config comment on line 1, the
+        # header after the comment lines, and a wrote line naming the file
+        data_path, spec_path = train_csv
+        small = ["--n-lambda", "5", "--inner-folds", "2"]
+        policy_io = ["--input", cohort_csv, *small, "--thresholds", "5.5,10.5"]
+        name, header, argv = {
+            "evaluate": ("sweep.csv", "method,k,M,fold,auc,accuracy,error",
+                         ["--input", data_path, "--label", "fta", "--encoding", spec_path,
+                          "--k-values", "1", "--M-values", "1", "--folds", "2", *small]),
+            "policy-eval": ("policy_eval.csv", "policy,threshold,action_rate,value,method,regime",
+                            [*policy_io, "--risk-thresholds", "0.5"]),
+            "sensitivity-sweep": (
+                "sensitivity.csv",
+                "policy,threshold,action_rate,baseline,min,max,n_regimes,regime", policy_io),
+            "theory-curve": ("theory_curve.csv", "auc_y,gamma,auc_hat",
+                             ["--auc-values", "0.7", "--gamma-values", "0,1"]),
+        }[command]
+        assert run(command, *argv, "--output-dir", str(tmp_path)) == 0
+        out = tmp_path / name
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0].startswith(f"# scorekit {command}: ")
+        assert next(ln for ln in lines if not ln.startswith("#")) == header
+        assert f"wrote {out}" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("module", ["scorekit", "scorekit.cli"])

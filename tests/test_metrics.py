@@ -260,16 +260,22 @@ class TestCvSweep:
         good = [c for c in sweep.cells if c.method == metrics.SCORECARD and c.k == 1]
         assert good and all(c.error is None for c in good)
 
-    def test_csv_export(self, one_signal_ds, tmp_path):
+    def test_csv_export(self, one_signal_ds):
+        # one SWEEP_HEADER row per cell; a failed cell keeps its error, not its metrics
+        # (the CLI test of the CSV writer checks the header line in the file)
         ds = one_signal_ds
         folds = data.kfold(ds.n, 3, seed=4, labels=ds.labels)
-        sweep = metrics.cv_sweep(ds, k_values=[1], M_values=[1], folds=folds, n_lambda=15)
-        out = tmp_path / "sweep.csv"
-        sweep.to_csv(out, config_comment="test run")
-        lines = out.read_text().splitlines()
-        assert lines[0] == "# test run"
-        assert lines[1] == "method,k,M,fold,auc,accuracy,error"
-        assert len(lines) > 2
+        sweep = metrics.cv_sweep(ds, k_values=[1, 9], M_values=[1], folds=folds, n_lambda=15)
+        rows = [dict(zip(metrics.SWEEP_HEADER, r)) for r in sweep.rows()]
+        assert len(rows) == len(sweep.cells)
+        assert all(len(r) == len(metrics.SWEEP_HEADER) for r in sweep.rows())
+        for row, cell in zip(rows, sweep.cells):
+            assert (row["method"], row["fold"]) == (cell.method, cell.fold)
+            if cell.error:
+                assert row["auc"] == row["accuracy"] == "" and row["error"] == cell.error
+            else:
+                assert float(row["auc"]) == cell.auc and row["error"] == ""
+        assert any(r["k"] == 9 and r["error"] for r in rows)
 
     def test_best_threshold_maximizes_train_accuracy(self):
         rng = np.random.default_rng(5)

@@ -125,7 +125,7 @@ class TestEstimateGamma:
         card = srr.build_scorecard(ds, k=5, M=3, folds_for_lambda=folds, n_lambda=30)
         true_path = glm.cv_select(ds.rows, ds.labels.astype(float), folds, n_lambda=30)
         true_scores = true_path.linear_score(ds.rows)
-        simple = srr.score_rows(card, ds)
+        simple = card.scores(ds.rows, ds.feature_names)
         model = noise.estimate_gamma(true_scores, simple, card.scaling, ds.labels)
         assert math.isfinite(model.gamma)
         assert 0.0 < model.gamma < 1.0

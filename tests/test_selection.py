@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scorekit import data, glm, selection
-from scorekit.errors import DataError
+from scorekit.errors import DataError, NumericError
 
 
 def make_ds(X, y, groups=None):
@@ -188,3 +188,37 @@ class TestConstantColumn:
         assert trace.ordered_features == tuple(j + 1 for j in reduced.ordered_features)
         with pytest.raises(DataError, match=r"selectable features \(2\)"):
             selection.forward_stepwise(self.table(), 3, grouped=grouped)
+
+
+class TestUnfittableCandidate:
+    @staticmethod
+    def table(with_female=True):
+        # female = 1 - male: once male is in, the female fit's normal equations are singular
+        rng = np.random.default_rng(0)
+        n = 400
+        male, x = rng.integers(0, 2, n), rng.normal(size=n)
+        y = (rng.random(n) < 1 / (1 + np.exp(0.75 - 1.5 * male - 0.3 * x))).astype(int)
+        columns = {"male": male, "female": 1 - male, "x": x}
+        if not with_female:
+            del columns["female"]
+        return data.Dataset(
+            feature_names=tuple(columns), rows=np.column_stack(list(columns.values())), labels=y
+        )
+
+    def test_complement_column_is_skipped(self):
+        trace = selection.forward_stepwise(self.table(), 2)
+        reduced = selection.forward_stepwise(self.table(with_female=False), 2)
+        assert trace.step_names == reduced.step_names == ("male", "x")
+        assert trace.step_deviance == reduced.step_deviance
+
+    def test_step_where_no_candidate_fits_raises(self, monkeypatch):
+        fit_logistic = selection.fit_logistic
+
+        def fails_past_one_feature(X, y, **kwargs):
+            if X.shape[1] > 1:
+                raise NumericError("singular weighted normal equations")
+            return fit_logistic(X, y, **kwargs)
+
+        monkeypatch.setattr(selection, "fit_logistic", fails_past_one_feature)
+        with pytest.raises(NumericError, match="step 2: .*'female': singular"):
+            selection.forward_stepwise(self.table(), 2)

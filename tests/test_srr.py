@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from scorekit import data, srr, synth
+from scorekit import data, policy, srr, synth
 from scorekit.errors import DataError
 
 # the published example card: age bins and prior-failure counts on a 0..10 scale
@@ -131,16 +131,22 @@ class TestScoreDecide:
                 assert prev_released <= released
             prev_released = released
 
-    def test_score_rows_matches_scalar(self):
-        ds = data.Dataset(
-            feature_names=tuple(n for n, _ in TABLE_CARD.entries),
-            rows=np.eye(8),
-            labels=np.array([0, 1] * 4),
-        )
-        vec = srr.score_rows(TABLE_CARD, ds)
-        for i in range(8):
-            x = dict(zip(ds.feature_names, ds.rows[i]))
-            assert vec[i] == srr.score(TABLE_CARD, x)
+    def test_scores_match_scalar(self):
+        # the one scorer against the per-case mapping and the policy: 0/1
+        # rows, then a shuffled layout with continuous columns off the card
+        rng = np.random.default_rng(5)
+        card_names = [n for n, _ in TABLE_CARD.entries]
+        layout = tuple(rng.permutation(card_names + ["noise_0", "noise_1"]))
+        for names, X in [(card_names, np.eye(8)), (layout, rng.normal(size=(40, len(layout))))]:
+            vec = TABLE_CARD.scores(X, names)
+            pol = policy.ScorecardPolicy(card=TABLE_CARD, feature_names=names)
+            np.testing.assert_array_equal(pol.scores(X), vec)
+            for i in range(len(X)):
+                assert srr.score(TABLE_CARD, dict(zip(names, X[i]))) == pytest.approx(
+                    vec[i], rel=0, abs=1e-12)
+        assert list(TABLE_CARD.scores(np.eye(8), card_names)) == [8, 6, 4, 2, 6, 8, 9, 10]
+        with pytest.raises(DataError, match="missing scorecard features"):
+            TABLE_CARD.scores(X[:, 1:], layout[1:])
 
     def test_weight_vector_matches_per_feature_sum(self):
         # reference: the per-feature accumulation, on a shuffled layout with

@@ -17,7 +17,9 @@ Runs, in one process and into subdirectories of OUTDIR:
 - ``sensitivity-sweep --k 3 --M 5`` on the seed-1 cohort (``sensitivity/``)
 - ``evaluate`` on the bundled heart table (``evaluate/``)
 - ``theory-curve`` with default grids (``theory/``)
-- ``train`` on the bundled heart table (``train/``)
+- ``train`` on the bundled heart table (``train/``), and again with
+  ``--threshold 1.5``, so the card's release line and its stored threshold
+  are covered (``train_threshold/``)
 
 The heart table and its encoding are first copied into OUTDIR, so the
 config comment lines, which record input and output paths, depend only on
@@ -79,6 +81,9 @@ def runs(out: str, heart: list[str]) -> list[tuple[list[str], list[str]]]:
         (["train", *heart, "--k", "5", "--M", "3", "--folds", "5", "--n-lambda", "20",
           "--output-dir", f"{out}/train"],
          ["train/scorecard.txt", "train/scorecard.json"]),
+        (["train", *heart, "--k", "5", "--M", "3", "--folds", "5", "--n-lambda", "20",
+          "--threshold", "1.5", "--output-dir", f"{out}/train_threshold"],
+         ["train_threshold/scorecard.txt", "train_threshold/scorecard.json"]),
     ]
 
 
