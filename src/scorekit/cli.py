@@ -158,17 +158,24 @@ def _cmd_evaluate(args) -> int:
         seed=args.seed,
     )
     _write_csv(args, "sweep.csv", metrics.SWEEP_HEADER, sweep.rows())
+
+    def mean(method, k=None, M=None) -> str:
+        """The mean AUC, and how many folds it covers when some failed."""
+        used = len(sweep.aucs(method, k, M))
+        text = f"{sweep.mean_auc(method, k, M):.4f}"
+        return text if used == folds.fold_count else f"{text} ({used} of {folds.fold_count} folds)"
+
     for k in sweep.k_values:
         for M in sweep.M_values:
             try:
-                print(f"k={k} M={M} mean AUC {sweep.mean_auc(metrics.SCORECARD, k, M):.4f}")
+                print(f"k={k} M={M} mean AUC {mean(metrics.SCORECARD, k, M)}")
             except NumericError:
                 error = next(c.error for c in sweep.cells
                              if c.method == metrics.SCORECARD and (c.k, c.M) == (k, M))
                 print(f"k={k} M={M} failed: {error}")
     sweep.mean_auc(metrics.SCORECARD)  # raises, so exits 4, when every scorecard cell failed
-    print(f"benchmark lasso_full mean AUC {sweep.mean_auc(metrics.LASSO_FULL):.4f}")
-    print(f"benchmark logistic_full mean AUC {sweep.mean_auc(metrics.LOGISTIC_FULL):.4f}")
+    print(f"benchmark lasso_full mean AUC {mean(metrics.LASSO_FULL)}")
+    print(f"benchmark logistic_full mean AUC {mean(metrics.LOGISTIC_FULL)}")
     return 0
 
 

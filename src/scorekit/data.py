@@ -6,9 +6,12 @@ with :func:`encode`, driven by an :class:`EncodingSpec`.  Fold assignments are
 deterministic given ``(n, k, seed)`` and stratified by label when labels are
 supplied.
 
-Every CSV file the package reads goes through :func:`read_table` and every
-CSV file it writes through :func:`write_table`; fitted artifacts round-trip
-through JSON with the :class:`JsonRecord` mixin.
+Every CSV file the package reads goes through one of two readers:
+:func:`read_table`, which yields each row as a list of strings, and
+:func:`read_typed_table`, which parses a whole file into one structured
+numpy array and falls back on :func:`read_table` to place an error.  Every
+CSV file the package writes goes through :func:`write_table`; fitted
+artifacts round-trip through JSON with the :class:`JsonRecord` mixin.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import csv
 import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -417,13 +421,13 @@ def _csv_records(path) -> Iterator[list[str]]:
 def read_table(path) -> tuple[list[str], Iterator[list[str]]]:
     """Header and data rows of a UTF-8, comma-separated, headered file.
 
-    The one place a CSV file is opened for reading.  A leading byte-order
-    mark is skipped, not read into the first column name.  Rows are read as
-    they are consumed, so a caller that needs only the header reads no
-    further than the first row; the file closes when the rows run out or
-    are dropped.  An unreadable or non-UTF-8 file, an empty file, a file
-    with no data row, and a row whose width differs from the header's each
-    raise :class:`DataError` naming the file.
+    One of the two CSV readers, with :func:`read_typed_table`.  A leading
+    byte-order mark is skipped, not read into the first column name.  Rows
+    are read as they are consumed, so a caller that needs only the header
+    reads no further than the first row; the file closes when the rows run
+    out or are dropped.  An unreadable or non-UTF-8 file, an empty file, a
+    file with no data row, and a row whose width differs from the header's
+    each raise :class:`DataError` naming the file.
     """
     records = _csv_records(path)
     header = next(records, None)
@@ -433,6 +437,65 @@ def read_table(path) -> tuple[list[str], Iterator[list[str]]]:
     if first is None:
         raise DataError(f"{path}: no rows")
     return header, itertools.chain([first], records)
+
+
+def read_typed_table(path, dtype) -> np.ndarray:
+    """Data rows of a headered CSV file as one structured array of ``dtype``.
+
+    ``dtype`` has a field per column, or a 1-d subarray field per run of
+    like columns.  One ``np.loadtxt`` pass parses the numeric fields; an
+    object field holds each cell's text.  The file must pass the checks of
+    :func:`read_table`, with two differences: a number must be one numpy
+    parses (it refuses ``float``'s digit separators, as in ``1_000.5``), and
+    the header must fit on one line.
+
+    A file numpy refuses, or whose line breaks do not match its records
+    (numpy skips blank lines, and a quoted cell may hold a line break), is
+    read once more with :func:`read_table`: that raises its own errors, or
+    ``line N has a non-numeric field`` where ``dtype`` wants a number, and
+    supplies the text cells, so a quoted line break reads back as written.
+    A refusal it cannot place raises :class:`DataError` naming the file.
+    """
+    dtype = np.dtype(dtype)
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    # numpy reads with universal newlines: \r\n, \r and \n each end a line
+    breaks = raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n")
+    del raw
+    try:
+        with warnings.catch_warnings():  # a file with no records is refused below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            records = np.loadtxt(
+                path, dtype=dtype, delimiter=",", quotechar='"', encoding="utf-8-sig",
+                comments=None, ndmin=1, skiprows=1,
+            )
+    except ValueError as exc:
+        _rescan(path, dtype)
+        raise DataError(f"{path}: {exc}") from None
+    # the header and every record but perhaps the last end in a line break
+    if len(records) == 0 or breaks - len(records) not in (0, 1):
+        _rescan(path, dtype, records)
+    return records
+
+
+def _rescan(path, dtype: np.dtype, records: np.ndarray | None = None) -> None:
+    """Read ``path`` with :func:`read_table`, raising where ``dtype`` wants a
+    number and the cell is none; copy each text cell into ``records``."""
+    columns = [(name, dtype[name].base.kind)
+               for name in dtype.names for _ in range(math.prod(dtype[name].shape))]
+    parsers = {"f": float, "i": int, "u": int}
+    for i, row in enumerate(read_table(path)[1]):
+        for (name, kind), cell in zip(columns, row):
+            if kind in parsers:
+                try:
+                    parsers[kind](cell)
+                except ValueError:
+                    raise DataError(f"{path}: line {i + 2} has a non-numeric field") from None
+            elif records is not None:
+                records[name][i] = cell
 
 
 def write_table(

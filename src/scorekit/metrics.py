@@ -9,7 +9,7 @@ import numpy as np
 from .data import Dataset, FoldAssignment, kfold
 from .errors import DataError, NumericError
 from .glm import cv_select, fit_logistic, predict_prob
-from .selection import forward_stepwise, selectable_groups
+from .selection import StepFailure, forward_stepwise, selectable_groups
 from .srr import rescale_round
 
 
@@ -137,13 +137,17 @@ class SweepResult:
             raise NumericError("sweep grid does not cover the requested (k, M) set exactly")
         object.__setattr__(self, "cells", tuple(self.cells))
 
-    def mean_auc(self, method: str, k: int | None = None, M: int | None = None) -> float:
-        vals = [
+    def aucs(self, method: str, k: int | None = None, M: int | None = None) -> list[float]:
+        """AUC of each successful cell of ``method``, at ``k`` and ``M`` when given."""
+        return [
             c.auc
             for c in self.cells
             if c.method == method and c.error is None
             and (k is None or c.k == k) and (M is None or c.M == M)
         ]
+
+    def mean_auc(self, method: str, k: int | None = None, M: int | None = None) -> float:
+        vals = self.aucs(method, k, M)
         if not vals:
             cell = "" if k is None and M is None else f" (k={k}, M={M})"
             raise NumericError(f"no successful cells for {method}{cell}")
@@ -191,7 +195,9 @@ def cv_sweep(
     with the integer weights.  Benchmarks fitted on the same folds:
     full-feature logistic regression, full-feature lasso, and the unrounded
     selected-feature lasso that the scorecard rounds.  A failing cell records
-    its error and the sweep continues.
+    its error and the sweep continues; when a selection step cannot be fit,
+    each k below it is still scored and each k from it on records that step's
+    failure.
     """
     k_values = tuple(sorted(set(int(k) for k in k_values)))
     M_values = tuple(sorted(set(int(M) for M in M_values)))
@@ -222,9 +228,12 @@ def cv_sweep(
         except (DataError, NumericError) as exc:
             cells.append(SweepCell(LASSO_FULL, None, None, f, np.nan, np.nan, str(exc)))
 
+        failure = None  # the step no candidate could fit, if any
         try:
             k_fit = min(k_max, len(selectable_groups(train, grouped)))
             trace = forward_stepwise(train, k_fit, grouped=grouped)
+        except StepFailure as exc:
+            trace, failure = exc.trace, exc
         except (DataError, NumericError) as exc:
             for k in k_values:
                 cells.append(SweepCell(LASSO_SELECTED, k, None, f, np.nan, np.nan, str(exc)))
@@ -234,10 +243,10 @@ def cv_sweep(
 
         for k in k_values:
             try:
+                if k > k_fit:
+                    raise DataError(f"k={k} exceeds the {k_fit} selectable features")
                 if k > len(trace.step_groups):
-                    raise DataError(
-                        f"k={k} exceeds the {len(trace.step_groups)} selectable features"
-                    )
+                    raise NumericError(str(failure))
                 cols = [j for g in trace.step_groups[:k] for j in g]
                 path = cv_select(
                     train.rows[:, cols], y_tr, inner, n_lambda=n_lambda, lambda_min_ratio=1e-3

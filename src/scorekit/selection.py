@@ -37,6 +37,15 @@ class SelectionTrace(JsonRecord):
         object.__setattr__(self, "step_deviance", tuple(float(d) for d in self.step_deviance))
 
 
+class StepFailure(NumericError):
+    """A selection step where no candidate could be fit; ``trace`` holds
+    the steps before it."""
+
+    def __init__(self, message: str, trace: SelectionTrace):
+        super().__init__(message)
+        self.trace = trace
+
+
 def selectable_groups(ds: Dataset, grouped: bool) -> list[tuple[str, tuple[int, ...]]]:
     """(name, columns) of each candidate: a column group, or one column when
     ``grouped`` is False.  A candidate whose columns are all constant on
@@ -61,7 +70,8 @@ def forward_stepwise(ds: Dataset, k: int, grouped: bool = True) -> SelectionTrac
     effectively zero, so it still wins the step.
     A candidate whose fit raises NumericError (say, the complement of a
     column already in) is skipped; only a step where no candidate fits
-    raises, naming the step and its first failed candidate.
+    raises, a :class:`StepFailure` naming the step and its first failed
+    candidate and carrying the steps that did fit.
     """
     groups = selectable_groups(ds, grouped)
     if not 1 <= k <= len(groups):
@@ -93,9 +103,10 @@ def forward_stepwise(ds: Dataset, k: int, grouped: bool = True) -> SelectionTrac
                 best = (dev, pos, name, cols)
         if best is None:
             name, exc = failure
-            raise NumericError(
+            raise StepFailure(
                 f"step {step + 1}: solver failed for every candidate, "
-                f"first {name!r}: {exc}"
+                f"first {name!r}: {exc}",
+                SelectionTrace(selected_cols, step_groups, step_names, step_dev),
             ) from exc
         dev, pos, name, cols = best
         del remaining[pos]
@@ -104,9 +115,4 @@ def forward_stepwise(ds: Dataset, k: int, grouped: bool = True) -> SelectionTrac
         step_names.append(name)
         step_dev.append(dev)
 
-    return SelectionTrace(
-        ordered_features=tuple(selected_cols),
-        step_groups=tuple(step_groups),
-        step_names=tuple(step_names),
-        step_deviance=tuple(step_dev),
-    )
+    return SelectionTrace(selected_cols, step_groups, step_names, step_dev)

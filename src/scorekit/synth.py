@@ -27,7 +27,9 @@ from typing import Mapping
 import numpy as np
 
 from ._math import expit
-from .data import Bins, Dataset, EncodingSpec, encode, read_table, write_table
+from .data import (
+    Bins, Dataset, EncodingSpec, encode, read_table, read_typed_table, write_table,
+)
 from .errors import DataError, NumericError
 from .policy import ORACLE, CaseTable, Policy, PolicyEstimate, SensitivityParams, _mask
 from .srr import RELEASE, WITHHOLD
@@ -245,22 +247,35 @@ def oracle_value(table: CaseTable, policy: Policy) -> PolicyEstimate:
 # prefix makes load_csv refuse the file, so evaluation code cannot silently
 # treat stored potential outcomes as features.
 COHORT_COLUMNS = ("action", "outcome", "judge", "__po_release", "__po_withhold", "__u")
-# the 0/1 columns of a cohort CSV, in the order load_cohort_csv collects them
+# the 0/1 columns of a cohort CSV, in the order load_cohort_csv checks them
 _CODE_COLUMNS = ("outcome", "__po_release", "__po_withhold", "__u")
+# rows write_cohort_csv formats at a time
+_WRITE_BLOCK = 2048
 
 
 def write_cohort_csv(cohort: SyntheticCohort, path) -> None:
-    """Cohort to CSV; read it back with :func:`load_cohort_csv`."""
+    """Cohort to CSV; read it back with :func:`load_cohort_csv`.
+
+    Rows are formatted :data:`_WRITE_BLOCK` at a time, so the cell strings
+    of only one block are held at once.
+    """
     t = cohort.table
-    columns = [_float_cells(column) for column in t.X.T] + [
-        t.actions.tolist(),
-        t.outcomes.astype(int).tolist(),
-        cohort.judges.tolist(),
-        t.po_release.astype(int).tolist(),
-        t.po_withhold.astype(int).tolist(),
-        cohort.u.tolist(),
-    ]
-    write_table(path, list(cohort.feature_names) + list(COHORT_COLUMNS), zip(*columns))
+    actions = t.actions
+
+    def rows():
+        for start in range(0, cohort.n, _WRITE_BLOCK):
+            block = slice(start, start + _WRITE_BLOCK)
+            columns = [_float_cells(column) for column in t.X[block].T] + [
+                actions[block].tolist(),
+                t.outcomes[block].astype(int).tolist(),
+                cohort.judges[block].tolist(),
+                t.po_release[block].astype(int).tolist(),
+                t.po_withhold[block].astype(int).tolist(),
+                cohort.u[block].tolist(),
+            ]
+            yield from zip(*columns)
+
+    write_table(path, list(cohort.feature_names) + list(COHORT_COLUMNS), rows())
 
 
 def _float_cells(column: np.ndarray) -> list[str]:
@@ -277,56 +292,52 @@ def _float_cells(column: np.ndarray) -> list[str]:
 
 def load_cohort_csv(path) -> SyntheticCohort:
     """Read a cohort CSV written by :func:`write_cohort_csv` (see
-    :func:`~scorekit.data.read_table` for the checks every CSV gets).
+    :func:`~scorekit.data.read_typed_table` for the checks every cohort
+    CSV gets).
 
     A feature cell that is NaN or infinite, an ``action`` cell that is not
     ``release`` or ``withhold``, and an ``outcome``, ``__po_release``,
     ``__po_withhold`` or ``__u`` cell that is not 0 or 1 raise
     :class:`DataError` naming the file, the line and the column.
     """
-    header, rows = read_table(path)
+    header = read_table(path)[0]
     tail = len(COHORT_COLUMNS)
     if tuple(header[-tail:]) != COHORT_COLUMNS:
         raise DataError(f"{path}: not a cohort CSV (expected trailing columns {list(COHORT_COLUMNS)})")
     names = tuple(header[:-tail])
-    p = len(names)
-    # flat lists, reshaped once at the end: faster than a list per row
-    X, codes, actions, judges = [], [], [], []
-    for line, row in enumerate(rows, start=2):
-        try:
-            X.extend(map(float, row[:p]))
-            codes.extend([int(row[p + 1]), int(row[p + 3]), int(row[p + 4]), int(row[p + 5])])
-        except (ValueError, OverflowError):
-            raise DataError(f"{path}: line {line} has a non-numeric field") from None
-        actions.append(row[p])
-        judges.append(row[p + 2])
-    n = len(actions)
-    if not set(codes) <= {0, 1}:
-        k = next(k for k, code in enumerate(codes) if code not in (0, 1))
+    records = read_typed_table(path, [("X", float, (len(names),))] + [
+        (name, object if name in ("action", "judge") else np.int64) for name in COHORT_COLUMNS
+    ])
+    codes = np.column_stack([records[name] for name in _CODE_COLUMNS])
+    bad = np.flatnonzero((codes != 0) & (codes != 1))
+    if len(bad):
+        k = bad[0]
         raise DataError(f"{path}: line {k // 4 + 2} column {_CODE_COLUMNS[k % 4]!r} "
-                        f"must be 0 or 1, got {codes[k]}")
-    if not set(actions) <= {RELEASE, WITHHOLD}:
-        k = next(k for k, action in enumerate(actions) if action not in (RELEASE, WITHHOLD))
+                        f"must be 0 or 1, got {codes.flat[k]}")
+    actions = records["action"]
+    released = actions == RELEASE
+    known = released | (actions == WITHHOLD)
+    if not known.all():
+        k = np.argmin(known)
         raise DataError(f"{path}: line {k + 2} column 'action' "
                         f"must be {RELEASE!r} or {WITHHOLD!r}, got {actions[k]}")
-    X = np.array(X, dtype=float).reshape(n, p)
+    X = np.ascontiguousarray(records["X"])
     bad = np.argwhere(~np.isfinite(X))
     if len(bad):
         i, j = bad[0]
         raise DataError(f"{path}: line {i + 2} column {names[j]!r} must be a finite number, "
                         f"got {X[i, j]}")
-    codes = np.array(codes, dtype=np.int8).reshape(n, 4)
-    outcome, po_r, po_w, u = codes.T
+    outcome, po_r, po_w, u = codes.astype(np.int8).T
     table = CaseTable(
         X=X,
-        released=np.array(actions) == RELEASE,
+        released=released,
         outcomes=outcome,
         po_release=po_r,
         po_withhold=po_w,
         feature_names=names,
         column_groups=_infer_groups(names),
     )
-    return SyntheticCohort(table=table, u=u, judges=np.array(judges))
+    return SyntheticCohort(table=table, u=u, judges=records["judge"].astype(str))
 
 
 def _infer_groups(names: tuple[str, ...]) -> tuple[str, ...]:

@@ -3,12 +3,18 @@
 Everything here is deliberately slow and structurally unrelated to the
 library's own algorithms: bracket-shrinking maximization instead of IRLS,
 O(n^2) pair counting instead of rank sums, bisection instead of closed
-forms.  Tests compare the fast paths against these.
+forms, a row-by-row CSV loop instead of one typed parse.  Tests compare the
+fast paths against these.
 """
 
 import math
 
 import numpy as np
+
+from scorekit.data import read_table
+from scorekit.errors import DataError
+from scorekit.policy import RELEASE, WITHHOLD, CaseTable
+from scorekit.synth import _CODE_COLUMNS, COHORT_COLUMNS, SyntheticCohort, _infer_groups
 
 
 def logistic_ll(intercept, coefs, X, y):
@@ -129,3 +135,51 @@ def hanley_mcneil_se(a, n_pos, n_neg):
         n_pos * n_neg
     )
     return math.sqrt(max(var, 1e-18))
+
+
+def load_cohort_rows(path):
+    """Cohort CSV read row by row with ``float``/``int`` on each cell: the
+    reference for ``synth.load_cohort_csv``'s single typed parse, which must
+    give the same cohort bit for bit and raise the same ``DataError``."""
+    header, rows = read_table(path)
+    tail = len(COHORT_COLUMNS)
+    if tuple(header[-tail:]) != COHORT_COLUMNS:
+        raise DataError(f"{path}: not a cohort CSV (expected trailing columns {list(COHORT_COLUMNS)})")
+    names = tuple(header[:-tail])
+    p = len(names)
+    X, codes, actions, judges = [], [], [], []
+    for line, row in enumerate(rows, start=2):
+        try:
+            X.extend(map(float, row[:p]))
+            codes.extend([int(row[p + 1]), int(row[p + 3]), int(row[p + 4]), int(row[p + 5])])
+        except (ValueError, OverflowError):
+            raise DataError(f"{path}: line {line} has a non-numeric field") from None
+        actions.append(row[p])
+        judges.append(row[p + 2])
+    n = len(actions)
+    if not set(codes) <= {0, 1}:
+        k = next(k for k, code in enumerate(codes) if code not in (0, 1))
+        raise DataError(f"{path}: line {k // 4 + 2} column {_CODE_COLUMNS[k % 4]!r} "
+                        f"must be 0 or 1, got {codes[k]}")
+    if not set(actions) <= {RELEASE, WITHHOLD}:
+        k = next(k for k, action in enumerate(actions) if action not in (RELEASE, WITHHOLD))
+        raise DataError(f"{path}: line {k + 2} column 'action' "
+                        f"must be {RELEASE!r} or {WITHHOLD!r}, got {actions[k]}")
+    X = np.array(X, dtype=float).reshape(n, p)
+    bad = np.argwhere(~np.isfinite(X))
+    if len(bad):
+        i, j = bad[0]
+        raise DataError(f"{path}: line {i + 2} column {names[j]!r} must be a finite number, "
+                        f"got {X[i, j]}")
+    codes = np.array(codes, dtype=np.int8).reshape(n, 4)
+    outcome, po_r, po_w, u = codes.T
+    table = CaseTable(
+        X=X,
+        released=np.array(actions) == RELEASE,
+        outcomes=outcome,
+        po_release=po_r,
+        po_withhold=po_w,
+        feature_names=names,
+        column_groups=_infer_groups(names),
+    )
+    return SyntheticCohort(table=table, u=u, judges=np.array(judges))

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -265,13 +266,9 @@ class TestAdversarialInput:
     def test_exit_code_without_traceback(self, tmp_path, capsys, command, case, code):
         path = tmp_path / "input.csv"
         path.write_bytes(_adversarial_input(case).encode("utf-8"))
-        # evaluate keeps its default k-values, 1-10, more than the two-feature tables hold;
-        # 3 outer folds keep the n-below-p case under a second (10 take 15 s).  The
-        # complement table's third step has only the unfittable candidate left, so it
-        # asks for k 1-2.
+        # evaluate keeps its default k-values, 1-10, more than the tables hold;
+        # 3 outer folds keep the n-below-p case under a second (10 take 15 s)
         sizes = ["--k", "2", "--M", "3"] if command == "train" else ["--folds", "3"]
-        if command == "evaluate" and case == "complement-column":
-            sizes += ["--k-values", "1-2"]
         got = run(command, "--input", str(path), "--label", "y", *sizes,
                   "--output-dir", str(tmp_path))
         err = capsys.readouterr().err
@@ -279,9 +276,22 @@ class TestAdversarialInput:
         assert "Traceback" not in err
         if command == "evaluate" and code == 0:
             # the only rule cells allowed to fail are the k beyond the table's features
+            # and, on the complement table, the k from its unfittable third step on
             errors = {r["error"] for r in read_rows(tmp_path / "sweep.csv")
                       if r["method"] in ("scorecard", "lasso_selected")} - {""}
-            assert all("selectable features" in e for e in errors), errors
+            assert all("selectable features" in e or e.startswith("step 3: ")
+                       for e in errors), errors
+
+    def test_mean_over_fewer_folds_says_how_many(self, tmp_path, capsys):
+        # the complement table's full design is exactly collinear on two of three folds
+        path = tmp_path / "input.csv"
+        path.write_bytes(_adversarial_input("complement-column").encode("utf-8"))
+        assert run("evaluate", "--input", str(path), "--label", "y", "--k-values", "1-2",
+                   "--folds", "3", "--output-dir", str(tmp_path)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"benchmark logistic_full mean AUC \d\.\d{4} \(1 of 3 folds\)",
+                            lines[-1]), lines[-1]
+        assert all(" of 3 folds)" not in line for line in lines[:-1]), lines
 
 
 class TestSynthGen:

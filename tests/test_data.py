@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -281,6 +282,21 @@ class TestReadWriteTable:
     def test_empty_file_and_header_only(self, tmp_path, text, message):
         with pytest.raises(DataError, match=message):
             data.read_table(write(tmp_path, text))
+
+    @pytest.mark.parametrize("text, message", [("", "empty file"), ("x,y\n", "no rows")])
+    def test_typed_reader_refuses_a_file_without_records_quietly(self, tmp_path, text, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=message):
+                data.read_typed_table(write(tmp_path, text), [("x", float), ("y", int)])
+
+    def test_typed_reader_matches_the_row_reader(self, tmp_path):
+        path = write(tmp_path, '\ufeffx,note,y\n1.5,"a,""b""\nc",0\n-0.0,,1\n')
+        records = data.read_typed_table(path, [("x", float), ("note", object), ("y", int)])
+        rows = list(data.read_table(path)[1])
+        assert records["note"].tolist() == [row[1] for row in rows]
+        assert records["x"].tolist() == [float(row[0]) for row in rows]
+        assert records["y"].tolist() == [int(row[2]) for row in rows]
 
     def test_rows_are_read_as_consumed_and_width_checked(self, tmp_path):
         path = write(tmp_path, "\ufeffx,y\n1,0\n2,1\n3\n")

@@ -222,3 +222,11 @@ class TestUnfittableCandidate:
         monkeypatch.setattr(selection, "fit_logistic", fails_past_one_feature)
         with pytest.raises(NumericError, match="step 2: .*'female': singular"):
             selection.forward_stepwise(self.table(), 2)
+
+    def test_failed_step_carries_the_steps_before_it(self):
+        # the third step has only the complement column left
+        with pytest.raises(selection.StepFailure, match="step 3: .*'female'") as info:
+            selection.forward_stepwise(self.table(), 3)
+        trace = info.value.trace
+        assert trace.step_names == ("male", "x")
+        assert trace.step_deviance == selection.forward_stepwise(self.table(), 2).step_deviance

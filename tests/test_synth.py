@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from oracles import load_cohort_rows
 
 from scorekit import data, glm, policy, synth
 from scorekit.errors import DataError
@@ -244,6 +245,132 @@ class TestCohortCsv:
         path.write_text("x,y\n1,0\n2,1\n", encoding="utf-8")
         with pytest.raises(DataError, match="not a cohort CSV"):
             synth.load_cohort_csv(path)
+
+
+# judge cells the csv module must quote: a comma, a doubled quote, line breaks
+QUOTED_JUDGES = ("judge,01", 'judge "02"', "judge\n03", "judge\r\n04", "judge_05")
+
+
+def _cohort(n, seed, judges=None, first_column=None, hidden_u=None):
+    cohort = synth.generate(synth.GeneratorConfig(n=n, seed=seed, hidden_u=hidden_u))
+    if judges is not None:
+        cohort = dataclasses.replace(cohort, judges=np.resize(np.array(judges), n))
+    if first_column is not None:
+        X = cohort.table.X.copy()
+        X[: len(first_column), 0] = first_column
+        cohort = dataclasses.replace(cohort, table=dataclasses.replace(cohort.table, X=X))
+    return cohort
+
+
+def _assert_bitwise_equal(got, want):
+    assert got.feature_names == want.feature_names
+    assert got.column_groups == want.column_groups
+    pairs = [(got.table.X.view(np.uint64), want.table.X.view(np.uint64)),
+             (got.u, want.u), (got.judges, want.judges)]
+    pairs += [(getattr(got.table, name), getattr(want.table, name))
+              for name in ("released", "outcomes", "po_release", "po_withhold")]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _cell(line, column, text):
+    """Edit: set one cell (0-based column) of one line (1-based, header = 1)."""
+    def edit(lines):
+        cells = lines[line - 1].split(",")
+        cells[column] = text
+        return lines[: line - 1] + [",".join(cells)] + lines[line:]
+    return edit
+
+
+class TestCohortCsvAgainstRowLoop:
+    """The typed loader against the row-by-row reference, ``load_cohort_rows``."""
+
+    @pytest.mark.parametrize(
+        "cohort, to_bytes",
+        [
+            pytest.param(dict(n=500, seed=0), None, id="seed-0"),
+            pytest.param(dict(n=500, seed=4, hidden_u=policy.SensitivityParams(0.3, 0.7, 0.7, 0.7)),
+                         None, id="seed-4-hidden-u"),
+            pytest.param(dict(n=40, seed=1, judges=QUOTED_JUDGES), None, id="quoted-judges"),
+            pytest.param(dict(n=40, seed=2, first_column=[-0.0, 5e-324, 1e300, 0.0, -1e300]),
+                         None, id="extreme-floats"),
+            pytest.param(dict(n=1, seed=3), None, id="single-row"),
+            pytest.param(dict(n=40, seed=5), lambda b: b"\xef\xbb\xbf" + b, id="bom"),
+            pytest.param(dict(n=40, seed=6), lambda b: b.replace(b"\r\n", b"\n"), id="lf"),
+            pytest.param(dict(n=40, seed=7), lambda b: b.rstrip(b"\r\n"), id="no-final-break"),
+            pytest.param(dict(n=40, seed=8, judges=QUOTED_JUDGES),
+                         lambda b: b"\xef\xbb\xbf" + b.rstrip(b"\r\n"), id="quoted-bom-no-final"),
+        ],
+    )
+    def test_bitwise_equal(self, tmp_path, cohort, to_bytes):
+        path = tmp_path / "cohort.csv"
+        synth.write_cohort_csv(_cohort(**cohort), path)
+        if to_bytes is not None:
+            path.write_bytes(to_bytes(path.read_bytes()))
+        _assert_bitwise_equal(synth.load_cohort_csv(path), load_cohort_rows(path))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda lines: lines[:-1] + ["0.0,1.0"], id="short-row"),
+            pytest.param(lambda lines: lines[:2] + ["x" + lines[2]] + lines[3:], id="garbled-field"),
+            pytest.param(lambda lines: lines[:2] + [""] + lines[2:], id="blank-line-mid"),
+            pytest.param(lambda lines: lines + [""], id="blank-line-end"),
+            pytest.param(lambda lines: lines[:2] + ["  "] + lines[2:], id="spaces-line"),
+            pytest.param(_cell(3, -1, "300"), id="bad-code"),
+            pytest.param(_cell(4, -5, "2"), id="bad-outcome"),
+            pytest.param(_cell(3, -6, "parole"), id="bad-action"),
+            pytest.param(_cell(3, 0, "nan"), id="nan"),
+            pytest.param(_cell(5, 2, "-inf"), id="infinite"),
+            pytest.param(_cell(3, -2, "1.0"), id="float-code"),
+            pytest.param(_cell(3, 1, ""), id="empty-number"),
+            pytest.param(_cell(350, -4, "judge_\udce9"), id="not-utf-8"),
+        ],
+    )
+    def test_malformed_file_raises_the_same_error(self, tmp_path, edit):
+        path = tmp_path / "cohort.csv"
+        # 400 rows: a bad byte on line 350 lies beyond what the header read decodes
+        synth.write_cohort_csv(_cohort(n=400, seed=9), path)
+        lines = path.read_bytes().decode("utf-8").split("\r\n")[:-1]
+        path.write_bytes("\r\n".join(edit(lines)).encode("utf-8", "surrogateescape") + b"\r\n")
+        with pytest.raises(DataError) as want:
+            load_cohort_rows(path)
+        with pytest.raises(DataError) as got:
+            synth.load_cohort_csv(path)
+        assert str(got.value) == str(want.value)
+
+    def test_digit_separators_are_refused(self, tmp_path):
+        # float() reads "1_000.5"; numpy's parser does not
+        path = tmp_path / "cohort.csv"
+        synth.write_cohort_csv(_cohort(n=8, seed=9), path)
+        lines = path.read_bytes().decode("utf-8").split("\r\n")[:-1]
+        path.write_text("\r\n".join(_cell(3, -7, "1_000.5")(lines)) + "\r\n", encoding="utf-8")
+        assert load_cohort_rows(path).table.X[1, -1] == 1000.5
+        with pytest.raises(DataError, match="1_000.5") as info:
+            synth.load_cohort_csv(path)
+        assert str(path) in str(info.value)
+
+
+class TestBlockWriter:
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_bytes_equal_a_one_shot_csv_writer(self, tmp_path, offset):
+        n = synth._WRITE_BLOCK + offset
+        cohort = _cohort(n=n, seed=n, judges=QUOTED_JUDGES)
+        t = cohort.table
+        path, reference = tmp_path / "blocks.csv", tmp_path / "reference.csv"
+        synth.write_cohort_csv(cohort, path)
+        with open(reference, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([*cohort.feature_names, *synth.COHORT_COLUMNS])
+            writer.writerows(
+                [*map(repr, t.X[i].tolist()), t.actions[i], int(t.outcomes[i]), cohort.judges[i],
+                 int(t.po_release[i]), int(t.po_withhold[i]), int(cohort.u[i])]
+                for i in range(n)
+            )
+        assert path.read_bytes() == reference.read_bytes()
+        again = tmp_path / "again.csv"
+        synth.write_cohort_csv(synth.load_cohort_csv(path), again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestHiddenUBandCoverage:

@@ -21,6 +21,12 @@ Runs, in one process and into subdirectories of OUTDIR:
   ``--threshold 1.5``, so the card's release line and its stored threshold
   are covered (``train_threshold/``)
 
+After the runs, the seed-0 cohort is loaded and written back out
+(``synth0/cohort_roundtrip.csv``); the run exits 1 unless its sha256 equals
+``synth0/cohort.csv``'s, so the cohort reader and writer are checked
+together.  The result goes to stderr, so stdout holds only the digests of
+the CLI's own files.
+
 The heart table and its encoding are first copied into OUTDIR, so the
 config comment lines, which record input and output paths, depend only on
 OUTDIR.  Running two versions of the package with the same OUTDIR and
@@ -44,12 +50,13 @@ import os
 import shutil
 import sys
 
-from scorekit import cli, datasets
+from scorekit import cli, datasets, synth
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HEART_CSV = os.path.join(os.path.dirname(datasets.__file__), "heart_synthetic.csv")
 HEART_ENCODING = os.path.join(REPO, "perfbench", "heart_encoding.json")
 DECISIONS = "decisions.csv"
+ROUND_TRIP = "synth0/cohort_roundtrip.csv"
 TOLERANCE = 1e-6
 
 
@@ -103,6 +110,22 @@ def write_decision_csv(cohort: str, path: str) -> None:
         for row in rows:
             decision = {"release": "ROR", "withhold": "BAIL"}[row[p]]
             writer.writerow(row[:p] + [row[p + 1], decision, row[p + 2]])
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def round_trip(out: str) -> int:
+    """Load the seed-0 cohort and write it back out; 1 unless the bytes match."""
+    source, copy = os.path.join(out, "synth0", "cohort.csv"), os.path.join(out, ROUND_TRIP)
+    synth.write_cohort_csv(synth.load_cohort_csv(source), copy)
+    if _sha256(copy) != _sha256(source):
+        print(f"FAIL {ROUND_TRIP}: sha256 differs from synth0/cohort.csv", file=sys.stderr)
+        return 1
+    print(f"{ROUND_TRIP}: sha256 equals synth0/cohort.csv's", file=sys.stderr)
+    return 0
 
 
 def _csv_rows(path: str) -> list[list[str]]:
@@ -161,9 +184,8 @@ def main(argv: list[str]) -> int:
             print(f"scorekit {' '.join(args)} exited {rc}", file=sys.stderr)
             return 1
         for name in files:
-            with open(os.path.join(out, name), "rb") as fh:
-                print(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}")
-    return 0
+            print(f"{_sha256(os.path.join(out, name))}  {name}")
+    return round_trip(out)
 
 
 if __name__ == "__main__":
