@@ -182,7 +182,12 @@ def _cmd_evaluate(args) -> int:
 def _cmd_synth_gen(args) -> int:
     hidden = None
     if args.hidden_u:
-        p, a, dr, dw = (float(v) for v in args.hidden_u.split(","))
+        try:
+            p, a, dr, dw = (float(v) for v in args.hidden_u.split(","))
+        except ValueError:
+            raise ValueError(
+                f"--hidden-u takes four numbers p,alpha,delta_rel,delta_wh, got {args.hidden_u!r}"
+            ) from None
         hidden = policy.SensitivityParams(p_u=p, alpha=a, delta_release=dr, delta_withhold=dw)
     cohort = synth.generate(synth.GeneratorConfig(n=args.n, seed=args.seed, hidden_u=hidden))
     out = _out_path(args, "cohort.csv")

@@ -19,10 +19,10 @@ two-point logistic mixtures, and the counterfactual for the action not taken
 follows from the posterior of ``u`` given the action that was.  A sweep over
 many regimes is one array pass: surface predictions once per call, and the
 chain solved once per distinct regime key that a disagreeing case needs.
-Each mixture solve works on the odds scale: it hands back the two sigmoids
-its residual check evaluated at the quadratic's root, one division each,
-and the posteriors and the counterfactual mix are built from those, so the
-chain takes no logarithm and evaluates no sigmoid twice.
+Each mixture solve is one closed form on the odds scale that does not
+cancel, and hands back the two sigmoids its residual check evaluated, so the
+chain takes no logarithm and evaluates no sigmoid twice.  It solves positive
+shifts up to about 354 and roots up to about 709 in size; beyond, it raises.
 """
 
 from __future__ import annotations
@@ -368,7 +368,8 @@ class SensitivityParams:
 
     ``p_u``: Pr(u = 1); ``alpha``: log-odds shift of release when u = 1;
     ``delta_release`` / ``delta_withhold``: log-odds shifts of the adverse
-    outcome under each action when u = 1.
+    outcome under each action when u = 1.  Only finiteness is checked here:
+    solving a regime with a shift above about 354 raises a NumericError.
     """
 
     p_u: float
@@ -385,81 +386,49 @@ class SensitivityParams:
 
 
 def _solve_two_point_mixture(target, p1, shift):
-    """The unique x with (1-p1)*sigmoid(x) + p1*sigmoid(x + shift) = target.
-
-    x is the log of the odds root g of :func:`_mixture_root`, or the bisected
-    root itself where the closed form missed.  Entries that bisection misses
-    too raise a NumericError.  `target`, `p1` and `shift` broadcast against
+    """The unique x with (1-p1)*sigmoid(x) + p1*sigmoid(x + shift) = target:
+    the log of :func:`_mixture_root`'s g.  The arguments broadcast against
     each other; a column of parameters against a row of targets costs only
-    the full-size arrays the quadratic needs.
-    """
-    g, _, _, bisected, root = _mixture_root(target, p1, shift)
-    with np.errstate(divide="ignore", invalid="ignore"):  # missed entries are replaced
-        x = np.asarray(np.log(g))
-    x[bisected] = root
-    return x if x.ndim else float(x)
+    the full-size arrays the quadratic needs."""
+    x = np.log(_mixture_root(target, p1, shift)[0])
+    return x if np.ndim(x) else float(x)
 
 
 def _mixture_root(target, p1, shift):
-    """(g, sigmoid(x), sigmoid(x + shift), bisected, root) on the odds scale.
-
-    ``g = e^x`` is the closed form's positive root and the sigmoids are
-    ``g/(1+g)`` and ``Ag/(1+Ag)`` with ``A = e^shift``: one division each,
-    and the ones the 1e-10 residual check evaluates, so a caller that needs
-    them next (the posteriors of u, the counterfactual mix) gets them
-    without a log or a sigmoid.  A non-finite or non-positive g fails the
-    check.  Entries that fail it (the mask ``bisected``) are bisected
-    instead: ``root`` holds their log-odds roots, the sigmoids there are
-    ``expit`` of those roots, and ``g`` there is meaningless.  A
-    NumericError is raised if bisection misses too.
-    """
+    """(g, sigmoid(x), sigmoid(x + shift)) on the odds scale: the closed form's
+    positive root ``g = e^x``, and ``g/(1+g)`` and ``g/(1/A+g)``, ``A = e^shift``,
+    as the 1e-10 residual check evaluates them.  An entry whose g is not
+    positive and finite or fails the check raises a NumericError: positive
+    shifts above about 354 (``b*b`` overflows) and roots beyond |x| of about
+    709 (the odds overflow)."""
     q = np.asarray(target, dtype=float)
     p1 = np.clip(np.asarray(p1, dtype=float), 0.0, 1.0)
     shift = np.asarray(shift, dtype=float)
     if np.any((q <= 0.0) | (q >= 1.0)):
         raise NumericError("mixture target must lie strictly inside (0, 1)")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        g = np.asarray(_mixture_closed_form(q, p1, shift))
-        Ag = np.exp(shift) * g
-        s0, s1 = np.asarray(g / (1.0 + g)), np.asarray(Ag / (1.0 + Ag))
-        # a NaN residual (from an infinite or NaN g) fails the comparison;
-        # at tiny q, g can round to 0 while the residual, q, is below 1e-10
-        bisected = ~((g > 0.0) & (np.abs((1.0 - p1) * s0 + p1 * s1 - q) <= 1e-10))
-    root = np.empty(0)
-    if np.any(bisected):
-        q, p1, shift = (np.broadcast_to(v, g.shape)[bisected] for v in (q, p1, shift))
-        root = _bisect_two_point(q, p1, shift)
-        s0[bisected], s1[bisected] = expit(root), expit(root + shift)
-        if not np.all(np.abs((1.0 - p1) * s0[bisected] + p1 * s1[bisected] - q) <= 1e-10):
-            raise NumericError("two-point mixture solve did not reach a residual of 1e-10")
-    return g, s0, s1, bisected, root
+        g = _mixture_closed_form(q, p1, shift)
+        s0, s1 = g / (1.0 + g), g / (np.exp(-shift) + g)
+        # a NaN g fails the first comparison and an infinite one (NaN
+        # sigmoids) the second; a g that underflows to 0 leaves a residual,
+        # q, that can be below 1e-10, hence the first
+        solved = np.min(g, initial=np.inf) > 0.0 and np.max(
+            np.abs(s0 + p1 * (s1 - s0) - q), initial=0.0) <= 1e-10
+    if not solved:
+        raise NumericError("two-point mixture solve did not reach a residual of 1e-10")
+    return g, s0, s1
 
 
 def _mixture_closed_form(q, p1, shift):
-    """The positive root g = e^x of A(1-q) g^2 + ((1-p1) + p1 A - q(1+A)) g - q = 0,
-    A = e^shift.  NaN (or any g that is not positive and finite) means the
-    closed form missed; :func:`_mixture_root` then bisects."""
+    """The positive root g = e^x of A(1-q) g^2 + b g - q = 0, A = e^shift, in
+    the form that does not cancel (Numerical Recipes 5.6): with Q = b +
+    sign(b) sqrt(b^2 + 4A(1-q)q), the roots are -Q / 2A(1-q) and 2q / Q."""
     A = np.exp(shift)
-    a = A * (1.0 - q)
+    m2a, q2 = (-2.0 * A) * (1.0 - q), 2.0 * q
     b = (1.0 - p1) + p1 * A - q * (1.0 + A)
-    # b^2 + 4 a q >= 0 for 0 < q < 1, so the square root is real
-    return (-b + np.sqrt(b * b + 4.0 * a * q)) / (2.0 * a)
-
-
-def _mixture(x, p1, shift):
-    return (1.0 - p1) * expit(x) + p1 * expit(x + shift)
-
-
-def _bisect_two_point(q, p1, shift, iters=200):
-    # both logistic terms are within sigmoid(-60) of 0 at lo and of 1 at hi
-    lo = -60.0 - np.maximum(shift, 0.0)
-    hi = 60.0 + np.maximum(-shift, 0.0)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        high = _mixture(mid, p1, shift) > q
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-    return 0.5 * (lo + hi)
+    # b^2 + 4 A(1-q) q > 0 for 0 < q < 1, so the square root is real and Q != 0
+    Q = b + np.copysign(np.sqrt(b * b - m2a * q2), b)
+    return np.maximum(Q / m2a, q2 / Q)
 
 
 def solve_gamma(p_u: float, alpha: float, q):
@@ -520,10 +489,10 @@ def _counterfactual(q, r_other, released: bool, p_u, alpha, delta, pair_of_key=s
     (p_u, alpha) pairs, ``pair_of_key`` mapping each row of the ``delta``
     column to its pair, solves every regime key in one pass.
     """
-    _, rel_u0, rel_u1, _, _ = _mixture_root(clip_prob(q), p_u, alpha)
+    _, rel_u0, rel_u1 = _mixture_root(clip_prob(q), p_u, alpha)
     post = _bayes_u(rel_u0, rel_u1, p_u)
     post_observed, post_other = post[released][pair_of_key], post[not released][pair_of_key]
-    _, s0, s1, _, _ = _mixture_root(clip_prob(r_other), post_other, delta)
+    _, s0, s1 = _mixture_root(clip_prob(r_other), post_other, delta)
     return (1.0 - post_observed) * s0 + post_observed * s1
 
 
@@ -534,12 +503,8 @@ def rr_counterfactual(
     observed_released,
     release_prob,
 ):
-    """Adjusted counterfactual Pr(r(other action) = 1 | observed action, x).
-
-    Chains the three solves: gamma from the release probability, the
-    posterior of u under each action, beta for the action not taken from its
-    surface estimate, then mixes that action's outcome model over the
-    posterior of u given the action actually taken.  Vectorized;
+    """Adjusted counterfactual Pr(r(other action) = 1 | observed action, x):
+    the chain of :func:`_counterfactual` for one regime.  Vectorized;
     ``observed_released`` is the observed action's release flag, a bool or a
     bool array.
     """

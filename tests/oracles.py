@@ -103,8 +103,11 @@ def sigmoid(z):
 
 
 def bisect_mixture(target, p1, shift):
-    """Slow solver for (1 - p1) s(x) + p1 s(x + shift) = target."""
-    lo, hi = -80.0, 80.0
+    """Slow solver for (1 - p1) s(x) + p1 s(x + shift) = target.
+
+    Both logistic terms are within s(-80) of 0 at the bracket's low end and
+    of 1 at its high end, so the root lies inside it."""
+    lo, hi = -80.0 - abs(shift), 80.0 + abs(shift)
     for _ in range(300):
         mid = 0.5 * (lo + hi)
         if (1 - p1) * sigmoid(mid) + p1 * sigmoid(mid + shift) < target:

@@ -314,6 +314,15 @@ class TestSynthGen:
         digest = hashlib.sha256((tmp_path / "cohort.csv").read_bytes()).hexdigest()
         assert digest == "cddef265b019af371d6923c1e92065b2ad9cde74e6debf3930c566b2762a02b9"
 
+    @pytest.mark.parametrize("hidden", ["0.3,0.7,0.7", "0.3,a,0.7,0.7"])
+    def test_malformed_hidden_u_names_the_flag(self, tmp_path, capsys, hidden):
+        code = run("synth-gen", "--n", "200", "--hidden-u", hidden, "--output-dir", str(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--hidden-u takes four numbers p,alpha,delta_rel,delta_wh, got {hidden!r}" in err
+        assert "unpack" not in err and "convert" not in err
+        assert not (tmp_path / "cohort.csv").exists()
+
 
 class TestPolicyEval:
     def test_observed_policy_row_equals_empirical_rate(self, cohort_csv, tmp_path):

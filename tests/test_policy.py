@@ -335,8 +335,6 @@ class TestTwoPointMixture:
         x = policy._solve_two_point_mixture(q, p1, shift)
         assert abs((1 - p1) * sigmoid(x) + p1 * sigmoid(x + shift) - q) <= 1e-10
         assert x == pytest.approx(expected, abs=1e-8)
-        bisected = policy._bisect_two_point(np.array([q]), np.array([p1]), np.array([shift]))
-        assert bisected[0] == pytest.approx(expected, abs=1e-8)
 
     def test_unsolvable_entry_raises(self):
         with pytest.raises(NumericError, match="residual"):
@@ -365,41 +363,89 @@ GRID_SHIFT = np.array([-50.0, -20.0, -5.0, -1.0, -0.1, 0.0, 0.1, 1.0, 5.0, 20.0,
 
 class TestOddsScaleRoot:
     def test_sigmoids_match_expit_of_the_root(self):
-        g, s0, s1, bisected, _ = policy._mixture_root(GRID_Q, GRID_P1, GRID_SHIFT)
+        g, s0, s1 = policy._mixture_root(GRID_Q, GRID_P1, GRID_SHIFT)
         x = policy._solve_two_point_mixture(GRID_Q, GRID_P1, GRID_SHIFT)
-        assert 0 < bisected.sum() < bisected.size / 4  # both branches, mostly the closed form
+        assert np.all(np.isfinite(g) & (g > 0))
         assert np.all(np.isfinite(x))
         z = x + GRID_SHIFT
         # expit(x) carries the rounding of x = log(g), about |x| ulp after exp,
         # so the allowance grows with |x|; near the origin it is 2 ulp
         for s, ref, cond in ((s0, expit(x), np.abs(x)), (s1, expit(z), np.abs(x) + np.abs(z))):
             assert np.all(np.abs(s - ref) <= 2.0 * (1.0 + cond) * np.spacing(ref))
-            assert np.array_equal(s[bisected], ref[bisected])
-        hit = ~bisected
-        assert np.array_equal(s0[hit], g[hit] / (1 + g[hit]))
+        assert np.array_equal(s0, g / (1 + g))
 
-    def test_bisected_entries_keep_the_bisected_root(self):
-        q, p1, shift = np.broadcast_arrays(GRID_Q, GRID_P1, GRID_SHIFT)
-        _, _, _, bisected, _ = policy._mixture_root(q, p1, shift)
-        x = policy._solve_two_point_mixture(q, p1, shift)
-        assert bisected.any()
-        expected = policy._bisect_two_point(q[bisected], p1[bisected], shift[bisected])
-        assert np.array_equal(x[bisected], expected)
+    def test_failed_residual_check_raises(self, monkeypatch):
+        def missed(q, p1, shift):
+            return np.full(np.broadcast_shapes(*map(np.shape, (q, p1, shift))), np.nan)
 
-    def test_every_missed_entry_is_bisected(self, monkeypatch):
-        monkeypatch.setattr(
-            policy, "_mixture_closed_form",
-            lambda q, p1, shift: np.full(np.broadcast(q, p1, shift).shape, np.nan),
+        monkeypatch.setattr(policy, "_mixture_closed_form", missed)
+        cases, surface = sweep_world("stub", None)
+        with pytest.raises(NumericError, match="residual"):
+            policy.sensitivity_sweep(cases, sweep_policy("mixed", cases), surface, mixed_regimes())
+        with pytest.raises(NumericError, match="residual"):
+            policy.solve_gamma(0.5, 1.0, 0.3)
+
+
+def _logit_grid(n):
+    """n targets from 1e-12 to 1 - 1e-12, evenly spaced in log-odds."""
+    return expit(np.linspace(-np.log(1e12 - 1), np.log(1e12 - 1), n))
+
+
+def _shift_grid(n):
+    """n shifts evenly spaced in [-50, 50], and +-100 and +-300."""
+    return np.concatenate([np.linspace(-50.0, 50.0, n), [-300.0, -100.0, 100.0, 300.0]])
+
+
+class TestClosedFormRange:
+    def test_full_grid_is_solved_by_the_closed_form(self):
+        q = _logit_grid(109)
+        p1 = np.linspace(0.0, 1.0, 21)[:, None, None]
+        shift = _shift_grid(105)[:, None]
+        g = policy._mixture_root(q, p1, shift)[0]
+        assert g.size == 249_501
+        assert np.all(np.isfinite(g) & (g > 0))
+        x = np.log(g)
+        resid = (1 - p1) * expit(x) + p1 * expit(x + shift) - q
+        assert np.max(np.abs(resid)) <= 1e-10
+
+    def test_well_conditioned_roots_match_the_oracle(self):
+        q, p1, shift = np.broadcast_arrays(
+            _logit_grid(23), np.linspace(0.0, 1.0, 11)[:, None, None], _shift_grid(28)[:, None]
         )
-        q, p1, shift = np.broadcast_arrays(GRID_Q[3:9], GRID_P1, GRID_SHIFT[2:9])
-        g, s0, s1, bisected, root = policy._mixture_root(q, p1, shift)
-        assert bisected.all()
-        assert np.array_equal(root, policy._bisect_two_point(q.ravel(), p1.ravel(), shift.ravel()))
-        assert np.array_equal(policy._solve_two_point_mixture(q, p1, shift).ravel(), root)
-        assert np.array_equal(s0.ravel(), expit(root))
-        assert np.array_equal(s1.ravel(), expit(root + shift.ravel()))
-        assert policy._solve_two_point_mixture(0.3, 0.5, 1.0) == policy._bisect_two_point(
-            np.array([0.3]), np.array([0.5]), np.array([1.0]))[0]
+        x = policy._solve_two_point_mixture(q, p1, shift)
+        s0, s1 = expit(x), expit(x + shift)
+        # where the mixture's slope at the root is small, a residual of 1e-10
+        # leaves the root itself undetermined to more than 1e-10
+        slope = (1 - p1) * s0 * (1 - s0) + p1 * s1 * (1 - s1)
+        well = np.flatnonzero(slope >= 1e-2)
+        assert 0.1 * x.size < len(well) < x.size
+        errors = [
+            abs(x.flat[i] - bisect_mixture(q.flat[i], p1.flat[i], shift.flat[i])) for i in well
+        ]
+        assert max(errors) <= 1e-10
+
+    @pytest.mark.parametrize("shift", [-350.0, 350.0])
+    def test_shifts_of_350_solve(self, shift):
+        for q, p1 in ((1e-6, 0.3), (0.3, 0.5), (1 - 1e-6, 1.0)):
+            x = policy._solve_two_point_mixture(q, p1, shift)
+            assert abs((1 - p1) * expit(x) + p1 * expit(x + shift) - q) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "q, p1, shift",
+        [(0.3, 0.5, 400.0), (1e-300, 0.5, 300.0)],
+        ids=["b-squared-overflows", "root-near-minus-990"],
+    )
+    def test_beyond_the_range_raises(self, q, p1, shift):
+        # past shift 354 b*b overflows; past |x| of 709 the odds g underflow to
+        # 0, where the residual, q, can already be below 1e-10
+        with pytest.raises(NumericError, match="residual"):
+            policy._solve_two_point_mixture(q, p1, shift)
+
+    @pytest.mark.parametrize("shift", [-300.0, 300.0])
+    def test_oracle_brackets_roots_beyond_80(self, shift):
+        for q, p1 in ((1e-6, 1.0), (1 - 1e-6, 1.0), (0.3, 0.5)):
+            x = bisect_mixture(q, p1, shift)
+            assert abs((1 - p1) * sigmoid(x) + p1 * sigmoid(x + shift) - q) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -624,20 +670,6 @@ class TestSweepEquivalence:
     @pytest.mark.parametrize("surface_kind", ["stub", "fitted"])
     @pytest.mark.parametrize("policy_kind", POLICY_KINDS)
     def test_matches_scalar_chain_oracle(self, fitted_world, surface_kind, policy_kind):
-        cases, surface = sweep_world(surface_kind, fitted_world)
-        assert_sweep_matches_chain_oracle(cases, sweep_policy(policy_kind, cases), surface)
-
-    @pytest.mark.parametrize("surface_kind", ["stub", "fitted"])
-    @pytest.mark.parametrize("policy_kind", POLICY_KINDS)
-    def test_bisected_roots_match_scalar_chain_oracle(
-        self, fitted_world, monkeypatch, surface_kind, policy_kind
-    ):
-        # every entry misses the residual check, so every root and both of its
-        # sigmoids come from the bisection branch
-        monkeypatch.setattr(
-            policy, "_mixture_closed_form",
-            lambda q, p1, shift: np.full(np.broadcast_shapes(q.shape, p1.shape, shift.shape), np.nan),
-        )
         cases, surface = sweep_world(surface_kind, fitted_world)
         assert_sweep_matches_chain_oracle(cases, sweep_policy(policy_kind, cases), surface)
 

@@ -35,10 +35,11 @@ diffing the printed lines shows whether their outputs are byte-equal.
 ``--compare`` reads the CSV files of two such output sets and prints, for
 each column, the largest absolute difference between the two versions
 (numeric columns) or the number of cells that differ (text columns).  Lines
-starting with ``#`` are skipped.  It exits 1 when a file's header or row
-count differs, when a text cell differs, or when a numeric column differs
-by more than ``TOLERANCE`` (1e-6, the agreement a solver change must keep);
-each such column is named on a ``FAIL`` line.
+starting with ``#`` are skipped.  It exits 1 when a file is missing from
+either set, when a file's header or row count differs, when a text cell
+differs, or when a numeric column differs by more than ``TOLERANCE`` (1e-6,
+the agreement a solver change must keep) or by a non-finite amount (a NaN
+against a number); each such file or column is named on a ``FAIL`` line.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ import hashlib
 import os
 import shutil
 import sys
+
+import numpy as np
 
 from scorekit import cli, datasets, synth
 
@@ -137,8 +140,12 @@ def compare(old: str, new: str) -> int:
     """Print the per-column differences of every CSV file of two output sets."""
     status = 0
     for name in [f for _, files in runs(old, []) for f in files if f.endswith(".csv")]:
-        header, *a = _csv_rows(os.path.join(old, name))
-        other, *b = _csv_rows(os.path.join(new, name))
+        paths = [os.path.join(old, name), os.path.join(new, name)]
+        if not all(map(os.path.exists, paths)):
+            print(f"FAIL {name}: missing")
+            status = 1
+            continue
+        (header, *a), (other, *b) = map(_csv_rows, paths)
         if header != other or len(a) != len(b):
             print(f"{name}: header or row count differs")
             status = 1
@@ -146,8 +153,8 @@ def compare(old: str, new: str) -> int:
         print(f"{name}: {len(a)} rows")
         for j, column in enumerate(header):
             pairs = [(x[j], y[j]) for x, y in zip(a, b) if x[j] != y[j]]
-            try:
-                diff = max((abs(float(x) - float(y)) for x, y in pairs), default=0.0)
+            try:  # np.max keeps a NaN wherever it falls; the builtin max need not
+                diff = np.max([abs(float(x) - float(y)) for x, y in pairs], initial=0.0)
             except ValueError:
                 print(f"  {column}: {len(pairs)} text cells differ")
                 status = 1
