@@ -83,6 +83,18 @@ def covariate_layout(feature_names, column_groups, p: int) -> tuple[tuple, tuple
     return names, groups
 
 
+def check_spread(X: np.ndarray, names) -> None:
+    """Raise a :class:`DataError` naming the first column of the finite
+    matrix ``X`` whose standard deviation overflows, such as a column with
+    one 1e300 cell.  Every fit standardizes its columns, and there such a
+    column would overflow with numpy warnings instead of an error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = np.flatnonzero(~np.isfinite(np.std(X, axis=0)))
+    if len(bad):
+        raise DataError(f"column {names[bad[0]]!r} is too large to standardize: "
+                        "its standard deviation overflows")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Named feature matrix with binary outcome labels.
@@ -113,6 +125,7 @@ class Dataset:
         names, groups = covariate_layout(self.feature_names, self.column_groups, p)
         if not np.all(np.isfinite(rows)):
             raise DataError("feature matrix contains non-finite values")
+        check_spread(rows, names)
         labels = np.asarray(self.labels)
         if labels.shape != (n,):
             raise DataError("labels length does not match row count")

@@ -16,14 +16,13 @@ from .srr import rescale_round
 def _tie_groups(scores: np.ndarray):
     """Ascending order of `scores`, the sorted values, and tie-group starts.
 
-    The one sort behind :func:`auc` and :func:`best_threshold`.  ``first[i]``
-    is True where sorted position ``i`` opens a run of equal scores; NaNs
-    sort last, one per run.  The sort is numpy's default (unstable) kind, so
-    the rows inside a run come in no fixed order, and neither caller reads
-    that order: ``auc`` gives every row of a run the same mid-rank, and
-    ``best_threshold`` reads its cumulative label counts only at run starts.
+    The one sort behind :func:`best_threshold`.  ``first[i]`` is True where
+    sorted position ``i`` opens a run of equal scores; NaNs sort last, one
+    per run.  The sort is numpy's default (unstable) kind, so the rows
+    inside a run come in no fixed order, and ``best_threshold`` never reads
+    that order: it reads its cumulative label counts only at run starts.
     A NaN is a run of its own whose place depends on the sort, which is why
-    ``auc`` rejects NaN scores and ``best_threshold`` drops them first.
+    ``best_threshold`` drops NaN scores first.
     """
     order = np.argsort(scores)
     ordered = scores[order]
@@ -35,8 +34,16 @@ def _tie_groups(scores: np.ndarray):
 def auc(scores, labels) -> float:
     """Probability a random positive outscores a random negative.
 
-    Mann-Whitney statistic computed by rank-sum in O(n log n); tied pairs
-    count one half.  Raises :class:`DataError` when a score is NaN.
+    The Mann-Whitney U statistic, counted by a merge in O(n log n); tied
+    pairs count one half.  Each class's scores are sorted on their own, and
+    one stable argsort of negatives-then-positives merges the two sorted
+    runs, putting every negative ahead of the positives it ties.  A
+    positive at merged position k with j positives ahead of it then has
+    k - j negatives at or below it, and U is the sum of those counts less
+    one half per tied (negative, positive) pair.  Every count is an
+    integer, so 2U is exact and the result is the correctly rounded
+    U / (n_pos * n_neg).  Labels other than 1 count as negatives.  Raises
+    :class:`DataError` when a score is NaN.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
@@ -49,14 +56,20 @@ def auc(scores, labels) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC needs both classes present")
-    order, _, first = _tie_groups(scores)
-    # each tie group [s, e) of sorted positions shares the mid-rank of its
-    # 1-based ranks; the terms are half-integers, and below 9e7 rows every
-    # partial sum stays under 2**52, so the rank sum is exact in any order
-    starts = np.flatnonzero(first)
-    ends = np.append(starts[1:], len(scores))
-    rank_sum = (0.5 * (starts + ends - 1) + 1.0) @ np.add.reduceat(pos[order], starts)
-    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    # np.compress, unlike a boolean index, does not slow down on interleaved labels
+    merged = np.concatenate([np.sort(np.compress(~pos, scores)), np.sort(np.compress(pos, scores))])
+    order = np.argsort(merged, kind="stable")
+    is_pos = order >= n_neg
+    at_or_below = int(np.flatnonzero(is_pos).sum()) - n_pos * (n_pos - 1) // 2
+    # a run of equal values that holds both classes is entered once, at the
+    # step from its last negative to its first positive; its tied pairs are
+    # its negatives times its positives, counted from that step alone
+    ordered = merged[order]
+    step = np.flatnonzero((is_pos[1:] > is_pos[:-1]) & (ordered[1:] == ordered[:-1]))
+    value = ordered[step]
+    tied = int((step + 1 - np.searchsorted(ordered, value, "left"))
+               @ (np.searchsorted(ordered, value, "right") - step - 1))
+    return float((at_or_below - 0.5 * tied) / (n_pos * n_neg))
 
 
 def accuracy(predictions, labels) -> float:

@@ -33,7 +33,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from ._math import clip_prob, expit
-from .data import Dataset, FoldAssignment, covariate_layout
+from .data import Dataset, FoldAssignment, check_spread, covariate_layout
 from .errors import DataError, NumericError
 from .glm import LassoPath, cv_select, linear_predictor
 from .srr import RELEASE, WITHHOLD, Scorecard
@@ -109,6 +109,7 @@ class CaseTable:
         object.__setattr__(self, "column_groups", groups)
         if not np.all(np.isfinite(self.X)):
             raise DataError("covariates contain non-finite values")
+        check_spread(self.X, names)
         po = [col for col in (self.po_release, self.po_withhold) if col is not None]
         if len(po) == 1:
             raise DataError("either both potential outcomes are present or neither")
@@ -582,9 +583,10 @@ def sensitivity_sweep(
     are computed once per call, and the baseline comes from the same arrays.
     The disagreeing cases are split by observed action, since a released
     case needs only the withhold counterfactual and a withheld case only
-    the release one.  The distinct (p_u, alpha) pairs are numbered once for
-    both branches; within each branch the regimes collapse to their
-    distinct (pair, delta of the action not taken) keys, both tables in
+    the release one, and a branch with no rows is skipped.  The distinct
+    (p_u, alpha) pairs are numbered once for both branches; within each
+    branch the regimes collapse to their distinct (pair, delta of the
+    action not taken) keys, both tables in
     first-seen order.  One :func:`_counterfactual` call per block of rows
     solves gamma and the posteriors once per pair, indexed into the keys,
     and beta and the mix once per key as a keys x rows broadcast; each
@@ -612,6 +614,8 @@ def sensitivity_sweep(
             (False, r_rel, [p.delta_release for p in regimes]),
         ):
             rows = np.flatnonzero(observed == released)
+            if not len(rows):
+                continue
             r_other = r_other[disagree]
             keys: dict[tuple[int, float], int] = {}  # (pair, delta) -> key number
             key_of_regime = [keys.setdefault(k, len(keys)) for k in zip(pair_of_regime, deltas)]

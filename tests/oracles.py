@@ -8,6 +8,7 @@ fast paths against these.
 """
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 
@@ -68,7 +69,9 @@ def auc_brute_force(scores, labels):
 
 def auc_tie_loop(scores, labels):
     """Rank-sum AUC with a Python loop over tie groups: the reference for
-    the loop-free ranks, which must reproduce it bit for bit on finite scores."""
+    the merge count, which must reproduce it bit for bit on any scores
+    without NaN.  Runs are split where neighbours differ, so equal infinite
+    scores tie as equal finite ones do."""
     scores = np.asarray(scores, dtype=float)
     pos = np.asarray(labels) == 1
     n_pos = int(pos.sum())
@@ -76,13 +79,29 @@ def auc_tie_loop(scores, labels):
     order = np.argsort(scores, kind="mergesort")
     ranks = np.empty(len(scores))
     sorted_scores = scores[order]
-    boundaries = np.flatnonzero(np.diff(sorted_scores) != 0) + 1
+    boundaries = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1
     starts = np.concatenate([[0], boundaries])
     ends = np.concatenate([boundaries, [len(scores)]])
     for s, e in zip(starts, ends):
         ranks[order[s:e]] = 0.5 * (s + e - 1) + 1.0
     rank_sum = ranks[pos].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def verify_theorem_mc_concat(auc_target, gamma, n, seed=0):
+    """``noise.verify_theorem_mc`` as three separate normal draws, concatenated,
+    with an int label vector and the tie-loop AUC: the reference for its
+    single in-place buffer, which must return the same triple bit for bit."""
+    rng = np.random.default_rng(seed)
+    half = n // 2
+    mu_gap = math.sqrt(2.0) * NormalDist().inv_cdf(auc_target)
+    scores = np.concatenate([rng.normal(0.0, 1.0, half), rng.normal(mu_gap, 1.0, half)])
+    labels = np.concatenate([np.zeros(half, dtype=int), np.ones(half, dtype=int)])
+    noisy = scores + rng.normal(0.0, math.sqrt(gamma), 2 * half) if gamma > 0 else scores
+    empirical = auc_tie_loop(noisy, labels)
+    z = NormalDist().inv_cdf(auc_target) / math.sqrt(1.0 + gamma)
+    analytic = 0.5 * math.erfc(-z / math.sqrt(2.0))
+    return empirical, analytic, abs(empirical - analytic)
 
 
 def best_threshold_loop(scores, labels):

@@ -282,6 +282,36 @@ class TestAdversarialInput:
             assert all("selectable features" in e or e.startswith("step 3: ")
                        for e in errors), errors
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_huge_heart_cell_names_its_column(self, tmp_path, capsys, command):
+        # its square overflows: the fits would standardize the column with numpy warnings
+        source = os.path.join(os.path.dirname(scorekit.__file__), "datasets", "heart_synthetic.csv")
+        with open(source, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[7][rows[0].index("chol")] = "1e300"
+        path = tmp_path / "heart.csv"
+        data.write_table(path, rows[0], rows[1:])
+        sizes = ["--k", "2", "--M", "3"] if command == "train" else ["--k-values", "1-2", "--folds", "3"]
+        code = run(command, "--input", str(path), "--label", "disease", *sizes,
+                   "--output-dir", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert "data error" in err and "'chol'" in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["policy-eval", "sensitivity-sweep"])
+    def test_huge_cohort_cell_names_its_column(self, cohort_csv, tmp_path, capsys, command):
+        with open(cohort_csv, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[5][rows[0].index("noise_0")] = "1e300"
+        path = tmp_path / "cohort.csv"
+        data.write_table(path, rows[0], rows[1:])
+        code = run(command, "--input", str(path), "--output-dir", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert "data error" in err and "'noise_0'" in err and "Traceback" not in err
+
     def test_mean_over_fewer_folds_says_how_many(self, tmp_path, capsys):
         # the complement table's full design is exactly collinear on two of three folds
         path = tmp_path / "input.csv"

@@ -263,6 +263,15 @@ class TestDataset:
                 feature_names=("a",), rows=np.array([[np.inf], [1.0]]), labels=np.zeros(2)
             )
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("huge", [1e300, -1e300, 1e155])
+    def test_column_too_large_to_standardize_is_named(self, huge):
+        rows = np.array([[1.0, 2.0], [huge, 3.0], [0.0, 4.0]])
+        with pytest.raises(DataError, match="column 'a' is too large"):
+            data.Dataset(feature_names=("a", "b"), rows=rows, labels=np.array([0, 1, 0]))
+        # a constant column at that scale has a standard deviation of 0
+        data.Dataset(feature_names=("a", "b"), rows=np.full((3, 2), huge), labels=[0, 1, 0])
+
     def test_take_subsets_rows(self):
         ds = bail_dataset([19, 30, 41], [0, 1, 2], [0, 1, 0])
         sub = ds.take([2, 0])

@@ -99,6 +99,44 @@ class TestSortedScoreDifferential:
         labels = rng.integers(0, 2, n)
         assert metrics.auc(scores, labels) == auc_tie_loop(scores, labels)
 
+    def test_auc_signed_zeros_and_infinities_in_both_classes(self):
+        rng = np.random.default_rng(25)
+        for _ in range(60):
+            n = int(rng.integers(8, 400))
+            scores = rng.choice([-np.inf, -1.0, -0.0, 0.0, 2.0, np.inf], n)
+            labels = rng.integers(0, 2, n)
+            labels[:4], scores[:4] = (0, 1, 0, 1), (np.inf, np.inf, -np.inf, -np.inf)
+            scores[4:8], labels[4:8] = (-0.0, 0.0, 0.0, -0.0), (0, 0, 1, 1)
+            assert metrics.auc(scores, labels) == auc_tie_loop(scores, labels)
+            assert metrics.auc(scores, labels) == pytest.approx(
+                auc_brute_force(scores, labels), abs=1e-12)
+
+    def test_auc_labels_outside_01_count_as_negatives(self):
+        rng = np.random.default_rng(26)
+        for _ in range(60):
+            n = int(rng.integers(3, 2000))
+            scores = rng.integers(-4, 5, n).astype(float) if n % 2 else rng.normal(size=n)
+            labels = rng.integers(-1, 3, n)
+            labels[:2] = (1, 2)
+            expected = auc_tie_loop(scores, labels)
+            assert metrics.auc(scores, labels) == expected
+            assert metrics.auc(scores, labels == 1) == expected
+
+    @pytest.mark.parametrize("where", [0, 31_234, 49_999])
+    def test_auc_one_positive_among_50k(self, where):
+        scores = np.random.default_rng(27).normal(size=50_000)
+        labels = np.zeros(50_000, dtype=int)
+        labels[where] = 1
+        assert metrics.auc(scores, labels) == auc_tie_loop(scores, labels)
+        assert metrics.auc(scores, 1 - labels) == auc_tie_loop(scores, 1 - labels)
+
+    @pytest.mark.parametrize("n", [2, 7, 50_000])
+    def test_auc_all_scores_equal(self, n):
+        labels = np.arange(n) % 3 == 0
+        for value in (-np.inf, -0.0, 4.5, np.inf):
+            scores = np.full(n, value)
+            assert metrics.auc(scores, labels) == auc_tie_loop(scores, labels) == 0.5
+
     def test_auc_matches_pair_count(self):
         for scores, labels in _score_draws(21, 30):
             assert metrics.auc(scores, labels) == pytest.approx(
@@ -175,8 +213,9 @@ def _tie_heavy_draws(seed, trials):
 
 
 class TestOrderFreeSort:
-    """`_tie_groups` leaves the rows of a tie group in no fixed order, so
-    permuting the rows must not change a bit of either result."""
+    """Neither result may depend on row order: `_tie_groups` leaves the rows
+    of a tie group in no fixed order, and `auc` sorts each class on its own,
+    so permuting the rows must not change a bit of either result."""
 
     def test_auc_permutation_invariant(self):
         rng = np.random.default_rng(30)

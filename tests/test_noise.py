@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import hanley_mcneil_se
+from oracles import hanley_mcneil_se, verify_theorem_mc_concat
 from scorekit import data, glm, noise, srr
 from scorekit.datasets import load_heart
 from scorekit.errors import DataError, NumericError
@@ -42,6 +42,17 @@ class TestAucUnderNoise:
         with pytest.raises(NumericError):
             noise.auc_under_noise(0.8, -0.1)
 
+    def test_array_keeps_shape_and_scalar_values(self):
+        grid = np.array([[0.55, 0.7, 0.9], [0.3, 0.5, 0.99]])
+        for g in (0.0, 0.5, 3.0):
+            out = noise.auc_under_noise(grid, g)
+            assert out.shape == grid.shape and out.dtype == float
+            assert out.tolist() == [[noise.norm_cdf(noise.norm_ppf(a) / math.sqrt(1.0 + g))
+                                     for a in row] for row in grid]
+        assert type(noise.auc_under_noise(np.float64(0.7), 0.5)) is float
+        assert type(noise.auc_under_noise(np.array(0.7), 0.5)) is float
+        assert noise.auc_under_noise([0.7], 0.5).shape == (1,)
+
     def test_normal_helpers_high_accuracy(self):
         # round trip through the quantile and CDF stays at double precision
         for q in (1e-8, 0.1, 0.5, 0.77, 1 - 1e-8):
@@ -72,6 +83,15 @@ class TestVerifyTheoremMc:
                 emp, ana, diff = noise.verify_theorem_mc(auc_t, g, n, seed=10 * i + j)
                 se = hanley_mcneil_se(ana, n // 2, n // 2)
                 assert diff <= 3.0 * se
+
+    # the benchmark's 16 (AUC, gamma) points, and gamma = 0
+    MC_POINTS = [(a, g) for a in (0.6, 0.7, 0.8, 0.9) for g in (0.25, 0.5, 1.0, 2.0)] + [(0.8, 0.0)]
+
+    @pytest.mark.parametrize("seed, point", enumerate(MC_POINTS))
+    def test_in_place_draws_equal_three_draw_construction(self, seed, point):
+        auc_t, g = point
+        got = noise.verify_theorem_mc(auc_t, g, 50_000, seed=seed)
+        assert got == verify_theorem_mc_concat(auc_t, g, 50_000, seed=seed)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(DataError):

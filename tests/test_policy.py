@@ -115,6 +115,12 @@ class TestCaseTableLayout:
         with pytest.raises(DataError, match=message):
             self.table(**layout)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_covariate_too_large_to_standardize_is_named(self):
+        with pytest.raises(DataError, match="column 'b' is too large"):
+            policy.CaseTable(X=[[1.0, 1e300], [2.0, 0.0]], released=[True, False],
+                             outcomes=[0, 1], feature_names=("a", "b"))
+
     def test_take_keeps_the_layout_and_every_case_column(self):
         table = self.table(feature_names=("a", "b"), column_groups=("g", "g"))
         sub = table.take([2, 0])
@@ -685,6 +691,38 @@ class TestSweepEquivalence:
             assert permuted.values == tuple(band.values[i] for i in order)
             assert (permuted.low, permuted.high, permuted.baseline) == (
                 band.low, band.high, band.baseline)
+
+    # the stub world's values over mixed_regimes()[::3], as float.hex, from the
+    # sweep that still solved the chain for a branch with no rows
+    EMPTY_BRANCH_VALUES = {
+        "release": (
+            "0x1.8e2ffb89d2ae7p-3", "0x1.87d082ee230bep-3", "0x1.80cb3fe5eb0a6p-3",
+            "0x1.91d2990212e0fp-3", "0x1.87d082ee230bep-3", "0x1.7ebb249cf5a1fp-3",
+            "0x1.a343a4238d693p-3", "0x1.6e22af93f771ep-3", "0x1.87d082ee230bep-3",
+        ),
+        "withhold": (
+            "0x1.2c580413afefcp-2", "0x1.2c580413afefcp-2", "0x1.2c580413afefcp-2",
+            "0x1.269362c328347p-2", "0x1.269362c328347p-2", "0x1.269362c328347p-2",
+            "0x1.0d1182723c517p-2", "0x1.6565da3d4b976p-2", "0x1.36be5cd7f2593p-2",
+        ),
+    }
+
+    @pytest.mark.parametrize("policy_kind", ["release", "withhold"])
+    def test_branch_without_rows_is_skipped(self, monkeypatch, policy_kind):
+        # releasing (withholding) everyone leaves no disagreeing released (withheld) case
+        cases, surface = sweep_world("stub", None)
+        rows = []
+
+        def spy(q, *args, **kwargs):
+            rows.append(len(q))
+            return counterfactual(q, *args, **kwargs)
+
+        counterfactual = policy._counterfactual
+        monkeypatch.setattr(policy, "_counterfactual", spy)
+        band = policy.sensitivity_sweep(
+            cases, sweep_policy(policy_kind, cases), surface, mixed_regimes()[::3])
+        assert len(rows) == 1 and rows[0] > 0
+        assert tuple(v.hex() for v in band.values) == self.EMPTY_BRANCH_VALUES[policy_kind]
 
     def test_row_blocks_leave_values_unchanged(self, fitted_world, monkeypatch):
         cases, surface = fitted_world

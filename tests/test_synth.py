@@ -210,7 +210,9 @@ class TestCohortCsv:
     def test_float_cells_are_the_repr_of_each_value(self, tmp_path):
         cohort = synth.generate(synth.GeneratorConfig(n=6, seed=9))
         X = cohort.table.X.copy()
-        X[:, 0] = [-0.0, 0.0, 0.1, -0.0, 5e-324, 1e300]  # one cell text per bit pattern
+        # one cell text per bit pattern; 1e150, not 1e300, because a covariate
+        # whose standard deviation overflows is refused
+        X[:, 0] = [-0.0, 0.0, 0.1, -0.0, 5e-324, 1e150]
         cohort = dataclasses.replace(cohort, table=dataclasses.replace(cohort.table, X=X))
         path = tmp_path / "cohort.csv"
         synth.write_cohort_csv(cohort, path)
@@ -292,7 +294,7 @@ class TestCohortCsvAgainstRowLoop:
             pytest.param(dict(n=500, seed=4, hidden_u=policy.SensitivityParams(0.3, 0.7, 0.7, 0.7)),
                          None, id="seed-4-hidden-u"),
             pytest.param(dict(n=40, seed=1, judges=QUOTED_JUDGES), None, id="quoted-judges"),
-            pytest.param(dict(n=40, seed=2, first_column=[-0.0, 5e-324, 1e300, 0.0, -1e300]),
+            pytest.param(dict(n=40, seed=2, first_column=[-0.0, 5e-324, 1e150, 0.0, -1e150]),
                          None, id="extreme-floats"),
             pytest.param(dict(n=1, seed=3), None, id="single-row"),
             pytest.param(dict(n=40, seed=5), lambda b: b"\xef\xbb\xbf" + b, id="bom"),
@@ -322,6 +324,7 @@ class TestCohortCsvAgainstRowLoop:
             pytest.param(_cell(3, -6, "parole"), id="bad-action"),
             pytest.param(_cell(3, 0, "nan"), id="nan"),
             pytest.param(_cell(5, 2, "-inf"), id="infinite"),
+            pytest.param(_cell(5, 2, "1e300"), id="too-large"),
             pytest.param(_cell(3, -2, "1.0"), id="float-code"),
             pytest.param(_cell(3, 1, ""), id="empty-number"),
             pytest.param(_cell(350, -4, "judge_\udce9"), id="not-utf-8"),
