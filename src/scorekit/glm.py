@@ -6,7 +6,9 @@ path (:func:`fit_lasso_path`) with cross-validated penalty selection
 (:func:`cv_select`).  Each proximal-Newton step of the path solves its
 small quadratic subproblem exactly on the active set, with a linear solve
 checked for sign consistency and against the KKT conditions of the inactive
-features.  ``cv_select`` fits the full-data path and every fold's path as
+features.  Its gradient is exact and its weighted Gram rebuilt only once the
+iterate has moved, so a settled point meets the KKT conditions without a
+line search.  ``cv_select`` fits the full-data path and every fold's path as
 one batch: at each penalty, one stacked Cholesky factorization and one
 stacked solve serve every problem still moving, and a single path is the
 batch of one.  Coordinate descent remains only as the fallback, taken by a
@@ -220,15 +222,15 @@ def _check_classes(y):
         raise DataError("y contains a single class; cannot fit a lasso path")
 
 
-def _default_grid(X, y, n_lambda, lambda_min_ratio):
+def _default_grid(D, y, n_lambda, lambda_min_ratio):
     """The default penalty grid, log-spaced from lambda_max down to
     ``lambda_min_ratio`` times that.
 
     lambda_max, the smallest penalty whose solution has every slope at zero,
-    comes from the null-model gradient on the standardized full data.
+    comes from the null-model gradient on ``D``, the full data's standardized
+    design from :func:`_design`.
     """
-    Z = _design(X, None)[0][1:]
-    lam_max = float(np.max(np.abs(Z @ (y - y.mean()))) / len(y))
+    lam_max = float(np.max(np.abs(D[1:] @ (y - y.mean()))) / len(y))
     if lam_max <= 0.0:
         lam_max = 1.0  # y independent of every column; any grid gives zeros
     return np.geomspace(lam_max, lam_max * lambda_min_ratio, n_lambda)
@@ -274,6 +276,10 @@ def _soft(v: float, t: float) -> float:
 # diagonal is (numerically) a combination of the other active columns, and
 # the active-set system has no unique solution
 _PIVOT_FLOOR = 1e-10
+
+# a problem's weighted Gram is rebuilt once its standardized iterate has
+# moved more than this (max norm) from the point the Gram was built at
+_GRAM_REUSE = 0.01
 
 # sweeps a coordinate-descent fallback takes before it reports non-convergence
 _MAX_SWEEPS = 10000
@@ -340,12 +346,12 @@ def _squared_pivots(M):
 def _active_set_solve(G, h, aug, lam, penalized, tol, max_sweeps) -> np.ndarray:
     """Exact active-set solves of a batch of weighted quadratic surrogates.
 
-    Problem k minimizes  (1/2n) sum_i w_i (z_i - b0 - x_i beta)^2 + lam * ||beta||_1
-    given the Gram pieces of its augmented design [1, Xs]:
-    ``G[k] = Xa' W Xa / n`` and ``h[k] = Xa' W z / n``; ``penalized[k]``
-    marks the coordinates of ``aug[k] = [b0, beta...]`` that carry the
-    penalty (never the intercept).  Starting from S = {intercept} and the
-    nonzeros of the warm start ``aug[k]`` with their signs s, it solves
+    Problem k minimizes  b' G[k] b / 2 - h[k]' b + lam * ||beta||_1  over
+    ``b = [b0, beta...]``, where ``G[k]`` is a weighted Gram ``Xa' W Xa / n``
+    of its augmented design [1, Xs]; ``penalized[k]`` marks the coordinates
+    of ``aug[k]`` that carry the penalty (never the intercept).  Starting
+    from S = {intercept} and the nonzeros of the warm start ``aug[k]`` with
+    their signs s, it solves
     ``G[S,S] b = h[S] - lam * s[S]`` exactly, drops from S every coefficient
     whose sign disagrees with s, and adds every inactive feature whose
     gradient ``h - G b`` exceeds ``lam`` in magnitude, with that gradient's
@@ -403,20 +409,28 @@ def _active_set_solve(G, h, aug, lam, penalized, tol, max_sweeps) -> np.ndarray:
     return converged
 
 
-def _fit_paths(X, y, row_sets, grid, zero_first, tol=1e-7, max_outer=50):
+def _fit_paths(
+    X, y, row_sets, lambda_grid=None, n_lambda=100, lambda_min_ratio=1e-4, tol=1e-7, max_outer=50
+):
     """Lasso paths of several row subsets of ``(X, y)`` over one grid, as one batch.
 
     Problem k fits the rows ``row_sets[k]`` (``None`` for every row) on its
-    own standardized design.  When ``zero_first``, problem 0 takes grid
-    point 0 as the exact all-zero solution: the grid was computed from its
-    data, and at its lambda_max float noise would otherwise leak through.
-    At each penalty every problem still moving builds its Gram pieces from
-    its own design, one proximal-Newton step of all of them is one
-    :func:`_active_set_solve`, and a problem leaves once its step is below
-    ``tol``; after ``max_outer`` steps the rest are recorded as
-    unconverged.  Returns one :class:`LassoPath` per problem.
+    own standardized design.  Without ``lambda_grid`` the grid is
+    :func:`_default_grid` of problem 0, which must take every row, and
+    problem 0 takes grid point 0 as the exact all-zero solution: at its
+    lambda_max float noise would otherwise leak through.  Each outer step of
+    the problems still moving is one :func:`_active_set_solve`.  A model
+    takes the exact gradient ``D(y - p)/n``, so where a step vanishes the
+    lasso's KKT conditions hold whatever Gram it carries; the Gram
+    ``D W D'/n`` is rebuilt only once the iterate has moved more than
+    ``_GRAM_REUSE`` (max norm, standardized scale) from where it was built
+    (lazy Hessians, Doikov, Chayti & Jaggi 2023), which saves most O(n q^2)
+    products for a few more O(n q) steps.  No line search is taken: a
+    problem leaves once its step is below ``tol``, and after ``max_outer``
+    steps the rest are recorded as unconverged.  Returns one
+    :class:`LassoPath` per problem.
     """
-    L, q, B = len(grid), X.shape[1] + 1, len(row_sets)
+    q, B = X.shape[1] + 1, len(row_sets)
     designs, ys, means, scales = [], [], [], []
     penalized = np.zeros((B, q), dtype=bool)
     aug = np.zeros((B, q))
@@ -427,32 +441,35 @@ def _fit_paths(X, y, row_sets, grid, zero_first, tol=1e-7, max_outer=50):
         means.append(mean)
         scales.append(sd)
         aug[k, 0] = logit(ys[k].mean())
+    default = lambda_grid is None
+    grid = _default_grid(designs[0], y, n_lambda, lambda_min_ratio) if default else lambda_grid
     sizes = np.array([len(yk) for yk in ys])
-    solutions = np.empty((B, L, q))
-    converged = np.ones((B, L), dtype=bool)
+    solutions = np.empty((B, len(grid), q))
+    converged = np.ones((B, len(grid)), dtype=bool)
     everyone = np.arange(B)
+    grams = np.empty((B, q, q))
+    anchors = np.full((B, q), np.inf)  # the iterate each Gram was built at
 
     for i, lam in enumerate(grid):
-        live = everyone[1:] if zero_first and i == 0 else everyone
+        live = everyone[1:] if default and i == 0 else everyone
         for _ in range(max_outer):
             if not live.size:
                 break
-            # the elementwise IRLS pieces of every live problem in one pass
+            # the elementwise pieces of every live problem in one pass
             ends = np.cumsum(sizes[live])
-            eta = np.concatenate([aug[k] @ designs[k] for k in live])
-            prob = expit(eta)
+            prob = expit(np.concatenate([aug[k] @ designs[k] for k in live]))
             w = np.maximum(prob * (1.0 - prob), _MIN_WEIGHT)
-            z = eta + (np.concatenate([ys[k] for k in live]) - prob) / w
-            G = np.empty((len(live), q, q))
-            h = np.empty((len(live), q))
+            resid = np.concatenate([ys[k] for k in live]) - prob
+            stale = np.max(np.abs(aug[live] - anchors[live]), axis=1) > _GRAM_REUSE
+            score = np.empty((len(live), q))  # D(y - p) of each live problem
             for j, k in enumerate(live):
                 rows = slice(ends[j] - sizes[k], ends[j])
-                WD = designs[k] * w[rows]
-                G[j] = WD @ designs[k].T
-                h[j] = WD @ z[rows]
-            G /= sizes[live, None, None]
-            h /= sizes[live, None]
-            step = aug[live]
+                if stale[j]:
+                    grams[k] = (designs[k] * w[rows]) @ designs[k].T / sizes[k]
+                    anchors[k] = aug[k]
+                score[j] = designs[k] @ resid[rows]
+            G, step = grams[live], aug[live]
+            h = (G @ step[:, :, None])[:, :, 0] + score / sizes[live, None]
             solved = _active_set_solve(G, h, step, lam, penalized[live], tol, _MAX_SWEEPS)
             settled = np.max(np.abs(step - aug[live]), axis=1) < tol
             aug[live] = step
@@ -495,11 +512,8 @@ def fit_lasso_path(
     """
     X, y = _check_xy(X, y)
     _check_classes(y)
-    if lambda_grid is None:
-        grid = _default_grid(X, y, n_lambda, lambda_min_ratio)
-    else:
-        grid = np.asarray(lambda_grid, dtype=float)
-    return _fit_paths(X, y, [None], grid, lambda_grid is None, tol, max_outer)[0]
+    grid = None if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
+    return _fit_paths(X, y, [None], grid, n_lambda, lambda_min_ratio, tol, max_outer)[0]
 
 
 def kkt_violation(path: LassoPath, X, y, index: int) -> tuple[float, float]:
@@ -555,7 +569,6 @@ def cv_select(
     if folds.n != X.shape[0]:
         raise DataError("fold assignment does not cover X's rows")
     _check_classes(y)
-    grid = _default_grid(X, y, n_lambda, lambda_min_ratio)
     train = [folds.train_indices(f) for f in range(folds.fold_count)]
     for f, tr in enumerate(train):
         for part, where in ((y[tr], "training"), (y[folds.test_indices(f)], "validation")):
@@ -564,8 +577,8 @@ def cv_select(
                     f"fold {f} has a single-class {where} split; "
                     "use stratified folds (kfold with labels)"
                 )
-    full, *subs = _fit_paths(X, y, [None, *train], grid, True)
-    per_fold = np.empty((folds.fold_count, len(grid)))
+    full, *subs = _fit_paths(X, y, [None, *train], None, n_lambda, lambda_min_ratio)
+    per_fold = np.empty((folds.fold_count, full.n_lambda))
     for f, sub in enumerate(subs):
         va = folds.test_indices(f)
         eta = sub.intercepts[:, None] + sub.coefficients @ X[va].T

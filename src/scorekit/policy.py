@@ -521,7 +521,8 @@ def rr_counterfactual(
         (False, r_rel, params.delta_release),
     ):
         rows = observed == released
-        out[rows] = _counterfactual(q[rows], r_other[rows], released, params.p_u, params.alpha, delta)
+        if rows.any():  # a branch with no rows is skipped
+            out[rows] = _counterfactual(q[rows], r_other[rows], released, params.p_u, params.alpha, delta)
     return out if out.ndim else float(out)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import direct_max_oracle, logistic_ll
-from scorekit import data, glm
+from scorekit import data, glm, policy, synth
 from scorekit.errors import DataError, NumericError
 
 
@@ -514,6 +514,65 @@ class TestCvSelect:
         folds = data.FoldAssignment(fold_count=3, assignment=assignment)
         with pytest.raises(NumericError, match="stratified"):
             glm.cv_select(X, y, folds, n_lambda=10)
+
+
+def surface_problem(n, seed):
+    """A synthetic cohort's response-surface design, outcomes and folds."""
+    table = synth.generate(synth.GeneratorConfig(n=n, seed=seed)).table
+    X = policy.surface_design(table.X, table.released)
+    y = table.outcomes.astype(float)
+    return X, y, data.kfold(n, 3, seed=seed, labels=y)
+
+
+def adversarial_designs(rng):
+    """(name, X, y) of inputs that strain the lasso's proximal-Newton steps."""
+    n = 600
+    noise = rng.normal(size=(n, 2))
+    x = rng.integers(-3, 4, size=n).astype(float)
+    y = np.where(x > 0, 1.0, np.where(x < 0, 0.0, (rng.random(n) < 0.5).astype(float)))
+    yield "quasi_separable", np.column_stack([x, noise]), y
+    x = rng.normal(size=n)
+    X = np.column_stack([x, x + 1e-6 * rng.normal(size=n), noise])
+    yield "near_collinear_pair", X, draw_labels(rng, 1.5 * x + noise[:, 0])
+    X = np.column_stack([1e6 * (1.0 + noise[:, 0]), noise[:, 1], rng.normal(size=n)])
+    yield "1e6_scale_column", X, draw_labels(rng, noise @ [1.0, -0.8])
+    X = rng.normal(size=(2500, 4))
+    yield "2pct_positives", X, draw_labels(rng, np.log(0.02 / 0.98) - 0.4 + X @ [0.8, 0, -0.5, 0])
+
+
+class TestLazyGram:
+    def test_matches_gram_rebuilt_every_step(self, monkeypatch):
+        X, y, folds = surface_problem(5000, seed=4)
+        lazy, lazy_paths = cv_batch(X, y, folds, n_lambda=20)
+        # 0.0 rebuilds each Gram at every step that moved the iterate
+        monkeypatch.setattr(glm, "_GRAM_REUSE", 0.0)
+        eager, eager_paths = cv_batch(X, y, folds, n_lambda=20)
+        assert lazy.selected_index == eager.selected_index
+        assert not np.array_equal(lazy.coefficients, eager.coefficients), "no Gram was reused"
+        for a, b in zip(lazy_paths, eager_paths):
+            assert a.converged.all() and np.array_equal(a.converged, b.converged)
+            assert np.max(np.abs(a.coefficients - b.coefficients)) <= 1e-8
+
+    def test_adversarial_inputs_meet_kkt_or_raise(self):
+        rng = np.random.default_rng(23)
+        for name, X, y in adversarial_designs(rng):
+            folds = data.kfold(len(y), 3, seed=0, labels=y)
+            try:
+                path = glm.cv_select(X, y, folds, n_lambda=20)
+            except (DataError, NumericError) as exc:
+                assert str(exc), name
+                continue
+            for i in np.flatnonzero(path.converged):
+                assert max(glm.kkt_violation(path, X, y, int(i))) <= 1e-6, (name, i)
+
+    def test_default_grid_comes_from_the_full_design(self):
+        X, y, folds = surface_problem(2000, seed=5)
+        # the grid as it was computed from its own standardized copy of X
+        Z = glm._design(X, None)[0][1:]
+        lam_max = float(np.max(np.abs(Z @ (y - y.mean()))) / len(y))
+        expected = np.geomspace(lam_max, lam_max * 1e-4, 15)
+        assert np.array_equal(glm.cv_select(X, y, folds, n_lambda=15).lambda_grid, expected)
+        assert np.array_equal(glm.fit_lasso_path(X, y, n_lambda=15).lambda_grid, expected)
 
 
 class TestPredict:

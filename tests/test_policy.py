@@ -521,6 +521,33 @@ class TestRrCounterfactual:
             s = policy.rr_counterfactual(r_rel[i], r_wh[i], params, bool(released[i]), q[i])
             assert vec[i] == pytest.approx(s, abs=1e-12)
 
+    # the values the chain gave when it still ran the empty branch
+    ONE_BRANCH_VALUES = {
+        True: ("0x1.7f0dbab3e95ebp-3", "0x1.242766ac4de55p-2", "0x1.ef0c2b73eed12p-2"),
+        False: ("0x1.67c204564bbafp-4", "0x1.7dc72934a2892p-2", "0x1.5c4d5ddcc5944p-1"),
+    }
+
+    @pytest.mark.parametrize("observed", [True, False])
+    def test_branch_without_rows_is_skipped(self, monkeypatch, observed):
+        params = policy.SensitivityParams(
+            p_u=0.25, alpha=1.1, delta_release=0.6, delta_withhold=-0.4
+        )
+        rows = []
+        counterfactual = policy._counterfactual
+
+        def spy(q, *args, **kwargs):
+            rows.append(np.size(q))
+            return counterfactual(q, *args, **kwargs)
+
+        monkeypatch.setattr(policy, "_counterfactual", spy)
+        r_rel, r_wh, q = np.array([0.1, 0.4, 0.7]), np.array([0.2, 0.3, 0.5]), np.array([0.3, 0.6, 0.8])
+        values = policy.rr_counterfactual(r_rel, r_wh, params, np.full(3, observed), q)
+        assert rows == [3]
+        assert tuple(v.hex() for v in values) == self.ONE_BRANCH_VALUES[observed]
+        rows.clear()
+        assert policy.rr_counterfactual(0.3, 0.12, params, True, 0.7).hex() == "0x1.d05ea666a500ep-4"
+        assert rows == [1]
+
 
 def synthetic_cases_and_surface(seed=13, n=400):
     rng = np.random.default_rng(seed)

@@ -1,5 +1,8 @@
+import hashlib
 import importlib.util
+import json
 import os
+import re
 
 import pytest
 
@@ -50,3 +53,67 @@ def test_compare_missing_file_fails(digests, tmp_path, capsys, missing_from):
             write_values(tmp_path / side, "0.1")
     assert digests.compare(str(tmp_path / "old"), str(tmp_path / "new")) == 1
     assert capsys.readouterr().out.splitlines() == ["FAIL out/values.csv: missing"]
+
+
+CARD = {
+    "entries": [["a", 2], ["b", -1]],
+    "weight_bound": 3,
+    "feature_budget": 2,
+    "threshold": None,
+    "feature_names": ["a", "b"],
+    "raw_coefficients": [1.25, -0.5],
+    "intercept": -2.0,
+    "scaling": 1.1,
+    "selection": {"ordered_features": [0, 1], "step_deviance": [620.5, 580.25]},
+}
+
+
+def write_card(root, **changes):
+    card = json.loads(json.dumps(CARD))
+    for field, value in changes.items():
+        where = card["selection"] if field in card["selection"] else card
+        where[field] = value
+    os.makedirs(root / "out")
+    (root / "out" / "card.json").write_text(json.dumps(card), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "changes, failing",
+    [
+        ({}, None),
+        ({"raw_coefficients": [1.25 + 1e-7, -0.5], "intercept": -2.0 - 5e-7}, None),
+        ({"raw_coefficients": [1.25 + 2e-6, -0.5]}, "field raw_coefficients differs by"),
+        ({"scaling": float("nan")}, "field scaling differs by"),
+        ({"step_deviance": [620.5, 580.26]}, "field step_deviance differs by"),
+        ({"raw_coefficients": [1.25]}, "field raw_coefficients: shapes"),
+        ({"entries": [["a", 2], ["b", -2]]}, "field entries differs"),
+        ({"threshold": 1.5}, "field threshold differs"),
+    ],
+    ids=["equal", "within-1e-6", "2e-6", "nan", "step-deviance", "length", "entries", "threshold"],
+)
+def test_compare_scorecard_json(digests, monkeypatch, tmp_path, capsys, changes, failing):
+    monkeypatch.setattr(digests, "runs", lambda out, heart: [([], ["out/card.json"])])
+    write_card(tmp_path / "old")
+    write_card(tmp_path / "new", **changes)
+    status = digests.compare(str(tmp_path / "old"), str(tmp_path / "new"))
+    fails = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL")]
+    assert status == len(fails) == (failing is not None)
+    assert all(ln.startswith(f"FAIL out/card.json: {failing}") for ln in fails)
+
+
+def test_digest_run_times_each_command_on_stderr(digests, monkeypatch, tmp_path, capsys):
+    out = tmp_path / "set"
+
+    def fake_run(args):
+        print("wrote out/values.csv")  # the CLI's own chatter goes to stderr
+        write_values(out, "0.1")
+        return 0
+
+    monkeypatch.setattr(digests, "runs", lambda out, heart: [(["theory-curve"], ["out/values.csv"])])
+    monkeypatch.setattr(digests.cli, "run", fake_run)
+    monkeypatch.setattr(digests, "round_trip", lambda out: 0)
+    assert digests.main([str(out)]) == 0
+    captured = capsys.readouterr()
+    digest = hashlib.sha256((out / "out" / "values.csv").read_bytes()).hexdigest()
+    assert captured.out.splitlines() == [f"{digest}  out/values.csv"]
+    assert re.fullmatch(r"wrote out/values.csv\n\d+\.\d\d s  scorekit theory-curve\n", captured.err)

@@ -32,14 +32,22 @@ config comment lines, which record input and output paths, depend only on
 OUTDIR.  Running two versions of the package with the same OUTDIR and
 diffing the printed lines shows whether their outputs are byte-equal.
 
+Each CLI run's wall time goes to stderr as well, so a digest run also
+times the default-argument commands.
+
 ``--compare`` reads the CSV files of two such output sets and prints, for
 each column, the largest absolute difference between the two versions
 (numeric columns) or the number of cells that differ (text columns).  Lines
-starting with ``#`` are skipped.  It exits 1 when a file is missing from
-either set, when a file's header or row count differs, when a text cell
-differs, or when a numeric column differs by more than ``TOLERANCE`` (1e-6,
-the agreement a solver change must keep) or by a non-finite amount (a NaN
-against a number); each such file or column is named on a ``FAIL`` line.
+starting with ``#`` are skipped.  It reads each ``scorecard.json`` the same
+way: the fitted numbers (``CARD_FLOATS``, ``step_deviance`` read from the
+card's ``selection``) by their largest absolute difference, every other
+field, the card's ``entries`` and ``threshold`` among them, by equality.  It
+exits 1 when a file is missing from either set, when a file's header or row
+count differs, when a text cell or a compared-by-equality field differs, or
+when a numeric column or fitted number differs by more than ``TOLERANCE``
+(1e-6, the agreement a solver change must keep) or by a non-finite amount (a
+NaN against a number); each such file, column or field is named on a
+``FAIL`` line.
 """
 
 from __future__ import annotations
@@ -47,9 +55,11 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import json
 import os
 import shutil
 import sys
+import time
 
 import numpy as np
 
@@ -61,6 +71,7 @@ HEART_ENCODING = os.path.join(REPO, "perfbench", "heart_encoding.json")
 DECISIONS = "decisions.csv"
 ROUND_TRIP = "synth0/cohort_roundtrip.csv"
 TOLERANCE = 1e-6
+CARD_FLOATS = ("raw_coefficients", "intercept", "scaling", "step_deviance")
 
 
 def runs(out: str, heart: list[str]) -> list[tuple[list[str], list[str]]]:
@@ -136,33 +147,85 @@ def _csv_rows(path: str) -> list[list[str]]:
         return list(csv.reader(line for line in fh if not line.startswith("#")))
 
 
-def compare(old: str, new: str) -> int:
-    """Print the per-column differences of every CSV file of two output sets."""
+def _max_diff(a, b) -> float:
+    """The largest |a - b| of two numbers or equal-length sequences of numbers
+    (or of numeric text), 0.0 if empty; NaN when any difference is NaN
+    (np.max keeps a NaN wherever it falls; the builtin max need not).
+    Raises ValueError when a value is not a number or the shapes differ."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"shapes {a.shape} and {b.shape} differ")
+    return float(np.max(np.abs(a - b), initial=0.0))
+
+
+def _report(name: str, kind: str, field: str, diff: float, cells: str = "") -> int:
+    """Print one column's or field's largest difference; 1 if beyond TOLERANCE."""
+    print(f"  {field}: max |diff| {diff:.3g}{cells}")
+    if diff <= TOLERANCE:
+        return 0
+    print(f"FAIL {name}: {kind} {field} differs by {diff:.3g} > {TOLERANCE:g}")
+    return 1
+
+
+def _compare_csv(name: str, old: str, new: str) -> int:
+    (header, *a), (other, *b) = _csv_rows(old), _csv_rows(new)
+    if header != other or len(a) != len(b):
+        print(f"{name}: header or row count differs")
+        return 1
+    print(f"{name}: {len(a)} rows")
     status = 0
-    for name in [f for _, files in runs(old, []) for f in files if f.endswith(".csv")]:
-        paths = [os.path.join(old, name), os.path.join(new, name)]
-        if not all(map(os.path.exists, paths)):
-            print(f"FAIL {name}: missing")
+    for j, column in enumerate(header):
+        pairs = [(x[j], y[j]) for x, y in zip(a, b) if x[j] != y[j]]
+        try:
+            diff = _max_diff(*zip(*pairs)) if pairs else 0.0
+        except ValueError:
+            print(f"  {column}: {len(pairs)} text cells differ")
             status = 1
-            continue
-        (header, *a), (other, *b) = map(_csv_rows, paths)
-        if header != other or len(a) != len(b):
-            print(f"{name}: header or row count differs")
+        else:
+            status |= _report(name, "column", column, diff, f" ({len(pairs)} cells differ)")
+    return status
+
+
+def _card(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        card = json.load(fh)
+    card.update(card.pop("selection"))
+    return card
+
+
+def _compare_card(name: str, old: str, new: str) -> int:
+    a, b = _card(old), _card(new)
+    print(f"{name}: {len(a)} fields")
+    status = 0
+    for field in sorted(a.keys() | b.keys()):
+        if field not in a or field not in b:
+            print(f"FAIL {name}: field {field} missing")
             status = 1
-            continue
-        print(f"{name}: {len(a)} rows")
-        for j, column in enumerate(header):
-            pairs = [(x[j], y[j]) for x, y in zip(a, b) if x[j] != y[j]]
-            try:  # np.max keeps a NaN wherever it falls; the builtin max need not
-                diff = np.max([abs(float(x) - float(y)) for x, y in pairs], initial=0.0)
-            except ValueError:
-                print(f"  {column}: {len(pairs)} text cells differ")
+        elif field not in CARD_FLOATS:
+            if a[field] != b[field]:
+                print(f"FAIL {name}: field {field} differs")
                 status = 1
-            else:
-                print(f"  {column}: max |diff| {diff:.3g} ({len(pairs)} cells differ)")
-                if not diff <= TOLERANCE:
-                    print(f"FAIL {name}: column {column} differs by {diff:.3g} > {TOLERANCE:g}")
-                    status = 1
+        else:
+            try:
+                status |= _report(name, "field", field, _max_diff(a[field], b[field]))
+            except ValueError as exc:
+                print(f"FAIL {name}: field {field}: {exc}")
+                status = 1
+    return status
+
+
+def compare(old: str, new: str) -> int:
+    """Print the per-column differences of every CSV file, and the per-field
+    differences of every scorecard, of two output sets."""
+    status = 0
+    for _, files in runs(old, []):
+        for name in [f for f in files if f.endswith((".csv", ".json"))]:
+            paths = [os.path.join(old, name), os.path.join(new, name)]
+            if not all(map(os.path.exists, paths)):
+                print(f"FAIL {name}: missing")
+                status = 1
+                continue
+            status |= (_compare_csv if name.endswith(".csv") else _compare_card)(name, *paths)
     return status
 
 
@@ -185,8 +248,10 @@ def main(argv: list[str]) -> int:
         for name in files:  # a stale file from an earlier run must not pass as output
             if os.path.exists(os.path.join(out, name)):
                 os.remove(os.path.join(out, name))
+        start = time.perf_counter()
         with contextlib.redirect_stdout(sys.stderr):
             rc = cli.run(args)
+        print(f"{time.perf_counter() - start:.2f} s  scorekit {' '.join(args)}", file=sys.stderr)
         if rc != 0:
             print(f"scorekit {' '.join(args)} exited {rc}", file=sys.stderr)
             return 1
