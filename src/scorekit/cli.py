@@ -44,6 +44,24 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _at_least(low: int, parse=int):
+    """An argparse type checking that every value of ``parse(text)``, an int
+    or a tuple of ints, is at least ``low``, so that a bad size is a usage
+    error before any input is read.  An int comes back parsed, a list as
+    typed, which is how the config comment records it."""
+
+    def check(text: str):
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if min(np.atleast_1d(value)) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+        return value if parse is int else text
+
+    return check
+
+
 def _parse_float_grid(text: str) -> tuple[float, ...]:
     is_range = ":" in text
     parts = text.split(":" if is_range else ",")
@@ -327,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Integer-weight scorecards and offline policy evaluation.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    positive, fold_count, positives = _at_least(1), _at_least(2), _at_least(1, _parse_int_list)
 
     def command(name, func, help, *option_sets):
         """A subcommand running ``func``, with each option set and the
@@ -355,27 +374,27 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group", help="column to leave out of the covariates (non-cohort input)")
         p.add_argument("--release-value", help="action value meaning release")
         p.add_argument("--positive-label", help="raw label value mapped to 1")
-        p.add_argument("--k", type=int, default=2)
-        p.add_argument("--M", type=int, default=10)
+        p.add_argument("--k", type=positive, default=2)
+        p.add_argument("--M", type=positive, default=10)
         p.add_argument("--thresholds", help="scorecard thresholds, start:stop:step or list")
-        p.add_argument("--inner-folds", type=int, default=5)
-        p.add_argument("--n-lambda", type=int, default=50)
+        p.add_argument("--inner-folds", type=fold_count, default=5)
+        p.add_argument("--n-lambda", type=positive, default=50)
         p.add_argument("--rotate", type=int, default=0, help="rotate the three fold roles")
 
     p = command("train", _cmd_train, "build a scorecard from labeled data", add_tabular)
-    p.add_argument("--k", type=int, required=True, help="feature budget")
-    p.add_argument("--M", type=int, required=True, help="integer weight bound")
+    p.add_argument("--k", type=positive, required=True, help="feature budget")
+    p.add_argument("--M", type=positive, required=True, help="integer weight bound")
     p.add_argument("--threshold", type=float, help="decision threshold stored on the card")
-    p.add_argument("--folds", type=int, default=10, help="folds for penalty selection")
-    p.add_argument("--n-lambda", type=int, default=100, help="penalty grid size (up to 1000)")
+    p.add_argument("--folds", type=fold_count, default=10, help="folds for penalty selection")
+    p.add_argument("--n-lambda", type=positive, default=100, help="penalty grid size")
 
     p = command("evaluate", _cmd_evaluate, "cross-validated k x M sweep with benchmarks",
                 add_tabular)
-    p.add_argument("--k-values", default="1-10", help="e.g. 1-10 or 1,2,5")
-    p.add_argument("--M-values", default="1,2,3")
-    p.add_argument("--folds", type=int, default=10, help="outer CV folds")
-    p.add_argument("--inner-folds", type=int, default=5, help="folds for penalty selection")
-    p.add_argument("--n-lambda", type=int, default=30)
+    p.add_argument("--k-values", type=positives, default="1-10", help="e.g. 1-10 or 1,2,5")
+    p.add_argument("--M-values", type=positives, default="1,2,3")
+    p.add_argument("--folds", type=fold_count, default=10, help="outer CV folds")
+    p.add_argument("--inner-folds", type=fold_count, default=5, help="folds for penalty selection")
+    p.add_argument("--n-lambda", type=positive, default=30)
 
     p = command("synth-gen", _cmd_synth_gen, "generate a synthetic decision cohort")
     p.add_argument("--n", type=int, required=True)

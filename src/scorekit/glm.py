@@ -9,10 +9,10 @@ checked for sign consistency and against the KKT conditions of the inactive
 features.  Its gradient is exact and its weighted Gram rebuilt only once the
 iterate has moved, so a settled point meets the KKT conditions without a
 line search.  ``cv_select`` fits the full-data path and every fold's path as
-one batch: at each penalty, one stacked Cholesky factorization and one
-stacked solve serve every problem still moving, and a single path is the
-batch of one.  Coordinate descent remains only as the fallback, taken by a
-problem alone, for dependent active columns.
+one batch: each active-set round is one stacked solve for every problem
+still moving, and a single path is the batch of one.  Dependent active
+columns are solved by least squares; coordinate descent remains only for an
+inconsistent system or an active set that keeps cycling.
 
 The lasso standardizes features internally for penalization and reports
 coefficients on the original scale; the intercept is never penalized.
@@ -272,10 +272,10 @@ def _soft(v: float, t: float) -> float:
     return 0.0
 
 
-# an active column whose Cholesky pivot keeps less than this share of its
-# diagonal is (numerically) a combination of the other active columns, and
-# the active-set system has no unique solution
-_PIVOT_FLOOR = 1e-10
+# an active-set solve whose active coordinates miss their equations by more
+# than this is (numerically) singular: it is re-solved by least squares, and
+# one that still misses is inconsistent
+_RESIDUAL_FLOOR = 1e-10
 
 # a problem's weighted Gram is rebuilt once its standardized iterate has
 # moved more than this (max norm) from the point the Gram was built at
@@ -329,20 +329,6 @@ def _coordinate_descent(G, h, aug, lam, keep, tol, max_sweeps) -> bool:
     return False
 
 
-def _squared_pivots(M):
-    """Squared Cholesky pivots of each matrix in a stack; 0 where one fails."""
-    try:
-        return np.linalg.cholesky(M).diagonal(axis1=1, axis2=2) ** 2
-    except np.linalg.LinAlgError:
-        pivots = np.zeros(M.shape[:2])
-        for k, m in enumerate(M):
-            try:
-                pivots[k] = np.linalg.cholesky(m).diagonal() ** 2
-            except np.linalg.LinAlgError:
-                pass
-        return pivots
-
-
 def _active_set_solve(G, h, aug, lam, penalized, tol, max_sweeps) -> np.ndarray:
     """Exact active-set solves of a batch of weighted quadratic surrogates.
 
@@ -359,15 +345,20 @@ def _active_set_solve(G, h, aug, lam, penalized, tol, max_sweeps) -> np.ndarray:
     active-set cycling of glmnet and the sign-consistency test of the lasso
     homotopy).
 
-    Each round is one stacked Cholesky factorization and one stacked solve
-    for the whole batch: an inactive coordinate is an identity row and
-    column with a zero right-hand side, so it solves to exactly zero, and
-    each problem follows the iterates it would follow alone.  A problem with
-    dependent active columns (a failed factorization or a pivot below
-    ``_PIVOT_FLOOR`` of its diagonal), a non-finite solution or more than
-    2p+2 rounds falls back, alone, to :func:`_coordinate_descent` from its
-    warm start.  ``aug`` is updated in place.  Returns whether each solve
-    converged (always, unless a fallback ran out of ``max_sweeps``).
+    Each round is one stacked solve for the whole batch: an inactive
+    coordinate is an identity row and column with a zero right-hand side, so
+    it solves to exactly zero, and each problem follows the iterates it
+    would follow alone.  The round's gradient checks the solve: a problem
+    whose active residual ``grad[S] - lam * s[S]`` exceeds
+    ``_RESIDUAL_FLOOR`` (dependent active columns), or any problem when the
+    stacked solve meets an exactly singular system, is re-solved alone by
+    minimum-norm least squares.  Any solution of a consistent system
+    minimizes the subproblem on its sign pattern (Osborne, Presnell &
+    Turlach 2000; Tibshirani 2013), so the sign and entering checks go on.
+    An inconsistent system, or more than 2p+2 rounds, falls back, alone, to
+    :func:`_coordinate_descent` from the warm start.  ``aug`` is updated in
+    place.  Returns whether each solve converged (always, unless a fallback
+    ran out of ``max_sweeps``).
     """
     B, q = aug.shape
     warm = aug.copy()
@@ -382,15 +373,22 @@ def _active_set_solve(G, h, aug, lam, penalized, tol, max_sweeps) -> np.ndarray:
         # identity system, so that one factorization serves the whole batch
         M = np.where(active[:, :, None] & active[:, None, :], G, eye)
         M[~cycling] = eye
-        pivots = _squared_pivots(M)
-        dependent = ~(pivots >= _PIVOT_FLOOR * M.diagonal(axis1=1, axis2=2)).all(axis=1)
-        M[dependent] = eye
         rhs = np.where(active, h - lam * sign, 0.0)
-        b = np.where(active, np.linalg.solve(M, rhs[:, :, None])[:, :, 0], 0.0)
-        fallback |= cycling & (dependent | ~np.isfinite(b).all(axis=1))
+        try:
+            b = np.where(active, np.linalg.solve(M, rhs[:, :, None])[:, :, 0], 0.0)
+        except np.linalg.LinAlgError:  # an exactly singular system sinks the stack
+            b = np.full((B, q), np.nan)
+        grad = h - (G @ b[:, :, None])[:, :, 0]
+        miss = np.where(active, np.abs(grad - lam * sign), 0.0).max(axis=1)
+        singular = cycling & ~(miss <= _RESIDUAL_FLOOR)  # NaN misses too
+        for k in np.flatnonzero(singular):
+            S = active[k]
+            b[k] = 0.0
+            b[k, S] = np.linalg.lstsq(G[k][np.ix_(S, S)], rhs[k, S])[0]
+            grad[k] = h[k] - G[k] @ b[k]
+            fallback[k] = not np.abs(grad[k, S] - lam * sign[k, S]).max() <= _RESIDUAL_FLOOR
         cycling &= ~fallback
         flipped = b * sign < 0.0
-        grad = h - (G @ b[:, :, None])[:, :, 0]
         enter = (np.abs(grad) > lam) & penalized & ~active & ~flipped.any(axis=1, keepdims=True)
         done = cycling & ~(flipped | enter).any(axis=1)
         aug[done] = b[done]

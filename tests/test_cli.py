@@ -61,6 +61,20 @@ def read_rows(path):
     return list(csv.DictReader(lines))
 
 
+def assert_size_is_usage_error(capsys, tmp_path, command, flag, value, *required):
+    """A size below its minimum exits 2, naming the flag, before the input
+    is read: the input file does not exist, which would exit 3."""
+    code = run(command, "--input", str(tmp_path / "missing.csv"), *required, flag, value,
+               "--output-dir", str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"argument {flag}: must be at least" in err and "Traceback" not in err
+
+
+SIZE_FLAGS = [("--k", "0"), ("--M", "0"), ("--n-lambda", "0")]
+POLICY_SIZE_FLAGS = [*SIZE_FLAGS, ("--k", "-2"), ("--inner-folds", "1")]
+
+
 class TestTrain:
     def test_writes_table_and_machine_formats(self, train_csv, tmp_path):
         data_path, spec_path = train_csv
@@ -158,6 +172,11 @@ class TestTrain:
     def test_unknown_flag_is_usage_error(self):
         assert run("train", "--nonsense") == 2
 
+    @pytest.mark.parametrize("flag, value", [*SIZE_FLAGS, ("--folds", "1")])
+    def test_non_positive_size_is_usage_error(self, tmp_path, capsys, flag, value):
+        assert_size_is_usage_error(capsys, tmp_path, "train", flag, value,
+                                   "--label", "y", "--k", "2", "--M", "3")
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # two positives stranded in one fold -> cv fold misses a class
         path = tmp_path / "thin.csv"
@@ -194,6 +213,14 @@ class TestConstantColumn:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--k-values", "0"), ("--k-values", "-2"), ("--k-values", "1-3,0"), ("--M-values", "0"),
+         ("--folds", "1"), ("--inner-folds", "1"), ("--n-lambda", "0")],
+    )
+    def test_non_positive_size_is_usage_error(self, tmp_path, capsys, flag, value):
+        assert_size_is_usage_error(capsys, tmp_path, "evaluate", flag, value, "--label", "y")
+
     def test_reversed_int_range_is_usage_error(self, train_csv, tmp_path):
         with pytest.raises(ValueError, match="exceeds its stop"):
             cli._parse_int_list("3-1,4")
@@ -267,7 +294,7 @@ class TestAdversarialInput:
         path = tmp_path / "input.csv"
         path.write_bytes(_adversarial_input(case).encode("utf-8"))
         # evaluate keeps its default k-values, 1-10, more than the tables hold;
-        # 3 outer folds keep the n-below-p case under a second (10 take 15 s)
+        # 3 outer folds keep the n-below-p case under a second (10 take 6-10 s)
         sizes = ["--k", "2", "--M", "3"] if command == "train" else ["--folds", "3"]
         got = run(command, "--input", str(path), "--label", "y", *sizes,
                   "--output-dir", str(tmp_path))
@@ -355,6 +382,10 @@ class TestSynthGen:
 
 
 class TestPolicyEval:
+    @pytest.mark.parametrize("flag, value", POLICY_SIZE_FLAGS)
+    def test_non_positive_size_is_usage_error(self, tmp_path, capsys, flag, value):
+        assert_size_is_usage_error(capsys, tmp_path, "policy-eval", flag, value)
+
     def test_observed_policy_row_equals_empirical_rate(self, cohort_csv, tmp_path):
         code = run(
             "policy-eval", "--input", cohort_csv, "--k", "2", "--M", "10",
@@ -519,6 +550,10 @@ class TestPolicyEval:
 
 
 class TestSensitivitySweep:
+    @pytest.mark.parametrize("flag, value", POLICY_SIZE_FLAGS)
+    def test_non_positive_size_is_usage_error(self, tmp_path, capsys, flag, value):
+        assert_size_is_usage_error(capsys, tmp_path, "sensitivity-sweep", flag, value)
+
     def test_band_brackets_baseline_for_every_threshold(self, cohort_csv, tmp_path, monkeypatch):
         # the risk model is policy-eval's alone; the sweep must not fit it
         risk_fits = []

@@ -209,6 +209,16 @@ def cd_only(calls):
     return solve
 
 
+def counted(func, calls):
+    """``func``, appending 1 to ``calls`` on every call."""
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return func(*args, **kwargs)
+
+    return spy
+
+
 def draw_labels(rng, eta):
     y = (rng.random(len(eta)) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
     y[0], y[1] = 0.0, 1.0
@@ -264,23 +274,18 @@ class TestActiveSetSolver:
                     crossings += int(np.any(c > 0) and c[-1] < 0)
         assert crossings == 4
 
-    def test_duplicated_column_falls_back_to_coordinate_descent(self, monkeypatch):
+    def test_duplicated_column_is_solved_by_least_squares(self, monkeypatch):
         calls = []
-        fallback = glm._coordinate_descent
-
-        def counted(*args):
-            calls.append(1)
-            return fallback(*args)
-
-        monkeypatch.setattr(glm, "_coordinate_descent", counted)
+        monkeypatch.setattr(np.linalg, "lstsq", counted(np.linalg.lstsq, calls))
         rng = np.random.default_rng(21)
         for _ in range(4):
             X = rng.normal(size=(200, 4))
             y = draw_labels(rng, X @ rng.normal(size=4))
             X = np.column_stack([X, X[:, 1]])
             calls.clear()
-            # the fallback is only as exact as its sweep tolerance, so the
-            # 1e-9 KKT bound needs a tighter one than the default
+            # an active set that keeps cycling still ends in coordinate descent,
+            # which is only as exact as its sweep tolerance, so the 1e-9 KKT
+            # bound needs a tighter one than the default
             path, ref = self.fit_pair(X, y, tol=1e-9)
             assert calls
             # the split between the two copies is not identified; their sum is
@@ -296,16 +301,31 @@ class TestActiveSetSolver:
         assert glm.fit_lasso_path(X, y, n_lambda=10).converged.all()
         capped = glm.fit_lasso_path(X, y, n_lambda=10, max_outer=1)
         assert capped.converged[0] and not capped.converged[1:].all()
-        # a duplicated column sends the subproblem to coordinate descent,
-        # which reports running out of sweeps
+        # a warm start that gives the two copies of a duplicated column
+        # opposite signs makes an inconsistent active system, which falls back
+        # to coordinate descent; only that can report running out of sweeps
         Xa = np.column_stack([np.ones(80), X, X[:, 0]])
         G = Xa.T @ Xa / 80
         h = Xa.T @ (y - y.mean()) / 80
         penalized = np.array([[False, True, True, True, True]])
         for sweeps, expected in ((1, False), (10000, True)):
-            aug = np.zeros((1, 5))
+            aug = np.array([[0.0, 0.1, 0.0, 0.0, -0.1]])
             converged = glm._active_set_solve(G[None], h[None], aug, 0.01, penalized, 1e-7, sweeps)
             assert converged.tolist() == [expected]
+
+    def test_dependent_fits_meet_kkt_at_the_default_tol(self):
+        rng = np.random.default_rng(25)
+        X = rng.normal(size=(200, 4))
+        y = draw_labels(rng, X @ rng.normal(size=4))
+        fits = [("duplicated_column", np.column_stack([X, X[:, 1]]), y)]
+        X = rng.normal(size=(20, 40))
+        fits.append(("n_below_p", X, draw_labels(rng, X[:, :3] @ [1.0, -1.0, 0.5])))
+        fits.append(("n_below_p_binary", rng.integers(0, 2, (12, 30)) * 1.0, np.arange(12) % 2.0))
+        for name, X, y in fits:
+            path = glm.fit_lasso_path(X, y, n_lambda=15)
+            assert path.converged.all(), name
+            for i in range(path.n_lambda):
+                assert max(glm.kkt_violation(path, X, y, i)) <= 1e-9, (name, i)
 
 
 def cv_batch(X, y, folds, **kwargs):
@@ -359,7 +379,7 @@ class TestBatchedPaths:
                     for i in range(len(grid)):
                         assert max(glm.kkt_violation(fit, Xf, yf, i)) <= 1e-9, name
 
-    def test_only_the_dependent_problem_falls_back(self, monkeypatch):
+    def test_only_the_dependent_problem_takes_least_squares(self, monkeypatch):
         rng = np.random.default_rng(24)
         n = 240
         X = rng.normal(size=(n, 4))
@@ -370,14 +390,9 @@ class TestBatchedPaths:
         X = np.column_stack([X, X[:, 1]])
         held = folds.test_indices(0)[:12]
         X[held, 4] += rng.normal(size=len(held))
-        calls = []
-        fallback = glm._coordinate_descent
-
-        def counted(*args):
-            calls.append(1)
-            return fallback(*args)
-
-        monkeypatch.setattr(glm, "_coordinate_descent", counted)
+        calls, fallbacks = [], []
+        monkeypatch.setattr(np.linalg, "lstsq", counted(np.linalg.lstsq, calls))
+        monkeypatch.setattr(glm, "_coordinate_descent", counted(glm._coordinate_descent, fallbacks))
         solo_calls = []
         solos = []
         for rows in [None, *(folds.train_indices(f) for f in range(3))]:
@@ -389,7 +404,10 @@ class TestBatchedPaths:
         assert solo_calls[1] > 0 and solo_calls[0] == solo_calls[2] == solo_calls[3] == 0
         calls.clear()
         _, paths = cv_batch(X, y, folds, n_lambda=12)
-        assert len(calls) == solo_calls[1]
+        # fold 0's system is exactly singular, which sinks the stacked solve,
+        # so every problem still cycling in such a round takes least squares too
+        assert len(calls) >= solo_calls[1]
+        assert not fallbacks
         for path, solo in zip(paths, solos):
             assert_same_path(path, solo)
 
@@ -480,11 +498,12 @@ class TestCvSelect:
         X, y = random_instance(rng, n=80, p=3)
         folds = data.kfold(80, 3, seed=0, labels=y)
         assert glm.cv_select(X, y, folds, n_lambda=10).selected_index is not None
-        # every active-set solve falls back to a coordinate descent that
-        # reports running out of sweeps, so no penalty converges past the
-        # full fit's exact zero at grid point 0
+        # no solve meets a negative residual floor, so every active-set solve
+        # falls back to a coordinate descent that reports running out of
+        # sweeps, and no penalty converges past the full fit's exact zero at
+        # grid point 0
         descend = glm._coordinate_descent
-        monkeypatch.setattr(glm, "_PIVOT_FLOOR", 2.0)
+        monkeypatch.setattr(glm, "_RESIDUAL_FLOOR", -1.0)
         monkeypatch.setattr(glm, "_coordinate_descent", lambda *args: descend(*args) and False)
         with pytest.raises(
             NumericError, match=r"did not converge .*\(lambda index \d+\) in (the full-data fit|fold 0)"
@@ -538,6 +557,49 @@ def adversarial_designs(rng):
     yield "1e6_scale_column", X, draw_labels(rng, noise @ [1.0, -0.8])
     X = rng.normal(size=(2500, 4))
     yield "2pct_positives", X, draw_labels(rng, np.log(0.02 / 0.98) - 0.4 + X @ [0.8, 0, -0.5, 0])
+    # inputs whose active columns can be dependent
+    yield "n_below_p", rng.integers(0, 2, (12, 30)) * 1.0, np.arange(12) % 2.0
+    X = rng.normal(size=(150, 3))
+    y = draw_labels(rng, X @ [1.0, -0.5, 0.0])
+    yield "duplicated_rows", np.vstack([X, X]), np.concatenate([y, y])
+    X = rng.normal(size=(300, 3))
+    yield "duplicated_column", np.column_stack([X, X[:, 0]]), draw_labels(rng, X @ [1.0, -0.5, 0])
+    male, x = rng.integers(0, 2, 400) * 1.0, rng.normal(size=400)
+    y = draw_labels(rng, -0.75 + 1.5 * male + 0.3 * x)
+    yield "complement_column", np.column_stack([male, 1.0 - male, x]), y
+
+
+def assert_kkt_or_raises(name, fit):
+    """The adversarial contract: ``fit()`` raises a DataError or NumericError
+    with a message, or returns [(path, X, y), ...] whose every grid point
+    converged with KKT residuals within the solver's default tol."""
+    try:
+        fits = fit()
+    except (DataError, NumericError) as exc:
+        assert str(exc), name
+        return
+    for path, X, y in fits:
+        assert path.converged.all(), name
+        for i in range(path.n_lambda):
+            assert max(glm.kkt_violation(path, X, y, i)) <= 1e-7, (name, i)
+
+
+class TestAdversarialContract:
+    def test_adversarial_inputs_through_fit_response_surface(self):
+        rng = np.random.default_rng(27)
+        for name, X, y in adversarial_designs(rng):
+            released = rng.random(len(y)) < 0.7
+            cases = policy.CaseTable(X=X, released=released, outcomes=y.astype(int))
+            folds = data.kfold(len(y), 3, seed=0, labels=y)
+
+            def fit():
+                surface = policy.fit_response_surface(cases, folds, n_lambda=20)
+                return [
+                    (surface.outcome_path, policy.surface_design(X, released), y),
+                    (surface.release_path, X, released * 1.0),
+                ]
+
+            assert_kkt_or_raises(name, fit)
 
 
 class TestLazyGram:
@@ -557,13 +619,7 @@ class TestLazyGram:
         rng = np.random.default_rng(23)
         for name, X, y in adversarial_designs(rng):
             folds = data.kfold(len(y), 3, seed=0, labels=y)
-            try:
-                path = glm.cv_select(X, y, folds, n_lambda=20)
-            except (DataError, NumericError) as exc:
-                assert str(exc), name
-                continue
-            for i in np.flatnonzero(path.converged):
-                assert max(glm.kkt_violation(path, X, y, int(i))) <= 1e-6, (name, i)
+            assert_kkt_or_raises(name, lambda: [(glm.cv_select(X, y, folds, n_lambda=20), X, y)])
 
     def test_default_grid_comes_from_the_full_design(self):
         X, y, folds = surface_problem(2000, seed=5)

@@ -117,3 +117,11 @@ def test_digest_run_times_each_command_on_stderr(digests, monkeypatch, tmp_path,
     digest = hashlib.sha256((out / "out" / "values.csv").read_bytes()).hexdigest()
     assert captured.out.splitlines() == [f"{digest}  out/values.csv"]
     assert re.fullmatch(r"wrote out/values.csv\n\d+\.\d\d s  scorekit theory-curve\n", captured.err)
+
+
+def test_complement_table_is_the_cli_tests_table(digests, tmp_path):
+    from test_cli import _adversarial_input
+
+    digests.write_complement_csv(str(tmp_path / "complement.csv"))
+    text = (tmp_path / "complement.csv").read_text(encoding="utf-8")
+    assert text == _adversarial_input("complement-column")

@@ -16,6 +16,10 @@ Runs, in one process and into subdirectories of OUTDIR:
   holds ``ROR`` (release) or ``BAIL`` (``policy_eval_decisions/``)
 - ``sensitivity-sweep --k 3 --M 5`` on the seed-1 cohort (``sensitivity/``)
 - ``evaluate`` on the bundled heart table (``evaluate/``)
+- ``evaluate --k-values 1-2 --folds 3`` on ``complement.csv``, a table whose
+  ``female`` column is ``1 - male``, so the lasso's active columns become
+  dependent and its least-squares branch runs (``evaluate_complement/``);
+  the tool writes the table from a fixed seed
 - ``theory-curve`` with default grids (``theory/``)
 - ``train`` on the bundled heart table (``train/``), and again with
   ``--threshold 1.5``, so the card's release line and its stored threshold
@@ -69,6 +73,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HEART_CSV = os.path.join(os.path.dirname(datasets.__file__), "heart_synthetic.csv")
 HEART_ENCODING = os.path.join(REPO, "perfbench", "heart_encoding.json")
 DECISIONS = "decisions.csv"
+COMPLEMENT = "complement.csv"
 ROUND_TRIP = "synth0/cohort_roundtrip.csv"
 TOLERANCE = 1e-6
 CARD_FLOATS = ("raw_coefficients", "intercept", "scaling", "step_deviance")
@@ -97,6 +102,9 @@ def runs(out: str, heart: list[str]) -> list[tuple[list[str], list[str]]]:
         (["evaluate", *heart, "--k-values", "1-3", "--M-values", "1,3", "--folds", "2",
           "--inner-folds", "3", "--n-lambda", "10", "--output-dir", f"{out}/evaluate"],
          ["evaluate/sweep.csv"]),
+        (["evaluate", "--input", f"{out}/{COMPLEMENT}", "--label", "y", "--k-values", "1-2",
+          "--folds", "3", "--output-dir", f"{out}/evaluate_complement"],
+         ["evaluate_complement/sweep.csv"]),
         (["theory-curve", "--output-dir", f"{out}/theory"],
          ["theory/theory_curve.csv"]),
         (["train", *heart, "--k", "5", "--M", "3", "--folds", "5", "--n-lambda", "20",
@@ -124,6 +132,20 @@ def write_decision_csv(cohort: str, path: str) -> None:
         for row in rows:
             decision = {"release": "ROR", "withhold": "BAIL"}[row[p]]
             writer.writerow(row[:p] + [row[p + 1], decision, row[p + 2]])
+
+
+def write_complement_csv(path: str) -> None:
+    """The complement-column table: 400 rows of ``male``, ``female = 1 - male``,
+    a normal ``x`` and a logistic label ``y``, from seed 0.  The first three
+    draws are those of a 200-row table the construction shares with other
+    adversarial inputs, kept so that the table stays the same."""
+    rng = np.random.default_rng(0)
+    _ = rng.integers(0, 2, 200), rng.integers(0, 2, 200), rng.random(200)
+    male, x = rng.integers(0, 2, 400), rng.normal(size=400)
+    y = (rng.random(400) < 1 / (1 + np.exp(0.75 - 1.5 * male - 0.3 * x))).astype(int)
+    rows = [",".join(str(v) for v in row) for row in zip(male, 1 - male, x, y)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(["male,female,x,y", *rows]) + "\n")
 
 
 def _sha256(path: str) -> str:
@@ -239,6 +261,7 @@ def main(argv: list[str]) -> int:
     os.makedirs(out, exist_ok=True)
     shutil.copyfile(HEART_CSV, os.path.join(out, "heart.csv"))
     shutil.copyfile(HEART_ENCODING, os.path.join(out, "heart_encoding.json"))
+    write_complement_csv(os.path.join(out, COMPLEMENT))
     heart = ["--input", f"{out}/heart.csv", "--label", "disease",
              "--encoding", f"{out}/heart_encoding.json"]
     for args, files in runs(out, heart):
