@@ -4,15 +4,14 @@ Two fitting routes: unregularized maximum likelihood via iteratively
 reweighted least squares (:func:`fit_logistic`), and an L1-regularized
 path (:func:`fit_lasso_path`) with cross-validated penalty selection
 (:func:`cv_select`).  Each proximal-Newton step of the path solves its
-small quadratic subproblem exactly on the active set, with a linear solve
-checked for sign consistency and against the KKT conditions of the inactive
-features.  Its gradient is exact and its weighted Gram rebuilt only once the
-iterate has moved, so a settled point meets the KKT conditions without a
-line search.  ``cv_select`` fits the full-data path and every fold's path as
-one batch: each active-set round is one stacked solve for every problem
-still moving, and a single path is the batch of one.  Dependent active
-columns are solved by least squares; coordinate descent remains only for an
-inconsistent system or an active set that keeps cycling.
+small quadratic subproblem exactly by feature-sign descent: linear solves on
+the active set, steps that stop where a coefficient crosses zero, and moves
+along a null direction where active columns are dependent.  Its gradient is
+exact and its weighted Gram rebuilt only once the iterate has moved, so a
+settled point meets the KKT conditions without a line search.
+``cv_select`` fits the full-data path and every fold's path as one batch:
+each active-set round is one stacked solve for every problem still moving,
+and a single path is the batch of one.
 
 The lasso standardizes features internally for penalization and reports
 coefficients on the original scale; the intercept is never penalized.
@@ -264,113 +263,85 @@ def _varying(mean, sd):
     return sd > 1e-12 * np.maximum(np.abs(mean), 1.0)
 
 
-def _soft(v: float, t: float) -> float:
-    if v > t:
-        return v - t
-    if v < -t:
-        return v + t
-    return 0.0
-
-
 # an active-set solve whose active coordinates miss their equations by more
 # than this is (numerically) singular: it is re-solved by least squares, and
-# one that still misses is inconsistent
+# one that still misses is inconsistent.  An inactive feature enters only
+# when its gradient exceeds lam by more than this: a copy of an active column
+# exceeds it by rounding alone, and admitting it would swap the two copies
+# back and forth at no gain.
 _RESIDUAL_FLOOR = 1e-10
 
 # a problem's weighted Gram is rebuilt once its standardized iterate has
 # moved more than this (max norm) from the point the Gram was built at
 _GRAM_REUSE = 0.01
 
-# sweeps a coordinate-descent fallback takes before it reports non-convergence
-_MAX_SWEEPS = 10000
+# active-set rounds per coordinate before a subproblem solve stops and
+# reports non-convergence
+_ROUND_CAP = 2
 
 
-def _coordinate_descent(G, h, aug, lam, keep, tol, max_sweeps) -> bool:
-    """Cyclic coordinate descent on the Gram-space subproblem, in place.
-
-    ``aug`` is ``[b0, beta...]`` and is updated in place.  Each coordinate
-    update is O(p), so sweeps cost O(p^2) regardless of the sample count;
-    coordinate 0 (the intercept) is unpenalized.  Full sweeps discover the
-    active set, then cheap sweeps over nonzeros run until stable.  Returns
-    whether a full sweep moved no coordinate by ``tol`` or more within
-    ``max_sweeps`` sweeps.
-    """
-    p = len(aug) - 1
-    q = G @ aug
-
-    def update(j: int, penalty: float) -> float:
-        nonlocal q
-        gjj = G[j, j]
-        if gjj <= 0.0:
-            return 0.0
-        num = h[j] - q[j] + gjj * aug[j]
-        new = _soft(num, penalty) / gjj
-        d = new - aug[j]
-        if d != 0.0:
-            aug[j] = new
-            q += G[:, j] * d
-        return abs(d)
-
-    def sweep(indices) -> float:
-        max_delta = update(0, 0.0)
-        for j in indices:
-            if keep[j]:
-                max_delta = max(max_delta, update(j + 1, lam))
-        return max_delta
-
-    all_idx = np.arange(p)
-    for _ in range(max_sweeps):
-        if sweep(all_idx) < tol:
-            return True
-        active = np.flatnonzero(aug[1:])
-        for _ in range(max_sweeps):
-            if sweep(active) < tol:
-                break
-    return False
+def _step(aug, d, cross, reach):
+    """Each row's move from ``aug`` along ``d``: as far as ``reach`` or to the
+    first zero crossing of a coordinate marked in ``cross``, whichever comes
+    first.  Returns the step lengths and the moved rows, with every coordinate
+    that crossed at exactly zero."""
+    at = np.divide(aug, -d, out=np.full(d.shape, np.inf), where=cross)
+    t = np.minimum(at.min(axis=1), reach)
+    finite = np.where(t < np.inf, t, 0.0)
+    return t, np.where(at <= t[:, None], 0.0, aug + finite[:, None] * d)
 
 
-def _active_set_solve(G, h, aug, lam, penalized, tol, max_sweeps) -> np.ndarray:
-    """Exact active-set solves of a batch of weighted quadratic surrogates.
+def _active_set_solve(G, h, aug, lam, penalized) -> np.ndarray:
+    """Feature-sign descent on a batch of weighted quadratic surrogates.
 
     Problem k minimizes  b' G[k] b / 2 - h[k]' b + lam * ||beta||_1  over
     ``b = [b0, beta...]``, where ``G[k]`` is a weighted Gram ``Xa' W Xa / n``
     of its augmented design [1, Xs]; ``penalized[k]`` marks the coordinates
-    of ``aug[k]`` that carry the penalty (never the intercept).  Starting
-    from S = {intercept} and the nonzeros of the warm start ``aug[k]`` with
-    their signs s, it solves
-    ``G[S,S] b = h[S] - lam * s[S]`` exactly, drops from S every coefficient
-    whose sign disagrees with s, and adds every inactive feature whose
-    gradient ``h - G b`` exceeds ``lam`` in magnitude, with that gradient's
-    sign, until no feature violates the optimality conditions (the
-    active-set cycling of glmnet and the sign-consistency test of the lasso
-    homotopy).
+    of ``aug[k]`` that carry the penalty (never the intercept).  The iterate
+    starts at the warm start ``aug[k]``, with S = {intercept} and its nonzeros
+    and their signs s.  Each round solves ``G[S,S] b = h[S] - lam * s[S]``,
+    the minimizer of the objective on that sign pattern, and moves toward it
+    (feature-sign search, Lee, Battle, Raina & Ng 2007):
 
-    Each round is one stacked solve for the whole batch: an inactive
-    coordinate is an identity row and column with a zero right-hand side, so
-    it solves to exactly zero, and each problem follows the iterates it
-    would follow alone.  The round's gradient checks the solve: a problem
-    whose active residual ``grad[S] - lam * s[S]`` exceeds
-    ``_RESIDUAL_FLOOR`` (dependent active columns), or any problem when the
-    stacked solve meets an exactly singular system, is re-solved alone by
-    minimum-norm least squares.  Any solution of a consistent system
-    minimizes the subproblem on its sign pattern (Osborne, Presnell &
-    Turlach 2000; Tibshirani 2013), so the sign and entering checks go on.
-    An inconsistent system, or more than 2p+2 rounds, falls back, alone, to
-    :func:`_coordinate_descent` from the warm start.  ``aug`` is updated in
-    place.  Returns whether each solve converged (always, unless a fallback
-    ran out of ``max_sweeps``).
+    - no active coefficient changes sign: the iterate becomes ``b``, and every
+      inactive feature whose gradient ``h - G b`` exceeds ``lam`` in magnitude
+      (by more than ``_RESIDUAL_FLOOR``) enters S at zero with that
+      gradient's sign; with none, the problem is solved;
+    - a sign changes: the iterate steps toward ``b`` and stops at the first
+      zero crossing, whose coordinate leaves S;
+    - the system is inconsistent (dependent active columns): the iterate moves
+      along its least-squares residual, which lies in the null space of
+      ``G[S,S]``, where the objective falls linearly, until a coefficient
+      reaches zero and leaves S (Osborne, Presnell & Turlach 2000);
+    - the step has zero length, because an entering feature solved to the
+      wrong sign: those features leave S.  When every entering feature did,
+      or when no zero crossing bounds the residual of a nearly singular
+      system, only the most violating one stays; one that stalls alone
+      depends on S and displaces an active coefficient along the null vector
+      ``s_j [e_j - G[S,S]^+ G[S,j]]``.
+
+    Every move strictly lowers the objective and sign patterns are finite, so
+    a problem cannot cycle.  Each round is one stacked solve for the whole
+    batch: an inactive coordinate is an identity row and column with a zero
+    right-hand side, so it solves to exactly zero, and each problem follows
+    the iterates it would follow alone.  The round's gradient checks the
+    solve: a problem whose active residual ``grad[S] - lam * s[S]`` exceeds
+    ``_RESIDUAL_FLOOR``, or any problem when the stacked solve meets an
+    exactly singular system, is re-solved alone by minimum-norm least
+    squares; any solution of a consistent system minimizes the objective on
+    its sign pattern (Tibshirani 2013), so it is a target like ``b``.
+    ``aug`` is updated in place.  Returns whether each problem was
+    solved within ``_ROUND_CAP`` rounds per coordinate.
     """
     B, q = aug.shape
-    warm = aug.copy()
-    active = penalized & (warm != 0.0)
-    sign = np.sign(warm) * active
+    active = penalized & (aug != 0.0)
+    sign = np.sign(aug) * active
     active[:, 0] = True
     eye = np.eye(q)
     cycling = np.ones(B, dtype=bool)
-    fallback = np.zeros(B, dtype=bool)
-    for _ in range(2 * q):
-        # a problem that has finished or fallen back rides along as an
-        # identity system, so that one factorization serves the whole batch
+    for _ in range(_ROUND_CAP * q):
+        # a problem that has finished rides along as an identity system, so
+        # that one factorization serves the whole batch
         M = np.where(active[:, :, None] & active[:, None, :], G, eye)
         M[~cycling] = eye
         rhs = np.where(active, h - lam * sign, 0.0)
@@ -380,31 +351,55 @@ def _active_set_solve(G, h, aug, lam, penalized, tol, max_sweeps) -> np.ndarray:
             b = np.full((B, q), np.nan)
         grad = h - (G @ b[:, :, None])[:, :, 0]
         miss = np.where(active, np.abs(grad - lam * sign), 0.0).max(axis=1)
-        singular = cycling & ~(miss <= _RESIDUAL_FLOOR)  # NaN misses too
-        for k in np.flatnonzero(singular):
+        ray = np.zeros(B, dtype=bool)  # inconsistent: b holds the residual to move along
+        for k in np.flatnonzero(cycling & ~(miss <= _RESIDUAL_FLOOR)):  # NaN misses too
             S = active[k]
             b[k] = 0.0
             b[k, S] = np.linalg.lstsq(G[k][np.ix_(S, S)], rhs[k, S])[0]
             grad[k] = h[k] - G[k] @ b[k]
-            fallback[k] = not np.abs(grad[k, S] - lam * sign[k, S]).max() <= _RESIDUAL_FLOOR
-        cycling &= ~fallback
-        flipped = b * sign < 0.0
-        enter = (np.abs(grad) > lam) & penalized & ~active & ~flipped.any(axis=1, keepdims=True)
-        done = cycling & ~(flipped | enter).any(axis=1)
-        aug[done] = b[done]
-        cycling &= ~done
+            resid = np.where(S, grad[k] - lam * sign[k], 0.0)
+            ray[k] = not np.abs(resid).max() <= _RESIDUAL_FLOOR
+            if ray[k]:
+                b[k] = resid
+        cross = sign * b < 0.0
+        flat = cycling & ~ray & ~cross.any(axis=1)
+        aug[flat] = b[flat]
+        enter = (np.abs(grad) > lam + _RESIDUAL_FLOOR) & penalized & ~active & flat[:, None]
+        cycling &= ~(flat & ~enter.any(axis=1))
+        moving = cycling & ~flat
+        if moving.any():
+            d = np.where(ray[:, None], b, b - aug)
+            t, moved = _step(aug, d, cross, np.where(ray, np.inf, 1.0))
+            fresh = active & penalized & (aug == 0.0)  # entered at zero, not yet moved
+            # a step of zero length drops the wrong-signed entering features;
+            # with none right, or along a ray that nothing bounds (a nearly
+            # singular system), the most violating one alone stays
+            stalled = moving & (t == 0.0)
+            wrong = cross & fresh & stalled[:, None]
+            lone = (stalled & ~(fresh & ~wrong).any(axis=1)) | (moving & ~(t < np.inf))
+            if lone.any():
+                pull = np.where(fresh, np.abs(h - (G @ aug[:, :, None])[:, :, 0]), -1.0)
+                best = np.arange(q) == pull.argmax(axis=1)[:, None]
+                wrong[lone] = fresh[lone] & ~best[lone]
+                alone = lone & (fresh.sum(axis=1) == 1)
+                for k in np.flatnonzero(alone):  # it depends on S: displace along the null vector
+                    j = np.flatnonzero(fresh[k])[0]
+                    S = active[k] & ~fresh[k]
+                    d[k] = 0.0
+                    d[k, S] = -np.linalg.lstsq(G[k][np.ix_(S, S)], G[k, S, j])[0]
+                    d[k, j] = 1.0
+                    d[k] *= sign[k, j]
+                t[alone], moved[alone] = _step(aug[alone], d[alone], sign[alone] * d[alone] < 0.0, np.inf)
+            step = moving & (0.0 < t) & (t < np.inf)
+            aug[step] = moved[step]
+            drop = wrong | (step[:, None] & penalized & active & (sign * aug <= 0.0))
+            active &= ~drop
+            sign *= ~drop
+        active |= enter
+        sign = np.where(enter, np.sign(grad), sign)
         if not cycling.any():
             break
-        active = (active & ~flipped) | enter
-        sign = np.where(enter, np.sign(grad), sign * ~flipped)
-    fallback |= cycling
-    converged = np.ones(B, dtype=bool)
-    for k in np.flatnonzero(fallback):
-        converged[k] = _coordinate_descent(
-            G[k], h[k], warm[k], lam, penalized[k, 1:], tol, max_sweeps
-        )
-        aug[k] = warm[k]
-    return converged
+    return ~cycling
 
 
 def _fit_paths(
@@ -468,7 +463,7 @@ def _fit_paths(
                 score[j] = designs[k] @ resid[rows]
             G, step = grams[live], aug[live]
             h = (G @ step[:, :, None])[:, :, 0] + score / sizes[live, None]
-            solved = _active_set_solve(G, h, step, lam, penalized[live], tol, _MAX_SWEEPS)
+            solved = _active_set_solve(G, h, step, lam, penalized[live])
             settled = np.max(np.abs(step - aug[live]), axis=1) < tol
             aug[live] = step
             converged[live[settled], i] = solved[settled]

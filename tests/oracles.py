@@ -2,9 +2,10 @@
 
 Everything here is deliberately slow and structurally unrelated to the
 library's own algorithms: bracket-shrinking maximization instead of IRLS,
-O(n^2) pair counting instead of rank sums, bisection instead of closed
-forms, a row-by-row CSV loop instead of one typed parse.  Tests compare the
-fast paths against these.
+coordinate descent instead of feature-sign active-set solves, O(n^2) pair
+counting instead of rank sums, bisection instead of closed forms, a
+row-by-row CSV loop instead of one typed parse.  Tests compare the fast
+paths against these.
 """
 
 import math
@@ -49,6 +50,59 @@ def direct_max_oracle(X, y, iters=60):
             theta[j] = 0.5 * (lo + hi)
         width = max(width * 0.7, 1e-6)
     return theta
+
+
+def soft_threshold(v, t):
+    if v > t:
+        return v - t
+    if v < -t:
+        return v + t
+    return 0.0
+
+
+def coordinate_descent(G, h, aug, lam, keep, tol, max_sweeps=10000):
+    """Cyclic coordinate descent on the lasso's Gram-space subproblem
+    ``b' G b / 2 - h' b + lam * ||b[1:]||_1``, in place: the reference for
+    ``glm._active_set_solve``.
+
+    ``aug`` is ``[b0, beta...]`` and is updated in place; coordinate 0 (the
+    intercept) is unpenalized and ``keep`` masks the penalized coordinates
+    that may move.  Full sweeps discover the active set, then cheap sweeps
+    over nonzeros run until stable.  Returns whether a full sweep moved no
+    coordinate by ``tol`` or more within ``max_sweeps`` sweeps.
+    """
+    p = len(aug) - 1
+    q = G @ aug
+
+    def update(j, penalty):
+        nonlocal q
+        gjj = G[j, j]
+        if gjj <= 0.0:
+            return 0.0
+        num = h[j] - q[j] + gjj * aug[j]
+        new = soft_threshold(num, penalty) / gjj
+        d = new - aug[j]
+        if d != 0.0:
+            aug[j] = new
+            q += G[:, j] * d
+        return abs(d)
+
+    def sweep(indices):
+        max_delta = update(0, 0.0)
+        for j in indices:
+            if keep[j]:
+                max_delta = max(max_delta, update(j + 1, lam))
+        return max_delta
+
+    all_idx = np.arange(p)
+    for _ in range(max_sweeps):
+        if sweep(all_idx) < tol:
+            return True
+        active = np.flatnonzero(aug[1:])
+        for _ in range(max_sweeps):
+            if sweep(active) < tol:
+                break
+    return False
 
 
 def auc_brute_force(scores, labels):

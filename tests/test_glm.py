@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import direct_max_oracle, logistic_ll
+from oracles import coordinate_descent, direct_max_oracle, logistic_ll
 from scorekit import data, glm, policy, synth
 from scorekit.errors import DataError, NumericError
 
@@ -188,22 +188,14 @@ class TestLassoPath:
         assert back.log_likelihood == fit.log_likelihood
 
 
-# bound at import, so patching glm._coordinate_descent to count the active-set
-# solver's fallbacks does not count the reference's own calls
-_reference_cd = glm._coordinate_descent
+def cd_only(calls, tol):
+    """A batch subproblem solver running coordinate descent alone to ``tol``,
+    as the reference; appends the batch size to ``calls`` on every call."""
 
-
-def cd_only(calls):
-    """A batch subproblem solver running coordinate descent alone, as the
-    reference; appends the batch size to ``calls`` on every call."""
-
-    def solve(G, h, aug, lam, penalized, tol, max_sweeps):
+    def solve(G, h, aug, lam, penalized):
         calls.append(len(aug))
         return np.array(
-            [
-                _reference_cd(G[k], h[k], aug[k], lam, penalized[k, 1:], tol, max_sweeps)
-                for k in range(len(aug))
-            ]
+            [coordinate_descent(G[k], h[k], aug[k], lam, penalized[k, 1:], tol) for k in range(len(aug))]
         )
 
     return solve
@@ -217,6 +209,45 @@ def counted(func, calls):
         return func(*args, **kwargs)
 
     return spy
+
+
+# a warm start that gives the two copies of a duplicated column opposite
+# signs, so its active system is inconsistent
+OPPOSITE_SIGNS = np.array([[0.0, 0.1, 0.0, 0.0, -0.1]])
+
+
+def duplicated_column_subproblem(X, y):
+    """(G, h, penalized) of the Gram-space subproblem of ``[1, X, X[:, 0]]``
+    at the null model, as a batch of one."""
+    n = len(y)
+    Xa = np.column_stack([np.ones(n), X, X[:, 0]])
+    penalized = np.ones((1, Xa.shape[1]), dtype=bool)
+    penalized[0, 0] = False
+    return (Xa.T @ Xa / n)[None], (Xa.T @ (y - y.mean()) / n)[None], penalized
+
+
+def assert_subproblem_kkt(G, h, b, lam, penalized, bound=1e-9):
+    """``b`` minimizes  b' G b / 2 - h' b + lam * ||b[penalized]||_1  to ``bound``."""
+    grad = h - G @ b
+    on = penalized & (b != 0.0)
+    assert abs(grad[0]) <= bound
+    assert np.all(np.abs(grad[on] - lam * np.sign(b[on])) <= bound)
+    assert np.all(np.abs(grad[penalized & (b == 0.0)]) <= lam + bound)
+
+
+def count_capped(monkeypatch):
+    """A list that gets, for every active-set solve, the number of its
+    problems that ran out of rounds."""
+    capped = []
+    solve = glm._active_set_solve
+
+    def spy(*args):
+        converged = solve(*args)
+        capped.append(int(np.sum(~converged)))
+        return converged
+
+    monkeypatch.setattr(glm, "_active_set_solve", spy)
+    return capped
 
 
 def draw_labels(rng, eta):
@@ -246,12 +277,12 @@ def solver_designs(rng):
 
 
 class TestActiveSetSolver:
-    def fit_pair(self, X, y, tol=1e-7):
+    def fit_pair(self, X, y):
         """(active-set path, coordinate-descent-only reference on its grid)."""
-        path = glm.fit_lasso_path(X, y, n_lambda=15, tol=tol)
+        path = glm.fit_lasso_path(X, y, n_lambda=15)
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(glm, "_active_set_solve", cd_only(calls))
+            mp.setattr(glm, "_active_set_solve", cd_only(calls, tol=1e-12))
             ref = glm.fit_lasso_path(X, y, lambda_grid=path.lambda_grid, tol=1e-12)
         assert calls, "the reference solver did not run"
         assert path.converged.all() and ref.converged.all()
@@ -274,20 +305,13 @@ class TestActiveSetSolver:
                     crossings += int(np.any(c > 0) and c[-1] < 0)
         assert crossings == 4
 
-    def test_duplicated_column_is_solved_by_least_squares(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(np.linalg, "lstsq", counted(np.linalg.lstsq, calls))
+    def test_duplicated_column_matches_the_reference(self):
         rng = np.random.default_rng(21)
         for _ in range(4):
             X = rng.normal(size=(200, 4))
             y = draw_labels(rng, X @ rng.normal(size=4))
             X = np.column_stack([X, X[:, 1]])
-            calls.clear()
-            # an active set that keeps cycling still ends in coordinate descent,
-            # which is only as exact as its sweep tolerance, so the 1e-9 KKT
-            # bound needs a tighter one than the default
-            path, ref = self.fit_pair(X, y, tol=1e-9)
-            assert calls
+            path, ref = self.fit_pair(X, y)
             # the split between the two copies is not identified; their sum is
             def fold(c):
                 return np.column_stack([c[:, 0], c[:, 1] + c[:, 4], c[:, 2:4]])
@@ -295,25 +319,50 @@ class TestActiveSetSolver:
             assert np.max(np.abs(fold(path.coefficients) - fold(ref.coefficients))) <= 1e-6
             assert np.max(np.abs(path.intercepts - ref.intercepts)) <= 1e-6
 
-    def test_converged_records_iteration_caps(self):
+    def test_converged_records_iteration_caps(self, monkeypatch):
         rng = np.random.default_rng(22)
         X, y = random_instance(rng, n=80, p=3)
         assert glm.fit_lasso_path(X, y, n_lambda=10).converged.all()
         capped = glm.fit_lasso_path(X, y, n_lambda=10, max_outer=1)
         assert capped.converged[0] and not capped.converged[1:].all()
-        # a warm start that gives the two copies of a duplicated column
-        # opposite signs makes an inconsistent active system, which falls back
-        # to coordinate descent; only that can report running out of sweeps
-        Xa = np.column_stack([np.ones(80), X, X[:, 0]])
-        G = Xa.T @ Xa / 80
-        h = Xa.T @ (y - y.mean()) / 80
-        penalized = np.array([[False, True, True, True, True]])
-        for sweeps, expected in ((1, False), (10000, True)):
-            aug = np.array([[0.0, 0.1, 0.0, 0.0, -0.1]])
-            converged = glm._active_set_solve(G[None], h[None], aug, 0.01, penalized, 1e-7, sweeps)
-            assert converged.tolist() == [expected]
+        # a subproblem solve that runs out of active-set rounds reports it; one
+        # allowed none keeps its warm start (test_dependent_active_sets_do_not_cycle
+        # solves this one within the default cap)
+        G, h, penalized = duplicated_column_subproblem(X, y)
+        monkeypatch.setattr(glm, "_ROUND_CAP", 0)
+        aug = OPPOSITE_SIGNS.copy()
+        assert glm._active_set_solve(G, h, aug, 0.01, penalized).tolist() == [False]
+        assert np.array_equal(aug, OPPOSITE_SIGNS)
 
-    def test_dependent_fits_meet_kkt_at_the_default_tol(self):
+    def test_dependent_active_sets_do_not_cycle(self, monkeypatch):
+        # two dependent active sets: the copies of a duplicated column given
+        # opposite signs, and a duplicated-column path whose dropped copy
+        # exceeds lam by rounding once the other copy is active
+        rng = np.random.default_rng(22)
+        X, y = random_instance(rng, n=80, p=3)
+        G, h, penalized = duplicated_column_subproblem(X, y)
+        aug = OPPOSITE_SIGNS.copy()
+        assert glm._active_set_solve(G, h, aug, 0.01, penalized).all()
+        assert_subproblem_kkt(G[0], h[0], aug[0], 0.01, penalized[0])
+        solves = []
+        solve = glm._active_set_solve
+
+        def spy(G, h, aug, lam, penalized):
+            converged = solve(G, h, aug, lam, penalized)
+            solves.append((G, h, aug.copy(), lam, penalized, converged))
+            return converged
+
+        monkeypatch.setattr(glm, "_active_set_solve", spy)
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(200, 4))
+        y = draw_labels(rng, X @ rng.normal(size=4))
+        glm.fit_lasso_path(np.column_stack([X, X[:, 1]]), y, n_lambda=15)
+        for G, h, aug, lam, penalized, converged in solves:
+            assert converged.all()
+            for k in range(len(aug)):
+                assert_subproblem_kkt(G[k], h[k], aug[k], lam, penalized[k])
+
+    def test_dependent_fits_meet_kkt_at_the_default_tol(self, monkeypatch):
         rng = np.random.default_rng(25)
         X = rng.normal(size=(200, 4))
         y = draw_labels(rng, X @ rng.normal(size=4))
@@ -321,8 +370,21 @@ class TestActiveSetSolver:
         X = rng.normal(size=(20, 40))
         fits.append(("n_below_p", X, draw_labels(rng, X[:, :3] @ [1.0, -1.0, 0.5])))
         fits.append(("n_below_p_binary", rng.integers(0, 2, (12, 30)) * 1.0, np.arange(12) % 2.0))
+        # x0 and a copy of it off by 1e-8 or 1e-7, whose stacked solves are
+        # nearly singular.  Seed 17: once one copy is active the other enters
+        # by a hair and solves to the wrong sign, so it displaces the active
+        # copy along the null vector.  Seed 3: both copies enter together and
+        # least squares calls the system inconsistent, with a residual that no
+        # zero crossing bounds, so only the most violating feature enters.
+        for seed, offset in ((17, 1e-8), (3, 1e-7)):
+            rng = np.random.default_rng(seed)
+            X = rng.normal(size=(80, 4))
+            X = np.column_stack([X, X[:, 0] + offset * rng.normal(size=80)])
+            fits.append((f"near_copy_{seed}", X, draw_labels(rng, X[:, :4] @ rng.normal(size=4))))
+        capped = count_capped(monkeypatch)
         for name, X, y in fits:
-            path = glm.fit_lasso_path(X, y, n_lambda=15)
+            path = glm.fit_lasso_path(X, y, n_lambda=20)
+            assert not any(capped), name  # no solve ran out of rounds
             assert path.converged.all(), name
             for i in range(path.n_lambda):
                 assert max(glm.kkt_violation(path, X, y, i)) <= 1e-9, (name, i)
@@ -390,9 +452,9 @@ class TestBatchedPaths:
         X = np.column_stack([X, X[:, 1]])
         held = folds.test_indices(0)[:12]
         X[held, 4] += rng.normal(size=len(held))
-        calls, fallbacks = [], []
+        calls = []
         monkeypatch.setattr(np.linalg, "lstsq", counted(np.linalg.lstsq, calls))
-        monkeypatch.setattr(glm, "_coordinate_descent", counted(glm._coordinate_descent, fallbacks))
+        capped = count_capped(monkeypatch)
         solo_calls = []
         solos = []
         for rows in [None, *(folds.train_indices(f) for f in range(3))]:
@@ -407,7 +469,7 @@ class TestBatchedPaths:
         # fold 0's system is exactly singular, which sinks the stacked solve,
         # so every problem still cycling in such a round takes least squares too
         assert len(calls) >= solo_calls[1]
-        assert not fallbacks
+        assert capped and not any(capped)  # no solve ran out of rounds
         for path, solo in zip(paths, solos):
             assert_same_path(path, solo)
 
@@ -498,13 +560,10 @@ class TestCvSelect:
         X, y = random_instance(rng, n=80, p=3)
         folds = data.kfold(80, 3, seed=0, labels=y)
         assert glm.cv_select(X, y, folds, n_lambda=10).selected_index is not None
-        # no solve meets a negative residual floor, so every active-set solve
-        # falls back to a coordinate descent that reports running out of
-        # sweeps, and no penalty converges past the full fit's exact zero at
-        # grid point 0
-        descend = glm._coordinate_descent
-        monkeypatch.setattr(glm, "_RESIDUAL_FLOOR", -1.0)
-        monkeypatch.setattr(glm, "_coordinate_descent", lambda *args: descend(*args) and False)
+        # a solve allowed no active-set rounds reports non-convergence and
+        # keeps its warm start, so no penalty converges past the full fit's
+        # exact zero at grid point 0
+        monkeypatch.setattr(glm, "_ROUND_CAP", 0)
         with pytest.raises(
             NumericError, match=r"did not converge .*\(lambda index \d+\) in (the full-data fit|fold 0)"
         ):

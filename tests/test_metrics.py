@@ -299,6 +299,27 @@ class TestCvSweep:
         good = [c for c in sweep.cells if c.method == metrics.SCORECARD and c.k == 1]
         assert good and all(c.error is None for c in good)
 
+    def test_single_class_inner_fold_is_recorded(self):
+        # 4 positives: each stratified outer half trains on 2 of them, so one
+        # of its 3 inner folds validates on negatives alone and every lasso
+        # fit of that fold raises
+        rng = np.random.default_rng(6)
+        y = np.zeros(60, dtype=int)
+        y[:4] = 1
+        X = np.column_stack([y ^ (rng.random(60) < 0.1), rng.normal(size=60)]).astype(float)
+        ds = data.Dataset(feature_names=("sig", "n0"), rows=X, labels=y)
+        folds = data.kfold(ds.n, 2, seed=0, labels=y)
+        sweep = metrics.cv_sweep(ds, k_values=[1, 2], M_values=[1], folds=folds, n_lambda=10, inner_folds=3)
+        by_method = {}
+        for cell in sweep.cells:
+            by_method.setdefault(cell.method, []).append(cell)
+        assert len(by_method[metrics.LOGISTIC_FULL]) == 2
+        assert all(c.error is None for c in by_method[metrics.LOGISTIC_FULL])
+        for method in (metrics.LASSO_FULL, metrics.LASSO_SELECTED, metrics.SCORECARD):
+            assert by_method[method], method
+            for cell in by_method[method]:
+                assert "single-class validation split" in cell.error and "stratified" in cell.error
+
     def test_csv_export(self, one_signal_ds):
         # one SWEEP_HEADER row per cell; a failed cell keeps its error, not its metrics
         # (the CLI test of the CSV writer checks the header line in the file)
