@@ -31,11 +31,13 @@ def clip_prob(p):
     return np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
 
 
-def log_likelihood_bernoulli(eta, y) -> float:
-    """Sum of Bernoulli log-likelihoods given linear predictors `eta`."""
+def log_likelihood_bernoulli(eta, y):
+    """Sum of Bernoulli log-likelihoods given linear predictors `eta`, over
+    the last axis: a float for one vector, one sum per row of a matrix."""
     eta = np.asarray(eta, dtype=float)
     y = np.asarray(y, dtype=float)
-    return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+    out = np.sum(y * eta - np.logaddexp(0.0, eta), axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def round_half_away_from_zero(x):

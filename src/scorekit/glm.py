@@ -1,17 +1,22 @@
 """Logistic regression solvers.
 
-Two fitting routes: unregularized maximum likelihood via iteratively
-reweighted least squares (:func:`fit_logistic`), and an L1-regularized
-path (:func:`fit_lasso_path`) with cross-validated penalty selection
-(:func:`cv_select`).  Each proximal-Newton step of the path solves its
-small quadratic subproblem exactly by feature-sign descent: linear solves on
-the active set, steps that stop where a coefficient crosses zero, and moves
-along a null direction where active columns are dependent.  Its gradient is
-exact and its weighted Gram rebuilt only once the iterate has moved, so a
-settled point meets the KKT conditions without a line search.
-``cv_select`` fits the full-data path and every fold's path as one batch:
-each active-set round is one stacked solve for every problem still moving,
-and a single path is the batch of one.
+Two fitting routes, each batched: unregularized maximum likelihood via
+iteratively reweighted least squares (:func:`fit_logistic_many`, whose
+batch of one is :func:`fit_logistic`), and an L1-regularized path
+(:func:`fit_lasso_path`) with cross-validated penalty selection
+(:func:`cv_select_many`, whose one-set case is :func:`cv_select`).  A batch
+of IRLS fits takes one stacked solve per iteration for every fit still
+moving, its narrower designs padded with zero columns held at zero.  Each
+proximal-Newton step of the path solves its small quadratic subproblem
+exactly by feature-sign descent: linear solves on the active set, steps
+that stop where a coefficient crosses zero, and moves along a null
+direction where active columns are dependent.  Its gradient is exact and
+its weighted Gram rebuilt only once the iterate has moved, so a settled
+point meets the KKT conditions without a line search.  ``cv_select_many``
+fits the full-data path and every fold's path of every column set as one
+batch: each active-set round is one stacked solve per column set for its
+problems still moving, each at its own set's penalty, and a single path is
+the batch of one.
 
 The lasso standardizes features internally for penalization and reports
 coefficients on the original scale; the intercept is never penalized.
@@ -70,6 +75,17 @@ def _check_xy(X, y):
     return X, y
 
 
+# stacked (fit x column x row) cells of one IRLS block: bounds each of the
+# block's design arrays to 1 MiB unless a single fit is larger
+_IRLS_BLOCK = 1 << 17
+
+_SEPARATION = (
+    "quasi-complete separation detected: coefficients diverging, "
+    f"fitted log-odds exceeded +-{DIVERGENCE_BOUND:g}; "
+    "the MLE does not exist for these data"
+)
+
+
 def fit_logistic(
     X,
     y,
@@ -85,7 +101,37 @@ def fit_logistic(
     ``on_divergence="clamp"`` instead returns the (unconverged) fit at the
     point the bound was hit, which is what forward selection uses to rank a
     perfectly separating candidate.  A column that does not vary (the rule
-    of :func:`_varying`, shared with the lasso) gets coefficient 0.
+    of :func:`_varying`, shared with the lasso) gets coefficient 0.  The fit
+    is the batch of one of :func:`fit_logistic_many`.
+    """
+    (fit,) = fit_logistic_many(X, y, [None], max_iter, tol, on_divergence)
+    if isinstance(fit, NumericError):
+        raise fit
+    return fit
+
+
+def fit_logistic_many(
+    X,
+    y,
+    column_sets,
+    max_iter: int = 100,
+    tol: float = 1e-7,
+    on_divergence: str = "error",
+) -> list:
+    """:func:`fit_logistic` of ``y`` on each column subset of ``X``, as one batch.
+
+    Fit s regresses ``y`` on the columns ``column_sets[s]`` of ``X``
+    (``None`` for every column), which are its coefficients' order.  The
+    fits run in order of width, in blocks of at most ``_IRLS_BLOCK`` stacked
+    cells (or of one fit): each fit's design ``[1, X[:, varying columns]]``
+    is padded with zero columns to the block's widest, and an identity row
+    and column of the stacked Hessian hold each padding coefficient at
+    exactly zero, so each iteration is one stacked solve for every fit still
+    moving.  Step-halving, convergence and the divergence stop are decided
+    per fit.  Returns, per set, its :class:`GlmFit` or the
+    :class:`NumericError` its fit met: an exactly singular or non-finite
+    weighted least-squares system, or divergence when ``on_divergence`` is
+    ``"error"``.
     """
     if on_divergence not in ("error", "clamp"):
         raise ValueError("on_divergence must be 'error' or 'clamp'")
@@ -94,63 +140,117 @@ def fit_logistic(
     # a constant column would copy the intercept and make the normal
     # equations singular
     live = _varying(X.mean(axis=0), X.std(axis=0))
-    Xa = np.column_stack([np.ones(n), X[:, live]])
-    beta = np.zeros(Xa.shape[1])
-    eta = Xa @ beta
-    ll = log_likelihood_bernoulli(eta, y)
-    converged, iterations = False, max_iter
+    sets = [np.arange(p) if cols is None else np.asarray(cols, dtype=int) for cols in column_sets]
+    fitted = [cols[live[cols]] for cols in sets]
+    # row 0 holds the intercept's ones, row p + 1 the zeros that pad a narrow fit
+    rows = np.concatenate([np.ones((1, n)), X.T, np.zeros((1, n))])
+    blocks: list[list[int]] = []
+    for s in sorted(range(len(sets)), key=lambda s: len(fitted[s])):
+        # fits in order of width; a block is padded to its last, widest fit
+        if not blocks or (len(blocks[-1]) + 1) * n * (len(fitted[s]) + 1) > _IRLS_BLOCK:
+            blocks.append([])
+        blocks[-1].append(s)
+    fits: list = [None] * len(sets)
+    for block in blocks:
+        index = np.full((len(block), len(fitted[block[-1]]) + 1), p + 1)
+        index[:, 0] = 0
+        for j, s in enumerate(block):
+            index[j, 1 : 1 + len(fitted[s])] = fitted[s] + 1
+        clamp = on_divergence == "clamp"
+        for s, fit in zip(block, _irls(rows[index], index > p, y, max_iter, tol, clamp)):
+            fits[s] = fit
+    out = []
+    for cols, fit in zip(sets, fits):
+        if isinstance(fit, NumericError):
+            out.append(fit)
+            continue
+        beta, converged, iterations, ll = fit
+        coefs = np.zeros(len(cols))
+        coefs[live[cols]] = beta[1 : 1 + live[cols].sum()]
+        try:
+            out.append(GlmFit(float(beta[0]), coefs, converged, iterations, float(ll)))
+        except NumericError as exc:
+            out.append(exc)
+    return out
 
+
+def _irls(D, pad, y, max_iter, tol, clamp) -> list:
+    """IRLS with step-halving on a block of transposed designs ``D`` (fits x
+    columns x rows) whose columns marked in ``pad`` are zero.  Each fit's
+    products are those of a lone fit on its own column-major design.
+
+    Returns, per fit, ``(coefficients, converged, iterations,
+    log-likelihood)`` or its :class:`NumericError`.
+    """
+    B, w, n = D.shape
+    out: list = [None] * B
+    pad_eye = np.eye(w) * pad[:, None, :]
+    beta = np.zeros((B, w))
+    eta = np.zeros((B, n))
+    ll = log_likelihood_bernoulli(eta, y)
+    order = np.arange(B)  # the fits still iterating, in block order
     for it in range(1, max_iter + 1):
         prob = expit(eta)
-        w = np.maximum(prob * (1.0 - prob), _MIN_WEIGHT)
-        z = eta + (y - prob) / w
-        WX = Xa * w[:, None]
+        wt = np.maximum(prob * (1.0 - prob), _MIN_WEIGHT)
+        z = eta + (y - prob) / wt
+        WD = D * wt[:, None, :]
+        H = D @ WD.transpose(0, 2, 1) + pad_eye
+        g = WD @ z[:, :, None]
         try:
-            new_beta = np.linalg.solve(Xa.T @ WX, WX.T @ z)
-        except np.linalg.LinAlgError:
-            raise NumericError(
-                "singular weighted normal equations (exactly collinear columns?)"
-            ) from None
-        if not np.all(np.isfinite(new_beta)):
-            raise NumericError("weighted least squares produced non-finite coefficients")
+            new_beta = np.linalg.solve(H, g)[:, :, 0]
+        except np.linalg.LinAlgError:  # an exactly singular system sinks the stack
+            new_beta = np.empty((len(order), w))
+            for j in range(len(order)):
+                try:
+                    new_beta[j] = np.linalg.solve(H[j], g[j])[:, 0]
+                except np.linalg.LinAlgError:
+                    out[order[j]] = NumericError(
+                        "singular weighted normal equations (exactly collinear columns?)"
+                    )
+                    new_beta[j] = 0.0
+        for j in np.flatnonzero(~np.isfinite(new_beta).all(axis=1)):
+            out[order[j]] = NumericError("weighted least squares produced non-finite coefficients")
+        failed = np.array([out[k] is not None for k in order], dtype=bool)
+        new_beta[failed] = beta[failed]  # a failed fit stands still until it leaves
 
         # step-halving keeps the log-likelihood non-decreasing
         step = new_beta - beta
-        factor = 1.0
-        for _ in range(30):
-            candidate = beta + factor * step
-            cand_eta = Xa @ candidate
-            cand_ll = log_likelihood_bernoulli(cand_eta, y)
-            if cand_ll >= ll - 1e-12:
+        factor = np.ones(len(order))
+        cand = beta + step
+        cand_eta = (D.transpose(0, 2, 1) @ cand[:, :, None])[:, :, 0]
+        cand_ll = log_likelihood_bernoulli(cand_eta, y)
+        short = ~(cand_ll >= ll - 1e-12)
+        for _ in range(29):  # 30 tries in all; a fit short after them takes the last
+            if not short.any():
                 break
-            factor /= 2.0
-        delta = float(np.max(np.abs(factor * step)))
-        beta = candidate
-        eta = cand_eta
-        ll = cand_ll
+            j = np.flatnonzero(short)
+            factor[j] /= 2.0
+            cand[j] = beta[j] + factor[j, None] * step[j]
+            cand_eta[j] = (D[j].transpose(0, 2, 1) @ cand[j, :, None])[:, :, 0]
+            cand_ll[j] = log_likelihood_bernoulli(cand_eta[j], y)
+            short[j] = ~(cand_ll[j] >= ll[j] - 1e-12)
+        factor[short] /= 2.0
+        delta = np.max(np.abs(factor[:, None] * step), axis=1)
+        beta, eta, ll = cand, cand_eta, cand_ll
 
-        if delta < tol:
-            converged, iterations = True, it
-            break
-        if np.max(np.abs(eta)) > DIVERGENCE_BOUND:
-            if on_divergence == "error":
-                raise NumericError(
-                    "quasi-complete separation detected: coefficients diverging, "
-                    f"fitted log-odds exceeded +-{DIVERGENCE_BOUND:g}; "
-                    "the MLE does not exist for these data"
+        done = delta < tol
+        diverged = ~done & (np.max(np.abs(eta), axis=1) > DIVERGENCE_BOUND)
+        for j in np.flatnonzero(done | diverged):
+            if out[order[j]] is None:
+                out[order[j]] = (
+                    NumericError(_SEPARATION) if diverged[j] and not clamp
+                    else (beta[j], bool(done[j]), it, ll[j])
                 )
-            iterations = it
+        keep = np.array([out[k] is None for k in order], dtype=bool)
+        if not keep.all():
+            order, D, pad_eye, beta, eta, ll = (
+                a[keep] for a in (order, D, pad_eye, beta, eta, ll)
+            )
+        if not order.size:
             break
-
-    coefs = np.zeros(p)
-    coefs[live] = beta[1:]
-    return GlmFit(
-        intercept=float(beta[0]),
-        coefficients=coefs,
-        converged=converged,
-        iterations=iterations,
-        log_likelihood=ll,
-    )
+    for j, k in enumerate(order):
+        out[k] = (beta[j], False, max_iter, ll[j])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +391,13 @@ def _step(aug, d, cross, reach):
     return t, np.where(at <= t[:, None], 0.0, aug + finite[:, None] * d)
 
 
-def _active_set_solve(G, h, aug, lam, penalized) -> np.ndarray:
+def _active_set_solve(G, h, aug, lam, penalized, groups=None) -> np.ndarray:
     """Feature-sign descent on a batch of weighted quadratic surrogates.
 
-    Problem k minimizes  b' G[k] b / 2 - h[k]' b + lam * ||beta||_1  over
+    Problem k minimizes  b' G[k] b / 2 - h[k]' b + lam[k] * ||beta||_1  over
     ``b = [b0, beta...]``, where ``G[k]`` is a weighted Gram ``Xa' W Xa / n``
-    of its augmented design [1, Xs]; ``penalized[k]`` marks the coordinates
+    of its augmented design [1, Xs], and ``lam`` holds one penalty per
+    problem; ``penalized[k]`` marks the coordinates
     of ``aug[k]`` that carry the penalty (never the intercept).  The iterate
     starts at the warm start ``aug[k]``, with S = {intercept} and its nonzeros
     and their signs s.  Each round solves ``G[S,S] b = h[S] - lam * s[S]``,
@@ -321,34 +422,47 @@ def _active_set_solve(G, h, aug, lam, penalized) -> np.ndarray:
       ``s_j [e_j - G[S,S]^+ G[S,j]]``.
 
     Every move strictly lowers the objective and sign patterns are finite, so
-    a problem cannot cycle.  Each round is one stacked solve for the whole
-    batch: an inactive coordinate is an identity row and column with a zero
+    a problem cannot cycle.  ``groups[k]`` labels the group of problem k
+    (one group when omitted), whose problems are contiguous in the batch,
+    and each round is one stacked solve per group
+    for its problems still cycling, as wide as the last coordinate they
+    penalize: an inactive coordinate is an identity row and column with a zero
     right-hand side, so it solves to exactly zero, and each problem follows
-    the iterates it would follow alone.  The round's gradient checks the
-    solve: a problem whose active residual ``grad[S] - lam * s[S]`` exceeds
-    ``_RESIDUAL_FLOOR``, or any problem when the stacked solve meets an
-    exactly singular system, is re-solved alone by minimum-norm least
-    squares; any solution of a consistent system minimizes the objective on
-    its sign pattern (Tibshirani 2013), so it is a target like ``b``.
+    the iterates it would follow in a batch of its own group, to rounding.
+    The round's gradient checks the solve: a problem whose active residual
+    ``grad[S] - lam * s[S]`` exceeds ``_RESIDUAL_FLOOR``, or any problem of
+    a group whose stacked solve meets an exactly singular system, is
+    re-solved alone by minimum-norm least squares; any solution of a
+    consistent system minimizes the objective on its sign pattern
+    (Tibshirani 2013), so it is a target like ``b``.
     ``aug`` is updated in place.  Returns whether each problem was
     solved within ``_ROUND_CAP`` rounds per coordinate.
     """
     B, q = aug.shape
+    lam = np.reshape(lam, (-1, 1))
+    # each group's problems, which are contiguous
+    ends = [B] if groups is None else [*(np.flatnonzero(groups[1:] != groups[:-1]) + 1), B]
+    members = [np.arange(a, b) for a, b in zip([0, *ends[:-1]], ends)]
+    reach = q - penalized[:, ::-1].argmax(axis=1)  # past each problem's last penalized coordinate
     active = penalized & (aug != 0.0)
     sign = np.sign(aug) * active
     active[:, 0] = True
     eye = np.eye(q)
     cycling = np.ones(B, dtype=bool)
     for _ in range(_ROUND_CAP * q):
-        # a problem that has finished rides along as an identity system, so
-        # that one factorization serves the whole batch
-        M = np.where(active[:, :, None] & active[:, None, :], G, eye)
-        M[~cycling] = eye
         rhs = np.where(active, h - lam * sign, 0.0)
-        try:
-            b = np.where(active, np.linalg.solve(M, rhs[:, :, None])[:, :, 0], 0.0)
-        except np.linalg.LinAlgError:  # an exactly singular system sinks the stack
-            b = np.full((B, q), np.nan)
+        b = np.zeros((B, q))
+        for own in members:
+            c = own[cycling[own]]
+            if not c.size:
+                continue
+            w = reach[c].max()
+            on = active[c, :w]
+            M = np.where(on[:, :, None] & on[:, None, :], G[c, :w, :w], eye[:w, :w])
+            try:
+                b[c, :w] = np.where(on, np.linalg.solve(M, rhs[c, :w, None])[:, :, 0], 0.0)
+            except np.linalg.LinAlgError:  # an exactly singular system sinks its group's stack
+                b[c] = np.nan
         grad = h - (G @ b[:, :, None])[:, :, 0]
         miss = np.where(active, np.abs(grad - lam * sign), 0.0).max(axis=1)
         ray = np.zeros(B, dtype=bool)  # inconsistent: b holds the residual to move along
@@ -357,7 +471,7 @@ def _active_set_solve(G, h, aug, lam, penalized) -> np.ndarray:
             b[k] = 0.0
             b[k, S] = np.linalg.lstsq(G[k][np.ix_(S, S)], rhs[k, S])[0]
             grad[k] = h[k] - G[k] @ b[k]
-            resid = np.where(S, grad[k] - lam * sign[k], 0.0)
+            resid = np.where(S, grad[k] - lam[k] * sign[k], 0.0)
             ray[k] = not np.abs(resid).max() <= _RESIDUAL_FLOOR
             if ray[k]:
                 b[k] = resid
@@ -403,67 +517,92 @@ def _active_set_solve(G, h, aug, lam, penalized) -> np.ndarray:
 
 
 def _fit_paths(
-    X, y, row_sets, lambda_grid=None, n_lambda=100, lambda_min_ratio=1e-4, tol=1e-7, max_outer=50
+    X, y, row_sets, column_sets, lambda_grid=None, n_lambda=100, lambda_min_ratio=1e-4,
+    tol=1e-7, max_outer=50,
 ):
-    """Lasso paths of several row subsets of ``(X, y)`` over one grid, as one batch.
+    """Lasso paths of every (row set, column set) pair of ``(X, y)``, as one batch.
 
-    Problem k fits the rows ``row_sets[k]`` (``None`` for every row) on its
-    own standardized design.  Without ``lambda_grid`` the grid is
-    :func:`_default_grid` of problem 0, which must take every row, and
-    problem 0 takes grid point 0 as the exact all-zero solution: at its
+    Problem (s, r) fits the rows ``row_sets[r]`` (``None`` for every row) on
+    the columns ``column_sets[s]`` (``None`` for every column).  Each row
+    set's design is standardized once by :func:`_design`, which works column
+    by column, and each problem gathers its columns from it, so its design is
+    the one it would standardize alone.  Problems of different widths share
+    the batch: a narrower problem's trailing coordinates are unpenalized
+    columns of zeros, which never enter its active set.  Without
+    ``lambda_grid`` each column set's grid is :func:`_default_grid` of its
+    head problem (s, 0), so ``row_sets[0]`` must take every row, and each
+    head problem takes grid point 0 as the exact all-zero solution: at its
     lambda_max float noise would otherwise leak through.  Each outer step of
-    the problems still moving is one :func:`_active_set_solve`.  A model
-    takes the exact gradient ``D(y - p)/n``, so where a step vanishes the
-    lasso's KKT conditions hold whatever Gram it carries; the Gram
-    ``D W D'/n`` is rebuilt only once the iterate has moved more than
-    ``_GRAM_REUSE`` (max norm, standardized scale) from where it was built
-    (lazy Hessians, Doikov, Chayti & Jaggi 2023), which saves most O(n q^2)
-    products for a few more O(n q) steps.  No line search is taken: a
-    problem leaves once its step is below ``tol``, and after ``max_outer``
-    steps the rest are recorded as unconverged.  Returns one
-    :class:`LassoPath` per problem.
+    the problems still moving is one :func:`_active_set_solve`, each problem
+    at its own grid's penalty and each column set a group of its own.  A model takes the exact gradient
+    ``D(y - p)/n``, so where a step vanishes the lasso's KKT conditions hold
+    whatever Gram it carries; the Gram ``D W D'/n`` is rebuilt only once the
+    iterate has moved more than ``_GRAM_REUSE`` (max norm, standardized
+    scale) from where it was built (lazy Hessians, Doikov, Chayti & Jaggi
+    2023), which saves most O(n q^2) products for a few more O(n q) steps.
+    No line search is taken: a problem leaves once its step is below
+    ``tol``, and after ``max_outer`` steps the rest are recorded as
+    unconverged.  Returns ``paths[s][r]``, the :class:`LassoPath` of problem
+    (s, r).
     """
-    q, B = X.shape[1] + 1, len(row_sets)
+    standardized = [_design(X, rows) for rows in row_sets]
+    row_ys = [y if rows is None else y[rows] for rows in row_sets]
+    sets = [None if cols is None else np.asarray(cols, dtype=int) for cols in column_sets]
+    problems = [(s, r) for s in range(len(sets)) for r in range(len(row_sets))]
+    B = len(problems)
+    q = 1 + max(X.shape[1] if cols is None else len(cols) for cols in sets)
     designs, ys, means, scales = [], [], [], []
     penalized = np.zeros((B, q), dtype=bool)
     aug = np.zeros((B, q))
-    for k, rows in enumerate(row_sets):
-        D, mean, sd, penalized[k, 1:] = _design(X, rows)
+    for k, (s, r) in enumerate(problems):
+        D, mean, sd, keep = standardized[r]
+        if sets[s] is not None:
+            cols = sets[s]
+            D, mean, sd, keep = D[np.concatenate([[0], cols + 1])], mean[cols], sd[cols], keep[cols]
         designs.append(D)
-        ys.append(y if rows is None else y[rows])
+        ys.append(row_ys[r])
         means.append(mean)
         scales.append(sd)
+        penalized[k, 1 : len(D)] = keep
         aug[k, 0] = logit(ys[k].mean())
     default = lambda_grid is None
-    grid = _default_grid(designs[0], y, n_lambda, lambda_min_ratio) if default else lambda_grid
+    heads = np.array([r == 0 for _, r in problems])
+    grids = np.array([
+        _default_grid(designs[k], y, n_lambda, lambda_min_ratio) if default else lambda_grid
+        for k in np.flatnonzero(heads)
+    ])
+    set_of = np.array([s for s, _ in problems])
+    lams = grids[set_of]  # each problem's grid
+    n_grid = grids.shape[1]
     sizes = np.array([len(yk) for yk in ys])
-    solutions = np.empty((B, len(grid), q))
-    converged = np.ones((B, len(grid)), dtype=bool)
+    widths = np.array([len(D) for D in designs])
+    solutions = np.empty((B, n_grid, q))
+    converged = np.ones((B, n_grid), dtype=bool)
     everyone = np.arange(B)
-    grams = np.empty((B, q, q))
+    grams = np.zeros((B, q, q))
     anchors = np.full((B, q), np.inf)  # the iterate each Gram was built at
 
-    for i, lam in enumerate(grid):
-        live = everyone[1:] if default and i == 0 else everyone
+    for i in range(n_grid):
+        live = everyone[~heads] if default and i == 0 else everyone
         for _ in range(max_outer):
             if not live.size:
                 break
             # the elementwise pieces of every live problem in one pass
             ends = np.cumsum(sizes[live])
-            prob = expit(np.concatenate([aug[k] @ designs[k] for k in live]))
+            prob = expit(np.concatenate([aug[k, : widths[k]] @ designs[k] for k in live]))
             w = np.maximum(prob * (1.0 - prob), _MIN_WEIGHT)
             resid = np.concatenate([ys[k] for k in live]) - prob
             stale = np.max(np.abs(aug[live] - anchors[live]), axis=1) > _GRAM_REUSE
-            score = np.empty((len(live), q))  # D(y - p) of each live problem
+            score = np.zeros((len(live), q))  # D(y - p) of each live problem
             for j, k in enumerate(live):
-                rows = slice(ends[j] - sizes[k], ends[j])
+                rows, width = slice(ends[j] - sizes[k], ends[j]), widths[k]
                 if stale[j]:
-                    grams[k] = (designs[k] * w[rows]) @ designs[k].T / sizes[k]
+                    grams[k, :width, :width] = (designs[k] * w[rows]) @ designs[k].T / sizes[k]
                     anchors[k] = aug[k]
-                score[j] = designs[k] @ resid[rows]
+                score[j, :width] = designs[k] @ resid[rows]
             G, step = grams[live], aug[live]
             h = (G @ step[:, :, None])[:, :, 0] + score / sizes[live, None]
-            solved = _active_set_solve(G, h, step, lam, penalized[live])
+            solved = _active_set_solve(G, h, step, lams[live, i], penalized[live], set_of[live])
             settled = np.max(np.abs(step - aug[live]), axis=1) < tol
             aug[live] = step
             converged[live[settled], i] = solved[settled]
@@ -473,17 +612,17 @@ def _fit_paths(
         solutions[:, i] = aug
 
     paths = []
-    for k in range(B):
-        coefs = solutions[k, :, 1:] / scales[k]
+    for k, (s, _) in enumerate(problems):
+        coefs = solutions[k, :, 1 : widths[k]] / scales[k]
         paths.append(
             LassoPath(
-                lambda_grid=grid,
+                lambda_grid=grids[s],
                 intercepts=solutions[k, :, 0] - coefs @ means[k],
                 coefficients=coefs,
                 converged=converged[k],
             )
         )
-    return paths
+    return [paths[s * len(row_sets) : (s + 1) * len(row_sets)] for s in range(len(sets))]
 
 
 def fit_lasso_path(
@@ -506,7 +645,7 @@ def fit_lasso_path(
     X, y = _check_xy(X, y)
     _check_classes(y)
     grid = None if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
-    return _fit_paths(X, y, [None], grid, n_lambda, lambda_min_ratio, tol, max_outer)[0]
+    return _fit_paths(X, y, [None], [None], grid, n_lambda, lambda_min_ratio, tol, max_outer)[0][0]
 
 
 def kkt_violation(path: LassoPath, X, y, index: int) -> tuple[float, float]:
@@ -556,37 +695,67 @@ def cv_select(
     fold scores mean validation deviance at every penalty.  The selected
     penalty is the argmin of mean validation deviance, ties breaking toward
     the larger penalty.  Raises ``NumericError`` when the selected penalty
-    did not converge in the full-data fit or in any fold.
+    did not converge in the full-data fit or in any fold.  The selection is
+    the one-set case of :func:`cv_select_many`.
+    """
+    (path,) = cv_select_many(X, y, folds, [None], n_lambda, lambda_min_ratio)
+    if isinstance(path, NumericError):
+        raise path
+    return path
+
+
+def cv_select_many(
+    X,
+    y,
+    folds: FoldAssignment,
+    column_sets,
+    n_lambda: int = 100,
+    lambda_min_ratio: float = 1e-4,
+) -> list:
+    """:func:`cv_select` of ``y`` on each column subset of ``X``, as one batch.
+
+    Set s selects the penalty of a lasso on the columns ``column_sets[s]``
+    (``None`` for every column) over its own default grid.  Every set's
+    full-data path and fold paths are fitted by one :func:`_fit_paths`
+    call.  Returns, per set, its :class:`LassoPath` with ``cv_mean``,
+    ``cv_se`` and ``selected_index`` filled, or the ``NumericError`` that
+    set's selected penalty raised by not converging.  Inputs that no set can
+    be fitted on (a single-class ``y`` or fold) raise.
     """
     X, y = _check_xy(X, y)
     if folds.n != X.shape[0]:
         raise DataError("fold assignment does not cover X's rows")
     _check_classes(y)
     train = [folds.train_indices(f) for f in range(folds.fold_count)]
-    for f, tr in enumerate(train):
-        for part, where in ((y[tr], "training"), (y[folds.test_indices(f)], "validation")):
+    valid = [folds.test_indices(f) for f in range(folds.fold_count)]
+    for f, (tr, va) in enumerate(zip(train, valid)):
+        for part, where in ((y[tr], "training"), (y[va], "validation")):
             if len(np.unique(part)) < 2:
                 raise NumericError(
                     f"fold {f} has a single-class {where} split; "
                     "use stratified folds (kfold with labels)"
                 )
-    full, *subs = _fit_paths(X, y, [None, *train], None, n_lambda, lambda_min_ratio)
-    per_fold = np.empty((folds.fold_count, full.n_lambda))
-    for f, sub in enumerate(subs):
-        va = folds.test_indices(f)
-        eta = sub.intercepts[:, None] + sub.coefficients @ X[va].T
-        per_fold[f] = -2.0 * np.sum(y[va] * eta - np.logaddexp(0.0, eta), axis=1) / len(va)
-    cv_mean = per_fold.mean(axis=0)
-    cv_se = per_fold.std(axis=0, ddof=1) / np.sqrt(folds.fold_count)
-    selected = int(np.argmin(cv_mean))  # first minimum = largest penalty on ties
-    for k, path in enumerate([full, *subs]):
-        if not path.converged[selected]:
-            where = "the full-data fit" if k == 0 else f"fold {k - 1}"
-            raise NumericError(
+    fitted = _fit_paths(X, y, [None, *train], column_sets, None, n_lambda, lambda_min_ratio)
+    out = []
+    for cols, (full, *subs) in zip(column_sets, fitted):
+        Xs = X if cols is None else X[:, cols]
+        per_fold = np.empty((folds.fold_count, full.n_lambda))
+        for f, (sub, va) in enumerate(zip(subs, valid)):
+            eta = sub.intercepts[:, None] + sub.coefficients @ Xs[va].T
+            per_fold[f] = -2.0 * log_likelihood_bernoulli(eta, y[va]) / len(va)
+        cv_mean = per_fold.mean(axis=0)
+        cv_se = per_fold.std(axis=0, ddof=1) / np.sqrt(folds.fold_count)
+        selected = int(np.argmin(cv_mean))  # first minimum = largest penalty on ties
+        unconverged = [k for k, path in enumerate([full, *subs]) if not path.converged[selected]]
+        if unconverged:
+            where = "the full-data fit" if unconverged[0] == 0 else f"fold {unconverged[0] - 1}"
+            out.append(NumericError(
                 f"lasso did not converge at the selected penalty "
                 f"(lambda index {selected}) in {where}"
-            )
-    return replace(full, cv_mean=cv_mean, cv_se=cv_se, selected_index=selected)
+            ))
+        else:
+            out.append(replace(full, cv_mean=cv_mean, cv_se=cv_se, selected_index=selected))
+    return out
 
 
 # ---------------------------------------------------------------------------

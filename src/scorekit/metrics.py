@@ -8,7 +8,7 @@ import numpy as np
 
 from .data import Dataset, FoldAssignment, kfold
 from .errors import DataError, NumericError
-from .glm import cv_select, fit_logistic, predict_prob
+from .glm import cv_select_many, fit_logistic, predict_prob
 from .selection import StepFailure, forward_stepwise, selectable_groups
 from .srr import rescale_round
 
@@ -207,10 +207,12 @@ def cv_sweep(
     Per fold: select/regress on the training part, score the held-out part
     with the integer weights.  Benchmarks fitted on the same folds:
     full-feature logistic regression, full-feature lasso, and the unrounded
-    selected-feature lasso that the scorecard rounds.  A failing cell records
-    its error and the sweep continues; when a selection step cannot be fit,
-    each k below it is still scored and each k from it on records that step's
-    failure.
+    selected-feature lasso that the scorecard rounds.  Each fold's
+    full-feature lasso and its selected-feature lasso at every k are
+    cross-validated by one :func:`cv_select_many` batch, after one forward
+    selection to the largest k.  A failing cell records its error and the
+    sweep continues; when a selection step cannot be fit, each k below it is
+    still scored and each k from it on records that step's failure.
     """
     k_values = tuple(sorted(set(int(k) for k in k_values)))
     M_values = tuple(sorted(set(int(M) for M in M_values)))
@@ -232,38 +234,50 @@ def cv_sweep(
             cells.append(_prob_cells(LOGISTIC_FULL, f, prob, y_te))
         except (DataError, NumericError) as exc:
             cells.append(SweepCell(LOGISTIC_FULL, None, None, f, np.nan, np.nan, str(exc)))
-        inner = kfold(train.n, inner_folds, seed=seed * 100003 + f, labels=train.labels)
-        try:
-            full_path = cv_select(
-                train.rows, y_tr, inner, n_lambda=n_lambda, lambda_min_ratio=1e-3
-            )
-            cells.append(_prob_cells(LASSO_FULL, f, full_path.predict_prob(test.rows), y_te))
-        except (DataError, NumericError) as exc:
-            cells.append(SweepCell(LASSO_FULL, None, None, f, np.nan, np.nan, str(exc)))
 
         failure = None  # the step no candidate could fit, if any
+        selection_error = None  # why no k could be selected, if so
         try:
             k_fit = min(k_max, len(selectable_groups(train, grouped)))
             trace = forward_stepwise(train, k_fit, grouped=grouped)
         except StepFailure as exc:
             trace, failure = exc.trace, exc
         except (DataError, NumericError) as exc:
+            selection_error = exc
+        # the k whose selected columns are fitted, each by its step prefix
+        fitted = [] if selection_error else [
+            k for k in k_values if k <= min(k_fit, len(trace.step_groups))
+        ]
+        column_sets = [None] + [[j for g in trace.step_groups[:k] for j in g] for k in fitted]
+        inner = kfold(train.n, inner_folds, seed=seed * 100003 + f, labels=train.labels)
+        try:
+            paths = cv_select_many(
+                train.rows, y_tr, inner, column_sets, n_lambda=n_lambda, lambda_min_ratio=1e-3
+            )
+        except (DataError, NumericError) as exc:
+            paths = [exc] * len(column_sets)
+        try:
+            full_path = _fitted(paths[0])
+            cells.append(_prob_cells(LASSO_FULL, f, full_path.predict_prob(test.rows), y_te))
+        except (DataError, NumericError) as exc:
+            cells.append(SweepCell(LASSO_FULL, None, None, f, np.nan, np.nan, str(exc)))
+
+        if selection_error is not None:
             for k in k_values:
-                cells.append(SweepCell(LASSO_SELECTED, k, None, f, np.nan, np.nan, str(exc)))
+                cells.append(SweepCell(LASSO_SELECTED, k, None, f, np.nan, np.nan, str(selection_error)))
                 for M in M_values:
-                    cells.append(SweepCell(SCORECARD, k, M, f, np.nan, np.nan, str(exc)))
+                    cells.append(SweepCell(SCORECARD, k, M, f, np.nan, np.nan, str(selection_error)))
             continue
 
+        selected = dict(zip(fitted, zip(column_sets[1:], paths[1:])))
         for k in k_values:
             try:
                 if k > k_fit:
                     raise DataError(f"k={k} exceeds the {k_fit} selectable features")
                 if k > len(trace.step_groups):
                     raise NumericError(str(failure))
-                cols = [j for g in trace.step_groups[:k] for j in g]
-                path = cv_select(
-                    train.rows[:, cols], y_tr, inner, n_lambda=n_lambda, lambda_min_ratio=1e-3
-                )
+                cols, path = selected[k]
+                path = _fitted(path)
                 intercept, coefs = path.coefficients_at()
                 score_te_raw = path.linear_score(test.rows[:, cols])
                 cells.append(
@@ -303,3 +317,10 @@ def cv_sweep(
                     cells.append(SweepCell(SCORECARD, k, M, f, np.nan, np.nan, str(exc)))
 
     return SweepResult(cells=tuple(cells), k_values=k_values, M_values=M_values)
+
+
+def _fitted(path):
+    """A :func:`cv_select_many` result, raising the error it holds."""
+    if isinstance(path, Exception):
+        raise path
+    return path

@@ -4,7 +4,8 @@ At each step the candidate whose inclusion most reduces training deviance is
 added; for a fixed number of added features this ordering is what any
 constant-penalty criterion (AIC, BIC, ...) would produce.  Indicator columns
 that came from one source column are treated as a single feature by default,
-so a binned age column enters or stays out as a block.
+so a binned age column enters or stays out as a block.  Every candidate of
+a step is fitted in one :func:`glm.fit_logistic_many` batch.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from .data import Dataset, JsonRecord
 from .errors import DataError, NumericError
-from .glm import _varying, fit_logistic
+from .glm import _varying, fit_logistic_many
 
 _TIE_EPS = 1e-10
 
@@ -68,7 +69,7 @@ def forward_stepwise(ds: Dataset, k: int, grouped: bool = True) -> SelectionTrac
     column index.  A perfectly separating candidate is ranked by the
     deviance reached when the solver hits its divergence bound, which is
     effectively zero, so it still wins the step.
-    A candidate whose fit raises NumericError (say, the complement of a
+    A candidate whose fit ends in a NumericError (say, the complement of a
     column already in) is skipped; only a step where no candidate fits
     raises, a :class:`StepFailure` naming the step and its first failed
     candidate and carrying the steps that did fit.
@@ -87,16 +88,15 @@ def forward_stepwise(ds: Dataset, k: int, grouped: bool = True) -> SelectionTrac
     remaining = list(groups)
 
     for step in range(k):
+        fits = fit_logistic_many(
+            ds.rows, y, [selected_cols + list(cols) for _, cols in remaining],
+            max_iter=60, tol=1e-8, on_divergence="clamp",
+        )
         best = None  # (deviance, position, name, cols)
         failure = None  # (name, error) of the step's first unfittable candidate
-        for pos, (name, cols) in enumerate(remaining):
-            trial = selected_cols + list(cols)
-            try:
-                fit = fit_logistic(
-                    ds.rows[:, trial], y, max_iter=60, tol=1e-8, on_divergence="clamp"
-                )
-            except NumericError as exc:
-                failure = failure or (name, exc)
+        for pos, ((name, cols), fit) in enumerate(zip(remaining, fits)):
+            if isinstance(fit, NumericError):
+                failure = failure or (name, fit)
                 continue
             dev = -2.0 * fit.log_likelihood
             if best is None or dev < best[0] - _TIE_EPS:

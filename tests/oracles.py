@@ -1,11 +1,13 @@
 """Independent reference implementations used to freeze expected values.
 
-Everything here is deliberately slow and structurally unrelated to the
-library's own algorithms: bracket-shrinking maximization instead of IRLS,
-coordinate descent instead of feature-sign active-set solves, O(n^2) pair
-counting instead of rank sums, bisection instead of closed forms, a
-row-by-row CSV loop instead of one typed parse.  Tests compare the fast
-paths against these.
+Everything here is deliberately slow and, but for one, structurally
+unrelated to the library's own algorithms: bracket-shrinking maximization
+instead of IRLS, coordinate descent instead of feature-sign active-set
+solves, O(n^2) pair counting instead of rank sums, bisection instead of
+closed forms, a row-by-row CSV loop instead of one typed parse.  The
+exception is forward selection, whose reference fits one candidate at a
+time where the library fits a step's candidates as one batch.  Tests
+compare the fast paths against these.
 """
 
 import math
@@ -13,9 +15,11 @@ from statistics import NormalDist
 
 import numpy as np
 
+from scorekit import glm
 from scorekit.data import read_table
-from scorekit.errors import DataError
+from scorekit.errors import DataError, NumericError
 from scorekit.policy import RELEASE, WITHHOLD, CaseTable
+from scorekit.selection import SelectionTrace, selectable_groups
 from scorekit.synth import _CODE_COLUMNS, COHORT_COLUMNS, SyntheticCohort, _infer_groups
 
 
@@ -103,6 +107,46 @@ def coordinate_descent(G, h, aug, lam, keep, tol, max_sweeps=10000):
             if sweep(active) < tol:
                 break
     return False
+
+
+def forward_stepwise_reference(ds, k, grouped=True):
+    """``selection.forward_stepwise`` as one ``glm.fit_logistic`` call per
+    candidate: the reference for its batched steps.
+
+    Returns the trace of the steps that fit and, per step, each candidate's
+    ``(name, GlmFit or NumericError)`` in offer order.  The trace ends at a
+    step where no candidate fits, where ``forward_stepwise`` raises.
+    """
+    y = ds.labels.astype(float)
+    remaining = selectable_groups(ds, grouped)
+    selected, groups, names, deviances, steps = [], [], [], [], []
+    for _ in range(k):
+        fits = []
+        for name, cols in remaining:
+            try:
+                fit = glm.fit_logistic(
+                    ds.rows[:, selected + list(cols)], y, max_iter=60, tol=1e-8,
+                    on_divergence="clamp",
+                )
+            except NumericError as exc:
+                fit = exc
+            fits.append((name, fit))
+        steps.append(fits)
+        best = None  # (deviance, position)
+        for pos, (_, fit) in enumerate(fits):
+            if isinstance(fit, NumericError):
+                continue
+            dev = -2.0 * fit.log_likelihood
+            if best is None or dev < best[0] - 1e-10:
+                best = (dev, pos)
+        if best is None:
+            break
+        name, cols = remaining.pop(best[1])
+        selected.extend(cols)
+        groups.append(cols)
+        names.append(name)
+        deviances.append(best[0])
+    return SelectionTrace(selected, groups, names, deviances), steps
 
 
 def auc_brute_force(scores, labels):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import scorekit
+from degenerate_tables import degenerate_tables
 from scorekit import cli, data, srr, synth
 
 
@@ -349,6 +350,25 @@ class TestAdversarialInput:
         assert re.fullmatch(r"benchmark logistic_full mean AUC \d\.\d{4} \(1 of 3 folds\)",
                             lines[-1]), lines[-1]
         assert all(" of 3 folds)" not in line for line in lines[:-1]), lines
+
+
+class TestDegenerateTables:
+    """Every table of the seeded degenerate-table generator ends in a
+    documented exit code: 0, 3 (data error) or 4 (numerical failure)."""
+
+    TABLES = dict(degenerate_tables(seed=0))
+
+    @pytest.mark.parametrize("name", list(TABLES))
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_exit_code_without_traceback(self, tmp_path, capsys, command, name):
+        path = tmp_path / "input.csv"
+        path.write_text(self.TABLES[name], encoding="utf-8")
+        sizes = (["--k", "2", "--M", "3", "--folds", "3", "--n-lambda", "10"] if command == "train"
+                 else ["--k-values", "1-3", "--folds", "3", "--inner-folds", "3", "--n-lambda", "10"])
+        code = run(command, "--input", str(path), "--label", "y", *sizes, "--output-dir", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code in (0, 3, 4), err
+        assert "Traceback" not in err
 
 
 class TestSynthGen:

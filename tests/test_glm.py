@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -192,10 +193,11 @@ def cd_only(calls, tol):
     """A batch subproblem solver running coordinate descent alone to ``tol``,
     as the reference; appends the batch size to ``calls`` on every call."""
 
-    def solve(G, h, aug, lam, penalized):
+    def solve(G, h, aug, lam, penalized, groups=None):
         calls.append(len(aug))
+        lam = np.broadcast_to(lam, len(aug))  # one penalty per problem
         return np.array(
-            [coordinate_descent(G[k], h[k], aug[k], lam, penalized[k, 1:], tol) for k in range(len(aug))]
+            [coordinate_descent(G[k], h[k], aug[k], lam[k], penalized[k, 1:], tol) for k in range(len(aug))]
         )
 
     return solve
@@ -347,8 +349,8 @@ class TestActiveSetSolver:
         solves = []
         solve = glm._active_set_solve
 
-        def spy(G, h, aug, lam, penalized):
-            converged = solve(G, h, aug, lam, penalized)
+        def spy(G, h, aug, lam, penalized, groups=None):
+            converged = solve(G, h, aug, lam, penalized, groups)
             solves.append((G, h, aug.copy(), lam, penalized, converged))
             return converged
 
@@ -360,7 +362,7 @@ class TestActiveSetSolver:
         for G, h, aug, lam, penalized, converged in solves:
             assert converged.all()
             for k in range(len(aug)):
-                assert_subproblem_kkt(G[k], h[k], aug[k], lam, penalized[k])
+                assert_subproblem_kkt(G[k], h[k], aug[k], np.broadcast_to(lam, len(aug))[k], penalized[k])
 
     def test_dependent_fits_meet_kkt_at_the_default_tol(self, monkeypatch):
         rng = np.random.default_rng(25)
@@ -391,7 +393,8 @@ class TestActiveSetSolver:
 
 
 def cv_batch(X, y, folds, **kwargs):
-    """(cv_select's result, the full-data and fold paths its batch fitted)."""
+    """(cv_select's result, the full-data and fold paths its batch fitted for
+    its one column set)."""
     batches = []
     fit_paths = glm._fit_paths
 
@@ -402,7 +405,7 @@ def cv_batch(X, y, folds, **kwargs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(glm, "_fit_paths", spy)
         path = glm.cv_select(X, y, folds, **kwargs)
-    (paths,) = batches
+    ((paths,),) = batches
     return path, paths
 
 
@@ -508,6 +511,72 @@ class TestConstantColumn:
                 assert np.all(np.isfinite(glm.kkt_violation(fit, X, y, i)))
 
 
+def column_set_designs(rng):
+    """(name, X, y, column sets) for the batched cross-validation tests."""
+    for name, X, y in solver_designs(rng):
+        p = X.shape[1]
+        yield name, X, y, [None, [0], [2, 0], list(range(p - 1, 0, -1))]
+    X, y = random_instance(rng, n=90, p=4)
+    X = np.column_stack([X, X[:, 1], np.full(90, 0.1)])  # a copy and a constant
+    yield "dependent_and_constant", X, y, [None, [1, 5], [4, 1, 2], [5]]
+
+
+class TestCvSelectMany:
+    def test_each_set_matches_its_own_cv_select(self):
+        rng = np.random.default_rng(26)
+        for name, X, y, sets in column_set_designs(rng):
+            folds = data.kfold(len(y), 3, seed=int(rng.integers(100)), labels=y)
+            batch = glm.cv_select_many(X, y, folds, sets, n_lambda=12)
+            assert len(batch) == len(sets)
+            for cols, path in zip(sets, batch):
+                solo = glm.cv_select(X if cols is None else X[:, cols], y, folds, n_lambda=12)
+                assert path.selected_index == solo.selected_index, (name, cols)
+                assert np.array_equal(path.lambda_grid, solo.lambda_grid), (name, cols)
+                assert_same_path(path, solo)
+                assert np.max(np.abs(path.cv_mean - solo.cv_mean)) <= 1e-9, (name, cols)
+
+    def test_a_singular_set_sends_only_its_own_problems_to_least_squares(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        X = rng.normal(size=(240, 4))
+        y = draw_labels(rng, X @ rng.normal(size=4))
+        X = np.column_stack([X, X[:, 1]])  # column 4 copies column 1
+        folds = data.kfold(240, 3, seed=1, labels=y)
+        dependent, independent = [0, 1, 4], [0, 2, 3]
+        calls = []
+        monkeypatch.setattr(np.linalg, "lstsq", counted(np.linalg.lstsq, calls))
+        solo = []
+        for cols in (dependent, independent):
+            calls.clear()
+            glm.cv_select(X[:, cols], y, folds, n_lambda=12)
+            solo.append(len(calls))
+        assert solo[0] > 0 and solo[1] == 0
+        calls.clear()
+        glm.cv_select_many(X, y, folds, [dependent, independent], n_lambda=12)
+        assert len(calls) == solo[0]
+
+    def test_an_unconverged_set_fails_alone(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        X, y = random_instance(rng, n=80, p=3)
+        folds = data.kfold(80, 3, seed=0, labels=y)
+        sets = [None, [0, 2], [1]]
+        expected = glm.cv_select_many(X, y, folds, sets, n_lambda=10)
+        fit_paths = glm._fit_paths
+
+        def set_1_fold_1_unconverged(*args, **kwargs):
+            paths = fit_paths(*args, **kwargs)
+            sub = paths[1][2]
+            paths[1][2] = replace(sub, converged=np.zeros(sub.n_lambda, dtype=bool))
+            return paths
+
+        monkeypatch.setattr(glm, "_fit_paths", set_1_fold_1_unconverged)
+        first, failed, last = glm.cv_select_many(X, y, folds, sets, n_lambda=10)
+        assert isinstance(failed, NumericError)
+        assert re.fullmatch(r"lasso did not converge .*\(lambda index \d+\) in fold 1", str(failed))
+        for path, before in zip((first, last), expected[::2]):
+            assert_same_path(path, before)
+            assert path.selected_index == before.selected_index
+
+
 class TestCvSelect:
     def test_deterministic_selection(self):
         rng = np.random.default_rng(9)
@@ -577,7 +646,8 @@ class TestCvSelect:
 
         def fold_1_unconverged(*args, **kwargs):
             paths = fit_paths(*args, **kwargs)
-            paths[2] = replace(paths[2], converged=np.zeros(paths[2].n_lambda, dtype=bool))
+            (full, *subs), = paths  # the one column set's full-data and fold paths
+            paths[0][2] = replace(subs[1], converged=np.zeros(subs[1].n_lambda, dtype=bool))
             return paths
 
         monkeypatch.setattr(glm, "_fit_paths", fold_1_unconverged)

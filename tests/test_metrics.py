@@ -1,8 +1,11 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from oracles import auc_brute_force, auc_tie_loop, best_threshold_loop
-from scorekit import data, metrics
+from scorekit import data, glm, metrics
 from scorekit.errors import DataError
 
 
@@ -319,6 +322,36 @@ class TestCvSweep:
             assert by_method[method], method
             for cell in by_method[method]:
                 assert "single-class validation split" in cell.error and "stratified" in cell.error
+
+    def test_one_lasso_batch_per_fold_and_an_unconverged_k_fails_alone(self, one_signal_ds, monkeypatch):
+        ds = one_signal_ds
+        folds = data.kfold(ds.n, 3, seed=2, labels=ds.labels)
+        args = dict(k_values=[1, 2, 3], M_values=[1, 2], folds=folds, n_lambda=10, inner_folds=3)
+        clean = metrics.cv_sweep(ds, **args)
+        batches = []
+        fit_paths = glm._fit_paths
+
+        def k2_unconverged_in_fold_1(*a, **kw):
+            paths = fit_paths(*a, **kw)
+            batches.append(len(paths))
+            if len(batches) == 2:  # fold 1's sets: all columns, then k = 1, 2, 3
+                sub = paths[2][1]  # k = 2, inner fold 0
+                paths[2][1] = replace(sub, converged=np.zeros(sub.n_lambda, dtype=bool))
+            return paths
+
+        monkeypatch.setattr(glm, "_fit_paths", k2_unconverged_in_fold_1)
+        sweep = metrics.cv_sweep(ds, **args)
+        assert batches == [4, 4, 4]
+        assert len(sweep.cells) == len(clean.cells)
+        failed = 0
+        for cell, before in zip(sweep.cells, clean.cells):
+            assert before.error is None
+            if (cell.fold, cell.k) == (1, 2) and cell.method != metrics.LOGISTIC_FULL:
+                assert re.fullmatch(r"lasso did not converge .* in fold 0", cell.error), cell
+                failed += 1
+            else:
+                assert cell == before
+        assert failed == 1 + 2  # lasso_selected and both scorecards
 
     def test_csv_export(self, one_signal_ds):
         # one SWEEP_HEADER row per cell; a failed cell keeps its error, not its metrics

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from scorekit import data, glm, selection
+from oracles import forward_stepwise_reference
+from scorekit import data, datasets, glm, selection
 from scorekit.errors import DataError, NumericError
 
 
@@ -165,13 +166,13 @@ class TestConstantColumn:
     @pytest.mark.parametrize("grouped", [True, False])
     def test_constant_group_is_never_offered(self, monkeypatch, grouped):
         offered = []
-        fit_logistic = selection.fit_logistic
+        fit_logistic_many = selection.fit_logistic_many
 
-        def spy(X, y, **kwargs):
-            offered.append(X)
-            return fit_logistic(X, y, **kwargs)
+        def spy(X, y, column_sets, **kwargs):
+            offered.extend(X[:, cols] for cols in column_sets)
+            return fit_logistic_many(X, y, column_sets, **kwargs)
 
-        monkeypatch.setattr(selection, "fit_logistic", spy)
+        monkeypatch.setattr(selection, "fit_logistic_many", spy)
         ds = self.table()
         trace = selection.forward_stepwise(ds, 2, grouped=grouped)
         assert len(offered) == 2 + 1  # x and z at step 1, the other at step 2
@@ -212,14 +213,16 @@ class TestUnfittableCandidate:
         assert trace.step_deviance == reduced.step_deviance
 
     def test_step_where_no_candidate_fits_raises(self, monkeypatch):
-        fit_logistic = selection.fit_logistic
+        fit_logistic_many = selection.fit_logistic_many
 
-        def fails_past_one_feature(X, y, **kwargs):
-            if X.shape[1] > 1:
-                raise NumericError("singular weighted normal equations")
-            return fit_logistic(X, y, **kwargs)
+        def fails_past_one_feature(X, y, column_sets, **kwargs):
+            return [
+                NumericError("singular weighted normal equations") if len(cols) > 1
+                else fit_logistic_many(X, y, [cols], **kwargs)[0]
+                for cols in column_sets
+            ]
 
-        monkeypatch.setattr(selection, "fit_logistic", fails_past_one_feature)
+        monkeypatch.setattr(selection, "fit_logistic_many", fails_past_one_feature)
         with pytest.raises(NumericError, match="step 2: .*'female': singular"):
             selection.forward_stepwise(self.table(), 2)
 
@@ -230,3 +233,112 @@ class TestUnfittableCandidate:
         trace = info.value.trace
         assert trace.step_names == ("male", "x")
         assert trace.step_deviance == selection.forward_stepwise(self.table(), 2).step_deviance
+
+
+def batched_steps(ds, k, grouped):
+    """forward_stepwise's trace (up to a failed step) and each step's batch of
+    candidate fits."""
+    steps = []
+    fit_logistic_many = selection.fit_logistic_many
+
+    def spy(X, y, column_sets, **kwargs):
+        steps.append(fit_logistic_many(X, y, column_sets, **kwargs))
+        return steps[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(selection, "fit_logistic_many", spy)
+        try:
+            trace = selection.forward_stepwise(ds, k, grouped=grouped)
+        except selection.StepFailure as exc:
+            trace = exc.trace
+    return trace, steps
+
+
+def assert_matches_reference(ds, k, grouped, seen):
+    """The batched steps pick what one fit per candidate picks, with the same
+    unfittable and clamped candidates and deviances within 1e-9; ``seen``
+    counts the candidates of each kind."""
+    trace, steps = batched_steps(ds, k, grouped)
+    ref, ref_steps = forward_stepwise_reference(ds, k, grouped)
+    assert trace.step_names == ref.step_names
+    assert trace.step_groups == ref.step_groups
+    assert np.max(np.abs(np.subtract(trace.step_deviance, ref.step_deviance)), initial=0.0) <= 1e-9
+    assert len(steps) == len(ref_steps)
+    for fits, ref_fits in zip(steps, ref_steps):
+        assert len(fits) == len(ref_fits)
+        for fit, (name, ref_fit) in zip(fits, ref_fits):
+            if isinstance(ref_fit, NumericError):
+                assert isinstance(fit, NumericError) and str(fit) == str(ref_fit), name
+                seen["unfittable"] += 1
+                continue
+            assert not isinstance(fit, NumericError), (name, fit)
+            assert fit.converged == ref_fit.converged, name  # clamped alike
+            assert abs(fit.log_likelihood - ref_fit.log_likelihood) <= 0.5e-9, name
+            seen["clamped" if not fit.converged else "converged"] += 1
+
+
+def random_table(rng, grouped):
+    n, p = int(rng.integers(40, 150)), int(rng.integers(3, 9))
+    X = np.where(rng.random(p) < 0.5, rng.normal(size=(n, p)), rng.random((n, p)) < 0.4) * 1.0
+    y = (rng.random(n) < 1 / (1 + np.exp(-(X @ rng.normal(size=p) - 0.5)))).astype(int)
+    y[:2] = 0, 1
+    groups = tuple(f"g{g}" for g in np.sort(rng.integers(0, p, p))) if grouped else None
+    return data.Dataset(tuple(f"x{j}" for j in range(p)), X, y, column_groups=groups)
+
+
+def heart_training_folds():
+    """The training halves of the benchmark's heart sweep: 2 outer folds at
+    each of its seeds."""
+    ds = datasets.load_heart()
+    for seed in (0, 1, 2, 3, 4, 5, 8):
+        folds = data.kfold(ds.n, 2, seed=seed, labels=ds.labels)
+        for f in range(2):
+            yield ds.take(folds.train_indices(f))
+
+
+def n_below_p_table():
+    """The 12 x 30 binary table of ``tests/test_cli.py``'s n-below-p input."""
+    rng = np.random.default_rng(0)
+    _ = rng.integers(0, 2, 200), rng.integers(0, 2, 200), rng.random(200)
+    X = rng.integers(0, 2, (12, 30)).astype(float)
+    return make_ds(X, np.arange(12) % 2)
+
+
+class TestBatchedSteps:
+    def test_random_tables_match_one_fit_per_candidate(self):
+        rng = np.random.default_rng(30)
+        seen = dict(unfittable=0, clamped=0, converged=0)
+        for _ in range(20):
+            for grouped in (True, False):
+                ds = random_table(rng, grouped)
+                k = len(selection.selectable_groups(ds, grouped))
+                assert_matches_reference(ds, k, grouped, seen)
+        assert seen["converged"] > 0
+
+    def test_heart_sweep_folds_match_one_fit_per_candidate(self):
+        seen = dict(unfittable=0, clamped=0, converged=0)
+        for train in heart_training_folds():
+            assert_matches_reference(train, 3, True, seen)
+        assert seen["clamped"] > 0
+
+    def test_degenerate_tables_match_one_fit_per_candidate(self):
+        rng = np.random.default_rng(31)
+        x0, x1 = rng.integers(0, 2, (2, 200))
+        separable = make_ds(np.column_stack([x0, x1, rng.normal(size=200)]), x0)
+        seen = dict(unfittable=0, clamped=0, converged=0)
+        for ds, k in (
+            (TestConstantColumn.table(), 2),
+            (TestUnfittableCandidate.table(), 3),
+            (separable, 3),
+            (n_below_p_table(), 10),
+        ):
+            for grouped in (True, False):
+                assert_matches_reference(ds, k, grouped, seen)
+        assert seen["unfittable"] > 0 and seen["clamped"] > 0
+
+    def test_blocks_split_a_step_without_changing_it(self, monkeypatch):
+        ds = next(heart_training_folds())
+        whole = selection.forward_stepwise(ds, 3)
+        # one candidate's cells exceed the cap: every block holds one fit
+        monkeypatch.setattr(glm, "_IRLS_BLOCK", 1)
+        assert selection.forward_stepwise(ds, 3) == whole

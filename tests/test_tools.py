@@ -125,3 +125,11 @@ def test_complement_table_is_the_cli_tests_table(digests, tmp_path):
     digests.write_complement_csv(str(tmp_path / "complement.csv"))
     text = (tmp_path / "complement.csv").read_text(encoding="utf-8")
     assert text == _adversarial_input("complement-column")
+
+
+def test_n_below_p_table_is_the_cli_tests_table(digests, tmp_path):
+    from test_cli import _adversarial_input
+
+    digests.write_n_below_p_csv(str(tmp_path / "n_below_p.csv"))
+    text = (tmp_path / "n_below_p.csv").read_text(encoding="utf-8")
+    assert text == _adversarial_input("n-below-p")

@@ -20,6 +20,10 @@ Runs, in one process and into subdirectories of OUTDIR:
   ``female`` column is ``1 - male``, so the lasso's active columns become
   dependent and its least-squares branch runs (``evaluate_complement/``);
   the tool writes the table from a fixed seed
+- ``evaluate`` with default arguments on ``n_below_p.csv``, a 12 x 30 table
+  of 0/1 columns with alternating labels, the input that makes the most
+  selection fits (``evaluate_n_below_p/``); the tool writes it from a fixed
+  seed
 - ``theory-curve`` with default grids (``theory/``)
 - ``train`` on the bundled heart table (``train/``), and again with
   ``--threshold 1.5``, so the card's release line and its stored threshold
@@ -74,6 +78,7 @@ HEART_CSV = os.path.join(os.path.dirname(datasets.__file__), "heart_synthetic.cs
 HEART_ENCODING = os.path.join(REPO, "perfbench", "heart_encoding.json")
 DECISIONS = "decisions.csv"
 COMPLEMENT = "complement.csv"
+N_BELOW_P = "n_below_p.csv"
 ROUND_TRIP = "synth0/cohort_roundtrip.csv"
 TOLERANCE = 1e-6
 CARD_FLOATS = ("raw_coefficients", "intercept", "scaling", "step_deviance")
@@ -105,6 +110,9 @@ def runs(out: str, heart: list[str]) -> list[tuple[list[str], list[str]]]:
         (["evaluate", "--input", f"{out}/{COMPLEMENT}", "--label", "y", "--k-values", "1-2",
           "--folds", "3", "--output-dir", f"{out}/evaluate_complement"],
          ["evaluate_complement/sweep.csv"]),
+        (["evaluate", "--input", f"{out}/{N_BELOW_P}", "--label", "y",
+          "--output-dir", f"{out}/evaluate_n_below_p"],
+         ["evaluate_n_below_p/sweep.csv"]),
         (["theory-curve", "--output-dir", f"{out}/theory"],
          ["theory/theory_curve.csv"]),
         (["train", *heart, "--k", "5", "--M", "3", "--folds", "5", "--n-lambda", "20",
@@ -146,6 +154,20 @@ def write_complement_csv(path: str) -> None:
     rows = [",".join(str(v) for v in row) for row in zip(male, 1 - male, x, y)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(["male,female,x,y", *rows]) + "\n")
+
+
+def write_n_below_p_csv(path: str) -> None:
+    """The n<p table: 12 rows of 30 0/1 columns ``x0``..``x29`` and labels
+    ``y`` alternating 0, 1, from seed 0.  The first three draws are those of
+    the 200-row table of the complement table's docstring, kept so that the
+    table stays the same."""
+    rng = np.random.default_rng(0)
+    _ = rng.integers(0, 2, 200), rng.integers(0, 2, 200), rng.random(200)
+    X = rng.integers(0, 2, (12, 30))
+    header = ",".join([*(f"x{j}" for j in range(30)), "y"])
+    rows = [",".join(str(v) for v in (*row, i % 2)) for i, row in enumerate(X)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join([header, *rows]) + "\n")
 
 
 def _sha256(path: str) -> str:
@@ -262,6 +284,7 @@ def main(argv: list[str]) -> int:
     shutil.copyfile(HEART_CSV, os.path.join(out, "heart.csv"))
     shutil.copyfile(HEART_ENCODING, os.path.join(out, "heart_encoding.json"))
     write_complement_csv(os.path.join(out, COMPLEMENT))
+    write_n_below_p_csv(os.path.join(out, N_BELOW_P))
     heart = ["--input", f"{out}/heart.csv", "--label", "disease",
              "--encoding", f"{out}/heart_encoding.json"]
     for args, files in runs(out, heart):
