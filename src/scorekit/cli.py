@@ -177,23 +177,24 @@ def _cmd_evaluate(args) -> int:
     )
     _write_csv(args, "sweep.csv", metrics.SWEEP_HEADER, sweep.rows())
 
-    def mean(method, k=None, M=None) -> str:
-        """The mean AUC, and how many folds it covers when some failed."""
+    def report(label, method, k=None, M=None) -> None:
+        """Print ``method``'s mean AUC (at ``k`` and ``M`` when given) and how
+        many folds it covers when some failed, or its first error when all did."""
         used = len(sweep.aucs(method, k, M))
-        text = f"{sweep.mean_auc(method, k, M):.4f}"
-        return text if used == folds.fold_count else f"{text} ({used} of {folds.fold_count} folds)"
+        if not used:
+            error = next(c.error for c in sweep.cells
+                         if c.method == method and (k is None or (c.k, c.M) == (k, M)))
+            print(f"{label} failed: {error}")
+            return
+        covered = "" if used == folds.fold_count else f" ({used} of {folds.fold_count} folds)"
+        print(f"{label} mean AUC {sweep.mean_auc(method, k, M):.4f}{covered}")
 
     for k in sweep.k_values:
         for M in sweep.M_values:
-            try:
-                print(f"k={k} M={M} mean AUC {mean(metrics.SCORECARD, k, M)}")
-            except NumericError:
-                error = next(c.error for c in sweep.cells
-                             if c.method == metrics.SCORECARD and (c.k, c.M) == (k, M))
-                print(f"k={k} M={M} failed: {error}")
+            report(f"k={k} M={M}", metrics.SCORECARD, k, M)
     sweep.mean_auc(metrics.SCORECARD)  # raises, so exits 4, when every scorecard cell failed
-    print(f"benchmark lasso_full mean AUC {mean(metrics.LASSO_FULL)}")
-    print(f"benchmark logistic_full mean AUC {mean(metrics.LOGISTIC_FULL)}")
+    report("benchmark lasso_full", metrics.LASSO_FULL)
+    report("benchmark logistic_full", metrics.LOGISTIC_FULL)
     return 0
 
 

@@ -6,12 +6,12 @@ with :func:`encode`, driven by an :class:`EncodingSpec`.  Fold assignments are
 deterministic given ``(n, k, seed)`` and stratified by label when labels are
 supplied.
 
-Every CSV file the package reads goes through one of two readers:
-:func:`read_table`, which yields each row as a list of strings, and
-:func:`read_typed_table`, which parses a whole file into one structured
-numpy array and falls back on :func:`read_table` to place an error.  Every
-CSV file the package writes goes through :func:`write_table`; fitted
-artifacts round-trip through JSON with the :class:`JsonRecord` mixin.
+Every CSV file the package reads has its cells parsed by
+:func:`read_typed_table`, in one ``np.loadtxt`` pass; :func:`read_table`,
+which yields each row as a list of strings, reads headers and places the
+errors that pass cannot.  Every CSV file the package writes goes through
+:func:`write_table`; fitted artifacts round-trip through JSON with the
+:class:`JsonRecord` mixin.
 """
 
 from __future__ import annotations
@@ -397,20 +397,6 @@ def encode(ds: Dataset, spec: EncodingSpec) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _parse_float(text: str, column: str, line: int) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise _NotNumeric()
-    if not math.isfinite(v):
-        raise DataError(f"non-finite value {text!r} in column {column!r}, data row {line}")
-    return v
-
-
-class _NotNumeric(Exception):
-    pass
-
-
 def _csv_records(path) -> Iterator[list[str]]:
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -434,13 +420,15 @@ def _csv_records(path) -> Iterator[list[str]]:
 def read_table(path) -> tuple[list[str], Iterator[list[str]]]:
     """Header and data rows of a UTF-8, comma-separated, headered file.
 
-    One of the two CSV readers, with :func:`read_typed_table`.  A leading
-    byte-order mark is skipped, not read into the first column name.  Rows
-    are read as they are consumed, so a caller that needs only the header
-    reads no further than the first row; the file closes when the rows run
-    out or are dropped.  An unreadable or non-UTF-8 file, an empty file, a
-    file with no data row, and a row whose width differs from the header's
-    each raise :class:`DataError` naming the file.
+    Used for header reads, to place the errors of :func:`read_typed_table`
+    and by the test references; every data cell the package uses comes
+    from :func:`read_typed_table`.  A leading byte-order mark is skipped,
+    not read into the first column name.  Rows are read as they are
+    consumed, so a caller that needs only the header reads no further than
+    the first row; the file closes when the rows run out or are dropped.
+    An unreadable or non-UTF-8 file, an empty file, a file with no data
+    row, and a row whose width differs from the header's each raise
+    :class:`DataError` naming the file.
     """
     records = _csv_records(path)
     header = next(records, None)
@@ -457,10 +445,12 @@ def read_typed_table(path, dtype) -> np.ndarray:
 
     ``dtype`` has a field per column, or a 1-d subarray field per run of
     like columns.  One ``np.loadtxt`` pass parses the numeric fields; an
-    object field holds each cell's text.  The file must pass the checks of
-    :func:`read_table`, with two differences: a number must be one numpy
-    parses (it refuses ``float``'s digit separators, as in ``1_000.5``), and
-    the header must fit on one line.
+    object field, which must be a scalar field, holds each cell's text.  The
+    file must pass the checks of :func:`read_table`, with two differences: a
+    number must be one numpy parses (it refuses ``float``'s digit
+    separators, as in ``1_000.5``), and the header must fit on one line (an
+    all-object ``dtype`` would take the rest of a longer header as a record,
+    so its caller checks the header).
 
     A file numpy refuses, or whose line breaks do not match its records
     (numpy skips blank lines, and a quoted cell may hold a line break), is
@@ -536,22 +526,24 @@ def load_csv(
     """Load a UTF-8, comma-separated, headered table (see :func:`read_table`)
     into a Dataset.
 
-    The label column must take exactly two distinct values; the
+    Every cell is read as text by one :func:`read_typed_table` pass, so a
+    header cell may not hold a line break, and a row of the wrong width is
+    reported before any missing cell.  Missing cells are rejected, not
+    imputed.  The label column must take exactly two distinct values; the
     lexicographically larger raw value maps to 1 unless ``positive_label``
-    overrides it.  The applied mapping is recorded on the Dataset.  Missing
-    cells are rejected, not imputed.  Non-numeric feature columns are stored
-    as category codes and flagged for encoding in ``categorical_levels``.
+    overrides it.  The applied mapping is recorded on the Dataset.  A
+    feature column is numeric when ``float`` parses every cell, and a NaN or
+    infinite cell in it is an error; any other is stored as codes into its
+    sorted levels, flagged for encoding in ``categorical_levels``.
     ``group_column``, when given, must exist and is left out of the
     features; its values are not stored.
     """
-    header, body = read_table(path)
+    header = read_table(path)[0]
     if len(set(header)) != len(header):
         raise DataError(f"{path}: duplicate column names in header")
-    special = {label_column: "label"}
-    if action_column is not None:
-        special[action_column] = "action"
-    if group_column is not None:
-        special[group_column] = "group"
+    if any("\n" in name or "\r" in name for name in header):
+        raise DataError(f"{path}: a header cell holds a line break")
+    special = [col for col in (label_column, action_column, group_column) if col is not None]
     for col in special:
         if col not in header:
             raise DataError(f"{path}: missing column {col!r}")
@@ -563,15 +555,16 @@ def load_csv(
                 "loaded with their dedicated reader, not as features)"
             )
 
-    columns: dict[str, list[str]] = {name: [] for name in header}
-    for i, row in enumerate(body, start=1):
-        for name, cell in zip(header, row):
-            if cell == "":
-                raise DataError(f"{path}: missing value in column {name!r}, data row {i}")
-            columns[name].append(cell)
+    records = read_typed_table(path, [(f"f{j}", object) for j in range(len(header))])
+    cells = np.column_stack([records[name] for name in records.dtype.names])
+    del records  # ``cells`` holds the same strings; this lowers the peak memory
+    missing = np.argwhere(cells == "")
+    if len(missing):
+        i, j = missing[0]
+        raise DataError(f"{path}: missing value in column {header[j]!r}, data row {i + 1}")
 
-    raw_labels = columns[label_column]
-    distinct = sorted(set(raw_labels))
+    raw_labels = cells[:, header.index(label_column)]
+    distinct = np.unique(raw_labels).tolist()
     if len(distinct) != 2:
         raise DataError(
             f"{path}: label column {label_column!r} is not binary "
@@ -584,23 +577,25 @@ def load_csv(
     else:
         one = distinct[1]
     zero = distinct[0] if one == distinct[1] else distinct[1]
-    labels = np.fromiter((1 if v == one else 0 for v in raw_labels), dtype=np.int8)
 
     feature_names: list[str] = []
     cols: list[np.ndarray] = []
     categorical: dict[str, tuple[str, ...]] = {}
-    for name in header:
+    for j, name in enumerate(header):
         if name in special:
             continue
-        cells = columns[name]
         try:
-            vals = [_parse_float(c, name, i + 1) for i, c in enumerate(cells)]
-            cols.append(np.asarray(vals, dtype=float))
-        except _NotNumeric:
-            levels = tuple(sorted(set(cells)))
-            lookup = {v: code for code, v in enumerate(levels)}
-            cols.append(np.asarray([lookup[c] for c in cells], dtype=float))
-            categorical[name] = levels
+            values = cells[:, j].astype(float)  # float() on each cell, as Python parses it
+        except ValueError:
+            levels, codes = np.unique(cells[:, j], return_inverse=True)
+            values = codes.astype(float)
+            categorical[name] = tuple(levels.tolist())
+        else:
+            i = np.argmin(np.isfinite(values))
+            if not np.isfinite(values[i]):
+                raise DataError(f"non-finite value {cells[i, j]!r} in column {name!r}, "
+                                f"data row {i + 1}")
+        cols.append(values)
         feature_names.append(name)
     if not feature_names:
         raise DataError(f"{path}: no feature columns")
@@ -608,8 +603,8 @@ def load_csv(
     return Dataset(
         feature_names=tuple(feature_names),
         rows=np.column_stack(cols),
-        labels=labels,
-        actions=np.asarray(columns[action_column]) if action_column else None,
+        labels=(raw_labels == one).astype(np.int8),
+        actions=cells[:, header.index(action_column)].astype(str) if action_column else None,
         categorical_levels=categorical,
         label_mapping=(zero, one),
     )

@@ -8,7 +8,7 @@ import numpy as np
 
 from .data import Dataset, FoldAssignment, kfold
 from .errors import DataError, NumericError
-from .glm import cv_select_many, fit_logistic, predict_prob
+from .glm import cv_select_many, fit_logistic, linear_predictor, predict_prob
 from .selection import StepFailure, forward_stepwise, selectable_groups
 from .srr import rescale_round
 
@@ -299,8 +299,8 @@ def cv_sweep(
             for M in M_values:
                 try:
                     w = rescale_round(coefs, M)
-                    s_tr = train.rows[:, cols] @ w
-                    s_te = test.rows[:, cols] @ w
+                    s_tr = linear_predictor(0.0, w, train.rows[:, cols])
+                    s_te = linear_predictor(0.0, w, test.rows[:, cols])
                     cell_auc = auc(s_te, y_te)
                     t = best_threshold(s_tr, train.labels)
                     cells.append(

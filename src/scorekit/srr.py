@@ -19,7 +19,7 @@ import numpy as np
 from ._math import round_half_away_from_zero
 from .data import Dataset, FoldAssignment, JsonRecord
 from .errors import DataError
-from .glm import cv_select
+from .glm import cv_select, linear_predictor
 from .selection import SelectionTrace, forward_stepwise
 
 RELEASE = "release"
@@ -75,9 +75,9 @@ class Scorecard(JsonRecord):
 
     def scores(self, X, feature_names) -> np.ndarray:
         """The score of every row of ``X``, whose columns ``feature_names``
-        names: the one place a card meets a covariate matrix."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return X @ self.weight_vector(feature_names)
+        names: the one place a card meets a covariate matrix.  Identical rows
+        get identical scores (see :func:`~scorekit.glm.linear_predictor`)."""
+        return linear_predictor(0.0, self.weight_vector(feature_names), np.atleast_2d(X))
 
     def with_threshold(self, threshold: float) -> "Scorecard":
         return replace(self, threshold=float(threshold))

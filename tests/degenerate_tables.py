@@ -4,7 +4,8 @@ Each table is CSV text with feature columns and a 0/1 label column ``y``.
 It carries one or more of the hazards the fits must survive: a duplicated
 column, the complement of a 0/1 column, a constant column, fewer rows than
 columns, labels that a column separates perfectly, 1-2% positives, a column
-on the 1e6 scale and duplicated rows.
+on the 1e6 scale and duplicated rows.  :func:`with_actions` adds the
+action column the policy commands need.
 """
 
 import numpy as np
@@ -63,6 +64,14 @@ def degenerate_table(hazards, seed):
     lines = [",".join(names + ["y"])]
     lines += [",".join([*(repr(float(v)) for v in row), str(label)]) for row, label in zip(X, y)]
     return "\n".join(lines) + "\n"
+
+
+def with_actions(text, seed):
+    """``text`` with an ``action`` column appended, each cell ``release`` or
+    ``withhold`` drawn from ``seed``: a table the policy commands read."""
+    header, *rows = text.splitlines()
+    actions = np.random.default_rng(seed).choice(["release", "withhold"], size=len(rows))
+    return "\n".join([f"{header},action", *map(",".join, zip(rows, actions))]) + "\n"
 
 
 def degenerate_tables(seed, combined=6):

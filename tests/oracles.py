@@ -4,7 +4,7 @@ Everything here is deliberately slow and, but for one, structurally
 unrelated to the library's own algorithms: bracket-shrinking maximization
 instead of IRLS, coordinate descent instead of feature-sign active-set
 solves, O(n^2) pair counting instead of rank sums, bisection instead of
-closed forms, a row-by-row CSV loop instead of one typed parse.  The
+closed forms, row-by-row CSV loops instead of one typed parse.  The
 exception is forward selection, whose reference fits one candidate at a
 time where the library fits a step's candidates as one batch.  Tests
 compare the fast paths against these.
@@ -16,7 +16,7 @@ from statistics import NormalDist
 import numpy as np
 
 from scorekit import glm
-from scorekit.data import read_table
+from scorekit.data import RESERVED_PREFIX, Dataset, read_table
 from scorekit.errors import DataError, NumericError
 from scorekit.policy import RELEASE, WITHHOLD, CaseTable
 from scorekit.selection import SelectionTrace, selectable_groups
@@ -303,3 +303,75 @@ def load_cohort_rows(path):
         column_groups=_infer_groups(names),
     )
     return SyntheticCohort(table=table, u=u, judges=np.array(judges))
+
+
+def load_csv_rows(path, label_column, action_column=None, group_column=None, positive_label=None):
+    """CSV table read row by row with ``float`` on each cell: the reference
+    for ``data.load_csv``'s single typed parse.  It keeps two orders that
+    the typed parse does not: a missing cell is reported before a later
+    row's width error, and a column's cells are parsed in order, so a
+    non-finite cell ahead of a text cell is an error, not a category.  It
+    also reads a header cell holding a line break, which ``load_csv``
+    refuses."""
+    header, body = read_table(path)
+    if len(set(header)) != len(header):
+        raise DataError(f"{path}: duplicate column names in header")
+    special = [c for c in (label_column, action_column, group_column) if c is not None]
+    for col in special:
+        if col not in header:
+            raise DataError(f"{path}: missing column {col!r}")
+    for col in header:
+        if col.startswith(RESERVED_PREFIX) and col not in special:
+            raise DataError(
+                f"{path}: column {col!r} uses the reserved {RESERVED_PREFIX!r} prefix "
+                "(bookkeeping columns such as stored potential outcomes must be "
+                "loaded with their dedicated reader, not as features)"
+            )
+    columns = {name: [] for name in header}
+    for i, row in enumerate(body, start=1):
+        for name, cell in zip(header, row):
+            if cell == "":
+                raise DataError(f"{path}: missing value in column {name!r}, data row {i}")
+            columns[name].append(cell)
+
+    raw_labels = columns[label_column]
+    distinct = sorted(set(raw_labels))
+    if len(distinct) != 2:
+        raise DataError(f"{path}: label column {label_column!r} is not binary "
+                        f"({len(distinct)} distinct values)")
+    if positive_label is not None:
+        if positive_label not in distinct:
+            raise DataError(f"{path}: positive_label {positive_label!r} not among {distinct}")
+        one = positive_label
+    else:
+        one = distinct[1]
+    zero = distinct[0] if one == distinct[1] else distinct[1]
+
+    names, cols, categorical = [], [], {}
+    for name in header:
+        if name in special:
+            continue
+        values = []
+        for i, cell in enumerate(columns[name], start=1):
+            try:
+                value = float(cell)
+            except ValueError:
+                levels = tuple(sorted(set(columns[name])))
+                values = [levels.index(c) for c in columns[name]]
+                categorical[name] = levels
+                break
+            if not math.isfinite(value):
+                raise DataError(f"non-finite value {cell!r} in column {name!r}, data row {i}")
+            values.append(value)
+        names.append(name)
+        cols.append(values)
+    if not names:
+        raise DataError(f"{path}: no feature columns")
+    return Dataset(
+        feature_names=tuple(names),
+        rows=np.array(cols, dtype=float).T,
+        labels=[int(v == one) for v in raw_labels],
+        actions=np.array(columns[action_column]) if action_column else None,
+        categorical_levels=categorical,
+        label_mapping=(zero, one),
+    )

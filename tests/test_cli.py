@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import scorekit
-from degenerate_tables import degenerate_tables
+from degenerate_tables import degenerate_tables, with_actions
 from scorekit import cli, data, srr, synth
 
 
@@ -354,21 +354,37 @@ class TestAdversarialInput:
 
 class TestDegenerateTables:
     """Every table of the seeded degenerate-table generator ends in a
-    documented exit code: 0, 3 (data error) or 4 (numerical failure)."""
+    documented exit code: 0, 3 (data error) or 4 (numerical failure).  The
+    policy commands read each table with a seeded ``action`` column."""
 
     TABLES = dict(degenerate_tables(seed=0))
+    POLICY_COMMANDS = ("policy-eval", "sensitivity-sweep")
+    SIZES = {
+        "train": ["--k", "2", "--M", "3", "--folds", "3", "--n-lambda", "10"],
+        "evaluate": ["--k-values", "1-3", "--folds", "3", "--inner-folds", "3", "--n-lambda", "10"],
+        **dict.fromkeys(POLICY_COMMANDS, ["--action", "action", "--k", "2", "--M", "3",
+                                          "--inner-folds", "3", "--n-lambda", "10"]),
+    }
+    # logistic_full is exactly singular on every fold of these; evaluate reports
+    # the failed benchmark and succeeds, since not every scorecard cell failed
+    SUCCEED = {("evaluate", "duplicated_column"), ("evaluate", "complement_column")}
 
     @pytest.mark.parametrize("name", list(TABLES))
-    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("command", list(SIZES))
     def test_exit_code_without_traceback(self, tmp_path, capsys, command, name):
         path = tmp_path / "input.csv"
-        path.write_text(self.TABLES[name], encoding="utf-8")
-        sizes = (["--k", "2", "--M", "3", "--folds", "3", "--n-lambda", "10"] if command == "train"
-                 else ["--k-values", "1-3", "--folds", "3", "--inner-folds", "3", "--n-lambda", "10"])
-        code = run(command, "--input", str(path), "--label", "y", *sizes, "--output-dir", str(tmp_path))
-        err = capsys.readouterr().err
+        text = self.TABLES[name]
+        if command in self.POLICY_COMMANDS:
+            text = with_actions(text, seed=0)
+        path.write_text(text, encoding="utf-8")
+        code = run(command, "--input", str(path), "--label", "y", *self.SIZES[command],
+                   "--output-dir", str(tmp_path))
+        out, err = capsys.readouterr()
         assert code in (0, 3, 4), err
         assert "Traceback" not in err
+        if (command, name) in self.SUCCEED:
+            assert code == 0, err
+            assert "benchmark logistic_full failed: singular weighted normal equations" in out
 
 
 class TestSynthGen:

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import load_csv_rows
 from scorekit import data
 from scorekit.errors import DataError
 
@@ -92,6 +93,92 @@ class TestLoadCsv:
         assert np.array_equal(ds.labels, [1, 0, 0])
         assert np.array_equal(ds.actions, ["release", "withhold", "release"])
         assert ds.categorical_levels == {"color": ("blue", "red")}
+
+
+def loaded(loader, path, **columns):
+    """Everything a loader returns for ``path``, or its error message."""
+    try:
+        ds = loader(path, label_column="y", **columns)
+    except DataError as exc:
+        return str(exc)
+    actions = None if ds.actions is None else (ds.actions.tolist(), ds.actions.dtype)
+    return (ds.feature_names, ds.rows.tolist(), ds.labels.tolist(), actions,
+            ds.categorical_levels, ds.label_mapping)
+
+
+# text -> (action column, group column); edge cases of the csv module's
+# reading, of float()'s parsing and of each error the loader raises
+REFERENCE_TEXTS = {
+    'a,b,y\n"1,5",x,0\n2,"z,w",1\n': (None, None),
+    'a,y\n"say ""hi""",0\nplain,1\n': (None, None),
+    "a,b,y\r\n1,2,0\r\n3,4,1\r\n": (None, None),
+    "a,b,y\r1,2,0\r3,4,1\r": (None, None),
+    "a,b,y\r1,2,0\r3,4,1": (None, None),
+    "\ufeffa,b,y\n1,2,0\n3,4,1\n": (None, None),
+    'a,note,y\n1,"two\nlines",0\n2,"cr\r\nlf",1\n3,one,0\n': (None, None),
+    "a,b,y\n# 1,#,0\n2,#x,1\n": (None, None),
+    "a,y\n1,0\n2,1\n\n": (None, None),
+    "a,b,y\n1,2,0\n3,1\n": (None, None),
+    "a,y\n1,0,5\n2,1\n": (None, None),
+    "a,y\n1_000.5,0\n2,1\n": (None, None),
+    "a,y\n 2.5 ,0\n-3e2,1\n": (None, None),
+    "a,y\n1,0\n1e400,1\n": (None, None),
+    "a,y\nnan,0\n2,1\n": (None, None),
+    "a,b,y\n1,2,0\n3,-inf,1\n": (None, None),
+    "a,y\n1,0\nred,1\n2,0\n": (None, None),
+    "a,y\nred,0\nnan,1\n": (None, None),
+    "a,b,y\n1,,0\n,2,1\n": (None, None),
+    "a,y\n1,\n2,1\n": (None, None),
+    "a,y\n1,0\n2,1\n3,2\n": (None, None),
+    "a,y\n1,1\n2,1\n": (None, None),
+    "y,a,act,g\nno,1.5,hold,j1\nyes,2,free,j2\nno,3,hold,j1\n": ("act", "g"),
+    "a,act,y\n1,x,0\n2,x,1\n": ("act", None),
+    "act,y\nx,0\nz,1\n": ("act", None),
+    "a,y,__hidden\n1,0,1\n2,1,0\n": (None, None),
+    "a,a,y\n1,2,0\n3,4,1\n": (None, None),
+    "a,y\n1,0\n2,1\n": ("act", None),
+}
+
+
+class TestLoadCsvReference:
+    """``load_csv`` against ``oracles.load_csv_rows``, the per-cell loader it
+    replaced: the same Dataset or the same error message."""
+
+    @pytest.mark.parametrize("text", list(REFERENCE_TEXTS))
+    def test_matches_the_per_cell_reader(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        action, group = REFERENCE_TEXTS[text]
+        columns = {"action_column": action, "group_column": group}
+        assert loaded(data.load_csv, path, **columns) == loaded(load_csv_rows, path, **columns)
+
+    def test_positive_label_and_non_utf8(self, tmp_path):
+        path = write(tmp_path, "a,y\n1,no\n2,yes\n")
+        for positive in ("no", "maybe"):
+            assert (loaded(data.load_csv, path, positive_label=positive)
+                    == loaded(load_csv_rows, path, positive_label=positive))
+        path.write_bytes("a,y\nMálaga,0\nCádiz,1\n".encode("latin-1"))
+        assert loaded(data.load_csv, path) == loaded(load_csv_rows, path)
+
+    def test_a_column_is_numeric_only_when_every_cell_parses(self, tmp_path):
+        # the per-cell reader stops at the NaN before it reaches the text cell
+        path = write(tmp_path, "a,y\nnan,0\nred,1\n")
+        assert loaded(load_csv_rows, path) == "non-finite value 'nan' in column 'a', data row 1"
+        ds = data.load_csv(path, label_column="y")
+        assert ds.categorical_levels == {"a": ("nan", "red")}
+        assert ds.rows.tolist() == [[0.0], [1.0]]
+
+    def test_a_width_error_comes_before_an_earlier_missing_cell(self, tmp_path):
+        path = write(tmp_path, "a,y\n,0\n2,1\n3\n")
+        assert loaded(load_csv_rows, path) == f"{path}: missing value in column 'a', data row 1"
+        assert loaded(data.load_csv, path) == f"{path}: line 4 has 1 fields, expected 2"
+
+    def test_a_header_cell_holding_a_line_break_is_refused(self, tmp_path):
+        path = write(tmp_path, 'a,"b\nc",y\n1,2,0\n3,4,1\n')
+        with pytest.raises(DataError, match="a header cell holds a line break") as info:
+            data.load_csv(path, label_column="y")
+        assert str(path) in str(info.value)
+        assert loaded(load_csv_rows, path)[0] == ("a", "b\nc")
 
 
 AGE_BINS = data.Bins(

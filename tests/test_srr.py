@@ -91,6 +91,22 @@ class TestScoreDecide:
         assert srr.score(TABLE_CARD, x) == 10
         assert srr.decide(TABLE_CARD, x) == srr.RELEASE
 
+    def test_identical_rows_score_identically(self):
+        # ``X @ w`` (BLAS gemv) may round a row by its position in the matrix:
+        # on a Haswell OpenBLAS it splits the duplicated row of 2 of these 200
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n, p = int(rng.integers(5, 60)), int(rng.integers(2, 12))
+            X = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-2, 4, size=p)
+            i, j = rng.choice(n, 2, replace=False)
+            X[j] = X[i]
+            names = tuple(f"x{c}" for c in range(p))
+            weights = rng.integers(-3, 4, p).tolist()
+            card = srr.Scorecard(entries=tuple(zip(names, weights)), weight_bound=3,
+                                 feature_budget=p)
+            scores = card.scores(X, names)
+            assert scores[i] == scores[j], seed
+
     def test_empty_scorecard_scores_zero(self):
         card = srr.Scorecard(entries=(), weight_bound=3, feature_budget=1)
         assert srr.score(card, {}) == 0

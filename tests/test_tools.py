@@ -4,7 +4,10 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
+
+from scorekit import data
 
 TOOL = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "cli_digests.py")
 
@@ -133,3 +136,19 @@ def test_n_below_p_table_is_the_cli_tests_table(digests, tmp_path):
     digests.write_n_below_p_csv(str(tmp_path / "n_below_p.csv"))
     text = (tmp_path / "n_below_p.csv").read_text(encoding="utf-8")
     assert text == _adversarial_input("n-below-p")
+
+
+def test_categorical_heart_encodes_as_the_heart_table(digests, tmp_path):
+    def design(table, encoding):
+        ds = data.load_csv(table, label_column="disease")
+        with open(encoding, encoding="utf-8") as fh:
+            return ds, data.encode(ds, data.EncodingSpec.from_json(fh.read()))
+
+    digests.write_categorical_heart(str(tmp_path))
+    raw, text = design(*(tmp_path / name for name in digests.HEART_CATEGORICAL))
+    assert raw.categorical_levels == {"thal": ("fixed", "normal", "reversible")}
+    _, codes = design(digests.HEART_CSV, digests.HEART_ENCODING)
+    rename = {"thal_6": "thal_fixed", "thal_7": "thal_reversible"}
+    assert text.feature_names == tuple(rename.get(n, n) for n in codes.feature_names)
+    assert np.array_equal(text.rows, codes.rows)
+    assert np.array_equal(text.labels, codes.labels)

@@ -28,6 +28,10 @@ Runs, in one process and into subdirectories of OUTDIR:
 - ``train`` on the bundled heart table (``train/``), and again with
   ``--threshold 1.5``, so the card's release line and its stored threshold
   are covered (``train_threshold/``)
+- ``train`` on ``heart_categorical.csv``, the heart table with its ``thal``
+  codes written as text (``normal``, ``fixed``, ``reversible``), with a
+  one-hot spec over those levels, so a text category is read and encoded
+  (``train_categorical/``)
 
 After the runs, the seed-0 cohort is loaded and written back out
 (``synth0/cohort_roundtrip.csv``); the run exits 1 unless its sha256 equals
@@ -79,6 +83,8 @@ HEART_ENCODING = os.path.join(REPO, "perfbench", "heart_encoding.json")
 DECISIONS = "decisions.csv"
 COMPLEMENT = "complement.csv"
 N_BELOW_P = "n_below_p.csv"
+HEART_CATEGORICAL = ("heart_categorical.csv", "heart_categorical_encoding.json")
+THAL_LEVELS = {"3": "normal", "6": "fixed", "7": "reversible"}
 ROUND_TRIP = "synth0/cohort_roundtrip.csv"
 TOLERANCE = 1e-6
 CARD_FLOATS = ("raw_coefficients", "intercept", "scaling", "step_deviance")
@@ -121,6 +127,10 @@ def runs(out: str, heart: list[str]) -> list[tuple[list[str], list[str]]]:
         (["train", *heart, "--k", "5", "--M", "3", "--folds", "5", "--n-lambda", "20",
           "--threshold", "1.5", "--output-dir", f"{out}/train_threshold"],
          ["train_threshold/scorecard.txt", "train_threshold/scorecard.json"]),
+        (["train", "--input", f"{out}/{HEART_CATEGORICAL[0]}", "--label", "disease",
+          "--encoding", f"{out}/{HEART_CATEGORICAL[1]}", "--k", "5", "--M", "3", "--folds", "5",
+          "--n-lambda", "20", "--output-dir", f"{out}/train_categorical"],
+         ["train_categorical/scorecard.txt", "train_categorical/scorecard.json"]),
     ]
 
 
@@ -140,6 +150,27 @@ def write_decision_csv(cohort: str, path: str) -> None:
         for row in rows:
             decision = {"release": "ROR", "withhold": "BAIL"}[row[p]]
             writer.writerow(row[:p] + [row[p + 1], decision, row[p + 2]])
+
+
+def write_categorical_heart(out: str) -> None:
+    """The heart table and its encoding, with ``thal`` as text: each code
+    becomes its ``THAL_LEVELS`` name, and the one-hot directive lists those
+    names with ``normal`` (code 3) as the reference.  Only the csv and json
+    modules touch the files, so every version of the package reads the same
+    ones."""
+    with open(HEART_CSV, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    j = header.index("thal")
+    with open(os.path.join(out, HEART_CATEGORICAL[0]), "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([header] + [
+            row[:j] + [THAL_LEVELS[row[j]]] + row[j + 1:] for row in rows
+        ])
+    with open(HEART_ENCODING, encoding="utf-8") as fh:
+        spec = json.load(fh)
+    spec["columns"]["thal"] = {"type": "one_hot", "categories": list(THAL_LEVELS.values()),
+                               "reference": THAL_LEVELS["3"]}
+    with open(os.path.join(out, HEART_CATEGORICAL[1]), "w", encoding="utf-8") as fh:
+        json.dump(spec, fh, indent=2)
 
 
 def write_complement_csv(path: str) -> None:
@@ -285,6 +316,7 @@ def main(argv: list[str]) -> int:
     shutil.copyfile(HEART_ENCODING, os.path.join(out, "heart_encoding.json"))
     write_complement_csv(os.path.join(out, COMPLEMENT))
     write_n_below_p_csv(os.path.join(out, N_BELOW_P))
+    write_categorical_heart(out)
     heart = ["--input", f"{out}/heart.csv", "--label", "disease",
              "--encoding", f"{out}/heart_encoding.json"]
     for args, files in runs(out, heart):
