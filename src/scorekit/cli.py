@@ -233,6 +233,20 @@ def _load_cohort_or_cases(args) -> policy.CaseTable:
     return policy.cases_from_dataset(ds, release_value=args.release_value)
 
 
+def _check_inner_folds(inner_folds: int, labels, where: str) -> None:
+    """A DataError unless each outcome class of ``labels`` has at least
+    ``inner_folds`` members: the stratified inner folds deal each class
+    round-robin, so then every inner fold holds both classes."""
+    counts = np.bincount(np.asarray(labels, dtype=int), minlength=2)
+    if counts.min() < inner_folds:
+        fix = (f"use --inner-folds {counts.min()} or fewer" if counts.min() >= 2
+               else "no --inner-folds value can work")
+        raise DataError(
+            f"{where} hold {counts[1]} positive and {counts[0]} negative outcomes, too few "
+            f"for --inner-folds {inner_folds}, which needs {inner_folds} of each; {fix}"
+        )
+
+
 def _policy_setup(args):
     """The shared set-up of the policy commands.
 
@@ -258,6 +272,8 @@ def _policy_setup(args):
     if np.count_nonzero(construct.released) < 20:
         raise DataError("too few released cases in the construction fold")
     rule_ds = construct.released_dataset()
+    _check_inner_folds(args.inner_folds, rule_ds.labels, "the construction fold's released cases")
+    _check_inner_folds(args.inner_folds, surf_sub.outcomes, "the surface fold's cases")
     lam_folds = data.kfold(rule_ds.n, args.inner_folds, seed=args.seed + 1, labels=rule_ds.labels)
     card = srr.build_scorecard(
         rule_ds, k=args.k, M=args.M, folds_for_lambda=lam_folds, n_lambda=args.n_lambda

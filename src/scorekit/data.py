@@ -448,9 +448,9 @@ def read_typed_table(path, dtype) -> np.ndarray:
     object field, which must be a scalar field, holds each cell's text.  The
     file must pass the checks of :func:`read_table`, with two differences: a
     number must be one numpy parses (it refuses ``float``'s digit
-    separators, as in ``1_000.5``), and the header must fit on one line (an
-    all-object ``dtype`` would take the rest of a longer header as a record,
-    so its caller checks the header).
+    separators, as in ``1_000.5``), and no header cell may hold a line break
+    (an all-object ``dtype`` would take the rest of a longer header as a
+    record, and a numeric one would report a cell of it).
 
     A file numpy refuses, or whose line breaks do not match its records
     (numpy skips blank lines, and a quoted cell may hold a line break), is
@@ -460,6 +460,8 @@ def read_typed_table(path, dtype) -> np.ndarray:
     A refusal it cannot place raises :class:`DataError` naming the file.
     """
     dtype = np.dtype(dtype)
+    if any("\n" in name or "\r" in name for name in read_table(path)[0]):
+        raise DataError(f"{path}: a header cell holds a line break")
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -541,8 +543,6 @@ def load_csv(
     header = read_table(path)[0]
     if len(set(header)) != len(header):
         raise DataError(f"{path}: duplicate column names in header")
-    if any("\n" in name or "\r" in name for name in header):
-        raise DataError(f"{path}: a header cell holds a line break")
     special = [col for col in (label_column, action_column, group_column) if col is not None]
     for col in special:
         if col not in header:

@@ -1,25 +1,21 @@
-"""Logistic regression solvers.
+"""Logistic regression solvers: one batched proximal-Newton engine.
 
-Two fitting routes, each batched: unregularized maximum likelihood via
-iteratively reweighted least squares (:func:`fit_logistic_many`, whose
-batch of one is :func:`fit_logistic`), and an L1-regularized path
-(:func:`fit_lasso_path`) with cross-validated penalty selection
-(:func:`cv_select_many`, whose one-set case is :func:`cv_select`).  A batch
-of IRLS fits takes one stacked solve per iteration for every fit still
-moving, its narrower designs padded with zero columns held at zero.  Each
-proximal-Newton step of the path solves its small quadratic subproblem
-exactly by feature-sign descent: linear solves on the active set, steps
-that stop where a coefficient crosses zero, and moves along a null
-direction where active columns are dependent.  Its gradient is exact and
-its weighted Gram rebuilt only once the iterate has moved, so a settled
-point meets the KKT conditions without a line search.  ``cv_select_many``
-fits the full-data path and every fold's path of every column set as one
-batch: each active-set round is one stacked solve per column set for its
-problems still moving, each at its own set's penalty, and a single path is
-the batch of one.
+:func:`_fit_paths` fits the L1-penalized logistic paths of many (row set,
+column set) problems as one batch.  The lasso path (:func:`fit_lasso_path`),
+cross-validated penalty selection (:func:`cv_select_many`, whose one-set case
+is :func:`cv_select`) and unpenalized maximum likelihood
+(:func:`fit_logistic_many`, whose batch of one is :func:`fit_logistic`) are
+all its problems, the last on the penalty grid [0], where proximal Newton is
+Newton.  Each step solves its quadratic subproblem exactly: at a positive
+penalty by feature-sign descent (linear solves on the active set, steps that
+stop where a coefficient crosses zero, and moves along a null direction
+where active columns are dependent), at penalty 0 by one stacked linear
+solve.  Its gradient is exact and its weighted Gram rebuilt only once the
+iterate has moved, so a settled point meets the KKT conditions without a
+line search.
 
-The lasso standardizes features internally for penalization and reports
-coefficients on the original scale; the intercept is never penalized.
+Features are standardized internally and coefficients reported on the
+original scale; the intercept is never penalized.
 """
 
 from __future__ import annotations
@@ -33,9 +29,9 @@ from .data import FoldAssignment, JsonRecord
 from .errors import DataError, NumericError
 
 # |linear predictor| beyond this means fitted probabilities within ~3e-7 of
-# 0/1; an unconverged fit drifting past it is treated as (quasi-)complete
-# separation.  Convergence is checked first, so a genuinely converged steep
-# fit is never flagged.
+# 0/1; an unpenalized fit still moving past it is treated as
+# (quasi-)complete separation.  Convergence is checked first, so a genuinely
+# converged steep fit is never flagged.
 DIVERGENCE_BOUND = 15.0
 
 _MIN_WEIGHT = 1e-6
@@ -75,34 +71,23 @@ def _check_xy(X, y):
     return X, y
 
 
-# stacked (fit x column x row) cells of one IRLS block: bounds each of the
-# block's design arrays to 1 MiB unless a single fit is larger
-_IRLS_BLOCK = 1 << 17
-
-_SEPARATION = (
-    "quasi-complete separation detected: coefficients diverging, "
-    f"fitted log-odds exceeded +-{DIVERGENCE_BOUND:g}; "
-    "the MLE does not exist for these data"
-)
-
-
 def fit_logistic(
-    X,
-    y,
-    max_iter: int = 100,
-    tol: float = 1e-7,
-    on_divergence: str = "error",
+    X, y, max_iter: int = 100, tol: float = 1e-7, on_divergence: str = "error"
 ) -> GlmFit:
-    """Maximum-likelihood logistic fit via IRLS with step-halving.
+    """Maximum-likelihood logistic fit by Newton's method: the lasso path at
+    the one penalty 0, as the batch of one of :func:`fit_logistic_many`.
 
-    The log-likelihood is non-decreasing across iterations.  If the fitted
-    log-odds drift past ``DIVERGENCE_BOUND`` the data are (quasi-)completely
-    separated and the MLE does not exist; by default this raises,
-    ``on_divergence="clamp"`` instead returns the (unconverged) fit at the
-    point the bound was hit, which is what forward selection uses to rank a
-    perfectly separating candidate.  A column that does not vary (the rule
-    of :func:`_varying`, shared with the lasso) gets coefficient 0.  The fit
-    is the batch of one of :func:`fit_logistic_many`.
+    From every coefficient at 0 it takes full Newton steps, with no
+    step-halving, until no coefficient moves by ``tol`` on the standardized
+    scale, within ``max_iter`` steps.  A design whose first weighted Gram
+    has smallest eigenvalue at most ``_RESIDUAL_FLOOR`` times its largest is
+    rank-deficient and raises.  A fit still moving once its fitted log-odds
+    pass ``DIVERGENCE_BOUND`` has met (quasi-)complete separation, where the
+    MLE does not exist: by default this raises, and
+    ``on_divergence="clamp"`` returns that iterate, unconverged, which is
+    how forward selection ranks a perfectly separating candidate.  A column
+    that does not vary (the rule of :func:`_varying`, shared with the lasso)
+    gets coefficient 0.
     """
     (fit,) = fit_logistic_many(X, y, [None], max_iter, tol, on_divergence)
     if isinstance(fit, NumericError):
@@ -111,150 +96,52 @@ def fit_logistic(
 
 
 def fit_logistic_many(
-    X,
-    y,
-    column_sets,
-    max_iter: int = 100,
-    tol: float = 1e-7,
-    on_divergence: str = "error",
+    X, y, column_sets, max_iter: int = 100, tol: float = 1e-7, on_divergence: str = "error"
 ) -> list:
     """:func:`fit_logistic` of ``y`` on each column subset of ``X``, as one batch.
 
     Fit s regresses ``y`` on the columns ``column_sets[s]`` of ``X``
     (``None`` for every column), which are its coefficients' order.  The
-    fits run in order of width, in blocks of at most ``_IRLS_BLOCK`` stacked
-    cells (or of one fit): each fit's design ``[1, X[:, varying columns]]``
-    is padded with zero columns to the block's widest, and an identity row
-    and column of the stacked Hessian hold each padding coefficient at
-    exactly zero, so each iteration is one stacked solve for every fit still
-    moving.  Step-halving, convergence and the divergence stop are decided
-    per fit.  Returns, per set, its :class:`GlmFit` or the
-    :class:`NumericError` its fit met: an exactly singular or non-finite
-    weighted least-squares system, or divergence when ``on_divergence`` is
-    ``"error"``.
+    fits are the problems of one :func:`_fit_paths` call on the grid [0],
+    each on its columns that vary, so each outer step of the fits still
+    moving is one stacked Newton solve.  Each keeps the rules of
+    :func:`fit_logistic`: it starts at 0, takes full steps, stops below
+    ``tol`` on the standardized scale, and is unfittable when its design is
+    rank-deficient or, with ``on_divergence="error"``, once it diverges.
+    Returns, per set, its :class:`GlmFit` or the :class:`NumericError` its
+    fit met.
     """
     if on_divergence not in ("error", "clamp"):
         raise ValueError("on_divergence must be 'error' or 'clamp'")
     X, y = _check_xy(X, y)
-    n, p = X.shape
-    # a constant column would copy the intercept and make the normal
-    # equations singular
+    p = X.shape[1]
+    # a constant column would copy the intercept; it stays out, at coefficient 0
     live = _varying(X.mean(axis=0), X.std(axis=0))
     sets = [np.arange(p) if cols is None else np.asarray(cols, dtype=int) for cols in column_sets]
+    if not sets:
+        return []
     fitted = [cols[live[cols]] for cols in sets]
-    # row 0 holds the intercept's ones, row p + 1 the zeros that pad a narrow fit
-    rows = np.concatenate([np.ones((1, n)), X.T, np.zeros((1, n))])
-    blocks: list[list[int]] = []
-    for s in sorted(range(len(sets)), key=lambda s: len(fitted[s])):
-        # fits in order of width; a block is padded to its last, widest fit
-        if not blocks or (len(blocks[-1]) + 1) * n * (len(fitted[s]) + 1) > _IRLS_BLOCK:
-            blocks.append([])
-        blocks[-1].append(s)
-    fits: list = [None] * len(sets)
-    for block in blocks:
-        index = np.full((len(block), len(fitted[block[-1]]) + 1), p + 1)
-        index[:, 0] = 0
-        for j, s in enumerate(block):
-            index[j, 1 : 1 + len(fitted[s])] = fitted[s] + 1
-        clamp = on_divergence == "clamp"
-        for s, fit in zip(block, _irls(rows[index], index > p, y, max_iter, tol, clamp)):
-            fits[s] = fit
-    out = []
-    for cols, fit in zip(sets, fits):
-        if isinstance(fit, NumericError):
-            out.append(fit)
-            continue
-        beta, converged, iterations, ll = fit
-        coefs = np.zeros(len(cols))
-        coefs[live[cols]] = beta[1 : 1 + live[cols].sum()]
-        try:
-            out.append(GlmFit(float(beta[0]), coefs, converged, iterations, float(ll)))
-        except NumericError as exc:
-            out.append(exc)
-    return out
-
-
-def _irls(D, pad, y, max_iter, tol, clamp) -> list:
-    """IRLS with step-halving on a block of transposed designs ``D`` (fits x
-    columns x rows) whose columns marked in ``pad`` are zero.  Each fit's
-    products are those of a lone fit on its own column-major design.
-
-    Returns, per fit, ``(coefficients, converged, iterations,
-    log-likelihood)`` or its :class:`NumericError`.
-    """
-    B, w, n = D.shape
-    out: list = [None] * B
-    pad_eye = np.eye(w) * pad[:, None, :]
-    beta = np.zeros((B, w))
-    eta = np.zeros((B, n))
-    ll = log_likelihood_bernoulli(eta, y)
-    order = np.arange(B)  # the fits still iterating, in block order
-    for it in range(1, max_iter + 1):
-        prob = expit(eta)
-        wt = np.maximum(prob * (1.0 - prob), _MIN_WEIGHT)
-        z = eta + (y - prob) / wt
-        WD = D * wt[:, None, :]
-        H = D @ WD.transpose(0, 2, 1) + pad_eye
-        g = WD @ z[:, :, None]
-        try:
-            new_beta = np.linalg.solve(H, g)[:, :, 0]
-        except np.linalg.LinAlgError:  # an exactly singular system sinks the stack
-            new_beta = np.empty((len(order), w))
-            for j in range(len(order)):
-                try:
-                    new_beta[j] = np.linalg.solve(H[j], g[j])[:, 0]
-                except np.linalg.LinAlgError:
-                    out[order[j]] = NumericError(
-                        "singular weighted normal equations (exactly collinear columns?)"
-                    )
-                    new_beta[j] = 0.0
-        for j in np.flatnonzero(~np.isfinite(new_beta).all(axis=1)):
-            out[order[j]] = NumericError("weighted least squares produced non-finite coefficients")
-        failed = np.array([out[k] is not None for k in order], dtype=bool)
-        new_beta[failed] = beta[failed]  # a failed fit stands still until it leaves
-
-        # step-halving keeps the log-likelihood non-decreasing
-        step = new_beta - beta
-        factor = np.ones(len(order))
-        cand = beta + step
-        cand_eta = (D.transpose(0, 2, 1) @ cand[:, :, None])[:, :, 0]
-        cand_ll = log_likelihood_bernoulli(cand_eta, y)
-        short = ~(cand_ll >= ll - 1e-12)
-        for _ in range(29):  # 30 tries in all; a fit short after them takes the last
-            if not short.any():
-                break
-            j = np.flatnonzero(short)
-            factor[j] /= 2.0
-            cand[j] = beta[j] + factor[j, None] * step[j]
-            cand_eta[j] = (D[j].transpose(0, 2, 1) @ cand[j, :, None])[:, :, 0]
-            cand_ll[j] = log_likelihood_bernoulli(cand_eta[j], y)
-            short[j] = ~(cand_ll[j] >= ll[j] - 1e-12)
-        factor[short] /= 2.0
-        delta = np.max(np.abs(factor[:, None] * step), axis=1)
-        beta, eta, ll = cand, cand_eta, cand_ll
-
-        done = delta < tol
-        diverged = ~done & (np.max(np.abs(eta), axis=1) > DIVERGENCE_BOUND)
-        for j in np.flatnonzero(done | diverged):
-            if out[order[j]] is None:
-                out[order[j]] = (
-                    NumericError(_SEPARATION) if diverged[j] and not clamp
-                    else (beta[j], bool(done[j]), it, ll[j])
-                )
-        keep = np.array([out[k] is None for k in order], dtype=bool)
-        if not keep.all():
-            order, D, pad_eye, beta, eta, ll = (
-                a[keep] for a in (order, D, pad_eye, beta, eta, ll)
-            )
-        if not order.size:
-            break
-    for j, k in enumerate(order):
-        out[k] = (beta[j], False, max_iter, ll[j])
-    return out
+    paths, stops = _fit_paths(X, y, [None], fitted, [0.0], tol=tol, max_outer=max_iter)
+    errors = {"singular": "singular weighted normal equations (exactly collinear columns?)"}
+    if on_divergence == "error":
+        errors["diverged"] = (
+            "quasi-complete separation detected: coefficients diverging, fitted log-odds "
+            f"exceeded +-{DIVERGENCE_BOUND:g}; the MLE does not exist for these data"
+        )
+    b0 = np.array([path.intercepts[0] for (path,) in paths])
+    coefs = np.zeros((len(sets), p))  # each fit's coefficients on every column
+    for s, (varying, (path,)) in enumerate(zip(fitted, paths)):
+        coefs[s, varying] = path.coefficients[0]
+    ll = log_likelihood_bernoulli(b0[:, None] + coefs @ X.T, y)
+    return [
+        NumericError(errors[stop]) if stop in errors
+        else GlmFit(float(b0[s]), coefs[s, cols], bool(path.converged[0]), steps, float(ll[s]))
+        for s, (cols, (path,), ((steps, stop),)) in enumerate(zip(sets, paths, stops))
+    ]
 
 
 # ---------------------------------------------------------------------------
-# L1-regularized path
+# Penalized paths: the engine
 # ---------------------------------------------------------------------------
 
 
@@ -368,7 +255,8 @@ def _varying(mean, sd):
 # one that still misses is inconsistent.  An inactive feature enters only
 # when its gradient exceeds lam by more than this: a copy of an active column
 # exceeds it by rounding alone, and admitting it would swap the two copies
-# back and forth at no gain.
+# back and forth at no gain.  A penalty-0 problem is rank-deficient when its
+# first Gram's smallest eigenvalue is at most this times its largest.
 _RESIDUAL_FLOOR = 1e-10
 
 # a problem's weighted Gram is rebuilt once its standardized iterate has
@@ -534,16 +422,30 @@ def _fit_paths(
     head problem takes grid point 0 as the exact all-zero solution: at its
     lambda_max float noise would otherwise leak through.  Each outer step of
     the problems still moving is one :func:`_active_set_solve`, each problem
-    at its own grid's penalty and each column set a group of its own.  A model takes the exact gradient
-    ``D(y - p)/n``, so where a step vanishes the lasso's KKT conditions hold
-    whatever Gram it carries; the Gram ``D W D'/n`` is rebuilt only once the
-    iterate has moved more than ``_GRAM_REUSE`` (max norm, standardized
-    scale) from where it was built (lazy Hessians, Doikov, Chayti & Jaggi
-    2023), which saves most O(n q^2) products for a few more O(n q) steps.
-    No line search is taken: a problem leaves once its step is below
-    ``tol``, and after ``max_outer`` steps the rest are recorded as
-    unconverged.  Returns ``paths[s][r]``, the :class:`LassoPath` of problem
-    (s, r).
+    at its own grid's penalty and each column set a group of its own.  A
+    model takes the exact gradient ``D(y - p)/n``, so where a step vanishes
+    the lasso's KKT conditions hold whatever Gram it carries; the Gram
+    ``D W D'/n`` is rebuilt only once the iterate has moved more than
+    ``_GRAM_REUSE`` (max norm, standardized scale) from where it was built
+    (lazy Hessians, Doikov, Chayti & Jaggi 2023), which saves most O(n q^2)
+    products for a few more O(n q) steps.  No line search is taken: a
+    problem leaves once its step is below ``tol``, and after ``max_outer``
+    steps the rest are recorded as unconverged.
+
+    At a grid point of penalty 0 (a 0 in ``lambda_grid``; default grids are
+    positive) proximal Newton is Newton (Lee, Sun & Saunders 2014): every
+    varying column is active, so each outer step is one
+    :func:`_newton_step` for every problem still moving.  A path whose
+    first penalty is 0 starts at 0, not at the intercept-only fit.  Two rules
+    end such a problem early, unconverged, where the maximum-likelihood fit
+    does not exist: it is ``"singular"`` when the Gram of its first step
+    there is not :func:`_full_rank` (a rank-deficient design), and it has
+    ``"diverged"`` once it is still moving with ``max |eta|`` past
+    ``DIVERGENCE_BOUND`` ((quasi-)separation, Albert & Anderson 1984).
+
+    Returns ``paths[s][r]``, the :class:`LassoPath` of problem (s, r), and
+    ``stops[s][r]``, its outer steps in all and ``"singular"``,
+    ``"diverged"`` or ``None``.
     """
     standardized = [_design(X, rows) for rows in row_sets]
     row_ys = [y if rows is None else y[rows] for rows in row_sets]
@@ -553,7 +455,6 @@ def _fit_paths(
     q = 1 + max(X.shape[1] if cols is None else len(cols) for cols in sets)
     designs, ys, means, scales = [], [], [], []
     penalized = np.zeros((B, q), dtype=bool)
-    aug = np.zeros((B, q))
     for k, (s, r) in enumerate(problems):
         D, mean, sd, keep = standardized[r]
         if sets[s] is not None:
@@ -564,7 +465,6 @@ def _fit_paths(
         means.append(mean)
         scales.append(sd)
         penalized[k, 1 : len(D)] = keep
-        aug[k, 0] = logit(ys[k].mean())
     default = lambda_grid is None
     heads = np.array([r == 0 for _, r in problems])
     grids = np.array([
@@ -574,78 +474,121 @@ def _fit_paths(
     set_of = np.array([s for s, _ in problems])
     lams = grids[set_of]  # each problem's grid
     n_grid = grids.shape[1]
+    aug = np.zeros((B, q))
+    aug[:, 0] = [logit(yk.mean()) if lam else 0.0 for yk, lam in zip(ys, lams[:, 0])]
     sizes = np.array([len(yk) for yk in ys])
     widths = np.array([len(D) for D in designs])
     solutions = np.empty((B, n_grid, q))
-    converged = np.ones((B, n_grid), dtype=bool)
+    converged = np.zeros((B, n_grid), dtype=bool)
+    converged[:, 0] = default & heads
     everyone = np.arange(B)
     grams = np.zeros((B, q, q))
     anchors = np.full((B, q), np.inf)  # the iterate each Gram was built at
+    steps, stops = np.zeros(B, dtype=int), np.full(B, None)
+    kept = penalized.copy()  # each problem's coordinates: its intercept and penalized ones
+    kept[:, 0] = True
 
     for i in range(n_grid):
         live = everyone[~heads] if default and i == 0 else everyone
-        for _ in range(max_outer):
+        newton = not lams[:, i].any()  # nothing penalized: Newton steps
+        for taken in range(max_outer + 1):
             if not live.size:
                 break
             # the elementwise pieces of every live problem in one pass
-            ends = np.cumsum(sizes[live])
-            prob = expit(np.concatenate([aug[k, : widths[k]] @ designs[k] for k in live]))
+            starts = np.cumsum(sizes[live]) - sizes[live]
+            eta = np.concatenate([aug[k, : widths[k]] @ designs[k] for k in live])
+            if newton and taken:  # a problem still moving past the bound diverges
+                far = np.maximum.reduceat(np.abs(eta), starts) > DIVERGENCE_BOUND
+                stops[live[far]] = "diverged"
+                eta, live = eta[np.repeat(~far, sizes[live])], live[~far]
+                starts = np.cumsum(sizes[live]) - sizes[live]
+            if taken == max_outer or not live.size:
+                break
+            prob = expit(eta)
             w = np.maximum(prob * (1.0 - prob), _MIN_WEIGHT)
             resid = np.concatenate([ys[k] for k in live]) - prob
             stale = np.max(np.abs(aug[live] - anchors[live]), axis=1) > _GRAM_REUSE
+            anchors[live[stale]] = aug[live[stale]]
             score = np.zeros((len(live), q))  # D(y - p) of each live problem
-            for j, k in enumerate(live):
-                rows, width = slice(ends[j] - sizes[k], ends[j]), widths[k]
-                if stale[j]:
-                    grams[k, :width, :width] = (designs[k] * w[rows]) @ designs[k].T / sizes[k]
-                    anchors[k] = aug[k]
-                score[j, :width] = designs[k] @ resid[rows]
+            for j, (k, start, rebuild) in enumerate(zip(live.tolist(), starts.tolist(), stale)):
+                D, rows = designs[k], slice(start, start + len(ys[k]))
+                if rebuild:
+                    grams[k, : len(D), : len(D)] = (D * w[rows]) @ D.T / sizes[k]
+                score[j, : len(D)] = D @ resid[rows]
+            if newton and not taken:
+                fits = _full_rank(grams[live], kept[live])
+                stops[live[~fits]] = "singular"
+                live, score = live[fits], score[fits]
+                if not live.size:
+                    break
             G, step = grams[live], aug[live]
             h = (G @ step[:, :, None])[:, :, 0] + score / sizes[live, None]
-            solved = _active_set_solve(G, h, step, lams[live, i], penalized[live], set_of[live])
+            solved = (
+                _newton_step(G, h, step, kept[live]) if newton
+                else _active_set_solve(G, h, step, lams[live, i], penalized[live], set_of[live])
+            )
             settled = np.max(np.abs(step - aug[live]), axis=1) < tol
             aug[live] = step
+            steps[live] += 1
             converged[live[settled], i] = solved[settled]
             live = live[~settled]
-        else:
-            converged[live, i] = False
         solutions[:, i] = aug
 
-    paths = []
+    paths, ends = [[] for _ in sets], [[] for _ in sets]
     for k, (s, _) in enumerate(problems):
         coefs = solutions[k, :, 1 : widths[k]] / scales[k]
-        paths.append(
-            LassoPath(
-                lambda_grid=grids[s],
-                intercepts=solutions[k, :, 0] - coefs @ means[k],
-                coefficients=coefs,
-                converged=converged[k],
-            )
-        )
-    return [paths[s * len(row_sets) : (s + 1) * len(row_sets)] for s in range(len(sets))]
+        paths[s].append(LassoPath(
+            lambda_grid=grids[s], intercepts=solutions[k, :, 0] - coefs @ means[k],
+            coefficients=coefs, converged=converged[k],
+        ))
+        ends[s].append((int(steps[k]), stops[k]))
+    return paths, ends
+
+
+def _full_rank(G, on):
+    """Whether each Gram ``G[k]``, on its coordinates marked in ``on[k]``, has
+    smallest eigenvalue above ``_RESIDUAL_FLOOR`` times its largest: one
+    batched ``eigvalsh``, each other coordinate a diagonal entry at the mean
+    of the marked diagonal, which lies between the two."""
+    mean = np.where(on, np.diagonal(G, axis1=1, axis2=2), 0.0).sum(axis=1) / on.sum(axis=1)
+    pad = np.eye(G.shape[1]) * mean[:, None, None]
+    ev = np.linalg.eigvalsh(np.where(on[:, :, None] & on[:, None, :], G, pad))
+    return ev[:, 0] > _RESIDUAL_FLOOR * ev[:, -1]
+
+
+def _newton_step(G, h, aug, on):
+    """Set each ``aug[k]`` to the minimizer of ``b' G[k] b / 2 - h[k]' b``
+    over its coordinates marked in ``on[k]``, the rest 0: its Newton step,
+    all in one stacked solve.  An exactly singular system takes its
+    minimum-norm least-squares solution.  Returns that each was solved."""
+    M = np.where(on[:, :, None] & on[:, None, :], G, np.eye(G.shape[1]))
+    rhs = np.where(on, h, 0.0)[:, :, None]
+    try:
+        aug[...] = np.linalg.solve(M, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:  # an exactly singular system sinks the stack
+        for k in range(len(aug)):
+            aug[k] = np.linalg.lstsq(M[k], rhs[k])[0][:, 0]
+    return np.ones(len(aug), dtype=bool)
 
 
 def fit_lasso_path(
-    X,
-    y,
-    n_lambda: int = 100,
-    lambda_min_ratio: float = 1e-4,
-    tol: float = 1e-7,
-    max_outer: int = 50,
-    lambda_grid=None,
+    X, y, n_lambda: int = 100, lambda_min_ratio: float = 1e-4, tol: float = 1e-7,
+    max_outer: int = 50, lambda_grid=None,
 ) -> LassoPath:
     """L1-penalized logistic path by proximal Newton with exact subproblem solves.
 
     The grid is log-spaced from the smallest penalty with an all-zero
     solution (computed from the null-model gradient) down to
     ``lambda_min_ratio`` times that; solutions are warm-started along the
-    path.  Passing ``lambda_grid`` overrides the grid.  The fit is the
-    one-problem case of the batched solve :func:`cv_select` runs.
+    path.  Passing ``lambda_grid`` overrides the grid; a penalty of 0 in it
+    takes Newton steps (see :func:`_fit_paths`).  The fit is the one-problem
+    case of the batched solve :func:`cv_select` runs.
     """
     X, y = _check_xy(X, y)
     _check_classes(y)
     grid = None if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
-    return _fit_paths(X, y, [None], [None], grid, n_lambda, lambda_min_ratio, tol, max_outer)[0][0]
+    paths, _ = _fit_paths(X, y, [None], [None], grid, n_lambda, lambda_min_ratio, tol, max_outer)
+    return paths[0][0]
 
 
 def kkt_violation(path: LassoPath, X, y, index: int) -> tuple[float, float]:
@@ -682,11 +625,7 @@ def validation_deviance(intercept: float, coefs, X, y) -> float:
 
 
 def cv_select(
-    X,
-    y,
-    folds: FoldAssignment,
-    n_lambda: int = 100,
-    lambda_min_ratio: float = 1e-4,
+    X, y, folds: FoldAssignment, n_lambda: int = 100, lambda_min_ratio: float = 1e-4
 ) -> LassoPath:
     """Cross-validate the penalty grid and select the deviance minimizer.
 
@@ -735,7 +674,7 @@ def cv_select_many(
                     f"fold {f} has a single-class {where} split; "
                     "use stratified folds (kfold with labels)"
                 )
-    fitted = _fit_paths(X, y, [None, *train], column_sets, None, n_lambda, lambda_min_ratio)
+    fitted, _ = _fit_paths(X, y, [None, *train], column_sets, None, n_lambda, lambda_min_ratio)
     out = []
     for cols, (full, *subs) in zip(column_sets, fitted):
         Xs = X if cols is None else X[:, cols]

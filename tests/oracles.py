@@ -2,9 +2,10 @@
 
 Everything here is deliberately slow and, but for one, structurally
 unrelated to the library's own algorithms: bracket-shrinking maximization
-instead of IRLS, coordinate descent instead of feature-sign active-set
-solves, O(n^2) pair counting instead of rank sums, bisection instead of
-closed forms, row-by-row CSV loops instead of one typed parse.  The
+and one-fit IRLS with step-halving instead of batched Newton steps,
+coordinate descent instead of feature-sign active-set solves, O(n^2) pair
+counting instead of rank sums, bisection instead of closed forms,
+row-by-row CSV loops instead of one typed parse.  The
 exception is forward selection, whose reference fits one candidate at a
 time where the library fits a step's candidates as one batch.  Tests
 compare the fast paths against these.
@@ -54,6 +55,46 @@ def direct_max_oracle(X, y, iters=60):
             theta[j] = 0.5 * (lo + hi)
         width = max(width * 0.7, 1e-6)
     return theta
+
+
+def irls(X, y, max_iter=100, tol=1e-7, clamp=False):
+    """One maximum-likelihood logistic fit by IRLS on the raw design, the
+    reference for ``glm.fit_logistic``: from 0, with step-halving, until no
+    coefficient moves by ``tol``.  A fit still moving once its fitted
+    log-odds pass ``glm.DIVERGENCE_BOUND`` raises, or with ``clamp`` returns
+    that iterate unconverged; an exactly singular weighted system raises.  A
+    column that does not vary gets coefficient 0.  Returns a ``GlmFit``.
+    """
+    n, p = X.shape
+    keep = X.std(axis=0) > 1e-12 * np.maximum(np.abs(X.mean(axis=0)), 1.0)
+    D = np.column_stack([np.ones(n), X[:, keep]])
+    beta, eta = np.zeros(D.shape[1]), np.zeros(n)
+    ll = logistic_ll(beta[0], beta[1:], X[:, keep], y)
+    for it in range(1, max_iter + 1):
+        prob = 1.0 / (1.0 + np.exp(-eta))
+        w = np.maximum(prob * (1.0 - prob), 1e-6)
+        try:
+            target = np.linalg.solve(D.T @ (D * w[:, None]), D.T @ (w * eta + y - prob))
+        except np.linalg.LinAlgError:
+            raise NumericError("singular weighted normal equations") from None
+        factor = 1.0
+        for _ in range(30):
+            cand = beta + factor * (target - beta)
+            cand_ll = logistic_ll(cand[0], cand[1:], X[:, keep], y)
+            if cand_ll >= ll - 1e-12:
+                break
+            factor /= 2.0
+        delta = np.max(np.abs(cand - beta))
+        beta, eta, ll = cand, D @ cand, cand_ll
+        if delta < tol:
+            break
+        if np.max(np.abs(eta)) > glm.DIVERGENCE_BOUND:
+            if not clamp:
+                raise NumericError("quasi-complete separation detected")
+            break
+    coefs = np.zeros(p)
+    coefs[keep] = beta[1:]
+    return glm.GlmFit(float(beta[0]), coefs, bool(delta < tol), it, ll)
 
 
 def soft_threshold(v, t):
@@ -109,9 +150,10 @@ def coordinate_descent(G, h, aug, lam, keep, tol, max_sweeps=10000):
     return False
 
 
-def forward_stepwise_reference(ds, k, grouped=True):
+def forward_stepwise_reference(ds, k, grouped=True, fit_logistic=None):
     """``selection.forward_stepwise`` as one ``glm.fit_logistic`` call per
-    candidate: the reference for its batched steps.
+    candidate (or one ``fit_logistic(X, y)``, ``GlmFit`` or raising
+    ``NumericError``): the reference for its batched steps.
 
     Returns the trace of the steps that fit and, per step, each candidate's
     ``(name, GlmFit or NumericError)`` in offer order.  The trace ends at a
@@ -123,10 +165,11 @@ def forward_stepwise_reference(ds, k, grouped=True):
     for _ in range(k):
         fits = []
         for name, cols in remaining:
+            X = ds.rows[:, selected + list(cols)]
             try:
-                fit = glm.fit_logistic(
-                    ds.rows[:, selected + list(cols)], y, max_iter=60, tol=1e-8,
-                    on_divergence="clamp",
+                fit = (
+                    glm.fit_logistic(X, y, max_iter=60, tol=1e-8, on_divergence="clamp")
+                    if fit_logistic is None else fit_logistic(X, y)
                 )
             except NumericError as exc:
                 fit = exc

@@ -229,8 +229,8 @@ def test_criterion_7_solver_equivalence():
     assert worst_oracle <= 1e-4
     watch.check()
     report(
-        f"criterion 7 PASS: lasso@~0 vs IRLS max diff {worst_lasso:.2e} <= 1e-4; "
-        f"IRLS vs direct-maximization oracle max diff {worst_oracle:.2e} <= 1e-4, "
+        f"criterion 7 PASS: lasso@~0 vs MLE max diff {worst_lasso:.2e} <= 1e-4; "
+        f"MLE vs direct-maximization oracle max diff {worst_oracle:.2e} <= 1e-4, "
         f"{watch.elapsed:.0f}s"
     )
 

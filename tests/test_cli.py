@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import scorekit
-from degenerate_tables import degenerate_tables, with_actions
+from degenerate_tables import degenerate_table, degenerate_tables, with_actions
 from scorekit import cli, data, srr, synth
 
 
@@ -341,14 +341,26 @@ class TestAdversarialInput:
         assert "data error" in err and "'noise_0'" in err and "Traceback" not in err
 
     def test_mean_over_fewer_folds_says_how_many(self, tmp_path, capsys):
-        # the complement table's full design is exactly collinear on two of three folds
+        # female = 1 - male but on six rows of fold 0's test part, so the full
+        # design is exactly collinear on fold 0's training part alone
+        rng = np.random.default_rng(0)
+        n = 400
+        male, x = rng.integers(0, 2, n), rng.normal(size=n)
+        y = (rng.random(n) < 1 / (1 + np.exp(0.75 - 1.5 * male - 0.3 * x))).astype(int)
+        female = 1 - male
+        test = data.kfold(n, 3, seed=0, labels=y).test_indices(0)
+        for label in (0, 1):
+            female[test[(male[test] == 1) & (y[test] == label)][:3]] = 1
         path = tmp_path / "input.csv"
-        path.write_bytes(_adversarial_input("complement-column").encode("utf-8"))
+        path.write_text(_csv_text("male,female,x,y", zip(male, female, x, y)), encoding="utf-8")
         assert run("evaluate", "--input", str(path), "--label", "y", "--k-values", "1-2",
                    "--folds", "3", "--output-dir", str(tmp_path)) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert re.fullmatch(r"benchmark logistic_full mean AUC \d\.\d{4} \(1 of 3 folds\)",
+        assert re.fullmatch(r"benchmark logistic_full mean AUC \d\.\d{4} \(2 of 3 folds\)",
                             lines[-1]), lines[-1]
+        sweep = read_rows(tmp_path / "sweep.csv")
+        errors = [r["error"] for r in sweep if r["method"] == "logistic_full"]
+        assert errors[0].startswith("singular") and errors[1:] == ["", ""], errors
         assert all(" of 3 folds)" not in line for line in lines[:-1]), lines
 
 
@@ -385,6 +397,19 @@ class TestDegenerateTables:
         if (command, name) in self.SUCCEED:
             assert code == 0, err
             assert "benchmark logistic_full failed: singular weighted normal equations" in out
+
+
+    @pytest.mark.parametrize("command", POLICY_COMMANDS)
+    def test_too_few_positives_for_the_inner_folds_is_a_data_error(self, tmp_path, capsys, command):
+        # the construction fold's released cases hold one positive
+        path = tmp_path / "input.csv"
+        path.write_text(with_actions(degenerate_table(("rare_positives",), 5), 0), encoding="utf-8")
+        code = run(command, "--input", str(path), "--label", "y", *self.SIZES[command],
+                   "--output-dir", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert re.search(r"released cases hold 1 positive and \d+ negative outcomes, too few for "
+                         r"--inner-folds 3, .*; no --inner-folds value can work", err), err
 
 
 class TestSynthGen:

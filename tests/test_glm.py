@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import coordinate_descent, direct_max_oracle, logistic_ll
+from oracles import coordinate_descent, direct_max_oracle, irls, logistic_ll
 from scorekit import data, glm, policy, synth
 from scorekit.errors import DataError, NumericError
 
@@ -67,6 +67,18 @@ class TestFitLogistic:
         with pytest.raises(NumericError, match="singular"):
             glm.fit_logistic(X, y)
 
+    def test_collinear_design_is_unfittable(self):
+        # x2 = x0 + x1 and a complement 1 - x3: neither is a copy of one column
+        rng = np.random.default_rng(5)
+        x0, x1 = rng.normal(size=(2, 60))
+        x3 = rng.integers(0, 2, 60).astype(float)
+        y = draw_labels(rng, x0 - x1 + x3)
+        for X in (np.column_stack([x0, x1, x0 + x1]), np.column_stack([x0, x3, 1.0 - x3])):
+            with pytest.raises(NumericError, match="singular weighted normal equations"):
+                glm.fit_logistic(X, y)
+            singular, reduced = glm.fit_logistic_many(X, y, [None, [0, 1]])
+            assert isinstance(singular, NumericError) and reduced.converged
+
     def test_ll_non_decreasing_across_iterations(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -105,6 +117,58 @@ class TestFitLogistic:
                     logistic_ll(tp[0], tp[1:], X, y) - logistic_ll(tm[0], tm[1:], X, y)
                 ) / (2 * h)
                 assert fd == pytest.approx(analytic[j], rel=1e-5, abs=1e-7)
+
+
+def separation_instances(rng):
+    """(kind, X, y): random tables, completely separated ones and ones whose
+    0/1 column x0 quasi-separates y (every x0 = 1 row is positive)."""
+    for i in range(30):
+        n, p = int(rng.integers(20, 80)), int(rng.integers(1, 5))
+        X = rng.normal(size=(n, p))
+        kind = ("random", "separated", "quasi_separated")[i % 3]
+        if kind == "random":
+            y = draw_labels(rng, X @ rng.normal(scale=0.8, size=p))
+        elif kind == "separated":
+            y = (X @ rng.normal(size=p) + 0.2 > 0).astype(float)
+        else:
+            X[:, 0] = rng.integers(0, 2, n)
+            y = np.where(X[:, 0] == 1, 1.0, rng.random(n) < 0.4)
+            y[:2] = 0.0, 1.0
+        yield kind, X, y
+
+
+class TestNewtonMatchesIrls:
+    """``fit_logistic`` (Newton steps at lambda = 0) against one-fit IRLS
+    with step-halving (``oracles.irls``)."""
+
+    @pytest.mark.parametrize("on_divergence", ["error", "clamp"])
+    def test_outcome_clamp_iteration_and_coefficients(self, on_divergence):
+        rng = np.random.default_rng(40)
+        seen = dict(raised=0, clamped=0, converged=0)
+        for kind, X, y in separation_instances(rng):
+            fits = []
+            for fit in (
+                lambda: irls(X, y, clamp=on_divergence == "clamp"),
+                lambda: glm.fit_logistic(X, y, on_divergence=on_divergence),
+            ):
+                try:
+                    fits.append(fit())
+                except NumericError as exc:
+                    fits.append(exc)
+            ref, fit = fits
+            if isinstance(ref, NumericError):
+                assert isinstance(fit, NumericError) and "separation" in str(fit), kind
+                seen["raised"] += 1
+                continue
+            assert not isinstance(fit, NumericError), (kind, fit)
+            assert fit.converged == ref.converged, kind
+            if not fit.converged:  # clamped at the same step
+                assert fit.iterations == ref.iterations, kind
+            assert np.max(np.abs(fit.coefficients - ref.coefficients)) <= 1e-6, kind
+            assert abs(fit.intercept - ref.intercept) <= 1e-6, kind
+            seen["converged" if fit.converged else "clamped"] += 1
+        assert seen["converged"] > 0
+        assert seen["raised" if on_divergence == "error" else "clamped"] > 0
 
 
 class TestLassoPath:
@@ -405,7 +469,7 @@ def cv_batch(X, y, folds, **kwargs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(glm, "_fit_paths", spy)
         path = glm.cv_select(X, y, folds, **kwargs)
-    ((paths,),) = batches
+    (((paths,), _),) = batches
     return path, paths
 
 
@@ -563,10 +627,10 @@ class TestCvSelectMany:
         fit_paths = glm._fit_paths
 
         def set_1_fold_1_unconverged(*args, **kwargs):
-            paths = fit_paths(*args, **kwargs)
+            paths, stops = fit_paths(*args, **kwargs)
             sub = paths[1][2]
             paths[1][2] = replace(sub, converged=np.zeros(sub.n_lambda, dtype=bool))
-            return paths
+            return paths, stops
 
         monkeypatch.setattr(glm, "_fit_paths", set_1_fold_1_unconverged)
         first, failed, last = glm.cv_select_many(X, y, folds, sets, n_lambda=10)
@@ -645,10 +709,10 @@ class TestCvSelect:
         fit_paths = glm._fit_paths
 
         def fold_1_unconverged(*args, **kwargs):
-            paths = fit_paths(*args, **kwargs)
+            paths, stops = fit_paths(*args, **kwargs)
             (full, *subs), = paths  # the one column set's full-data and fold paths
             paths[0][2] = replace(subs[1], converged=np.zeros(subs[1].n_lambda, dtype=bool))
-            return paths
+            return paths, stops
 
         monkeypatch.setattr(glm, "_fit_paths", fold_1_unconverged)
         with pytest.raises(NumericError, match=r"\(lambda index \d+\) in fold 1$"):

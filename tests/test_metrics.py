@@ -332,12 +332,14 @@ class TestCvSweep:
         fit_paths = glm._fit_paths
 
         def k2_unconverged_in_fold_1(*a, **kw):
-            paths = fit_paths(*a, **kw)
+            paths, stops = fit_paths(*a, **kw)
+            if a[4] is not None:  # the unpenalized fits of selection and logistic_full
+                return paths, stops
             batches.append(len(paths))
             if len(batches) == 2:  # fold 1's sets: all columns, then k = 1, 2, 3
                 sub = paths[2][1]  # k = 2, inner fold 0
                 paths[2][1] = replace(sub, converged=np.zeros(sub.n_lambda, dtype=bool))
-            return paths
+            return paths, stops
 
         monkeypatch.setattr(glm, "_fit_paths", k2_unconverged_in_fold_1)
         sweep = metrics.cv_sweep(ds, **args)

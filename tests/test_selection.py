@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import forward_stepwise_reference
+from oracles import forward_stepwise_reference, irls
 from scorekit import data, datasets, glm, selection
 from scorekit.errors import DataError, NumericError
 
@@ -321,6 +321,16 @@ class TestBatchedSteps:
             assert_matches_reference(train, 3, True, seen)
         assert seen["clamped"] > 0
 
+    def test_heart_sweep_folds_select_as_irls_does(self):
+        # the unpenalized Newton fits pick every step IRLS with step-halving picks
+        def irls_fit(X, y):
+            return irls(X, y, max_iter=60, tol=1e-8, clamp=True)
+
+        for train in heart_training_folds():
+            trace = selection.forward_stepwise(train, 3)
+            ref, _ = forward_stepwise_reference(train, 3, fit_logistic=irls_fit)
+            assert trace.step_groups == ref.step_groups
+
     def test_degenerate_tables_match_one_fit_per_candidate(self):
         rng = np.random.default_rng(31)
         x0, x1 = rng.integers(0, 2, (2, 200))
@@ -335,10 +345,3 @@ class TestBatchedSteps:
             for grouped in (True, False):
                 assert_matches_reference(ds, k, grouped, seen)
         assert seen["unfittable"] > 0 and seen["clamped"] > 0
-
-    def test_blocks_split_a_step_without_changing_it(self, monkeypatch):
-        ds = next(heart_training_folds())
-        whole = selection.forward_stepwise(ds, 3)
-        # one candidate's cells exceed the cap: every block holds one fit
-        monkeypatch.setattr(glm, "_IRLS_BLOCK", 1)
-        assert selection.forward_stepwise(ds, 3) == whole

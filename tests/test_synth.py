@@ -186,6 +186,16 @@ class TestCohortCsv:
             synth.load_cohort_csv(path)
         assert str(path) in str(info.value)
 
+    def test_a_header_cell_holding_a_line_break_is_refused(self, tmp_path):
+        cohort = synth.generate(synth.GeneratorConfig(n=50, seed=10))
+        path = tmp_path / "cohort.csv"
+        synth.write_cohort_csv(cohort, path)
+        header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        path.write_text('"x\ny"' + header[header.index(","):] + "\n" + rest, encoding="utf-8")
+        with pytest.raises(DataError, match="a header cell holds a line break") as info:
+            synth.load_cohort_csv(path)
+        assert str(path) in str(info.value)
+
     def test_plain_loader_refuses_cohort_files(self, tmp_path):
         cohort = synth.generate(synth.GeneratorConfig(n=50, seed=10))
         path = tmp_path / "cohort.csv"

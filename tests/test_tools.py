@@ -3,20 +3,26 @@ import importlib.util
 import json
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
 
-from scorekit import data
+from scorekit import cli, data, glm, metrics, selection
 
 TOOL = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "cli_digests.py")
 
 
-@pytest.fixture
-def digests(monkeypatch):
-    spec = importlib.util.spec_from_file_location("cli_digests", TOOL)
+def load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def digests(monkeypatch):
+    module = load("cli_digests", TOOL)
     monkeypatch.setattr(module, "runs", lambda out, heart: [([], ["out/values.csv"])])
     return module
 
@@ -152,3 +158,36 @@ def test_categorical_heart_encodes_as_the_heart_table(digests, tmp_path):
     assert text.feature_names == tuple(rename.get(n, n) for n in codes.feature_names)
     assert np.array_equal(text.rows, codes.rows)
     assert np.array_equal(text.labels, codes.labels)
+
+
+def test_clamped_run_is_the_heart_benchmark_op_that_clamps(tmp_path, monkeypatch):
+    def clamped_run(heart, out):
+        (args,) = [a for a, files in tool.runs(out, heart)
+                   if files == ["evaluate_clamped/sweep.csv"]]
+        return args
+
+    tool = load("cli_digests", TOOL)
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(os.path.dirname(TOOL), os.pardir, "perfbench", "workloads.py"))
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", bench)  # its dataclasses look the module up
+    spec.loader.exec_module(bench)
+    heart = ["--input", "heart.csv", "--label", "disease", "--encoding", "heart_encoding.json"]
+    expected = ["evaluate", *heart, *bench.HeartCvSweep.ARGS, "--seed", "3",
+                "--output-dir", "OUT/evaluate_clamped"]
+    assert clamped_run(heart, "OUT") == expected
+    clamped = []
+
+    def count(fit):
+        def counted(*args, **kwargs):
+            fits = fit(*args, **kwargs)
+            batch = fits if isinstance(fits, list) else [fits]
+            clamped.extend(f for f in batch if isinstance(f, glm.GlmFit) and not f.converged)
+            return fits
+        return counted
+
+    monkeypatch.setattr(selection, "fit_logistic_many", count(selection.fit_logistic_many))
+    monkeypatch.setattr(metrics, "fit_logistic", count(metrics.fit_logistic))
+    heart = ["--input", tool.HEART_CSV, "--label", "disease", "--encoding", tool.HEART_ENCODING]
+    assert cli.run(clamped_run(heart, str(tmp_path))) == 0
+    assert clamped  # 25 selection fits stop at the divergence bound

@@ -15,7 +15,9 @@ Runs, in one process and into subdirectories of OUTDIR:
   plain observed-decision CSV, ``decisions.csv``, whose ``decision`` column
   holds ``ROR`` (release) or ``BAIL`` (``policy_eval_decisions/``)
 - ``sensitivity-sweep --k 3 --M 5`` on the seed-1 cohort (``sensitivity/``)
-- ``evaluate`` on the bundled heart table (``evaluate/``)
+- ``evaluate`` on the bundled heart table (``evaluate/``), and again with
+  ``--seed 3``, the benchmark's heart op whose folds clamp the most
+  selection fits at the divergence bound (``evaluate_clamped/``)
 - ``evaluate --k-values 1-2 --folds 3`` on ``complement.csv``, a table whose
   ``female`` column is ``1 - male``, so the lasso's active columns become
   dependent and its least-squares branch runs (``evaluate_complement/``);
@@ -113,6 +115,10 @@ def runs(out: str, heart: list[str]) -> list[tuple[list[str], list[str]]]:
         (["evaluate", *heart, "--k-values", "1-3", "--M-values", "1,3", "--folds", "2",
           "--inner-folds", "3", "--n-lambda", "10", "--output-dir", f"{out}/evaluate"],
          ["evaluate/sweep.csv"]),
+        (["evaluate", *heart, "--k-values", "1-3", "--M-values", "1,3", "--folds", "2",
+          "--inner-folds", "3", "--n-lambda", "10", "--seed", "3",
+          "--output-dir", f"{out}/evaluate_clamped"],
+         ["evaluate_clamped/sweep.csv"]),
         (["evaluate", "--input", f"{out}/{COMPLEMENT}", "--label", "y", "--k-values", "1-2",
           "--folds", "3", "--output-dir", f"{out}/evaluate_complement"],
          ["evaluate_complement/sweep.csv"]),
