@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-lambda", type=positive, default=30)
 
     p = command("synth-gen", _cmd_synth_gen, "generate a synthetic decision cohort")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive, required=True)
     p.add_argument("--hidden-u", help="enable a hidden covariate: p,alpha,delta_rel,delta_wh")
 
     p = command("policy-eval", _cmd_policy_eval, "estimate policies over a threshold sweep",

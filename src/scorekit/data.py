@@ -538,7 +538,8 @@ def load_csv(
     infinite cell in it is an error; any other is stored as codes into its
     sorted levels, flagged for encoding in ``categorical_levels``.
     ``group_column``, when given, must exist and is left out of the
-    features; its values are not stored.
+    features; its values are not stored.  The label, action and group
+    columns must be three different columns.
     """
     header = read_table(path)[0]
     if len(set(header)) != len(header):
@@ -547,6 +548,11 @@ def load_csv(
     for col in special:
         if col not in header:
             raise DataError(f"{path}: missing column {col!r}")
+        if special.count(col) > 1:
+            raise DataError(
+                f"{path}: column {col!r} is named for more than one of the label, "
+                "action and group columns"
+            )
     for col in header:
         if col.startswith(RESERVED_PREFIX) and col not in special:
             raise DataError(

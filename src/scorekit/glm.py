@@ -30,8 +30,9 @@ from .errors import DataError, NumericError
 
 # |linear predictor| beyond this means fitted probabilities within ~3e-7 of
 # 0/1; an unpenalized fit still moving past it is treated as
-# (quasi-)complete separation.  Convergence is checked first, so a genuinely
-# converged steep fit is never flagged.
+# (quasi-)complete separation.  Convergence is checked first, so a fit that
+# has converged is never flagged, but the rule sees only |eta|: a steep fit
+# whose MLE exists can pass the bound on its way there and be flagged too.
 DIVERGENCE_BOUND = 15.0
 
 _MIN_WEIGHT = 1e-6
@@ -82,8 +83,9 @@ def fit_logistic(
     scale, within ``max_iter`` steps.  A design whose first weighted Gram
     has smallest eigenvalue at most ``_RESIDUAL_FLOOR`` times its largest is
     rank-deficient and raises.  A fit still moving once its fitted log-odds
-    pass ``DIVERGENCE_BOUND`` has met (quasi-)complete separation, where the
-    MLE does not exist: by default this raises, and
+    pass ``DIVERGENCE_BOUND`` is taken for (quasi-)complete separation, where
+    the MLE does not exist; the rule reads only the log-odds, so a steep fit
+    whose MLE exists can be stopped too.  By default this raises, and
     ``on_divergence="clamp"`` returns that iterate, unconverged, which is
     how forward selection ranks a perfectly separating candidate.  A column
     that does not vary (the rule of :func:`_varying`, shared with the lasso)
@@ -125,8 +127,8 @@ def fit_logistic_many(
     errors = {"singular": "singular weighted normal equations (exactly collinear columns?)"}
     if on_divergence == "error":
         errors["diverged"] = (
-            "quasi-complete separation detected: coefficients diverging, fitted log-odds "
-            f"exceeded +-{DIVERGENCE_BOUND:g}; the MLE does not exist for these data"
+            f"fitted log-odds passed +-{DIVERGENCE_BOUND:g} while the fit was still moving; "
+            "(quasi-)complete separation suspected"
         )
     b0 = np.array([path.intercepts[0] for (path,) in paths])
     coefs = np.zeros((len(sets), p))  # each fit's coefficients on every column
@@ -441,7 +443,8 @@ def _fit_paths(
     does not exist: it is ``"singular"`` when the Gram of its first step
     there is not :func:`_full_rank` (a rank-deficient design), and it has
     ``"diverged"`` once it is still moving with ``max |eta|`` past
-    ``DIVERGENCE_BOUND`` ((quasi-)separation, Albert & Anderson 1984).
+    ``DIVERGENCE_BOUND`` (suspected (quasi-)separation, Albert & Anderson
+    1984; a steep fit whose MLE exists can pass the bound too).
 
     Returns ``paths[s][r]``, the :class:`LassoPath` of problem (s, r), and
     ``stops[s][r]``, its outer steps in all and ``"singular"``,

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._math import expit
 from .data import Dataset, FoldAssignment, kfold
 from .errors import DataError, NumericError
 from .glm import cv_select_many, fit_logistic, linear_predictor, predict_prob
@@ -181,15 +182,17 @@ class SweepResult:
             ]
 
 
-def _prob_cells(method, fold, prob_test, y_test) -> SweepCell:
-    return SweepCell(
-        method=method,
-        k=None,
-        M=None,
-        fold=fold,
-        auc=auc(prob_test, y_test),
-        accuracy=accuracy((np.asarray(prob_test) >= 0.5).astype(int), y_test),
-    )
+def _cell(method, k, M, fold, measure, *args) -> SweepCell:
+    """The cell scored (AUC, accuracy) by ``measure(*args)``, or the error it raises."""
+    try:
+        return SweepCell(method, k, M, fold, *measure(*args))
+    except (DataError, NumericError) as exc:
+        return SweepCell(method, k, M, fold, np.nan, np.nan, str(exc))
+
+
+def _by_prob(prob, labels):
+    """AUC of fitted probabilities, and the accuracy of cutting them at 1/2."""
+    return auc(prob, labels), accuracy(prob >= 0.5, labels)
 
 
 def cv_sweep(
@@ -210,9 +213,13 @@ def cv_sweep(
     selected-feature lasso that the scorecard rounds.  Each fold's
     full-feature lasso and its selected-feature lasso at every k are
     cross-validated by one :func:`cv_select_many` batch, after one forward
-    selection to the largest k.  A failing cell records its error and the
-    sweep continues; when a selection step cannot be fit, each k below it is
-    still scored and each k from it on records that step's failure.
+    selection to the largest k.
+
+    A cell whose fit or scoring raises a DataError or NumericError records
+    that error, and the sweep continues.  A failed ``lasso_selected`` cell
+    gives each scorecard cell of its k its error: the selection's, k beyond
+    the selectable features, a selection step up to k that no candidate
+    could fit, or the failure of its own lasso or AUC.
     """
     k_values = tuple(sorted(set(int(k) for k in k_values)))
     M_values = tuple(sorted(set(int(M) for M in M_values)))
@@ -222,99 +229,62 @@ def cv_sweep(
     k_max = max(k_values)
 
     for f in range(folds.fold_count):
-        tr_idx, te_idx = folds.train_indices(f), folds.test_indices(f)
-        train, test = ds.take(tr_idx), ds.take(te_idx)
-        y_tr = train.labels.astype(float)
-        y_te = test.labels
+        train, test = ds.take(folds.train_indices(f)), ds.take(folds.test_indices(f))
+        y_tr, y_te = train.labels, test.labels
+        cells.append(_cell(LOGISTIC_FULL, None, None, f, lambda: _by_prob(
+            predict_prob(fit_logistic(train.rows, y_tr, on_divergence="clamp"), test.rows), y_te
+        )))
 
-        # benchmarks on all features
-        try:
-            full_fit = fit_logistic(train.rows, y_tr, on_divergence="clamp")
-            prob = predict_prob(full_fit, test.rows)
-            cells.append(_prob_cells(LOGISTIC_FULL, f, prob, y_te))
-        except (DataError, NumericError) as exc:
-            cells.append(SweepCell(LOGISTIC_FULL, None, None, f, np.nan, np.nan, str(exc)))
-
-        failure = None  # the step no candidate could fit, if any
-        selection_error = None  # why no k could be selected, if so
         try:
             k_fit = min(k_max, len(selectable_groups(train, grouped)))
-            trace = forward_stepwise(train, k_fit, grouped=grouped)
-        except StepFailure as exc:
-            trace, failure = exc.trace, exc
-        except (DataError, NumericError) as exc:
-            selection_error = exc
-        # the k whose selected columns are fitted, each by its step prefix
-        fitted = [] if selection_error else [
-            k for k in k_values if k <= min(k_fit, len(trace.step_groups))
-        ]
-        column_sets = [None] + [[j for g in trace.step_groups[:k] for j in g] for k in fitted]
-        inner = kfold(train.n, inner_folds, seed=seed * 100003 + f, labels=train.labels)
+            steps, stop = forward_stepwise(train, k_fit, grouped=grouped).step_groups, None
+        except StepFailure as exc:  # the steps before it are kept
+            steps, stop = exc.trace.step_groups, exc
+        except (DataError, NumericError) as exc:  # no step: every k records exc
+            steps, stop, k_fit = (), exc, k_max
+        fitted = [k for k in k_values if k <= len(steps)]
+        column_sets = [None] + [[j for g in steps[:k] for j in g] for k in fitted]
+        inner = kfold(train.n, inner_folds, seed=seed * 100003 + f, labels=y_tr)
         try:
             paths = cv_select_many(
                 train.rows, y_tr, inner, column_sets, n_lambda=n_lambda, lambda_min_ratio=1e-3
             )
         except (DataError, NumericError) as exc:
             paths = [exc] * len(column_sets)
-        try:
-            full_path = _fitted(paths[0])
-            cells.append(_prob_cells(LASSO_FULL, f, full_path.predict_prob(test.rows), y_te))
-        except (DataError, NumericError) as exc:
-            cells.append(SweepCell(LASSO_FULL, None, None, f, np.nan, np.nan, str(exc)))
-
-        if selection_error is not None:
-            for k in k_values:
-                cells.append(SweepCell(LASSO_SELECTED, k, None, f, np.nan, np.nan, str(selection_error)))
-                for M in M_values:
-                    cells.append(SweepCell(SCORECARD, k, M, f, np.nan, np.nan, str(selection_error)))
-            continue
-
+        cells.append(_cell(LASSO_FULL, None, None, f, lambda: _by_prob(
+            _fitted(paths[0]).predict_prob(test.rows), y_te
+        )))
         selected = dict(zip(fitted, zip(column_sets[1:], paths[1:])))
-        for k in k_values:
-            try:
-                if k > k_fit:
-                    raise DataError(f"k={k} exceeds the {k_fit} selectable features")
-                if k > len(trace.step_groups):
-                    raise NumericError(str(failure))
-                cols, path = selected[k]
-                path = _fitted(path)
-                intercept, coefs = path.coefficients_at()
-                score_te_raw = path.linear_score(test.rows[:, cols])
-                cells.append(
-                    SweepCell(
-                        LASSO_SELECTED,
-                        k,
-                        None,
-                        f,
-                        auc(score_te_raw, y_te),
-                        accuracy((path.predict_prob(test.rows[:, cols]) >= 0.5).astype(int), y_te),
-                    )
-                )
-            except (DataError, NumericError) as exc:
-                cells.append(SweepCell(LASSO_SELECTED, k, None, f, np.nan, np.nan, str(exc)))
-                for M in M_values:
-                    cells.append(SweepCell(SCORECARD, k, M, f, np.nan, np.nan, str(exc)))
-                continue
 
-            for M in M_values:
-                try:
-                    w = rescale_round(coefs, M)
-                    s_tr = linear_predictor(0.0, w, train.rows[:, cols])
-                    s_te = linear_predictor(0.0, w, test.rows[:, cols])
-                    cell_auc = auc(s_te, y_te)
-                    t = best_threshold(s_tr, train.labels)
-                    cells.append(
-                        SweepCell(
-                            SCORECARD,
-                            k,
-                            M,
-                            f,
-                            cell_auc,
-                            accuracy((s_te >= t).astype(int), y_te),
-                        )
-                    )
-                except (DataError, NumericError) as exc:
-                    cells.append(SweepCell(SCORECARD, k, M, f, np.nan, np.nan, str(exc)))
+        def lasso(k):
+            """k's selected columns and fitted path, or the error that left k unfitted."""
+            if k > k_fit:
+                raise DataError(f"k={k} exceeds the {k_fit} selectable features")
+            if k > len(steps):
+                raise stop
+            cols, path = selected[k]
+            return cols, _fitted(path)
+
+        def lasso_selected(k):
+            cols, path = lasso(k)
+            score = path.linear_score(test.rows[:, cols])
+            return auc(score, y_te), accuracy(expit(score) >= 0.5, y_te)
+
+        def scorecard(k, M):
+            cols, path = lasso(k)
+            w = rescale_round(path.coefficients_at()[1], M)
+            s_tr = linear_predictor(0.0, w, train.rows[:, cols])
+            s_te = linear_predictor(0.0, w, test.rows[:, cols])
+            return auc(s_te, y_te), accuracy(s_te >= best_threshold(s_tr, y_tr), y_te)
+
+        for k in k_values:
+            bench = _cell(LASSO_SELECTED, k, None, f, lasso_selected, k)
+            cells.append(bench)
+            cells.extend(
+                replace(bench, method=SCORECARD, M=M) if bench.error
+                else _cell(SCORECARD, k, M, f, scorecard, k, M)
+                for M in M_values
+            )
 
     return SweepResult(cells=tuple(cells), k_values=k_values, M_values=M_values)
 

@@ -310,6 +310,20 @@ class TestAdversarialInput:
             assert all("selectable features" in e or e.startswith("step 3: ")
                        for e in errors), errors
 
+    @pytest.mark.parametrize("command", ["policy-eval", "sensitivity-sweep"])
+    @pytest.mark.parametrize("roles", [("--action", "y"), ("--action", "act", "--group", "act")])
+    def test_one_column_in_two_roles_is_named(self, tmp_path, capsys, command, roles):
+        path = tmp_path / "input.csv"
+        path.write_text("x,act,y\n1,a,0\n2,b,1\n3,a,1\n4,b,0\n", encoding="utf-8")
+        code = run(command, "--input", str(path), "--label", "y", *roles,
+                   "--output-dir", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 3, err
+        column = roles[1]
+        assert (f"data error: {path}: column {column!r} is named for more than one of the "
+                "label, action and group columns") in err
+        assert "inner-folds" not in err
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_huge_heart_cell_names_its_column(self, tmp_path, capsys, command):
@@ -439,6 +453,13 @@ class TestSynthGen:
         err = capsys.readouterr().err
         assert f"--hidden-u takes four numbers p,alpha,delta_rel,delta_wh, got {hidden!r}" in err
         assert "unpack" not in err and "convert" not in err
+        assert not (tmp_path / "cohort.csv").exists()
+
+    def test_non_positive_n_is_usage_error(self, tmp_path, capsys):
+        code = run("synth-gen", "--n", "0", "--output-dir", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "argument --n: must be at least" in err
         assert not (tmp_path / "cohort.csv").exists()
 
 

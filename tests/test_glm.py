@@ -6,6 +6,7 @@ import pytest
 
 from oracles import coordinate_descent, direct_max_oracle, irls, logistic_ll
 from scorekit import data, glm, policy, synth
+from scorekit._math import expit
 from scorekit.errors import DataError, NumericError
 
 
@@ -51,6 +52,20 @@ class TestFitLogistic:
         y = np.array([0.0, 0.0, 1.0, 1.0])
         with pytest.raises(NumericError, match="separation"):
             glm.fit_logistic(X, y)
+
+    def test_steep_overlapping_fit_is_suspected_separation(self):
+        # the classes overlap, so the MLE exists (slope about 6.2), yet the fit
+        # passes the divergence bound while still moving: the error says what
+        # the rule saw, and does not claim that the MLE does not exist
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(3000)
+        y = (rng.random(3000) < expit(6 * x)).astype(float)
+        with pytest.raises(NumericError, match="separation") as info:
+            glm.fit_logistic(x[:, None], y)
+        assert str(info.value) == (
+            "fitted log-odds passed +-15 while the fit was still moving; "
+            "(quasi-)complete separation suspected"
+        )
 
     def test_separation_clamp_returns_unconverged(self):
         X = np.array([[0.0], [0.0], [1.0], [1.0]])

@@ -299,8 +299,40 @@ class TestCvSweep:
         sweep = metrics.cv_sweep(ds, k_values=[1, 9], M_values=[1], folds=folds, n_lambda=15)
         bad = [c for c in sweep.cells if c.method == metrics.SCORECARD and c.k == 9]
         assert bad and all(c.error is not None for c in bad)
+        assert {c.error for c in sweep.cells if c.k == 9} == {"k=9 exceeds the 3 selectable features"}
         good = [c for c in sweep.cells if c.method == metrics.SCORECARD and c.k == 1]
         assert good and all(c.error is None for c in good)
+
+    def test_unfittable_step_fails_its_k_and_every_k_above(self):
+        # female = 1 - male: step 1 takes male, and step 2's only candidate is singular
+        rng = np.random.default_rng(7)
+        male = (rng.random(120) < 0.5).astype(float)
+        y = (rng.random(120) < np.where(male > 0, 0.7, 0.3)).astype(int)
+        ds = data.Dataset(("male", "female"), np.column_stack([male, 1 - male]), y)
+        folds = data.kfold(ds.n, 3, seed=0, labels=y)
+        sweep = metrics.cv_sweep(ds, k_values=[1, 2], M_values=[1, 2], folds=folds,
+                                 n_lambda=10, inner_folds=3)
+        rules = [c for c in sweep.cells if c.method in (metrics.LASSO_SELECTED, metrics.SCORECARD)]
+        assert len(rules) == 3 * (1 + 2) * 2
+        for cell in rules:
+            if cell.k == 1:
+                assert cell.error is None and 0.5 < cell.auc <= 1.0, cell
+            else:
+                assert cell.error.startswith(
+                    "step 2: solver failed for every candidate, first 'female': singular"
+                ), cell
+
+    def test_selection_error_before_any_step_fails_every_k(self, one_signal_ds):
+        # no column varies, so selection raises before its first step
+        ds = data.Dataset(("a", "b"), np.ones((one_signal_ds.n, 2)), one_signal_ds.labels)
+        folds = data.kfold(ds.n, 3, seed=0, labels=ds.labels)
+        sweep = metrics.cv_sweep(ds, k_values=[1, 2, 9], M_values=[1, 2], folds=folds,
+                                 n_lambda=10, inner_folds=3)
+        rules = [c for c in sweep.cells if c.method in (metrics.LASSO_SELECTED, metrics.SCORECARD)]
+        assert len(rules) == 3 * 3 * (1 + 2)
+        assert {c.error for c in rules} == {
+            "k must be between 1 and the number of selectable features (0); got 0"
+        }
 
     def test_single_class_inner_fold_is_recorded(self):
         # 4 positives: each stratified outer half trains on 2 of them, so one
