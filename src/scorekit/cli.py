@@ -62,6 +62,15 @@ def _at_least(low: int, parse=int):
     return check
 
 
+def _finite(text: str) -> float:
+    """An argparse type: a finite float, so that nan or inf is a usage error
+    naming its flag."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _parse_float_grid(text: str) -> tuple[float, ...]:
     is_range = ":" in text
     parts = text.split(":" if is_range else ",")
@@ -401,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("train", _cmd_train, "build a scorecard from labeled data", add_tabular)
     p.add_argument("--k", type=positive, required=True, help="feature budget")
     p.add_argument("--M", type=positive, required=True, help="integer weight bound")
-    p.add_argument("--threshold", type=float, help="decision threshold stored on the card")
+    p.add_argument("--threshold", type=_finite, help="decision threshold stored on the card")
     p.add_argument("--folds", type=fold_count, default=10, help="folds for penalty selection")
     p.add_argument("--n-lambda", type=positive, default=100, help="penalty grid size")
 

@@ -12,7 +12,8 @@ stop where a coefficient crosses zero, and moves along a null direction
 where active columns are dependent), at penalty 0 by one stacked linear
 solve.  Its gradient is exact and its weighted Gram rebuilt only once the
 iterate has moved, so a settled point meets the KKT conditions without a
-line search.
+line search.  One rank rule (:func:`_nonzero`) decides every singular
+system, in the rank test and in the stacked LU's minimum-norm fallback.
 
 Features are standardized internally and coefficients reported on the
 original scale; the intercept is never penalized.
@@ -80,16 +81,15 @@ def fit_logistic(
 
     From every coefficient at 0 it takes full Newton steps, with no
     step-halving, until no coefficient moves by ``tol`` on the standardized
-    scale, within ``max_iter`` steps.  A design whose first weighted Gram
-    has smallest eigenvalue at most ``_RESIDUAL_FLOOR`` times its largest is
-    rank-deficient and raises.  A fit still moving once its fitted log-odds
-    pass ``DIVERGENCE_BOUND`` is taken for (quasi-)complete separation, where
-    the MLE does not exist; the rule reads only the log-odds, so a steep fit
-    whose MLE exists can be stopped too.  By default this raises, and
-    ``on_divergence="clamp"`` returns that iterate, unconverged, which is
-    how forward selection ranks a perfectly separating candidate.  A column
-    that does not vary (the rule of :func:`_varying`, shared with the lasso)
-    gets coefficient 0.
+    scale, within ``max_iter`` steps.  A design whose first weighted Gram is
+    rank-deficient by the rank rule (:func:`_nonzero`) raises.  A fit still
+    moving once its fitted log-odds pass ``DIVERGENCE_BOUND`` is taken for
+    (quasi-)complete separation, where the MLE does not exist; the rule reads
+    only the log-odds, so a steep fit whose MLE exists can be stopped too.
+    By default this raises, and ``on_divergence="clamp"`` returns that
+    iterate, unconverged, which is how forward selection ranks a perfectly
+    separating candidate.  A column that does not vary (the rule of
+    :func:`_varying`, shared with the lasso) gets coefficient 0.
     """
     (fit,) = fit_logistic_many(X, y, [None], max_iter, tol, on_divergence)
     if isinstance(fit, NumericError):
@@ -252,13 +252,13 @@ def _varying(mean, sd):
     return sd > 1e-12 * np.maximum(np.abs(mean), 1.0)
 
 
-# an active-set solve whose active coordinates miss their equations by more
-# than this is (numerically) singular: it is re-solved by least squares, and
-# one that still misses is inconsistent.  An inactive feature enters only
-# when its gradient exceeds lam by more than this: a copy of an active column
-# exceeds it by rounding alone, and admitting it would swap the two copies
-# back and forth at no gain.  A penalty-0 problem is rank-deficient when its
-# first Gram's smallest eigenvalue is at most this times its largest.
+# the rank rule (_nonzero): an eigenvalue of a Gram block at most this times
+# the block's largest counts as zero.  An active-set solve whose active
+# coordinates miss their equations by more than this is re-solved by that
+# rule, and one that still misses is inconsistent.  An inactive feature enters
+# only when its gradient exceeds lam by more than this: a copy of an active
+# column exceeds it by rounding alone, and admitting it would swap the two
+# copies back and forth at no gain.
 _RESIDUAL_FLOOR = 1e-10
 
 # a problem's weighted Gram is rebuilt once its standardized iterate has
@@ -312,21 +312,21 @@ def _active_set_solve(G, h, aug, lam, penalized, groups=None) -> np.ndarray:
       ``s_j [e_j - G[S,S]^+ G[S,j]]``.
 
     Every move strictly lowers the objective and sign patterns are finite, so
-    a problem cannot cycle.  ``groups[k]`` labels the group of problem k
-    (one group when omitted), whose problems are contiguous in the batch,
-    and each round is one stacked solve per group
-    for its problems still cycling, as wide as the last coordinate they
-    penalize: an inactive coordinate is an identity row and column with a zero
-    right-hand side, so it solves to exactly zero, and each problem follows
-    the iterates it would follow in a batch of its own group, to rounding.
-    The round's gradient checks the solve: a problem whose active residual
-    ``grad[S] - lam * s[S]`` exceeds ``_RESIDUAL_FLOOR``, or any problem of
-    a group whose stacked solve meets an exactly singular system, is
-    re-solved alone by minimum-norm least squares; any solution of a
-    consistent system minimizes the objective on its sign pattern
-    (Tibshirani 2013), so it is a target like ``b``.
-    ``aug`` is updated in place.  Returns whether each problem was
-    solved within ``_ROUND_CAP`` rounds per coordinate.
+    a problem cannot cycle.  ``groups[k]`` labels the group of problem k (one
+    group when omitted), whose problems are contiguous in the batch, and
+    each round is one stacked solve per group for its problems still
+    cycling, as wide as the last coordinate they penalize: an inactive
+    coordinate is an identity row and column with a zero right-hand side, so
+    it solves to exactly zero, and each problem follows the iterates it
+    would follow in a batch of its own group, to rounding.  A group whose
+    stacked LU meets an exactly singular system takes :func:`_min_norm`
+    whole (:func:`_solve`), and the round's gradient checks every solve: the
+    problems whose active residual ``grad[S] - lam * s[S]`` exceeds
+    ``_RESIDUAL_FLOOR`` are re-solved by :func:`_min_norm` in one batch.
+    Any solution of a consistent system minimizes the objective on its sign
+    pattern (Tibshirani 2013), so it is a target like ``b``.  ``aug`` is
+    updated in place.  Returns whether each problem was solved within
+    ``_ROUND_CAP`` rounds per coordinate.
     """
     B, q = aug.shape
     lam = np.reshape(lam, (-1, 1))
@@ -337,34 +337,25 @@ def _active_set_solve(G, h, aug, lam, penalized, groups=None) -> np.ndarray:
     active = penalized & (aug != 0.0)
     sign = np.sign(aug) * active
     active[:, 0] = True
-    eye = np.eye(q)
     cycling = np.ones(B, dtype=bool)
     for _ in range(_ROUND_CAP * q):
         rhs = np.where(active, h - lam * sign, 0.0)
         b = np.zeros((B, q))
         for own in members:
             c = own[cycling[own]]
-            if not c.size:
-                continue
-            w = reach[c].max()
-            on = active[c, :w]
-            M = np.where(on[:, :, None] & on[:, None, :], G[c, :w, :w], eye[:w, :w])
-            try:
-                b[c, :w] = np.where(on, np.linalg.solve(M, rhs[c, :w, None])[:, :, 0], 0.0)
-            except np.linalg.LinAlgError:  # an exactly singular system sinks its group's stack
-                b[c] = np.nan
+            if c.size:
+                w = reach[c].max()
+                b[c, :w] = _solve(G[c, :w, :w], rhs[c, :w], active[c, :w])
         grad = h - (G @ b[:, :, None])[:, :, 0]
         miss = np.where(active, np.abs(grad - lam * sign), 0.0).max(axis=1)
+        redo = cycling & ~(miss <= _RESIDUAL_FLOOR)
         ray = np.zeros(B, dtype=bool)  # inconsistent: b holds the residual to move along
-        for k in np.flatnonzero(cycling & ~(miss <= _RESIDUAL_FLOOR)):  # NaN misses too
-            S = active[k]
-            b[k] = 0.0
-            b[k, S] = np.linalg.lstsq(G[k][np.ix_(S, S)], rhs[k, S])[0]
-            grad[k] = h[k] - G[k] @ b[k]
-            resid = np.where(S, grad[k] - lam[k] * sign[k], 0.0)
-            ray[k] = not np.abs(resid).max() <= _RESIDUAL_FLOOR
-            if ray[k]:
-                b[k] = resid
+        if redo.any():
+            b[redo] = _min_norm(G[redo], rhs[redo], active[redo])
+            grad[redo] = h[redo] - (G[redo] @ b[redo, :, None])[:, :, 0]
+            resid = np.where(active, grad - lam * sign, 0.0)
+            ray = redo & ~(np.abs(resid).max(axis=1) <= _RESIDUAL_FLOOR)
+            b[ray] = resid[ray]
         cross = sign * b < 0.0
         flat = cycling & ~ray & ~cross.any(axis=1)
         aug[flat] = b[flat]
@@ -386,13 +377,10 @@ def _active_set_solve(G, h, aug, lam, penalized, groups=None) -> np.ndarray:
                 best = np.arange(q) == pull.argmax(axis=1)[:, None]
                 wrong[lone] = fresh[lone] & ~best[lone]
                 alone = lone & (fresh.sum(axis=1) == 1)
-                for k in np.flatnonzero(alone):  # it depends on S: displace along the null vector
-                    j = np.flatnonzero(fresh[k])[0]
-                    S = active[k] & ~fresh[k]
-                    d[k] = 0.0
-                    d[k, S] = -np.linalg.lstsq(G[k][np.ix_(S, S)], G[k, S, j])[0]
-                    d[k, j] = 1.0
-                    d[k] *= sign[k, j]
+                k = np.flatnonzero(alone)  # each depends on S: displace along its null vector
+                j = fresh[k].argmax(axis=1)
+                d[k] = fresh[k] - _min_norm(G[k], G[k, :, j], active[k] & ~fresh[k])
+                d[k] *= sign[k, j, None]
                 t[alone], moved[alone] = _step(aug[alone], d[alone], sign[alone] * d[alone] < 0.0, np.inf)
             step = moving & (0.0 < t) & (t < np.inf)
             aug[step] = moved[step]
@@ -436,8 +424,8 @@ def _fit_paths(
 
     At a grid point of penalty 0 (a 0 in ``lambda_grid``; default grids are
     positive) proximal Newton is Newton (Lee, Sun & Saunders 2014): every
-    varying column is active, so each outer step is one
-    :func:`_newton_step` for every problem still moving.  A path whose
+    varying column is active, so each outer step is one stacked
+    :func:`_solve` for every problem still moving.  A path whose
     first penalty is 0 starts at 0, not at the intercept-only fit.  Two rules
     end such a problem early, unconverged, where the maximum-likelihood fit
     does not exist: it is ``"singular"`` when the Gram of its first step
@@ -526,10 +514,10 @@ def _fit_paths(
                     break
             G, step = grams[live], aug[live]
             h = (G @ step[:, :, None])[:, :, 0] + score / sizes[live, None]
-            solved = (
-                _newton_step(G, h, step, kept[live]) if newton
-                else _active_set_solve(G, h, step, lams[live, i], penalized[live], set_of[live])
-            )
+            if newton:
+                step, solved = _solve(G, h, kept[live]), np.ones(len(live), dtype=bool)
+            else:
+                solved = _active_set_solve(G, h, step, lams[live, i], penalized[live], set_of[live])
             settled = np.max(np.abs(step - aug[live]), axis=1) < tol
             aug[live] = step
             steps[live] += 1
@@ -548,30 +536,42 @@ def _fit_paths(
     return paths, ends
 
 
-def _full_rank(G, on):
-    """Whether each Gram ``G[k]``, on its coordinates marked in ``on[k]``, has
-    smallest eigenvalue above ``_RESIDUAL_FLOOR`` times its largest: one
-    batched ``eigvalsh``, each other coordinate a diagonal entry at the mean
-    of the marked diagonal, which lies between the two."""
+def _padded(G, on):
+    """Each ``G[k]`` on its coordinates marked in ``on[k]``, every other one a diagonal
+    entry at the mean of the marked diagonal, which lies between its extreme eigenvalues."""
     mean = np.where(on, np.diagonal(G, axis1=1, axis2=2), 0.0).sum(axis=1) / on.sum(axis=1)
-    pad = np.eye(G.shape[1]) * mean[:, None, None]
-    ev = np.linalg.eigvalsh(np.where(on[:, :, None] & on[:, None, :], G, pad))
-    return ev[:, 0] > _RESIDUAL_FLOOR * ev[:, -1]
+    return np.where(on[:, :, None] & on[:, None, :], G, np.eye(G.shape[1]) * mean[:, None, None])
 
 
-def _newton_step(G, h, aug, on):
-    """Set each ``aug[k]`` to the minimizer of ``b' G[k] b / 2 - h[k]' b``
-    over its coordinates marked in ``on[k]``, the rest 0: its Newton step,
-    all in one stacked solve.  An exactly singular system takes its
-    minimum-norm least-squares solution.  Returns that each was solved."""
+def _nonzero(ev):
+    """The rank rule: each row's ascending eigenvalues above ``_RESIDUAL_FLOOR`` times its last."""
+    return ev > _RESIDUAL_FLOOR * ev[:, -1:]
+
+
+def _full_rank(G, on):
+    """Whether each :func:`_padded` ``G[k]`` has no eigenvalue the rank rule zeroes."""
+    return _nonzero(np.linalg.eigvalsh(_padded(G, on))).all(axis=1)
+
+
+def _min_norm(G, rhs, on):
+    """The minimum-norm least-squares solution of each ``G[k] x = rhs[k]`` on
+    its coordinates marked in ``on[k]``, the rest exactly 0, by one batched
+    ``eigh`` of the :func:`_padded` blocks without the eigenvalues the rank
+    rule zeroes (Golub & Van Loan 2013, section 5.5)."""
+    ev, V = np.linalg.eigh(_padded(G, on))
+    inv = np.divide(1.0, ev, out=np.zeros_like(ev), where=_nonzero(ev))
+    x = np.einsum("kij,kj->ki", V, inv * np.einsum("kji,kj->ki", V, np.where(on, rhs, 0.0)))
+    return np.where(on, x, 0.0)
+
+
+def _solve(G, rhs, on):
+    """Each ``G[k] x = rhs[k]`` solved on its coordinates marked in ``on[k]``, the rest 0, by
+    one stacked LU; an exactly singular system sinks the stack to :func:`_min_norm`."""
     M = np.where(on[:, :, None] & on[:, None, :], G, np.eye(G.shape[1]))
-    rhs = np.where(on, h, 0.0)[:, :, None]
     try:
-        aug[...] = np.linalg.solve(M, rhs)[:, :, 0]
-    except np.linalg.LinAlgError:  # an exactly singular system sinks the stack
-        for k in range(len(aug)):
-            aug[k] = np.linalg.lstsq(M[k], rhs[k])[0][:, 0]
-    return np.ones(len(aug), dtype=bool)
+        return np.where(on, np.linalg.solve(M, rhs[:, :, None])[:, :, 0], 0.0)
+    except np.linalg.LinAlgError:
+        return _min_norm(G, rhs, on)
 
 
 def fit_lasso_path(

@@ -53,6 +53,8 @@ class Scorecard(JsonRecord):
             raise DataError("scorecard weight exceeds the declared bound")
         if len({name for name, _ in entries}) != len(entries):
             raise DataError("duplicate feature in scorecard entries")
+        if self.threshold is not None and not np.isfinite(self.threshold):
+            raise DataError(f"scorecard threshold must be finite, got {self.threshold!r}")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         object.__setattr__(

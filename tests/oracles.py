@@ -3,11 +3,12 @@
 Everything here is deliberately slow and, but for one, structurally
 unrelated to the library's own algorithms: bracket-shrinking maximization
 and one-fit IRLS with step-halving instead of batched Newton steps,
-coordinate descent instead of feature-sign active-set solves, O(n^2) pair
-counting instead of rank sums, bisection instead of closed forms,
-row-by-row CSV loops instead of one typed parse.  The
-exception is forward selection, whose reference fits one candidate at a
-time where the library fits a step's candidates as one batch.  Tests
+coordinate descent instead of feature-sign active-set solves, one
+pseudo-inverse per system instead of one batched eigendecomposition of
+padded blocks, O(n^2) pair counting instead of rank sums, bisection
+instead of closed forms, row-by-row CSV loops instead of one typed parse.
+The exception is forward selection, whose reference fits one candidate at
+a time where the library fits a step's candidates as one batch.  Tests
 compare the fast paths against these.
 """
 
@@ -148,6 +149,17 @@ def coordinate_descent(G, h, aug, lam, keep, tol, max_sweeps=10000):
             if sweep(active) < tol:
                 break
     return False
+
+
+def min_norm_solve(G, rhs, on):
+    """The minimum-norm least-squares solution of ``G x = rhs`` on the
+    coordinates marked in ``on``, every other coordinate 0, from numpy's
+    pseudo-inverse of that block alone, which counts a singular value at most
+    1e-10 times the largest as zero: the per-problem reference for
+    ``glm._min_norm``."""
+    x = np.zeros(len(rhs))
+    x[on] = np.linalg.pinv(G[np.ix_(on, on)], rcond=1e-10, hermitian=True) @ rhs[on]
+    return x
 
 
 def forward_stepwise_reference(ds, k, grouped=True, fit_logistic=None):

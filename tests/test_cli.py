@@ -173,6 +173,17 @@ class TestTrain:
     def test_unknown_flag_is_usage_error(self):
         assert run("train", "--nonsense") == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_is_usage_error(self, train_csv, tmp_path, capsys, value):
+        data_path, spec_path = train_csv
+        code = run("train", "--input", data_path, "--label", "fta", "--encoding", spec_path,
+                   "--k", "2", "--M", "3", f"--threshold={value}", "--output-dir", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "argument --threshold: must be finite" in err and "Traceback" not in err
+        assert not (tmp_path / "scorecard.json").exists()
+        assert not (tmp_path / "scorecard.txt").exists()
+
     @pytest.mark.parametrize("flag, value", [*SIZE_FLAGS, ("--folds", "1")])
     def test_non_positive_size_is_usage_error(self, tmp_path, capsys, flag, value):
         assert_size_is_usage_error(capsys, tmp_path, "train", flag, value,

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import coordinate_descent, direct_max_oracle, irls, logistic_ll
+from oracles import coordinate_descent, direct_max_oracle, irls, logistic_ll, min_norm_solve
 from scorekit import data, glm, policy, synth
 from scorekit._math import expit
 from scorekit.errors import DataError, NumericError
@@ -282,14 +282,18 @@ def cd_only(calls, tol):
     return solve
 
 
-def counted(func, calls):
-    """``func``, appending 1 to ``calls`` on every call."""
+def count_min_norm(monkeypatch):
+    """A list that gets, for every ``glm._min_norm`` call, the number of
+    problems it solved: the problems that took the rank-rule fallback."""
+    calls = []
+    min_norm = glm._min_norm
 
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return func(*args, **kwargs)
+    def spy(G, rhs, on):
+        calls.append(len(G))
+        return min_norm(G, rhs, on)
 
-    return spy
+    monkeypatch.setattr(glm, "_min_norm", spy)
+    return calls
 
 
 # a warm start that gives the two copies of a duplicated column opposite
@@ -451,24 +455,134 @@ class TestActiveSetSolver:
         X = rng.normal(size=(20, 40))
         fits.append(("n_below_p", X, draw_labels(rng, X[:, :3] @ [1.0, -1.0, 0.5])))
         fits.append(("n_below_p_binary", rng.integers(0, 2, (12, 30)) * 1.0, np.arange(12) % 2.0))
-        # x0 and a copy of it off by 1e-8 or 1e-7, whose stacked solves are
-        # nearly singular.  Seed 17: once one copy is active the other enters
-        # by a hair and solves to the wrong sign, so it displaces the active
-        # copy along the null vector.  Seed 3: both copies enter together and
-        # least squares calls the system inconsistent, with a residual that no
-        # zero crossing bounds, so only the most violating feature enters.
-        for seed, offset in ((17, 1e-8), (3, 1e-7)):
+        # x0 and a copy of it off by 1e-7 to 1e-9, whose stacked solves are
+        # nearly singular.  Seeds 10 and 23: once one copy is active the other
+        # enters by a hair and solves to the wrong sign, so it displaces the
+        # active copy along the null vector.  Seed 3: both copies enter
+        # together and the rank rule calls the system inconsistent, so the
+        # iterate moves along its residual until a zero crossing.  Seed 17
+        # needs neither move.
+        for seed, offset in ((17, 1e-8), (3, 1e-7), (10, 1e-8), (23, 1e-9)):
             rng = np.random.default_rng(seed)
             X = rng.normal(size=(80, 4))
             X = np.column_stack([X, X[:, 0] + offset * rng.normal(size=80)])
             fits.append((f"near_copy_{seed}", X, draw_labels(rng, X[:, :4] @ rng.normal(size=4))))
         capped = count_capped(monkeypatch)
+        displaced, rays = [], []  # rows per _step call: displaced, moved along a residual
+        step = glm._step
+
+        def spy(aug, d, cross, reach):
+            if np.ndim(reach) == 0:  # the displacement is the one step with a scalar reach
+                displaced.append(len(aug))
+            else:
+                rays.append(int(np.sum(reach == np.inf)))
+            return step(aug, d, cross, reach)
+
+        monkeypatch.setattr(glm, "_step", spy)
         for name, X, y in fits:
+            displaced.clear()
+            rays.clear()
             path = glm.fit_lasso_path(X, y, n_lambda=20)
             assert not any(capped), name  # no solve ran out of rounds
             assert path.converged.all(), name
             for i in range(path.n_lambda):
                 assert max(glm.kkt_violation(path, X, y, i)) <= 1e-9, (name, i)
+            if name in ("near_copy_10", "near_copy_23"):
+                assert sum(displaced), name
+            if name == "near_copy_3":
+                assert sum(rays), name
+
+
+def weighted_grams(rng, designs):
+    """The weighted Gram ``D' W D / n`` of each design's augmented ``[1, X]``
+    at random weights, stacked."""
+    grams = []
+    for X in designs:
+        D = np.column_stack([np.ones(len(X)), X])
+        grams.append(D.T @ (D * rng.uniform(0.05, 0.25, len(X))[:, None]) / len(X))
+    return np.array(grams)
+
+
+def random_masks(rng, B, q):
+    """Random active masks that always mark the intercept."""
+    on = rng.random((B, q)) < 0.7
+    on[:, 0] = True
+    return on
+
+
+class TestMinNorm:
+    """The rank rule's one fallback against a per-problem pseudo-inverse."""
+
+    @staticmethod
+    def assert_matches_pinv(G, rhs, on, rel=1e-8):
+        x = glm._min_norm(G, rhs, on)
+        assert np.all(x[~on] == 0.0)  # unmarked coordinates come back exactly 0
+        for k in range(len(G)):
+            ref = min_norm_solve(G[k], rhs[k], on[k])
+            assert np.linalg.norm(x[k] - ref) <= rel * np.linalg.norm(ref), k
+        return x
+
+    def test_matches_the_pseudo_inverse_on_dependent_blocks(self):
+        rng = np.random.default_rng(27)
+        for name in ("full_rank", "duplicated", "complement"):
+            designs = []
+            for _ in range(12):
+                X = (rng.random((60, 5)) < 0.4) * 1.0
+                if name == "duplicated":
+                    X[:, 3] = X[:, 1]
+                elif name == "complement":  # with the intercept, columns 1 and 3 are dependent
+                    X[:, 3] = 1.0 - X[:, 1]
+                designs.append(X)
+            G = weighted_grams(rng, designs)
+            on = random_masks(rng, len(G), 6)
+            self.assert_matches_pinv(G, rng.normal(size=(len(G), 6)), on)
+            dependent = on[:, 2] & on[:, 4]
+            full = glm._full_rank(G, on)
+            if name == "full_rank":
+                assert full.all()
+            else:  # the dependency counts as zero exactly when both columns are marked
+                assert dependent.any() and np.array_equal(full, ~dependent), name
+
+    def test_near_copies_share_the_full_rank_cut(self):
+        rng = np.random.default_rng(28)
+        offsets = np.repeat([1e-2, 1e-3, 1e-6, 1e-7, 1e-9], 4)
+        designs = []
+        for offset in offsets:
+            X = rng.normal(size=(80, 4))
+            designs.append(np.column_stack([X, X[:, 0] + offset * rng.normal(size=80)]))
+        G = weighted_grams(rng, designs)
+        on = np.ones((len(G), 6), dtype=bool)
+        on[::2, 3] = False
+        rhs = rng.normal(size=(len(G), 6))
+        x = self.assert_matches_pinv(G, rhs, on)
+        # a block the rule calls full rank is solved; one it does not keeps the
+        # residual of its dropped near-null direction
+        resid = np.where(on, (G @ x[:, :, None])[:, :, 0] - rhs, 0.0)
+        solved = np.linalg.norm(resid, axis=1) <= 1e-6
+        full = glm._full_rank(G, on)
+        assert np.array_equal(solved, full)
+        assert np.array_equal(full, offsets > 1e-4)
+
+    def test_solve_keeps_each_regular_blocks_lu_answer(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        designs = [rng.normal(size=(50, 4)) for _ in range(4)]
+        designs[2][:, 3] = designs[2][:, 0]  # identical Gram rows: an exactly singular LU
+        G = weighted_grams(rng, designs)
+        on = random_masks(rng, 4, 5)
+        on[2] = True
+        rhs = rng.normal(size=(4, 5))
+        eye = np.eye(5)
+        padded = np.where(on[:, :, None] & on[:, None, :], G, eye)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(padded[2], rhs[2])
+        calls = count_min_norm(monkeypatch)
+        x = glm._solve(G, rhs, on)
+        assert calls == [4]  # the stack sank, so each block took the fallback
+        for k in (0, 1, 3):
+            lu = np.where(on[k], np.linalg.solve(padded[k], np.where(on[k], rhs[k], 0.0)), 0.0)
+            assert np.linalg.norm(x[k] - lu) <= 1e-12 * np.linalg.norm(lu), k
+        ref = min_norm_solve(G[2], rhs[2], on[2])
+        assert np.linalg.norm(x[2] - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
 def cv_batch(X, y, folds, **kwargs):
@@ -534,8 +648,7 @@ class TestBatchedPaths:
         X = np.column_stack([X, X[:, 1]])
         held = folds.test_indices(0)[:12]
         X[held, 4] += rng.normal(size=len(held))
-        calls = []
-        monkeypatch.setattr(np.linalg, "lstsq", counted(np.linalg.lstsq, calls))
+        calls = count_min_norm(monkeypatch)
         capped = count_capped(monkeypatch)
         solo_calls = []
         solos = []
@@ -544,13 +657,13 @@ class TestBatchedPaths:
             Xr, yr = (X, y) if rows is None else (X[rows], y[rows])
             grid = solos[0].lambda_grid if solos else None
             solos.append(glm.fit_lasso_path(Xr, yr, n_lambda=12, lambda_grid=grid))
-            solo_calls.append(len(calls))
+            solo_calls.append(sum(calls))
         assert solo_calls[1] > 0 and solo_calls[0] == solo_calls[2] == solo_calls[3] == 0
         calls.clear()
         _, paths = cv_batch(X, y, folds, n_lambda=12)
         # fold 0's system is exactly singular, which sinks the stacked solve,
-        # so every problem still cycling in such a round takes least squares too
-        assert len(calls) >= solo_calls[1]
+        # so every problem still cycling in such a round takes the fallback too
+        assert sum(calls) >= solo_calls[1]
         assert capped and not any(capped)  # no solve ran out of rounds
         for path, solo in zip(paths, solos):
             assert_same_path(path, solo)
@@ -621,17 +734,16 @@ class TestCvSelectMany:
         X = np.column_stack([X, X[:, 1]])  # column 4 copies column 1
         folds = data.kfold(240, 3, seed=1, labels=y)
         dependent, independent = [0, 1, 4], [0, 2, 3]
-        calls = []
-        monkeypatch.setattr(np.linalg, "lstsq", counted(np.linalg.lstsq, calls))
+        calls = count_min_norm(monkeypatch)
         solo = []
         for cols in (dependent, independent):
             calls.clear()
             glm.cv_select(X[:, cols], y, folds, n_lambda=12)
-            solo.append(len(calls))
+            solo.append(sum(calls))
         assert solo[0] > 0 and solo[1] == 0
         calls.clear()
         glm.cv_select_many(X, y, folds, [dependent, independent], n_lambda=12)
-        assert len(calls) == solo[0]
+        assert sum(calls) == solo[0]
 
     def test_an_unconverged_set_fails_alone(self, monkeypatch):
         rng = np.random.default_rng(12)

@@ -115,6 +115,14 @@ class TestScoreDecide:
         with pytest.raises(DataError, match="missing scorecard feature"):
             srr.score(TABLE_CARD, {"age_18_20": 1.0})
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_threshold_is_refused(self, threshold):
+        with pytest.raises(DataError, match="threshold must be finite"):
+            srr.Scorecard(entries=(("a", 1),), weight_bound=1, feature_budget=1,
+                          threshold=threshold)
+        with pytest.raises(DataError, match="threshold must be finite"):
+            TABLE_CARD.with_threshold(threshold)
+
     def test_unset_threshold(self):
         card = srr.Scorecard(entries=(("a", 1),), weight_bound=1, feature_budget=1)
         with pytest.raises(DataError, match="threshold"):

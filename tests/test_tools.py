@@ -191,3 +191,24 @@ def test_clamped_run_is_the_heart_benchmark_op_that_clamps(tmp_path, monkeypatch
     heart = ["--input", tool.HEART_CSV, "--label", "disease", "--encoding", tool.HEART_ENCODING]
     assert cli.run(clamped_run(heart, str(tmp_path))) == 0
     assert clamped  # 25 selection fits stop at the divergence bound
+
+
+@pytest.mark.parametrize("run_dir", ["evaluate_complement", "evaluate_n_below_p"])
+def test_dependent_table_runs_reach_the_min_norm_fallback(tmp_path, monkeypatch, run_dir):
+    """The digest runs on the complement and n<p tables reach the rank
+    rule's fallback solve, so their digests cover it."""
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached  # the run need go no further
+
+    tool = load("cli_digests", TOOL)
+    tool.write_complement_csv(str(tmp_path / tool.COMPLEMENT))
+    tool.write_n_below_p_csv(str(tmp_path / tool.N_BELOW_P))
+    (args,) = [a for a, files in tool.runs(str(tmp_path), [])
+               if files == [f"{run_dir}/sweep.csv"]]
+    monkeypatch.setattr(glm, "_min_norm", reached)
+    with pytest.raises(Reached):
+        cli.run(args)

@@ -20,12 +20,12 @@ Runs, in one process and into subdirectories of OUTDIR:
   selection fits at the divergence bound (``evaluate_clamped/``)
 - ``evaluate --k-values 1-2 --folds 3`` on ``complement.csv``, a table whose
   ``female`` column is ``1 - male``, so the lasso's active columns become
-  dependent and its least-squares branch runs (``evaluate_complement/``);
-  the tool writes the table from a fixed seed
+  dependent and the solver's minimum-norm fallback runs
+  (``evaluate_complement/``); the tool writes the table from a fixed seed
 - ``evaluate`` with default arguments on ``n_below_p.csv``, a 12 x 30 table
   of 0/1 columns with alternating labels, the input that makes the most
-  selection fits (``evaluate_n_below_p/``); the tool writes it from a fixed
-  seed
+  selection fits and also takes the fallback (``evaluate_n_below_p/``); the
+  tool writes it from a fixed seed
 - ``theory-curve`` with default grids (``theory/``)
 - ``train`` on the bundled heart table (``train/``), and again with
   ``--threshold 1.5``, so the card's release line and its stored threshold
