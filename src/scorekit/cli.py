@@ -39,8 +39,6 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
             values.extend(range(a, b + 1))
         else:
             values.append(int(part))
-    if not values:
-        raise ValueError(f"empty integer list: {text!r}")
     return tuple(values)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._math import expit, log_likelihood_bernoulli, logit
-from .data import FoldAssignment, JsonRecord
+from .data import FoldAssignment, JsonRecord, check_spread
 from .errors import DataError, NumericError
 
 # |linear predictor| beyond this means fitted probabilities within ~3e-7 of
@@ -62,14 +62,20 @@ class GlmFit(JsonRecord):
 
 
 def _check_xy(X, y):
+    """``X`` and ``y`` as floats, refused unless ``X`` is a finite matrix with
+    rows whose columns (``x0``, ``x1``, ... as in ``CaseTable``) pass
+    :func:`~scorekit.data.check_spread` and ``y`` is one 0/1 label per row."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.ndim != 2:
-        raise DataError("X must be a 2-d matrix")
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise DataError("X must be a 2-d matrix with at least one row")
     if y.shape != (X.shape[0],):
         raise DataError("y length does not match X")
     if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
         raise DataError("non-finite entries in X or y")
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise DataError("y must contain only 0 or 1")
+    check_spread(X, [f"x{j}" for j in range(X.shape[1])])
     return X, y
 
 

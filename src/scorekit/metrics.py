@@ -14,22 +14,13 @@ from .selection import StepFailure, forward_stepwise, selectable_groups
 from .srr import rescale_round
 
 
-def _tie_groups(scores: np.ndarray):
-    """Ascending order of `scores`, the sorted values, and tie-group starts.
-
-    The one sort behind :func:`best_threshold`.  ``first[i]`` is True where
-    sorted position ``i`` opens a run of equal scores; NaNs sort last, one
-    per run.  The sort is numpy's default (unstable) kind, so the rows
-    inside a run come in no fixed order, and ``best_threshold`` never reads
-    that order: it reads its cumulative label counts only at run starts.
-    A NaN is a run of its own whose place depends on the sort, which is why
-    ``best_threshold`` drops NaN scores first.
-    """
-    order = np.argsort(scores)
-    ordered = scores[order]
-    first = np.ones(len(ordered), dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    return order, ordered, first
+def _scores_and_labels(scores, labels):
+    """``scores`` as floats and ``labels`` as an array, both 1-d and of one length."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    if scores.shape != labels.shape or scores.ndim != 1:
+        raise DataError("scores and labels must be 1-d and the same length")
+    return scores, labels
 
 
 def auc(scores, labels) -> float:
@@ -46,10 +37,7 @@ def auc(scores, labels) -> float:
     U / (n_pos * n_neg).  Labels other than 1 count as negatives.  Raises
     :class:`DataError` when a score is NaN.
     """
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
-    if scores.shape != labels.shape or scores.ndim != 1:
-        raise DataError("scores and labels must be 1-d and the same length")
+    scores, labels = _scores_and_labels(scores, labels)
     if np.isnan(scores).any():
         raise DataError("AUC scores contain NaN")
     pos = labels == 1
@@ -85,29 +73,20 @@ def accuracy(predictions, labels) -> float:
 def best_threshold(scores, labels) -> float:
     """Score cutoff (predict 1 iff score >= cutoff) maximizing accuracy.
 
-    Candidates are the distinct observed scores plus one above the max;
-    ties break toward the smaller cutoff.  A label counts as correct only
-    when it is 1 and predicted 1, or 0 and predicted 0.
+    Candidates are the distinct non-NaN scores plus max + 1 (NaN, predicting
+    all 0, when a score is NaN); ties break toward the smaller cutoff.  A
+    label is correct only when it is 1 and predicted 1, or 0 and predicted 0.
+    With each class's non-NaN scores sorted, cutoff c gets right
+    ``len(ones) - searchsorted(ones, c)`` ones and ``searchsorted(zeros, c)``
+    zeros; a NaN-score row is below every cutoff, the same at each.
     """
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
-    if scores.shape != labels.shape or scores.ndim != 1:
-        raise DataError("scores and labels must be 1-d and the same length")
+    scores, labels = _scores_and_labels(scores, labels)
     top = np.max(scores) + 1.0  # NaN when any score is NaN
-    n_zero = np.count_nonzero(labels == 0)
-    # a NaN score is below every cutoff, and a NaN cutoff predicts all 0 as `top` does
     kept = ~np.isnan(scores)
-    order, ordered, first = _tie_groups(scores[kept])
-    starts = np.flatnonzero(first)
-    cutoffs = np.append(ordered[starts], top)
-    # sorted position of each cutoff: the rows from there on are predicted 1
-    at = np.append(starts, np.searchsorted(ordered, top))
-    sorted_labels = labels[kept][order]
-    ones = np.concatenate([[0], np.cumsum(sorted_labels == 1)])
-    zeros = np.concatenate([[0], np.cumsum(sorted_labels == 0)])
-    correct = (ones[-1] - ones[at]) + n_zero - (zeros[-1] - zeros[at])
-    # accuracies are multiples of 1/n, so distinct ones differ by far more than
-    # the 1e-12 tie tolerance and the first maximum is the smallest best cutoff
+    ones, zeros = (np.sort(np.compress(kept & (labels == value), scores)) for value in (1, 0))
+    cutoffs = np.append(np.unique(np.compress(kept, scores)), top)
+    correct = len(ones) - np.searchsorted(ones, cutoffs) + np.searchsorted(zeros, cutoffs)
+    # the cutoffs ascend, so the first maximum is the smallest best cutoff
     return float(cutoffs[np.argmax(correct)])
 
 

@@ -117,6 +117,9 @@ class CaseTable:
             raise DataError("outcome must be 0 or 1")
         if po and np.any(self.outcomes != np.where(self.released, po[0], po[1])):
             raise DataError("observed outcome must equal the potential outcome of the action taken")
+        for col in columns:  # read-only, so that no write can undo the checks above
+            if col is not None:
+                col.flags.writeable = False
 
     @property
     def actions(self) -> np.ndarray:
@@ -183,6 +186,15 @@ class Policy(Protocol):
     def released(self, X: np.ndarray) -> np.ndarray: ...
 
 
+def _finite_threshold(value) -> float:
+    """A policy's release threshold as a float; NaN would release nobody and
+    an infinity everybody or nobody, so neither is a threshold."""
+    threshold = float(value)
+    if not np.isfinite(threshold):
+        raise DataError(f"policy threshold must be finite, got {threshold!r}")
+    return threshold
+
+
 @dataclass(frozen=True)
 class ScorecardPolicy:
     """Release iff the integer score is strictly below the threshold."""
@@ -196,7 +208,7 @@ class ScorecardPolicy:
         thr = self.card.threshold if self.threshold is None else self.threshold
         if thr is None:
             raise DataError("no threshold: set one on the card or the policy")
-        object.__setattr__(self, "threshold", float(thr))
+        object.__setattr__(self, "threshold", _finite_threshold(thr))
         self.card.weight_vector(self.feature_names)  # rejects a layout missing a card feature
 
     def scores(self, X: np.ndarray) -> np.ndarray:
@@ -213,6 +225,9 @@ class RiskModelPolicy:
     intercept: float
     coefficients: np.ndarray
     threshold: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "threshold", _finite_threshold(self.threshold))
 
     def risk(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))

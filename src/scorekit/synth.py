@@ -105,8 +105,10 @@ class SyntheticCohort:
         u = np.asarray(self.u, dtype=np.int8)
         u.flags.writeable = False
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "judges", np.asarray(self.judges))
-        if u.shape != (self.n,) or self.judges.shape != (self.n,):
+        judges = np.asarray(self.judges)
+        judges.flags.writeable = False
+        object.__setattr__(self, "judges", judges)
+        if u.shape != (self.n,) or judges.shape != (self.n,):
             raise DataError("u and judges must have one entry per case")
 
     @property

@@ -466,6 +466,20 @@ class TestSynthGen:
         assert "unpack" not in err and "convert" not in err
         assert not (tmp_path / "cohort.csv").exists()
 
+    def test_hidden_u_cohort_is_written(self, tmp_path):
+        hidden = "0.3,0.693,0.693,0.693"
+        code = run("synth-gen", "--n", "500", "--hidden-u", hidden, "--output-dir", str(tmp_path))
+        assert code == 0
+        back = synth.load_cohort_csv(tmp_path / "cohort.csv")
+        assert back.n == 500 and 0 < back.u.mean() < 1
+
+    def test_uncalibrated_hidden_u_is_numerical_failure(self, tmp_path, capsys):
+        code = run("synth-gen", "--n", "200", "--hidden-u", "0.9,-1000,0,0",
+                   "--output-dir", str(tmp_path))
+        assert code == 4
+        assert "numerical failure: could not calibrate intercept" in capsys.readouterr().err
+        assert not (tmp_path / "cohort.csv").exists()
+
     def test_non_positive_n_is_usage_error(self, tmp_path, capsys):
         code = run("synth-gen", "--n", "0", "--output-dir", str(tmp_path))
         err = capsys.readouterr().err
@@ -694,6 +708,22 @@ class TestTheoryCurve:
     def test_non_finite_grid_is_usage_error(self, tmp_path, flag, grid):
         assert run("theory-curve", flag, grid, "--output-dir", str(tmp_path)) == 2
         assert not (tmp_path / "theory_curve.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag, grid, message",
+        [("--auc-values", "0.5:0.9", "range must be start:stop:step, got '0.5:0.9'"),
+         ("--gamma-values", "0:1:0", "range step must be positive")],
+    )
+    def test_malformed_range_is_usage_error(self, tmp_path, capsys, flag, grid, message):
+        assert run("theory-curve", flag, grid, "--output-dir", str(tmp_path)) == 2
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "theory_curve.csv").exists()
+
+    def test_output_dir_below_a_file_is_io_error(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        code = run("theory-curve", "--output-dir", str(tmp_path / "file" / "out"))
+        assert code == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
 
 
 class TestCsvOutput:

@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -904,7 +905,43 @@ def assert_kkt_or_raises(name, fit):
             assert max(glm.kkt_violation(path, X, y, i)) <= 1e-7, (name, i)
 
 
+def refused_inputs():
+    """{name: (X, y, message)}: seed 0's 200 x 2 normal design with coin-flip
+    labels, changed so that a container would refuse it."""
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(200, 2))
+    y = (rng.random(200) < 0.5).astype(float)
+    huge = X.copy()
+    huge[0, 0] = 1e300
+    labels = "y must contain only 0 or 1"
+    return {
+        "1e300_cell": (huge, y, "column 'x0' is too large to standardize"),
+        "labels_0_2": (X, 2 * y, labels),
+        "labels_0.5_1": (X, y + 0.5 * (y == 0), labels),
+        "labels_-1_0": (X, -y, labels),
+    }
+
+
+REFUSING_FITS = {
+    "fit_logistic": lambda X, y: glm.fit_logistic(X, y),
+    "fit_lasso_path": lambda X, y: glm.fit_lasso_path(X, y, n_lambda=5),
+    "cv_select": lambda X, y: glm.cv_select(X, y, data.kfold(len(y), 3, seed=0), n_lambda=5),
+}
+
+
 class TestAdversarialContract:
+    @pytest.mark.parametrize("fit", sorted(REFUSING_FITS))
+    @pytest.mark.parametrize("case", sorted(refused_inputs()))
+    def test_inputs_the_containers_refuse_are_data_errors(self, fit, case):
+        # a 1e300 cell used to overflow with a warning and then end as a
+        # singular fit or as a column silently held at 0; labels outside
+        # {0, 1} were fitted as they came
+        X, y, message = refused_inputs()[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=re.escape(message)):
+                REFUSING_FITS[fit](X, y)
+
     def test_adversarial_inputs_through_fit_response_surface(self):
         rng = np.random.default_rng(27)
         for name, X, y in adversarial_designs(rng):

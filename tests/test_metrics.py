@@ -216,9 +216,10 @@ def _tie_heavy_draws(seed, trials):
 
 
 class TestOrderFreeSort:
-    """Neither result may depend on row order: `_tie_groups` leaves the rows
-    of a tie group in no fixed order, and `auc` sorts each class on its own,
-    so permuting the rows must not change a bit of either result."""
+    """Neither result may depend on row order: `auc` and `best_threshold`
+    each sort the scores of each class on their own and read only the
+    sorted values, so permuting the rows must not change a bit of either
+    result."""
 
     def test_auc_permutation_invariant(self):
         rng = np.random.default_rng(30)

@@ -128,6 +128,13 @@ class TestCaseTableLayout:
         for name in ("X", "released", "outcomes", "po_release", "po_withhold"):
             assert np.array_equal(getattr(sub, name), getattr(table, name)[[2, 0]]), name
 
+    @pytest.mark.parametrize("name", ["X", "released", "outcomes", "po_release", "po_withhold"])
+    def test_case_columns_are_read_only(self, name):
+        # a write into outcomes would break "observed = potential outcome of the action"
+        column = getattr(self.table(), name)
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[1]
+
     def test_released_dataset_needs_a_released_case(self):
         table = policy.CaseTable(X=[[1.0], [2.0]], released=[False, False], outcomes=[0, 1])
         with pytest.raises(DataError, match="no released cases"):
@@ -821,6 +828,17 @@ class TestPolicies:
         )
         X = np.array([[-1.0], [1.0]])
         assert pol.released(X).tolist() == [True, False]
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold_is_refused(self, threshold):
+        # NaN released nobody and inf everybody, with no error
+        from scorekit import srr
+
+        card = srr.Scorecard(entries=(("a", 2),), weight_bound=3, feature_budget=1)
+        with pytest.raises(DataError, match="policy threshold must be finite"):
+            policy.ScorecardPolicy(card=card, feature_names=("a",), threshold=threshold)
+        with pytest.raises(DataError, match="policy threshold must be finite"):
+            policy.RiskModelPolicy(intercept=0.0, coefficients=np.array([1.0]), threshold=threshold)
 
     def test_cases_from_dataset_maps_actions(self):
         ds = data.Dataset(

@@ -102,6 +102,12 @@ class TestCohortContainer:
         with pytest.raises(DataError, match="one entry per case"):
             dataclasses.replace(cohort, **{field: getattr(cohort, field)[:-1]})
 
+    def test_bookkeeping_columns_are_read_only(self):
+        cohort = synth.generate(synth.GeneratorConfig(n=50, seed=10))
+        for column in (cohort.u, cohort.judges):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]
+
     def test_empty_cohort_rejected(self):
         with pytest.raises(DataError, match="n must be at least 1"):
             synth.GeneratorConfig(n=0, seed=0)

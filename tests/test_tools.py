@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -212,3 +213,32 @@ def test_dependent_table_runs_reach_the_min_norm_fallback(tmp_path, monkeypatch,
     monkeypatch.setattr(glm, "_min_norm", reached)
     with pytest.raises(Reached):
         cli.run(args)
+
+
+UNTESTED = os.path.join(os.path.dirname(TOOL), "untested_lines.py")
+
+
+def run_untested(*pytest_args):
+    return subprocess.run([sys.executable, UNTESTED, *pytest_args, "-q", "-p", "no:cacheprovider"],
+                          cwd=os.path.dirname(os.path.dirname(UNTESTED)),
+                          capture_output=True, text=True, timeout=300)
+
+
+def source_line(module, text):
+    """``path:line: text`` of the one line of ``module`` whose stripped text is ``text``."""
+    with open(module.__file__, encoding="utf-8") as fh:
+        (line,) = [i for i, ln in enumerate(fh, 1) if ln.strip() == text]
+    return f"src/scorekit/{os.path.basename(module.__file__)}:{line}: {text}"
+
+
+def test_untested_lines_lists_what_the_selected_tests_never_ran():
+    from scorekit import _math
+
+    done = run_untested("tests/test_math.py")
+    assert done.returncode == 0, done.stderr
+    listed = done.stdout.splitlines()
+    assert source_line(glm, 'raise DataError("y must contain only 0 or 1")') in listed
+    # test_math calls expit and nothing else of _math
+    assert source_line(_math, "z = np.asarray(z, dtype=float)") not in listed
+    assert source_line(_math, "p = np.asarray(p, dtype=float)") in listed
+    assert run_untested("tests/test_math.py", "-k", "no_such_test").returncode == 5
