@@ -17,8 +17,9 @@ the decision, its log-odds effects on the outcome under each action), the
 observed data pin down the remaining selection/outcome intercepts through
 two-point logistic mixtures, and the counterfactual for the action not taken
 follows from the posterior of ``u`` given the action that was.  A sweep over
-many regimes is one array pass: surface predictions once per call, and the
-chain solved once per distinct regime key that a disagreeing case needs.
+many regimes solves the chain once per distinct regime key and case, and the
+case table keeps those counterfactuals: each further policy swept with the
+same surface and regimes costs one masked sum.
 Each mixture solve is one closed form on the odds scale that does not
 cancel, and hands back the two sigmoids its residual check evaluated, so the
 chain takes no logarithm and evaluates no sigmoid twice.  It solves positive
@@ -27,7 +28,7 @@ shifts up to about 354 and roots up to about 709 in size; beyond, it raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -89,6 +90,8 @@ class CaseTable:
     po_withhold: np.ndarray | None = None
     feature_names: tuple[str, ...] | None = None
     column_groups: tuple[str, ...] | None = None
+    # sensitivity_sweep's memo: (surface, regimes, r_rel, r_wh, {flag: (table, key_of_regime)})
+    _sweep: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, dtype in _CASE_COLUMNS:
@@ -385,7 +388,9 @@ class SensitivityParams:
     ``p_u``: Pr(u = 1); ``alpha``: log-odds shift of release when u = 1;
     ``delta_release`` / ``delta_withhold``: log-odds shifts of the adverse
     outcome under each action when u = 1.  Only finiteness is checked here:
-    solving a regime with a shift above about 354 raises a NumericError.
+    solving a regime with a shift above about 354 raises a NumericError, in
+    a sweep for every policy that disagrees with any case of the action
+    whose chain the regime breaks (see :func:`sensitivity_sweep`).
     """
 
     p_u: float
@@ -582,8 +587,8 @@ class SensitivityBand:
         return self.high - self.low
 
 
-# keys x rows solved at once by sensitivity_sweep; bounds its temporaries to a
-# few MiB (a dozen float arrays of this size) whatever the table size
+# keys x cases solved or summed at once by sensitivity_sweep; bounds its
+# temporaries to a few MiB (a dozen float arrays of this size) whatever the table size
 _SWEEP_BLOCK = 1 << 15
 
 
@@ -595,56 +600,50 @@ def sensitivity_sweep(
 ) -> SensitivityBand:
     """The :func:`rr_estimate` value of every regime, and their band.
 
-    One array pass: the policy's release mask and the surface predictions
-    are computed once per call, and the baseline comes from the same arrays.
-    The disagreeing cases are split by observed action, since a released
-    case needs only the withhold counterfactual and a withheld case only
-    the release one, and a branch with no rows is skipped.  The distinct
-    (p_u, alpha) pairs are numbered once for both branches; within each
-    branch the regimes collapse to their distinct (pair, delta of the
-    action not taken) keys, both tables in
-    first-seen order.  One :func:`_counterfactual` call per block of rows
-    solves gamma and the posteriors once per pair, indexed into the keys,
-    and beta and the mix once per key as a keys x rows broadcast; each
-    key's row sum is scattered back to its regimes.  A key's sum depends
-    only on the key and on the key count, so the order of the regimes
-    changes no value.  A block holds at most ``_SWEEP_BLOCK`` key-row
-    pairs, so memory stays bounded whatever the number of keys and
-    disagreeing rows.
+    A case's counterfactual under a regime does not depend on the policy, so
+    ``cases`` keeps a memo of the last ``(surface, regimes)`` swept on it,
+    reused while ``surface`` is the same object and the regimes compare
+    equal: the surface predictions and, per observed action, the table of
+    :func:`_branch_table` (a released case needs only the withhold
+    counterfactual, a withheld case only the release one).  A branch's table
+    is solved the first time a policy disagrees with one of its cases, and
+    holds keys x the branch's cases for as long as the ``CaseTable`` lives;
+    a failed solve stores nothing.  Each call sums the disagreeing cases'
+    columns in blocks and scatters each key's sum back to its regimes.  A
+    key's sum depends only on the key and on the key count, so the order of
+    the regimes changes no value.  A block holds at most ``_SWEEP_BLOCK``
+    key-case pairs, so temporaries stay bounded whatever the number of keys
+    and cases.  A regime that any case of a branch cannot solve raises a
+    NumericError for every policy that disagrees with a case of that branch,
+    not only for the policies that flip the failing case.
     """
     if not regimes:
         raise DataError("need at least one sensitivity regime")
     released = _mask(policy.released(cases.X), "policy.released(X)")
-    r_rel, r_wh = surface.predict_both(cases.X)
+    regimes = tuple(regimes)
+    memo = cases._sweep
+    if memo is None or memo[0] is not surface or memo[1] != regimes:
+        memo = (surface, regimes, *surface.predict_both(cases.X), {})
+    _, _, r_rel, r_wh, tables = memo
     base = _surface_estimate(cases, released, r_rel, r_wh)
     disagree = released != cases.released
     totals = np.full(len(regimes), np.sum(cases.outcomes[~disagree]))
-    if np.any(disagree):
-        q = surface.release_prob(cases.X[disagree])
-        observed = cases.released[disagree]
-        pairs: dict[tuple[float, float], int] = {}  # (p_u, alpha) -> pair number
-        pair_of_regime = [pairs.setdefault((p.p_u, p.alpha), len(pairs)) for p in regimes]
-        p_u, alpha = np.array(list(pairs)).T[:, :, None]
-        for released, r_other, deltas in (
-            (True, r_wh, [p.delta_withhold for p in regimes]),
-            (False, r_rel, [p.delta_release for p in regimes]),
-        ):
-            rows = np.flatnonzero(observed == released)
-            if not len(rows):
-                continue
-            r_other = r_other[disagree]
-            keys: dict[tuple[int, float], int] = {}  # (pair, delta) -> key number
-            key_of_regime = [keys.setdefault(k, len(keys)) for k in zip(pair_of_regime, deltas)]
-            pair_of_key = np.array([pair for pair, _ in keys])
-            delta = np.array([[d] for _, d in keys])
-            sums = np.zeros(len(keys))
-            step = max(1, _SWEEP_BLOCK // len(keys))
-            for block in np.split(rows, np.arange(step, len(rows), step)):
-                cf = _counterfactual(
-                    q[block], r_other[block], released, p_u, alpha, delta, pair_of_key
-                )
-                sums += cf.sum(axis=1)
-            totals += sums[key_of_regime]
+    for flag, r_other in ((True, r_wh), (False, r_rel)):
+        branch = cases.released == flag
+        cols = np.flatnonzero(disagree[branch])
+        if not len(cols):
+            continue
+        if flag not in tables:
+            tables[flag] = _branch_table(
+                surface.release_prob(cases.X[branch]), r_other[branch], flag, regimes)
+        table, key_of_regime = tables[flag]
+        sums = np.zeros(len(table))
+        step = max(1, _SWEEP_BLOCK // len(table))
+        for block in np.split(cols, np.arange(step, len(cols), step)):
+            # np.take's copy is C-ordered; table[:, block] is F-ordered and sums in another order
+            sums += np.take(table, block, axis=1).sum(axis=1)
+        totals += sums[key_of_regime]
+    object.__setattr__(cases, "_sweep", memo)
     values = totals / len(cases)
     return SensitivityBand(
         low=float(min(values.min(), base.value)),
@@ -653,6 +652,30 @@ def sensitivity_sweep(
         action_rate=base.action_rate,
         values=tuple(values.tolist()),
     )
+
+
+def _branch_table(q, r_other, released: bool, regimes):
+    """(keys x cases counterfactual table, key of each regime) for cases all
+    observed under one action, ``released`` its flag.  The regimes collapse
+    to their distinct (p_u, alpha, delta of the action not taken) keys, in
+    first-seen order; one :func:`_counterfactual` call per block of
+    ``_SWEEP_BLOCK`` entries solves gamma and the posteriors once per
+    distinct (p_u, alpha) pair and beta and the mix once per key."""
+    pairs: dict[tuple[float, float], int] = {}  # (p_u, alpha) -> pair number
+    pair_of_regime = [pairs.setdefault((p.p_u, p.alpha), len(pairs)) for p in regimes]
+    p_u, alpha = np.array(list(pairs)).T[:, :, None]
+    deltas = [p.delta_withhold if released else p.delta_release for p in regimes]
+    keys: dict[tuple[int, float], int] = {}  # (pair, delta) -> key number
+    key_of_regime = [keys.setdefault(k, len(keys)) for k in zip(pair_of_regime, deltas)]
+    pair_of_key = np.array([pair for pair, _ in keys])
+    delta = np.array([[d] for _, d in keys])
+    table = np.empty((len(keys), len(q)))
+    step = max(1, _SWEEP_BLOCK // len(keys))
+    for start in range(0, len(q), step):
+        block = slice(start, start + step)
+        table[:, block] = _counterfactual(
+            q[block], r_other[block], released, p_u, alpha, delta, pair_of_key)
+    return table, key_of_regime
 
 
 def regime_grid(alpha: float, p_values, delta_values) -> list[SensitivityParams]:

@@ -1,3 +1,7 @@
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -763,8 +767,140 @@ class TestSweepEquivalence:
         pol = sweep_policy("mixed", cases)
         whole = policy.sensitivity_sweep(cases, pol, surface, mixed_regimes()).values
         monkeypatch.setattr(policy, "_SWEEP_BLOCK", 20)  # one or two rows per block
-        blocked = policy.sensitivity_sweep(cases, pol, surface, mixed_regimes()).values
+        # a fresh copy, so that the blocked call solves the chain instead of reading a memo
+        fresh = cases.take(np.arange(len(cases)))
+        blocked = policy.sensitivity_sweep(fresh, pol, surface, mixed_regimes()).values
         np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-12)
+
+
+@pytest.fixture
+def chain_solves(monkeypatch):
+    """The row count of every _counterfactual call made while the test runs."""
+    rows = []
+    counterfactual = policy._counterfactual
+
+    def spy(q, *args, **kwargs):
+        rows.append(len(q))
+        return counterfactual(q, *args, **kwargs)
+
+    monkeypatch.setattr(policy, "_counterfactual", spy)
+    return rows
+
+
+def band_fields(band):
+    return band.values, band.baseline, band.low, band.high, band.action_rate
+
+
+class TestSweepMemo:
+    """The chain is solved once per (cases, surface, regimes), whatever the policy."""
+
+    @staticmethod
+    def fresh_world(fitted_world):
+        cases, surface = fitted_world
+        return cases.take(np.arange(len(cases))), surface
+
+    def test_second_policy_solves_nothing(self, fitted_world, chain_solves):
+        cases, surface = self.fresh_world(fitted_world)
+        policy.sensitivity_sweep(cases, sweep_policy("mixed", cases), surface, mixed_regimes())
+        assert chain_solves
+        chain_solves.clear()
+        for kind in ("release", "withhold", "agree_all"):
+            policy.sensitivity_sweep(cases, sweep_policy(kind, cases), surface, mixed_regimes())
+        assert chain_solves == []
+
+    def test_policy_grids_through_one_memo_equal_fresh_sweeps(self, fitted_world):
+        from scorekit import srr
+
+        shared, surface = self.fresh_world(fitted_world)
+        names = shared.feature_names
+        card = srr.Scorecard(
+            entries=((names[0], 2), (names[7], 3), (names[9], 1), (names[10], -2)),
+            weight_bound=3, feature_budget=4,
+        )
+        policies = [policy.ScorecardPolicy(card=card, feature_names=names, threshold=t)
+                    for t in np.arange(-2.5, 4.0)]
+        policies += [
+            policy.RiskModelPolicy(intercept=-1.0, coefficients=np.linspace(-1, 1, len(names)),
+                                   threshold=t)
+            for t in (0.1, 0.3, 0.5, 0.7)
+        ]
+        regimes = mixed_regimes()
+        for pol in policies:
+            fresh = shared.take(np.arange(len(shared)))
+            assert band_fields(policy.sensitivity_sweep(shared, pol, surface, regimes)) == (
+                band_fields(policy.sensitivity_sweep(fresh, pol, surface, regimes)))
+
+    @pytest.mark.parametrize("change", ["surface", "regime", "take"])
+    def test_changed_inputs_solve_again(self, fitted_world, chain_solves, change):
+        cases, surface = self.fresh_world(fitted_world)
+        pol, regimes = sweep_policy("mixed", cases), mixed_regimes()
+        policy.sensitivity_sweep(cases, pol, surface, regimes)
+        chain_solves.clear()
+        if change == "surface":  # an equal surface, but another object
+            surface = replace(surface)
+        elif change == "regime":
+            regimes[3] = replace(regimes[3], delta_release=regimes[3].delta_release + 0.5)
+        else:
+            cases = cases.take(np.arange(len(cases)))
+        policy.sensitivity_sweep(cases, pol, surface, regimes)
+        assert chain_solves
+
+    def test_memo_does_not_keep_the_table_alive(self, fitted_world):
+        cases, surface = self.fresh_world(fitted_world)
+        policy.sensitivity_sweep(cases, sweep_policy("mixed", cases), surface, mixed_regimes())
+        ref = weakref.ref(cases)
+        del cases
+        gc.collect()
+        assert ref() is None
+
+
+class TestSweepErrorRule:
+    """A regime that one case of a branch cannot solve fails every policy
+    that needs that branch."""
+
+    # posterior of u is p_u = 0.99 at alpha = 0; at a withhold shift of 355,
+    # b ~ e^355 (0.99 - r) and b * b overflows for r = 0.05 but not for r = 0.5
+    REGIME = policy.SensitivityParams(p_u=0.99, alpha=0.0, delta_release=0.0, delta_withhold=355.0)
+
+    @staticmethod
+    def world():
+        cases = case_table([1, 2, 3, 4], [True, True, False, False], [0, 0, 0, 1])
+        surface = StubSurface(
+            {1.0: (0.3, 0.05), 2.0: (0.3, 0.5), 3.0: (0.4, 0.2), 4.0: (0.4, 0.2)},
+            release_probs={1.0: 0.6, 2.0: 0.6, 3.0: 0.6, 4.0: 0.6},
+        )
+        return cases, surface
+
+    @staticmethod
+    def flip(cases, *indices):
+        flips = np.zeros(len(cases), dtype=bool)
+        flips[list(indices)] = True
+        return policy.FixedActionsPolicy(fixed=cases.released ^ flips)
+
+    def test_the_shift_breaks_one_released_case_of_two(self):
+        policy._mixture_root(0.5, 0.99, 355.0)
+        with pytest.raises(NumericError, match="residual"):
+            policy._mixture_root(0.05, 0.99, 355.0)
+
+    def test_policy_flipping_only_a_solvable_case_raises(self):
+        cases, surface = self.world()
+        with pytest.raises(NumericError, match="residual"):
+            policy.sensitivity_sweep(cases, self.flip(cases, 1), surface, [self.REGIME])
+
+    def test_other_branch_and_agreement_still_solve(self):
+        cases, surface = self.world()
+        for pol in (self.flip(cases, 2, 3), self.flip(cases)):
+            band = policy.sensitivity_sweep(cases, pol, surface, [self.REGIME])
+            assert np.isfinite(band.values).all()
+
+    def test_failed_solve_stores_no_partial_memo(self, chain_solves):
+        cases, surface = self.world()
+        for _ in range(2):
+            chain_solves.clear()
+            with pytest.raises(NumericError, match="residual"):
+                policy.sensitivity_sweep(cases, self.flip(cases, 1), surface, [self.REGIME])
+            assert chain_solves == [2]  # the whole released branch, again
+            policy.sensitivity_sweep(cases, self.flip(cases, 2), surface, [self.REGIME])
 
 
 NOT_MASKS = {
