@@ -83,16 +83,19 @@ def covariate_layout(feature_names, column_groups, p: int) -> tuple[tuple, tuple
     return names, groups
 
 
-def check_spread(X: np.ndarray, names) -> None:
-    """Raise a :class:`DataError` naming the first column of the finite
-    matrix ``X`` whose standard deviation overflows, such as a column with
-    one 1e300 cell.  Every fit standardizes its columns, and there such a
-    column would overflow with numpy warnings instead of an error."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        bad = np.flatnonzero(~np.isfinite(np.std(X, axis=0)))
+def check_sd(sd: np.ndarray, names) -> None:
+    """Raise a :class:`DataError` naming the first column whose standard deviation
+    ``sd`` overflowed, as one 1e300 cell makes it; standardizing would only warn."""
+    bad = np.flatnonzero(~np.isfinite(sd))
     if len(bad):
         raise DataError(f"column {names[bad[0]]!r} is too large to standardize: "
                         "its standard deviation overflows")
+
+
+def check_spread(X: np.ndarray, names) -> None:
+    """:func:`check_sd` of the columns of the finite matrix ``X``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        check_sd(np.std(X, axis=0), names)
 
 
 @dataclass(frozen=True)

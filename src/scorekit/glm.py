@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._math import expit, log_likelihood_bernoulli, logit
-from .data import FoldAssignment, JsonRecord, check_spread
+from .data import FoldAssignment, JsonRecord, check_sd
 from .errors import DataError, NumericError
 
 # |linear predictor| beyond this means fitted probabilities within ~3e-7 of
@@ -62,9 +62,8 @@ class GlmFit(JsonRecord):
 
 
 def _check_xy(X, y):
-    """``X`` and ``y`` as floats, refused unless ``X`` is a finite matrix with
-    rows whose columns (``x0``, ``x1``, ... as in ``CaseTable``) pass
-    :func:`~scorekit.data.check_spread` and ``y`` is one 0/1 label per row."""
+    """``X``, ``y`` as floats and the full-row :func:`_design` of ``X``, refused
+    unless ``X`` is a finite matrix with rows and ``y`` is one 0/1 label per row."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -75,8 +74,7 @@ def _check_xy(X, y):
         raise DataError("non-finite entries in X or y")
     if not np.isin(y, (0.0, 1.0)).all():
         raise DataError("y must contain only 0 or 1")
-    check_spread(X, [f"x{j}" for j in range(X.shape[1])])
-    return X, y
+    return X, y, _design(X, None)
 
 
 def fit_logistic(
@@ -111,25 +109,24 @@ def fit_logistic_many(
     Fit s regresses ``y`` on the columns ``column_sets[s]`` of ``X``
     (``None`` for every column), which are its coefficients' order.  The
     fits are the problems of one :func:`_fit_paths` call on the grid [0],
-    each on its columns that vary, so each outer step of the fits still
-    moving is one stacked Newton solve.  Each keeps the rules of
-    :func:`fit_logistic`: it starts at 0, takes full steps, stops below
-    ``tol`` on the standardized scale, and is unfittable when its design is
-    rank-deficient or, with ``on_divergence="error"``, once it diverges.
-    Returns, per set, its :class:`GlmFit` or the :class:`NumericError` its
-    fit met.
+    each on its columns that vary in the full-row :func:`_design` of ``X``,
+    so each outer step of the fits still moving is one stacked Newton
+    solve.  Each keeps the rules of :func:`fit_logistic`: it starts at 0,
+    takes full steps, stops below ``tol`` on the standardized scale, and is
+    unfittable when its design is rank-deficient or, with
+    ``on_divergence="error"``, once it diverges.  Returns, per set, its
+    :class:`GlmFit` or the :class:`NumericError` its fit met.
     """
     if on_divergence not in ("error", "clamp"):
         raise ValueError("on_divergence must be 'error' or 'clamp'")
-    X, y = _check_xy(X, y)
+    X, y, full = _check_xy(X, y)
     p = X.shape[1]
-    # a constant column would copy the intercept; it stays out, at coefficient 0
-    live = _varying(X.mean(axis=0), X.std(axis=0))
+    live = full[3]  # a constant column would copy the intercept; it stays out, at 0
     sets = [np.arange(p) if cols is None else np.asarray(cols, dtype=int) for cols in column_sets]
     if not sets:
         return []
     fitted = [cols[live[cols]] for cols in sets]
-    paths, stops = _fit_paths(X, y, [None], fitted, [0.0], tol=tol, max_outer=max_iter)
+    paths, stops = _fit_paths([full], [y], fitted, [0.0], tol=tol, max_outer=max_iter)
     errors = {"singular": "singular weighted normal equations (exactly collinear columns?)"}
     if on_divergence == "error":
         errors["diverged"] = (
@@ -235,17 +232,21 @@ def _design(X, rows):
 
     Returns the C-contiguous ``(p+1) x n`` block, whose row 0 is the
     intercept's ones, with the column means and scales it was standardized
-    by and the :func:`_varying` mask of columns that vary.  ``rows=None``
-    takes every row.  The block is filled and standardized in place.
+    by and the :func:`_varying` mask of columns that vary, the only column
+    statistics a fit computes; an sd that overflows raises the
+    :func:`~scorekit.data.check_sd` ``DataError``, naming column ``x{j}``.
+    ``rows=None`` takes every row.  The block is filled and standardized in place.
     """
     n = X.shape[0] if rows is None else len(rows)
     D = np.empty((X.shape[1] + 1, n))
     D[0] = 1.0
     Z = D[1:]
     Z[...] = (X if rows is None else X[rows]).T
-    mean = Z.mean(axis=1)
-    Z -= mean[:, None]
-    sd = np.sqrt(np.einsum("ij,ij->i", Z, Z) / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = Z.mean(axis=1)
+        Z -= mean[:, None]
+        sd = np.sqrt(np.einsum("ij,ij->i", Z, Z) / n)
+    check_sd(sd, [f"x{j}" for j in range(len(sd))])
     keep = _varying(mean, sd)
     sd_safe = np.where(keep, sd, 1.0)
     Z /= sd_safe[:, None]
@@ -312,8 +313,7 @@ def _active_set_solve(G, h, aug, lam, penalized, groups=None) -> np.ndarray:
       reaches zero and leaves S (Osborne, Presnell & Turlach 2000);
     - the step has zero length, because an entering feature solved to the
       wrong sign: those features leave S.  When every entering feature did,
-      or when no zero crossing bounds the residual of a nearly singular
-      system, only the most violating one stays; one that stalls alone
+      only the most violating one stays; one that stalls alone
       depends on S and displaces an active coefficient along the null vector
       ``s_j [e_j - G[S,S]^+ G[S,j]]``.
 
@@ -373,11 +373,10 @@ def _active_set_solve(G, h, aug, lam, penalized, groups=None) -> np.ndarray:
             t, moved = _step(aug, d, cross, np.where(ray, np.inf, 1.0))
             fresh = active & penalized & (aug == 0.0)  # entered at zero, not yet moved
             # a step of zero length drops the wrong-signed entering features;
-            # with none right, or along a ray that nothing bounds (a nearly
-            # singular system), the most violating one alone stays
+            # with none right, the most violating one alone stays
             stalled = moving & (t == 0.0)
             wrong = cross & fresh & stalled[:, None]
-            lone = (stalled & ~(fresh & ~wrong).any(axis=1)) | (moving & ~(t < np.inf))
+            lone = stalled & ~(fresh & ~wrong).any(axis=1)
             if lone.any():
                 pull = np.where(fresh, np.abs(h - (G @ aug[:, :, None])[:, :, 0]), -1.0)
                 best = np.arange(q) == pull.argmax(axis=1)[:, None]
@@ -401,32 +400,33 @@ def _active_set_solve(G, h, aug, lam, penalized, groups=None) -> np.ndarray:
 
 
 def _fit_paths(
-    X, y, row_sets, column_sets, lambda_grid=None, n_lambda=100, lambda_min_ratio=1e-4,
-    tol=1e-7, max_outer=50,
+    standardized, row_ys, column_sets, lambda_grid=None, n_lambda=100,
+    lambda_min_ratio=1e-4, tol=1e-7, max_outer=50,
 ):
-    """Lasso paths of every (row set, column set) pair of ``(X, y)``, as one batch.
+    """Lasso paths of every (row set, column set) pair, as one batch.
 
-    Problem (s, r) fits the rows ``row_sets[r]`` (``None`` for every row) on
-    the columns ``column_sets[s]`` (``None`` for every column).  Each row
-    set's design is standardized once by :func:`_design`, which works column
-    by column, and each problem gathers its columns from it, so its design is
-    the one it would standardize alone.  Problems of different widths share
-    the batch: a narrower problem's trailing coordinates are unpenalized
-    columns of zeros, which never enter its active set.  Without
-    ``lambda_grid`` each column set's grid is :func:`_default_grid` of its
-    head problem (s, 0), so ``row_sets[0]`` must take every row, and each
-    head problem takes grid point 0 as the exact all-zero solution: at its
-    lambda_max float noise would otherwise leak through.  Each outer step of
-    the problems still moving is one :func:`_active_set_solve`, each problem
-    at its own grid's penalty and each column set a group of its own.  A
-    model takes the exact gradient ``D(y - p)/n``, so where a step vanishes
-    the lasso's KKT conditions hold whatever Gram it carries; the Gram
-    ``D W D'/n`` is rebuilt only once the iterate has moved more than
-    ``_GRAM_REUSE`` (max norm, standardized scale) from where it was built
-    (lazy Hessians, Doikov, Chayti & Jaggi 2023), which saves most O(n q^2)
-    products for a few more O(n q) steps.  No line search is taken: a
-    problem leaves once its step is below ``tol``, and after ``max_outer``
-    steps the rest are recorded as unconverged.
+    ``standardized[r]`` is the :func:`_design` of one row set of X, the
+    first taking every row, and ``row_ys[r]`` holds its labels.  Problem
+    (s, r) fits design r on the columns ``column_sets[s]`` (``None`` for
+    every column).  :func:`_design` works column by column, and each problem
+    gathers its columns from its row set's design, so its design is the one
+    it would standardize alone.  Problems of different widths share the
+    batch: a narrower problem's trailing coordinates are unpenalized columns
+    of zeros, which never enter its active set.  Without ``lambda_grid``
+    each column set's grid is :func:`_default_grid` of its head problem
+    (s, 0), and each head problem takes grid point 0 as the exact all-zero
+    solution: at its lambda_max float noise would otherwise leak through.
+    Each outer step of the problems still moving is one
+    :func:`_active_set_solve`, each problem at its own grid's penalty and
+    each column set a group of its own.  A model takes the exact gradient
+    ``D(y - p)/n``, so where a step vanishes the lasso's KKT conditions hold
+    whatever Gram it carries; the Gram ``D W D'/n`` is rebuilt only once the
+    iterate has moved more than ``_GRAM_REUSE`` (max norm, standardized
+    scale) from where it was built (lazy Hessians, Doikov, Chayti & Jaggi
+    2023), which saves most O(n q^2) products for a few more O(n q) steps.
+    No line search is taken: a problem leaves once its step is below
+    ``tol``, and after ``max_outer`` steps the rest are recorded as
+    unconverged.
 
     At a grid point of penalty 0 (a 0 in ``lambda_grid``; default grids are
     positive) proximal Newton is Newton (Lee, Sun & Saunders 2014): every
@@ -444,13 +444,11 @@ def _fit_paths(
     ``stops[s][r]``, its outer steps in all and ``"singular"``,
     ``"diverged"`` or ``None``.
     """
-    standardized = [_design(X, rows) for rows in row_sets]
-    row_ys = [y if rows is None else y[rows] for rows in row_sets]
     sets = [None if cols is None else np.asarray(cols, dtype=int) for cols in column_sets]
-    problems = [(s, r) for s in range(len(sets)) for r in range(len(row_sets))]
+    problems = [(s, r) for s in range(len(sets)) for r in range(len(standardized))]
     B = len(problems)
-    q = 1 + max(X.shape[1] if cols is None else len(cols) for cols in sets)
-    designs, ys, means, scales = [], [], [], []
+    q = max(len(standardized[0][0]) if cols is None else 1 + len(cols) for cols in sets)
+    designs, means, scales = [], [], []
     penalized = np.zeros((B, q), dtype=bool)
     for k, (s, r) in enumerate(problems):
         D, mean, sd, keep = standardized[r]
@@ -458,14 +456,14 @@ def _fit_paths(
             cols = sets[s]
             D, mean, sd, keep = D[np.concatenate([[0], cols + 1])], mean[cols], sd[cols], keep[cols]
         designs.append(D)
-        ys.append(row_ys[r])
         means.append(mean)
         scales.append(sd)
         penalized[k, 1 : len(D)] = keep
+    ys = [row_ys[r] for _, r in problems]
     default = lambda_grid is None
     heads = np.array([r == 0 for _, r in problems])
     grids = np.array([
-        _default_grid(designs[k], y, n_lambda, lambda_min_ratio) if default else lambda_grid
+        _default_grid(designs[k], ys[k], n_lambda, lambda_min_ratio) if default else lambda_grid
         for k in np.flatnonzero(heads)
     ])
     set_of = np.array([s for s, _ in problems])
@@ -593,10 +591,10 @@ def fit_lasso_path(
     takes Newton steps (see :func:`_fit_paths`).  The fit is the one-problem
     case of the batched solve :func:`cv_select` runs.
     """
-    X, y = _check_xy(X, y)
+    X, y, full = _check_xy(X, y)
     _check_classes(y)
     grid = None if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
-    paths, _ = _fit_paths(X, y, [None], [None], grid, n_lambda, lambda_min_ratio, tol, max_outer)
+    paths, _ = _fit_paths([full], [y], [None], grid, n_lambda, lambda_min_ratio, tol, max_outer)
     return paths[0][0]
 
 
@@ -608,8 +606,7 @@ def kkt_violation(path: LassoPath, X, y, index: int) -> tuple[float, float]:
     are evaluated on the internal standardized scale where the penalty
     applies.
     """
-    X, y = _check_xy(X, y)
-    D, mean, sd, keep = _design(X, None)
+    X, y, (D, mean, sd, keep) = _check_xy(X, y)
     lam = float(path.lambda_grid[index])
     b0, coefs = path.coefficients_at(index)
     beta_std = coefs * sd
@@ -628,7 +625,7 @@ def kkt_violation(path: LassoPath, X, y, index: int) -> tuple[float, float]:
 
 def validation_deviance(intercept: float, coefs, X, y) -> float:
     """Mean per-observation binomial deviance of a fitted model on (X, y)."""
-    X, y = _check_xy(X, y)
+    X, y, _ = _check_xy(X, y)
     eta = intercept + X @ coefs
     return -2.0 * log_likelihood_bernoulli(eta, y) / len(y)
 
@@ -670,7 +667,7 @@ def cv_select_many(
     set's selected penalty raised by not converging.  Inputs that no set can
     be fitted on (a single-class ``y`` or fold) raise.
     """
-    X, y = _check_xy(X, y)
+    X, y, design = _check_xy(X, y)
     if folds.n != X.shape[0]:
         raise DataError("fold assignment does not cover X's rows")
     _check_classes(y)
@@ -683,7 +680,8 @@ def cv_select_many(
                     f"fold {f} has a single-class {where} split; "
                     "use stratified folds (kfold with labels)"
                 )
-    fitted, _ = _fit_paths(X, y, [None, *train], column_sets, None, n_lambda, lambda_min_ratio)
+    designs, labels = [design, *(_design(X, tr) for tr in train)], [y, *(y[tr] for tr in train)]
+    fitted, _ = _fit_paths(designs, labels, column_sets, None, n_lambda, lambda_min_ratio)
     out = []
     for cols, (full, *subs) in zip(column_sets, fitted):
         Xs = X if cols is None else X[:, cols]

@@ -37,7 +37,7 @@ from ._math import clip_prob, expit
 from .data import Dataset, FoldAssignment, check_spread, covariate_layout
 from .errors import DataError, NumericError
 from .glm import LassoPath, cv_select, linear_predictor
-from .srr import RELEASE, WITHHOLD, Scorecard
+from .srr import RELEASE, WITHHOLD, Scorecard, finite_threshold
 
 RESPONSE_SURFACE = "response_surface"
 ROSENBAUM_RUBIN = "rosenbaum_rubin"
@@ -189,15 +189,6 @@ class Policy(Protocol):
     def released(self, X: np.ndarray) -> np.ndarray: ...
 
 
-def _finite_threshold(value) -> float:
-    """A policy's release threshold as a float; NaN would release nobody and
-    an infinity everybody or nobody, so neither is a threshold."""
-    threshold = float(value)
-    if not np.isfinite(threshold):
-        raise DataError(f"policy threshold must be finite, got {threshold!r}")
-    return threshold
-
-
 @dataclass(frozen=True)
 class ScorecardPolicy:
     """Release iff the integer score is strictly below the threshold."""
@@ -211,7 +202,7 @@ class ScorecardPolicy:
         thr = self.card.threshold if self.threshold is None else self.threshold
         if thr is None:
             raise DataError("no threshold: set one on the card or the policy")
-        object.__setattr__(self, "threshold", _finite_threshold(thr))
+        object.__setattr__(self, "threshold", finite_threshold(thr, "policy"))
         self.card.weight_vector(self.feature_names)  # rejects a layout missing a card feature
 
     def scores(self, X: np.ndarray) -> np.ndarray:
@@ -230,7 +221,7 @@ class RiskModelPolicy:
     threshold: float
 
     def __post_init__(self):
-        object.__setattr__(self, "threshold", _finite_threshold(self.threshold))
+        object.__setattr__(self, "threshold", finite_threshold(self.threshold, "policy"))
 
     def risk(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))

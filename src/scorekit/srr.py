@@ -26,6 +26,14 @@ RELEASE = "release"
 WITHHOLD = "withhold"
 
 
+def finite_threshold(value, owner: str) -> float:
+    """A release threshold as a float, refused if NaN (releases nobody) or infinite."""
+    threshold = float(value)
+    if not np.isfinite(threshold):
+        raise DataError(f"{owner} threshold must be finite, got {threshold!r}")
+    return threshold
+
+
 @dataclass(frozen=True)
 class Scorecard(JsonRecord):
     """An ordered list of (feature, integer weight) pairs plus a threshold.
@@ -53,8 +61,8 @@ class Scorecard(JsonRecord):
             raise DataError("scorecard weight exceeds the declared bound")
         if len({name for name, _ in entries}) != len(entries):
             raise DataError("duplicate feature in scorecard entries")
-        if self.threshold is not None and not np.isfinite(self.threshold):
-            raise DataError(f"scorecard threshold must be finite, got {self.threshold!r}")
+        if self.threshold is not None:
+            finite_threshold(self.threshold, "scorecard")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         object.__setattr__(

@@ -493,6 +493,31 @@ class TestActiveSetSolver:
             if name == "near_copy_3":
                 assert sum(rays), name
 
+    def test_an_unbounded_ray_stalls_until_the_round_cap(self, monkeypatch):
+        # x0 and a copy of it off by 1e-7.  At the grid's last, tiny penalty
+        # the rank rule calls a nearly singular system inconsistent and its
+        # residual crosses no zero, so the ray is unbounded: the iterate does
+        # not move, and the round cap reports that point unconverged
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(80, 4))
+        X = np.column_stack([X, X[:, 0] + 1e-7 * rng.normal(size=80)])
+        y = draw_labels(rng, X[:, :4] @ rng.normal(size=4))
+        unbounded = []  # per _step call along residuals: rays that no zero crossing stops
+        step = glm._step
+
+        def spy(aug, d, cross, reach):
+            t, moved = step(aug, d, cross, reach)
+            if np.ndim(reach):  # the displacement is the one step with a scalar reach
+                unbounded.append(int(np.sum((reach == np.inf) & (t == np.inf))))
+            return t, moved
+
+        monkeypatch.setattr(glm, "_step", spy)
+        path = glm.fit_lasso_path(X, y, n_lambda=20, lambda_min_ratio=1e-8)
+        assert sum(unbounded)
+        assert list(np.flatnonzero(~path.converged)) == [19]
+        for i in np.flatnonzero(path.converged):
+            assert max(glm.kkt_violation(path, X, y, i)) <= 1e-9, i
+
 
 def weighted_grams(rng, designs):
     """The weighted Gram ``D' W D / n`` of each design's augmented ``[1, X]``
@@ -702,6 +727,47 @@ class TestConstantColumn:
             assert np.all(np.isfinite(fit.intercepts))
             for i in range(fit.n_lambda):
                 assert np.all(np.isfinite(glm.kkt_violation(fit, X, y, i)))
+
+
+class TestOneDesignPerFit:
+    """Every column statistic a fit uses comes from :func:`glm._design`."""
+
+    def test_design_refuses_an_overflowing_column(self):
+        X = np.random.default_rng(0).normal(size=(200, 3))
+        X[4, 1] = 1e300
+        for rows in (None, np.arange(0, 200, 2)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DataError, match=re.escape("column 'x1' is too large to standardize")):
+                    glm._design(X, rows)
+
+    def test_one_design_per_row_set(self, monkeypatch):
+        X, y = random_instance(np.random.default_rng(3), n=60, p=3)
+        folds = data.kfold(60, 3, seed=0, labels=y)
+        path = glm.fit_lasso_path(X, y, n_lambda=5)
+        calls = []
+        design = glm._design
+
+        def spy(X, rows):
+            calls.append(rows)
+            return design(X, rows)
+
+        monkeypatch.setattr(glm, "_design", spy)
+        fits = {
+            "fit_logistic_many": (lambda: glm.fit_logistic_many(X, y, [None, [0, 2]]), []),
+            "fit_lasso_path": (lambda: glm.fit_lasso_path(X, y, n_lambda=5), []),
+            "cv_select_many": (
+                lambda: glm.cv_select_many(X, y, folds, [None, [1]], n_lambda=5),
+                [folds.train_indices(f) for f in range(3)],
+            ),
+            "kkt_violation": (lambda: glm.kkt_violation(path, X, y, 2), []),
+        }
+        for name, (fit, subsets) in fits.items():
+            calls.clear()
+            fit()
+            assert calls[0] is None, name  # the full rows, once
+            assert len(calls) == 1 + len(subsets), name
+            assert all(np.array_equal(a, b) for a, b in zip(calls[1:], subsets)), name
 
 
 def column_set_designs(rng):

@@ -366,7 +366,7 @@ class TestCvSweep:
 
         def k2_unconverged_in_fold_1(*a, **kw):
             paths, stops = fit_paths(*a, **kw)
-            if a[4] is not None:  # the unpenalized fits of selection and logistic_full
+            if a[3] is not None:  # the unpenalized fits of selection and logistic_full
                 return paths, stops
             batches.append(len(paths))
             if len(batches) == 2:  # fold 1's sets: all columns, then k = 1, 2, 3

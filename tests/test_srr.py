@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from scorekit import data, policy, srr, synth
+from scorekit.datasets import load_heart
 from scorekit.errors import DataError
 
 # the published example card: age bins and prior-failure counts on a 0..10 scale
@@ -269,3 +271,36 @@ class TestBuildScorecard:
         assert "Feature" in text and "Score" in text
         assert "age_18_20" in text
         assert "< 10.5" in text
+
+
+class TestMetamorphicRelations:
+    """The heart card under transformations that leave its fit unchanged, or
+    negate it.  Each reaches the column means and sds of every design."""
+
+    @staticmethod
+    def card(ds, folds):
+        return srr.build_scorecard(ds, k=5, M=3, folds_for_lambda=folds, n_lambda=30)
+
+    @pytest.fixture(scope="class")
+    def heart(self):
+        ds = load_heart()
+        folds = data.kfold(ds.n, 5, seed=0, labels=ds.labels)
+        return ds, folds, self.card(ds, folds)
+
+    def test_flipping_the_labels_negates_every_weight(self, heart):
+        ds, folds, card = heart
+        flipped = self.card(replace(ds, labels=1 - ds.labels), folds)
+        assert flipped.entries == tuple((name, -w) for name, w in card.entries)
+        assert np.max(np.abs(np.add(flipped.raw_coefficients, card.raw_coefficients))) <= 1e-12
+
+    @pytest.mark.parametrize("rows", ["permuted", "duplicated"])
+    def test_rows_moved_with_their_folds_leave_the_card(self, heart, rows):
+        ds, folds, card = heart
+        if rows == "permuted":
+            order = np.random.default_rng(0).permutation(ds.n)
+        else:  # each row twice, inside its own fold
+            order = np.repeat(np.arange(ds.n), 2)
+        moved = self.card(ds.take(order), data.FoldAssignment(5, folds.assignment[order]))
+        assert moved.entries == card.entries
+        assert moved.feature_names == card.feature_names
+        assert np.max(np.abs(np.subtract(moved.raw_coefficients, card.raw_coefficients))) <= 1e-12
