@@ -93,7 +93,7 @@ def fit_logistic(
     By default this raises, and ``on_divergence="clamp"`` returns that
     iterate, unconverged, which is how forward selection ranks a perfectly
     separating candidate.  A column that does not vary (the rule of
-    :func:`_varying`, shared with the lasso) gets coefficient 0.
+    :func:`_design`, shared with the lasso) gets coefficient 0.
     """
     (fit,) = fit_logistic_many(X, y, [None], max_iter, tol, on_divergence)
     if isinstance(fit, NumericError):
@@ -232,9 +232,10 @@ def _design(X, rows):
 
     Returns the C-contiguous ``(p+1) x n`` block, whose row 0 is the
     intercept's ones, with the column means and scales it was standardized
-    by and the :func:`_varying` mask of columns that vary, the only column
-    statistics a fit computes; an sd that overflows raises the
-    :func:`~scorekit.data.check_sd` ``DataError``, naming column ``x{j}``.
+    by and the mask of columns that vary, the only column statistics a fit
+    computes (forward selection offers candidates by the same mask); an sd
+    that overflows raises the :func:`~scorekit.data.check_sd` ``DataError``,
+    naming column ``x{j}``.
     ``rows=None`` takes every row.  The block is filled and standardized in place.
     """
     n = X.shape[0] if rows is None else len(rows)
@@ -247,16 +248,12 @@ def _design(X, rows):
         Z -= mean[:, None]
         sd = np.sqrt(np.einsum("ij,ij->i", Z, Z) / n)
     check_sd(sd, [f"x{j}" for j in range(len(sd))])
-    keep = _varying(mean, sd)
+    # the columns that vary: sd > 1e-12 * max(|mean|, 1), since a float
+    # constant such as 0.1 gets an sd near 1e-17, not 0
+    keep = sd > 1e-12 * np.maximum(np.abs(mean), 1.0)
     sd_safe = np.where(keep, sd, 1.0)
     Z /= sd_safe[:, None]
     return D, mean, sd_safe, keep
-
-
-def _varying(mean, sd):
-    """The columns that vary: sd > 1e-12 * max(|mean|, 1), since a float
-    constant such as 0.1 gets an sd near 1e-17, not 0."""
-    return sd > 1e-12 * np.maximum(np.abs(mean), 1.0)
 
 
 # the rank rule (_nonzero): an eigenvalue of a Gram block at most this times

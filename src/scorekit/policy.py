@@ -17,9 +17,10 @@ the decision, its log-odds effects on the outcome under each action), the
 observed data pin down the remaining selection/outcome intercepts through
 two-point logistic mixtures, and the counterfactual for the action not taken
 follows from the posterior of ``u`` given the action that was.  A sweep over
-many regimes solves the chain once per distinct regime key and case, and the
-case table keeps those counterfactuals: each further policy swept with the
-same surface and regimes costs one masked sum.
+many regimes solves the chain once per distinct regime key and case.  The
+case table keeps the surface's predictions and those counterfactuals: each
+further policy estimated with the same surface costs no prediction, and each
+further policy swept with the same surface and regimes one masked sum.
 Each mixture solve is one closed form on the odds scale that does not
 cancel, and hands back the two sigmoids its residual check evaluated, so the
 chain takes no logarithm and evaluates no sigmoid twice.  It solves positive
@@ -90,8 +91,10 @@ class CaseTable:
     po_withhold: np.ndarray | None = None
     feature_names: tuple[str, ...] | None = None
     column_groups: tuple[str, ...] | None = None
-    # sensitivity_sweep's memo: (surface, regimes, r_rel, r_wh, {flag: (table, key_of_regime)})
-    _sweep: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # the predictions of the last surface used on this table, and
+    # sensitivity_sweep's branch tables for that surface and its last regimes:
+    # (surface, r_rel, r_wh, regimes, {flag: (table, key_of_regime)}); see _predictions
+    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, dtype in _CASE_COLUMNS:
@@ -222,6 +225,10 @@ class RiskModelPolicy:
 
     def __post_init__(self):
         object.__setattr__(self, "threshold", finite_threshold(self.threshold, "policy"))
+        # a read-only copy, so that no write to the caller's array changes a decision
+        coefficients = np.array(self.coefficients, dtype=float)
+        coefficients.flags.writeable = False
+        object.__setattr__(self, "coefficients", coefficients)
 
     def risk(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -239,7 +246,10 @@ class FixedActionsPolicy:
     fixed: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "fixed", _mask(self.fixed, "fixed"))
+        # a read-only copy: a write to the caller's array or to a returned mask changes nothing
+        fixed = _mask(self.fixed, "fixed").copy()
+        fixed.flags.writeable = False
+        object.__setattr__(self, "fixed", fixed)
 
     def released(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -349,10 +359,25 @@ def estimate_policy(
     Uses the observed outcome wherever the policy prescribes the observed
     action, and the fitted counterfactual estimate elsewhere.  The surface
     must have been fitted on cases disjoint from these (fold discipline is
-    the caller's job).
+    the caller's job).  A surface is immutable, so its predictions on
+    ``cases`` are computed once and kept on the table, keyed on the
+    surface's identity (:func:`_predictions`): every further policy
+    estimated or swept with the same surface object reuses them.
     """
     released = _mask(policy.released(cases.X), "policy.released(X)")
-    return _surface_estimate(cases, released, *surface.predict_both(cases.X))
+    return _surface_estimate(cases, released, *_predictions(cases, surface))
+
+
+def _predictions(cases: CaseTable, surface: ResponseSurface):
+    """``surface.predict_both(cases.X)``, kept in the table's memo while
+    ``surface`` is the memo's surface object.  Another surface computes
+    them again and stores a fresh memo, which drops the old surface's
+    branch tables."""
+    memo = cases._memo
+    if memo is None or memo[0] is not surface:
+        memo = (surface, *surface.predict_both(cases.X), None, {})
+        object.__setattr__(cases, "_memo", memo)
+    return memo[1], memo[2]
 
 
 def _surface_estimate(cases: CaseTable, released, r_rel, r_wh) -> PolicyEstimate:
@@ -592,11 +617,13 @@ def sensitivity_sweep(
     """The :func:`rr_estimate` value of every regime, and their band.
 
     A case's counterfactual under a regime does not depend on the policy, so
-    ``cases`` keeps a memo of the last ``(surface, regimes)`` swept on it,
-    reused while ``surface`` is the same object and the regimes compare
-    equal: the surface predictions and, per observed action, the table of
-    :func:`_branch_table` (a released case needs only the withhold
-    counterfactual, a withheld case only the release one).  A branch's table
+    ``cases`` keeps, next to the surface predictions that
+    :func:`estimate_policy` shares (:func:`_predictions`, keyed on the
+    identity of the immutable surface), the tables of the last regimes swept
+    with that surface, reused while the regimes compare equal: per observed
+    action, the table of :func:`_branch_table` (a released case needs only
+    the withhold counterfactual, a withheld case only the release one).
+    Other regimes replace the tables and keep the predictions.  A branch's table
     is solved the first time a policy disagrees with one of its cases, and
     holds keys x the branch's cases for as long as the ``CaseTable`` lives;
     a failed solve stores nothing.  Each call sums the disagreeing cases'
@@ -612,10 +639,11 @@ def sensitivity_sweep(
         raise DataError("need at least one sensitivity regime")
     released = _mask(policy.released(cases.X), "policy.released(X)")
     regimes = tuple(regimes)
-    memo = cases._sweep
-    if memo is None or memo[0] is not surface or memo[1] != regimes:
-        memo = (surface, regimes, *surface.predict_both(cases.X), {})
-    _, _, r_rel, r_wh, tables = memo
+    r_rel, r_wh = _predictions(cases, surface)
+    *_, swept, tables = cases._memo
+    if swept != regimes:
+        tables = {}
+        object.__setattr__(cases, "_memo", (surface, r_rel, r_wh, regimes, tables))
     base = _surface_estimate(cases, released, r_rel, r_wh)
     disagree = released != cases.released
     totals = np.full(len(regimes), np.sum(cases.outcomes[~disagree]))
@@ -634,7 +662,6 @@ def sensitivity_sweep(
             # np.take's copy is C-ordered; table[:, block] is F-ordered and sums in another order
             sums += np.take(table, block, axis=1).sum(axis=1)
         totals += sums[key_of_regime]
-    object.__setattr__(cases, "_sweep", memo)
     values = totals / len(cases)
     return SensitivityBand(
         low=float(min(values.min(), base.value)),

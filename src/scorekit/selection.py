@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .data import Dataset, JsonRecord
 from .errors import DataError, NumericError
-from .glm import _varying, fit_logistic_many
+from .glm import _design, fit_logistic_many
 
 _TIE_EPS = 1e-10
 
@@ -50,10 +50,11 @@ class StepFailure(NumericError):
 def selectable_groups(ds: Dataset, grouped: bool) -> list[tuple[str, tuple[int, ...]]]:
     """(name, columns) of each candidate: a column group, or one column when
     ``grouped`` is False.  A candidate whose columns are all constant on
-    ``ds`` (the :func:`glm._varying` rule the fits use) is left out: its fit
-    would give it coefficient 0 and the deviance of the features already in.
+    ``ds`` (dropped by the full-row :func:`glm._design` that the fits use)
+    is left out: its fit would give it coefficient 0 and the deviance of the
+    features already in.
     """
-    live = _varying(ds.rows.mean(axis=0), ds.rows.std(axis=0))
+    live = _design(ds.rows, None)[3]
     if not grouped:
         return [(name, (j,)) for j, name in enumerate(ds.feature_names) if live[j]]
     groups: dict[str, list[int]] = {}

@@ -854,6 +854,105 @@ class TestSweepMemo:
         assert ref() is None
 
 
+@pytest.fixture
+def predictions(monkeypatch):
+    """The surface of every ResponseSurface.predict_both call made while the test runs."""
+    surfaces = []
+    predict_both = policy.ResponseSurface.predict_both
+
+    def spy(self, X):
+        surfaces.append(self)
+        return predict_both(self, X)
+
+    monkeypatch.setattr(policy.ResponseSurface, "predict_both", spy)
+    return surfaces
+
+
+def grid_policies(names):
+    """A scorecard threshold grid and a risk-model threshold grid over ``names``."""
+    from scorekit import srr
+
+    card = srr.Scorecard(
+        entries=((names[0], 2), (names[7], 3), (names[9], 1), (names[10], -2)),
+        weight_bound=3, feature_budget=4,
+    )
+    policies = [policy.ScorecardPolicy(card=card, feature_names=names, threshold=t)
+                for t in np.arange(-2.5, 4.0)]
+    return policies + [
+        policy.RiskModelPolicy(intercept=-1.0, coefficients=np.linspace(-1, 1, len(names)),
+                               threshold=t)
+        for t in (0.1, 0.3, 0.5, 0.7)
+    ]
+
+
+class TestPredictionMemo:
+    """The surface predicts once per (cases, surface), for estimates and sweeps alike."""
+
+    fresh_world = staticmethod(TestSweepMemo.fresh_world)
+
+    def test_estimates_and_sweeps_predict_once(self, fitted_world, predictions):
+        cases, surface = self.fresh_world(fitted_world)
+        regimes = mixed_regimes()
+        for kind in POLICY_KINDS:
+            policy.estimate_policy(cases, sweep_policy(kind, cases), surface)
+            policy.sensitivity_sweep(cases, sweep_policy(kind, cases), surface, regimes)
+            policy.rr_estimate(cases, sweep_policy(kind, cases), surface, regimes[0])
+            policy.estimate_policy(cases, sweep_policy(kind, cases), surface)
+        assert predictions == [surface]
+
+    @pytest.mark.parametrize("change", ["surface", "take"])
+    def test_new_surface_or_table_predicts_again(self, fitted_world, predictions, change):
+        cases, surface = self.fresh_world(fitted_world)
+        pol = sweep_policy("mixed", cases)
+        policy.estimate_policy(cases, pol, surface)
+        if change == "surface":  # an equal surface, but another object
+            surface = replace(surface)
+        else:
+            cases = cases.take(np.arange(len(cases)))
+        policy.estimate_policy(cases, pol, surface)
+        policy.sensitivity_sweep(cases, pol, surface, mixed_regimes())
+        assert len(predictions) == 2 and predictions[-1] is surface
+
+    def test_new_surface_drops_the_old_tables(self, fitted_world, chain_solves):
+        cases, surface = self.fresh_world(fitted_world)
+        pol, regimes = sweep_policy("mixed", cases), mixed_regimes()
+        policy.sensitivity_sweep(cases, pol, surface, regimes)
+        policy.estimate_policy(cases, pol, replace(surface))
+        chain_solves.clear()
+        policy.sensitivity_sweep(cases, pol, surface, regimes)
+        assert chain_solves
+
+    def test_regime_change_keeps_the_predictions(self, fitted_world, predictions, chain_solves):
+        cases, surface = self.fresh_world(fitted_world)
+        pol, regimes = sweep_policy("mixed", cases), mixed_regimes()
+        policy.sensitivity_sweep(cases, pol, surface, regimes)
+        predictions.clear()
+        chain_solves.clear()
+        regimes[3] = replace(regimes[3], delta_release=regimes[3].delta_release + 0.5)
+        policy.sensitivity_sweep(cases, pol, surface, regimes)
+        assert predictions == [] and chain_solves
+
+    def test_grids_through_one_memo_equal_fresh_tables(self, fitted_world):
+        shared, surface = self.fresh_world(fitted_world)
+        regimes = mixed_regimes()
+        for pol in grid_policies(shared.feature_names):
+            estimate = policy.estimate_policy(shared, pol, surface)
+            band = policy.sensitivity_sweep(shared, pol, surface, regimes)
+            fresh = [shared.take(np.arange(len(shared))) for _ in range(2)]
+            assert estimate == policy.estimate_policy(fresh[0], pol, surface)
+            assert band_fields(band) == band_fields(
+                policy.sensitivity_sweep(fresh[1], pol, surface, regimes))
+            assert band.baseline == estimate.value
+
+    def test_memo_does_not_keep_the_table_alive(self, fitted_world):
+        cases, surface = self.fresh_world(fitted_world)
+        policy.estimate_policy(cases, sweep_policy("mixed", cases), surface)
+        ref = weakref.ref(cases)
+        del cases
+        gc.collect()
+        assert ref() is None
+
+
 class TestSweepErrorRule:
     """A regime that one case of a branch cannot solve fails every policy
     that needs that branch."""
@@ -964,6 +1063,23 @@ class TestPolicies:
         )
         X = np.array([[-1.0], [1.0]])
         assert pol.released(X).tolist() == [True, False]
+
+    def test_risk_model_policy_keeps_its_own_coefficients(self):
+        coefficients = np.array([1.0])
+        pol = policy.RiskModelPolicy(intercept=0.0, coefficients=coefficients, threshold=0.5)
+        coefficients[0] = -1.0
+        X = np.array([[-1.0], [1.0]])
+        assert pol.released(X).tolist() == [True, False]
+        with pytest.raises(ValueError, match="read-only"):
+            pol.coefficients[0] = -1.0
+
+    def test_fixed_actions_policy_keeps_its_own_mask(self):
+        fixed = np.array([True, False])
+        pol = policy.FixedActionsPolicy(fixed=fixed)
+        with pytest.raises(ValueError, match="read-only"):
+            pol.released(np.zeros((2, 1)))[0] = False
+        fixed[1] = True
+        assert pol.released(np.zeros((2, 1))).tolist() == [True, False]
 
     @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
     def test_non_finite_threshold_is_refused(self, threshold):

@@ -191,6 +191,28 @@ class TestConstantColumn:
             selection.forward_stepwise(self.table(), 3, grouped=grouped)
 
 
+class TestNearConstantColumn:
+    """A column whose sd sits at the varying-column threshold: the candidates
+    are the columns that the fits' own full-row design keeps."""
+
+    @staticmethod
+    def table():
+        rng = np.random.default_rng(6)
+        base = rng.standard_normal(150)
+        other = rng.standard_normal(150)
+        X = np.column_stack([other, 2.5 + 2.5091756886399263e-12 * base])
+        y = (rng.random(150) < 0.5).astype(int)
+        return make_ds(X, y)
+
+    @pytest.mark.parametrize("grouped", [True, False])
+    def test_candidates_are_the_columns_the_design_keeps(self, grouped):
+        ds = self.table()
+        keep = glm._design(ds.rows, None)[3]
+        candidates = [cols for _, cols in selection.selectable_groups(ds, grouped)]
+        assert candidates == [(j,) for j in np.flatnonzero(keep)] == [(0,)]
+        assert glm.fit_logistic(ds.rows, ds.labels.astype(float)).coefficients[1] == 0.0
+
+
 class TestUnfittableCandidate:
     @staticmethod
     def table(with_female=True):
