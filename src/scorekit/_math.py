@@ -19,12 +19,8 @@ def expit(z):
     return out
 
 
-def logit(p):
-    p = np.asarray(p, dtype=float)
-    out = np.log(p) - np.log1p(-p)
-    if out.ndim == 0:
-        return float(out)
-    return out
+def logit(p: float) -> float:
+    return float(np.log(p) - np.log1p(-p))
 
 
 def clip_prob(p):

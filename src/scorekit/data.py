@@ -228,13 +228,9 @@ class Bins:
 
     @staticmethod
     def _default_labels(cuts: tuple[float, ...]) -> tuple[str, ...]:
-        def fmt(v: float) -> str:
-            return str(int(v)) if float(v).is_integer() else str(v)
-
-        labels = [f"lt_{fmt(cuts[0])}"]
-        labels.extend(f"{fmt(a)}_{fmt(b)}" for a, b in zip(cuts, cuts[1:]))
-        labels.append(f"ge_{fmt(cuts[-1])}")
-        return tuple(labels)
+        edges = [_category_token(c) for c in cuts]
+        inner = [f"{a}_{b}" for a, b in zip(edges, edges[1:])]
+        return (f"lt_{edges[0]}", *inner, f"ge_{edges[-1]}")
 
 
 Directive = Union[Passthrough, OneHot, Bins]
@@ -300,72 +296,12 @@ def _category_token(value) -> str:
     return str(value)
 
 
-def encode(ds: Dataset, spec: EncodingSpec) -> Dataset:
-    """Expand one-hot / binned columns into 0-1 indicator columns.
-
-    Each encoded column is replaced, in place in the column order, by
-    indicators for all non-reference levels.  Row count is unchanged.
-    """
-    for name in spec.columns:
-        if name not in ds.feature_names:
-            raise DataError(f"encoding spec references unknown column {name!r}")
-
-    out_cols: list[np.ndarray] = []
-    out_names: list[str] = []
-    out_groups: list[str] = []
-    remaining_cat = dict(ds.categorical_levels)
-
-    for j, name in enumerate(ds.feature_names):
-        directive = spec.columns.get(name, Passthrough())
-        col = ds.rows[:, j]
-        if isinstance(directive, Passthrough):
-            if name in ds.categorical_levels:
-                raise DataError(
-                    f"column {name!r} is categorical and needs a one-hot directive"
-                )
-            out_cols.append(col)
-            out_names.append(name)
-            out_groups.append(ds.column_groups[j])
-            continue
-
-        if isinstance(directive, OneHot):
-            levels = ds.categorical_levels.get(name)
-            if levels is not None:
-                # column holds integer codes into `levels`; a declared
-                # category that never occurs simply yields an all-zero column
-                declared = {str(c) for c in directive.categories}
-                bad = [lv for lv in levels if lv not in declared]
-                if bad:
-                    raise DataError(
-                        f"column {name!r} has value(s) outside declared categories: {bad}"
-                    )
-                values = col.astype(int)
-                keys = [
-                    levels.index(str(c)) if str(c) in levels else -1
-                    for c in directive.categories
-                ]
-                cats = list(directive.categories)
-            else:
-                cats = list(directive.categories)
-                keys = [float(c) for c in cats]
-                matched = np.isin(col, keys)
-                if not matched.all():
-                    bad_vals = sorted(set(col[~matched]))[:5]
-                    raise DataError(
-                        f"column {name!r} has value(s) outside declared categories: {bad_vals}"
-                    )
-                values = col
-            for key, cat in zip(keys, cats):
-                if cat == directive.reference:
-                    continue
-                out_cols.append((values == key).astype(float))
-                out_names.append(f"{name}_{_category_token(cat)}")
-                out_groups.append(name)
-            remaining_cat.pop(name, None)
-            continue
-
-        # Bins
-        if name in ds.categorical_levels:
+def _levels(name: str, directive: OneHot | Bins, col: np.ndarray, codes: tuple | None):
+    """Each row's level key in column ``name``, and the ``(key, level, label)``
+    of each level of ``directive``; ``codes`` are the column's categorical
+    levels (``None``: numeric).  Raises on a value outside the levels."""
+    if isinstance(directive, Bins):
+        if codes is not None:
             raise DataError(f"cannot bin categorical column {name!r}")
         if directive.lower is not None and (col < directive.lower).any():
             raise DataError(
@@ -377,12 +313,63 @@ def encode(ds: Dataset, spec: EncodingSpec) -> Dataset:
             )
         # bin index: number of cuts <= value  (left-closed, right-open bins)
         idx = np.searchsorted(np.asarray(directive.cuts), col, side="right")
-        for b, label in enumerate(directive.labels):
-            if label == directive.reference:
-                continue
-            out_cols.append((idx == b).astype(float))
-            out_names.append(f"{name}_{label}")
-            out_groups.append(name)
+        return idx, [(b, label, label) for b, label in enumerate(directive.labels)]
+    cats = directive.categories
+    if codes is None:
+        keys = [float(c) for c in cats]
+        matched = np.isin(col, keys)
+        if not matched.all():
+            bad_vals = sorted(set(col[~matched]))[:5]
+            raise DataError(
+                f"column {name!r} has value(s) outside declared categories: {bad_vals}"
+            )
+        values = col
+    else:
+        # column holds integer codes into `codes`; a declared
+        # category that never occurs simply yields an all-zero column
+        declared = {str(c) for c in cats}
+        bad = [lv for lv in codes if lv not in declared]
+        if bad:
+            raise DataError(f"column {name!r} has value(s) outside declared categories: {bad}")
+        values = col.astype(int)
+        keys = [codes.index(str(c)) if str(c) in codes else -1 for c in cats]
+    return values, [(key, c, _category_token(c)) for key, c in zip(keys, cats)]
+
+
+def encode(ds: Dataset, spec: EncodingSpec) -> Dataset:
+    """Expand one-hot / binned columns into 0-1 indicator columns.
+
+    Each encoded column is replaced, in place in the column order, by one
+    indicator per non-reference level (bin label or category), named
+    ``<column>_<label>`` and in the column's group.  Row count is unchanged,
+    and the result has no categorical levels.
+    """
+    for name in spec.columns:
+        if name not in ds.feature_names:
+            raise DataError(f"encoding spec references unknown column {name!r}")
+
+    out_cols: list[np.ndarray] = []
+    out_names: list[str] = []
+    out_groups: list[str] = []
+    for j, name in enumerate(ds.feature_names):
+        directive = spec.columns.get(name, Passthrough())
+        col = ds.rows[:, j]
+        codes = ds.categorical_levels.get(name)
+        if isinstance(directive, Passthrough):
+            if codes is not None:
+                raise DataError(
+                    f"column {name!r} is categorical and needs a one-hot directive"
+                )
+            out_cols.append(col)
+            out_names.append(name)
+            out_groups.append(ds.column_groups[j])
+            continue
+        values, levels = _levels(name, directive, col, codes)
+        for key, level, label in levels:
+            if level != directive.reference:
+                out_cols.append((values == key).astype(float))
+                out_names.append(f"{name}_{label}")
+                out_groups.append(name)
 
     return Dataset(
         feature_names=tuple(out_names),
@@ -390,7 +377,6 @@ def encode(ds: Dataset, spec: EncodingSpec) -> Dataset:
         labels=ds.labels,
         actions=ds.actions,
         column_groups=tuple(out_groups),
-        categorical_levels=remaining_cat,
         label_mapping=ds.label_mapping,
     )
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._math import expit, log_likelihood_bernoulli, logit
-from .data import FoldAssignment, JsonRecord, check_sd
+from .data import FoldAssignment, JsonRecord, _freeze, check_sd
 from .errors import DataError, NumericError
 
 # |linear predictor| beyond this means fitted probabilities within ~3e-7 of
@@ -50,8 +50,7 @@ class GlmFit(JsonRecord):
     log_likelihood: float
 
     def __post_init__(self):
-        coefs = np.asarray(self.coefficients, dtype=float)
-        coefs.flags.writeable = False
+        coefs = _freeze(np.asarray(self.coefficients, dtype=float))
         object.__setattr__(self, "coefficients", coefs)
         if self.converged and not (
             np.isfinite(self.intercept)
@@ -177,11 +176,9 @@ class LassoPath(JsonRecord):
         for name in ("lambda_grid", "intercepts", "coefficients", "cv_mean", "cv_se"):
             arr = getattr(self, name)
             if arr is not None:
-                arr = np.asarray(arr, dtype=float)
-                arr.flags.writeable = False
+                arr = _freeze(np.asarray(arr, dtype=float))
                 object.__setattr__(self, name, arr)
-        converged = np.asarray(self.converged, dtype=bool)
-        converged.flags.writeable = False
+        converged = _freeze(np.asarray(self.converged, dtype=bool))
         object.__setattr__(self, "converged", converged)
 
     @property

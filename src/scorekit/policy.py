@@ -35,7 +35,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from ._math import clip_prob, expit
-from .data import Dataset, FoldAssignment, check_spread, covariate_layout
+from .data import Dataset, FoldAssignment, _freeze, check_spread, covariate_layout
 from .errors import DataError, NumericError
 from .glm import LassoPath, cv_select, linear_predictor
 from .srr import RELEASE, WITHHOLD, Scorecard, finite_threshold
@@ -125,7 +125,7 @@ class CaseTable:
             raise DataError("observed outcome must equal the potential outcome of the action taken")
         for col in columns:  # read-only, so that no write can undo the checks above
             if col is not None:
-                col.flags.writeable = False
+                _freeze(col)
 
     @property
     def actions(self) -> np.ndarray:
@@ -226,8 +226,7 @@ class RiskModelPolicy:
     def __post_init__(self):
         object.__setattr__(self, "threshold", finite_threshold(self.threshold, "policy"))
         # a read-only copy, so that no write to the caller's array changes a decision
-        coefficients = np.array(self.coefficients, dtype=float)
-        coefficients.flags.writeable = False
+        coefficients = _freeze(np.array(self.coefficients, dtype=float))
         object.__setattr__(self, "coefficients", coefficients)
 
     def risk(self, X: np.ndarray) -> np.ndarray:
@@ -247,8 +246,7 @@ class FixedActionsPolicy:
 
     def __post_init__(self):
         # a read-only copy: a write to the caller's array or to a returned mask changes nothing
-        fixed = _mask(self.fixed, "fixed").copy()
-        fixed.flags.writeable = False
+        fixed = _freeze(_mask(self.fixed, "fixed").copy())
         object.__setattr__(self, "fixed", fixed)
 
     def released(self, X: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._math import expit
 from .data import (
-    Bins, Dataset, EncodingSpec, encode, read_table, read_typed_table, write_table,
+    Bins, Dataset, EncodingSpec, _freeze, encode, read_table, read_typed_table, write_table,
 )
 from .errors import DataError, NumericError
 from .policy import ORACLE, CaseTable, Policy, PolicyEstimate, SensitivityParams, _mask
@@ -102,11 +102,9 @@ class SyntheticCohort:
     judges: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=np.int8)
-        u.flags.writeable = False
+        u = _freeze(np.asarray(self.u, dtype=np.int8))
         object.__setattr__(self, "u", u)
-        judges = np.asarray(self.judges)
-        judges.flags.writeable = False
+        judges = _freeze(np.asarray(self.judges))
         object.__setattr__(self, "judges", judges)
         if u.shape != (self.n,) or judges.shape != (self.n,):
             raise DataError("u and judges must have one entry per case")
@@ -343,13 +341,7 @@ def load_cohort_csv(path) -> SyntheticCohort:
 
 
 def _infer_groups(names: tuple[str, ...]) -> tuple[str, ...]:
-    """Group age_*/priors_* indicator columns back under their source name."""
-    groups = []
-    for name in names:
-        if name.startswith("age_"):
-            groups.append("age")
-        elif name.startswith("priors_"):
-            groups.append("priors")
-        else:
-            groups.append(name)
-    return tuple(groups)
+    """Group the indicator columns of :func:`bail_encoding_spec`'s columns
+    back under their source column; every other column is its own group."""
+    sources = bail_encoding_spec().columns
+    return tuple(next((c for c in sources if name.startswith(f"{c}_")), name) for name in names)

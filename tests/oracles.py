@@ -6,7 +6,9 @@ and one-fit IRLS with step-halving instead of batched Newton steps,
 coordinate descent instead of feature-sign active-set solves, one
 pseudo-inverse per system instead of one batched eigendecomposition of
 padded blocks, O(n^2) pair counting instead of rank sums, bisection
-instead of closed forms, row-by-row CSV loops instead of one typed parse.
+instead of closed forms, row-by-row CSV loops instead of one typed parse,
+cell-by-cell interval and category tests instead of one comparison per
+indicator column.
 The exception is forward selection, whose reference fits one candidate at
 a time where the library fits a step's candidates as one batch.  Tests
 compare the fast paths against these.
@@ -430,3 +432,55 @@ def load_csv_rows(path, label_column, action_column=None, group_column=None, pos
         categorical_levels=categorical,
         label_mapping=(zero, one),
     )
+
+
+def _token(value):
+    """A category or cut point as an indicator name spells it: a whole float
+    drops its ``.0``."""
+    return str(value).removesuffix(".0") if isinstance(value, float) else str(value)
+
+
+def default_bin_labels(cuts):
+    """``lt_<first cut>``, ``<cut>_<next cut>`` for each inner bin, ``ge_<last cut>``."""
+    edges = [_token(float(c)) for c in cuts]
+    inner = [edges[i] + "_" + edges[i + 1] for i in range(len(edges) - 1)]
+    return ["lt_" + edges[0]] + inner + ["ge_" + edges[-1]]
+
+
+def encode_cells(ds, columns):
+    """``data.encode`` cell by cell, from the plain JSON form of an encoding
+    spec (column name -> directive object): each row's level is the bin whose
+    ``[lo, hi)`` interval holds the cell, or the declared category equal to it
+    (by code text for a categorical column).  Returns ``(names, groups,
+    rows)``; rejects nothing."""
+    names, groups, out = [], [], []
+    for j, name in enumerate(ds.feature_names):
+        d = columns.get(name, {"type": "passthrough"})
+        cells = ds.rows[:, j].tolist()
+        if d["type"] == "passthrough":
+            names.append(name)
+            groups.append(ds.column_groups[j])
+            out.append(cells)
+            continue
+        if d["type"] == "bins":
+            levels = d.get("labels") or default_bin_labels(d["cuts"])
+            tokens = levels
+            bounds = [-math.inf] + [float(c) for c in d["cuts"]] + [math.inf]
+            row_levels = [
+                next(lv for lv, lo, hi in zip(levels, bounds, bounds[1:]) if lo <= v < hi)
+                for v in cells
+            ]
+        else:
+            levels = list(d["categories"])
+            tokens = [_token(c) for c in levels]
+            codes = ds.categorical_levels.get(name)
+            if codes is None:
+                row_levels = [next(c for c in levels if float(c) == v) for v in cells]
+            else:
+                row_levels = [next(c for c in levels if str(c) == codes[int(v)]) for v in cells]
+        for level, token in zip(levels, tokens):
+            if level != d["reference"]:
+                names.append(f"{name}_{token}")
+                groups.append(name)
+                out.append([1.0 if r == level else 0.0 for r in row_levels])
+    return tuple(names), tuple(groups), np.array(out, dtype=float).T

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import load_csv_rows
+from oracles import default_bin_labels, encode_cells, load_csv_rows
 from scorekit import data
 from scorekit.errors import DataError
 
@@ -300,6 +300,76 @@ class TestEncode:
             data.OneHot(categories=(1, 1), reference=1)
 
 
+def random_encoding_case(seed):
+    """A seeded table with one column of each directive kind, in random order,
+    and the JSON form of its encoding spec: a numeric one-hot mixing whole
+    floats, fractions and ints; a categorical one-hot declaring a category
+    that no row holds; bins with default labels over whole and fractional
+    cuts; bins with explicit labels and ``lower``/``upper``; a passthrough."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 40))
+
+    def pick(pool, k):
+        return [pool[i] for i in sorted(rng.choice(len(pool), size=k, replace=False))]
+
+    cats = [2.0, 2.5] + pick([1, -3.0, 0.75, 7, 4.0], int(rng.integers(0, 4)))
+    rng.shuffle(cats)
+    codes = ("high", "low", "mid")
+    declared = list(codes) + ["none"]
+    rng.shuffle(declared)
+    cuts = sorted(pick([-1.5, 2.5, 10.25], int(rng.integers(1, 3)))
+                  + pick([0, 1, 3.0], int(rng.integers(1, 3))))
+    labels = ["young", "adult", "middle", "senior"]
+    columns = {
+        "num": {"type": "one_hot", "categories": cats, "reference": cats[rng.integers(len(cats))]},
+        "grade": {"type": "one_hot", "categories": declared, "reference": declared[rng.integers(4)]},
+        "dflt": {"type": "bins", "cuts": cuts,
+                 "reference": str(rng.choice(default_bin_labels(cuts)))},
+        "expl": {"type": "bins", "cuts": [25, 40.5, 60], "labels": labels,
+                 "reference": labels[rng.integers(4)], "lower": 18, "upper": 80},
+    }
+    dflt = rng.uniform(-4.0, 14.0, n)
+    dflt[: n // 3] = rng.choice(np.asarray(cuts, float), n // 3)  # cells on a cut
+    expl = rng.choice([18.0, 24.5, 25.0, 40.5, 59.0, 60.0, 79.5], n)
+    table = {
+        "num": rng.choice(np.asarray(cats, float), n),
+        "grade": rng.integers(0, len(codes), n).astype(float),
+        "dflt": dflt,
+        "expl": expl,
+        "x": rng.normal(size=n),
+    }
+    order = [list(table)[i] for i in rng.permutation(len(table))]
+    ds = data.Dataset(
+        feature_names=tuple(order),
+        rows=np.column_stack([table[name] for name in order]),
+        labels=rng.integers(0, 2, n),
+        categorical_levels={"grade": codes},
+    )
+    return ds, columns
+
+
+class TestEncodeReference:
+    """``encode`` against ``oracles.encode_cells``, which finds each cell's
+    level by testing it against each bin interval or category in turn."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_cell_by_cell_reference(self, seed):
+        ds, columns = random_encoding_case(seed)
+        text = json.dumps({"columns": columns})
+        enc = data.encode(ds, data.EncodingSpec.from_json(text))
+        names, groups, rows = encode_cells(ds, json.loads(text)["columns"])
+        assert enc.feature_names == names
+        assert enc.column_groups == groups
+        assert enc.rows.shape == rows.shape
+        assert np.ascontiguousarray(enc.rows).tobytes() == rows.tobytes()
+        assert enc.categorical_levels == {}
+
+    def test_stray_categorical_entry_is_dropped(self):
+        ds = data.Dataset(("x",), np.array([[1.0], [2.0]]), [0, 1],
+                          categorical_levels={"gone": ("a", "b")})
+        assert data.encode(ds, data.EncodingSpec(columns={})).categorical_levels == {}
+
+
 class TestKfold:
     def test_forced_balance_even(self):
         folds = data.kfold(10, 5, seed=3)
@@ -453,6 +523,16 @@ class TestJsonRecord:
         del fields[next(iter(fields))]  # each record's first field has no default
         with pytest.raises(DataError, match=f"not a valid {name} record"):
             type(records[name]).from_json(json.dumps(fields))
+
+    def test_numpy_scalar_field_round_trips(self):
+        from scorekit import glm
+
+        path = glm.LassoPath(lambda_grid=[2.0, 1.0], intercepts=[0.1, 0.2],
+                             coefficients=[[0.0], [0.5]], converged=[True, True],
+                             selected_index=np.int64(1))
+        back = glm.LassoPath.from_json(path.to_json())
+        assert back.selected_index == 1 and type(back.selected_index) is int
+        assert back.to_json() == path.to_json()
 
     def test_nested_record_is_checked_too(self, records):
         fields = json.loads(records["Scorecard"].to_json())

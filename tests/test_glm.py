@@ -95,6 +95,10 @@ class TestFitLogistic:
             singular, reduced = glm.fit_logistic_many(X, y, [None, [0, 1]])
             assert isinstance(singular, NumericError) and reduced.converged
 
+    def test_no_column_sets_give_no_fits(self):
+        X, y = random_instance(np.random.default_rng(2))
+        assert glm.fit_logistic_many(X, y, []) == []
+
     def test_ll_non_decreasing_across_iterations(self):
         rng = np.random.default_rng(7)
         for _ in range(20):

@@ -240,5 +240,5 @@ def test_untested_lines_lists_what_the_selected_tests_never_ran():
     assert source_line(glm, 'raise DataError("y must contain only 0 or 1")') in listed
     # test_math calls expit and nothing else of _math
     assert source_line(_math, "z = np.asarray(z, dtype=float)") not in listed
-    assert source_line(_math, "p = np.asarray(p, dtype=float)") in listed
+    assert source_line(_math, "return float(np.log(p) - np.log1p(-p))") in listed
     assert run_untested("tests/test_math.py", "-k", "no_such_test").returncode == 5
