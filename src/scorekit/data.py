@@ -299,7 +299,8 @@ def _category_token(value) -> str:
 def _levels(name: str, directive: OneHot | Bins, col: np.ndarray, codes: tuple | None):
     """Each row's level key in column ``name``, and the ``(key, level, label)``
     of each level of ``directive``; ``codes`` are the column's categorical
-    levels (``None``: numeric).  Raises on a value outside the levels."""
+    levels (``None``: numeric).  Raises on a value outside the levels, and
+    on a numeric column's category that is not a number."""
     if isinstance(directive, Bins):
         if codes is not None:
             raise DataError(f"cannot bin categorical column {name!r}")
@@ -316,10 +317,15 @@ def _levels(name: str, directive: OneHot | Bins, col: np.ndarray, codes: tuple |
         return idx, [(b, label, label) for b, label in enumerate(directive.labels)]
     cats = directive.categories
     if codes is None:
-        keys = [float(c) for c in cats]
+        try:
+            keys = [float(c) for c in cats]
+        except (TypeError, ValueError):
+            raise DataError(
+                f"column {name!r} is numeric, so its categories must be numbers: {list(cats)}"
+            ) from None
         matched = np.isin(col, keys)
         if not matched.all():
-            bad_vals = sorted(set(col[~matched]))[:5]
+            bad_vals = sorted(set(col[~matched].tolist()))[:5]
             raise DataError(
                 f"column {name!r} has value(s) outside declared categories: {bad_vals}"
             )
@@ -370,6 +376,10 @@ def encode(ds: Dataset, spec: EncodingSpec) -> Dataset:
                 out_cols.append((values == key).astype(float))
                 out_names.append(f"{name}_{label}")
                 out_groups.append(name)
+    if not out_cols:
+        raise DataError(
+            "encoding spec leaves no column: every column is one-hot with only its reference level"
+        )
 
     return Dataset(
         feature_names=tuple(out_names),

@@ -282,7 +282,7 @@ def _step(aug, d, cross, reach):
     return t, np.where(at <= t[:, None], 0.0, aug + finite[:, None] * d)
 
 
-def _active_set_solve(G, h, aug, lam, penalized, groups=None) -> np.ndarray:
+def _active_set_solve(G, h, aug, lam, penalized) -> np.ndarray:
     """Feature-sign descent on a batch of weighted quadratic surrogates.
 
     Problem k minimizes  b' G[k] b / 2 - h[k]' b + lam[k] * ||beta||_1  over
@@ -312,17 +312,15 @@ def _active_set_solve(G, h, aug, lam, penalized, groups=None) -> np.ndarray:
       ``s_j [e_j - G[S,S]^+ G[S,j]]``.
 
     Every move strictly lowers the objective and sign patterns are finite, so
-    a problem cannot cycle.  ``groups[k]`` labels the group of problem k (one
-    group when omitted), whose problems are contiguous in the batch, and
-    each round is one stacked solve per group for its problems still
-    cycling, as wide as the last coordinate they penalize: an inactive
-    coordinate is an identity row and column with a zero right-hand side, so
-    it solves to exactly zero, and each problem follows the iterates it
-    would follow in a batch of its own group, to rounding.  A group whose
-    stacked LU meets an exactly singular system takes :func:`_min_norm`
-    whole (:func:`_solve`), and the round's gradient checks every solve: the
-    problems whose active residual ``grad[S] - lam * s[S]`` exceeds
-    ``_RESIDUAL_FLOOR`` are re-solved by :func:`_min_norm` in one batch.
+    a problem cannot cycle.  Each round is one stacked :func:`_solve` per
+    width among the problems still cycling, a problem's width reaching its
+    last penalized coordinate: an inactive coordinate is an identity row and
+    column with a zero right-hand side, so it solves to exactly zero, and
+    each problem follows the iterates it would follow alone.  There only a
+    system whose LU is exactly singular takes :func:`_min_norm`, and the
+    round's gradient checks every solve: the problems whose active residual
+    ``grad[S] - lam * s[S]`` exceeds ``_RESIDUAL_FLOOR`` are re-solved by
+    :func:`_min_norm` in one batch.
     Any solution of a consistent system minimizes the objective on its sign
     pattern (Tibshirani 2013), so it is a target like ``b``.  ``aug`` is
     updated in place.  Returns whether each problem was solved within
@@ -330,9 +328,6 @@ def _active_set_solve(G, h, aug, lam, penalized, groups=None) -> np.ndarray:
     """
     B, q = aug.shape
     lam = np.reshape(lam, (-1, 1))
-    # each group's problems, which are contiguous
-    ends = [B] if groups is None else [*(np.flatnonzero(groups[1:] != groups[:-1]) + 1), B]
-    members = [np.arange(a, b) for a, b in zip([0, *ends[:-1]], ends)]
     reach = q - penalized[:, ::-1].argmax(axis=1)  # past each problem's last penalized coordinate
     active = penalized & (aug != 0.0)
     sign = np.sign(aug) * active
@@ -341,11 +336,9 @@ def _active_set_solve(G, h, aug, lam, penalized, groups=None) -> np.ndarray:
     for _ in range(_ROUND_CAP * q):
         rhs = np.where(active, h - lam * sign, 0.0)
         b = np.zeros((B, q))
-        for own in members:
-            c = own[cycling[own]]
-            if c.size:
-                w = reach[c].max()
-                b[c, :w] = _solve(G[c, :w, :w], rhs[c, :w], active[c, :w])
+        for w in np.unique(reach[cycling]):
+            c = cycling & (reach == w)
+            b[c, :w] = _solve(G[c, :w, :w], rhs[c, :w], active[c, :w])
         grad = h - (G @ b[:, :, None])[:, :, 0]
         miss = np.where(active, np.abs(grad - lam * sign), 0.0).max(axis=1)
         redo = cycling & ~(miss <= _RESIDUAL_FLOOR)
@@ -411,8 +404,10 @@ def _fit_paths(
     (s, 0), and each head problem takes grid point 0 as the exact all-zero
     solution: at its lambda_max float noise would otherwise leak through.
     Each outer step of the problems still moving is one
-    :func:`_active_set_solve`, each problem at its own grid's penalty and
-    each column set a group of its own.  A model takes the exact gradient
+    :func:`_active_set_solve`, each problem at its own grid's penalty; it
+    stacks the problems by width and sends only an exactly singular system
+    to the fallback, so no problem's steps depend on the rest of the batch.
+    A model takes the exact gradient
     ``D(y - p)/n``, so where a step vanishes the lasso's KKT conditions hold
     whatever Gram it carries; the Gram ``D W D'/n`` is rebuilt only once the
     iterate has moved more than ``_GRAM_REUSE`` (max norm, standardized
@@ -460,8 +455,7 @@ def _fit_paths(
         _default_grid(designs[k], ys[k], n_lambda, lambda_min_ratio) if default else lambda_grid
         for k in np.flatnonzero(heads)
     ])
-    set_of = np.array([s for s, _ in problems])
-    lams = grids[set_of]  # each problem's grid
+    lams = grids[[s for s, _ in problems]]  # each problem's grid
     n_grid = grids.shape[1]
     aug = np.zeros((B, q))
     aug[:, 0] = [logit(yk.mean()) if lam else 0.0 for yk, lam in zip(ys, lams[:, 0])]
@@ -515,7 +509,7 @@ def _fit_paths(
             if newton:
                 step, solved = _solve(G, h, kept[live]), np.ones(len(live), dtype=bool)
             else:
-                solved = _active_set_solve(G, h, step, lams[live, i], penalized[live], set_of[live])
+                solved = _active_set_solve(G, h, step, lams[live, i], penalized[live])
             settled = np.max(np.abs(step - aug[live]), axis=1) < tol
             aug[live] = step
             steps[live] += 1
@@ -564,12 +558,16 @@ def _min_norm(G, rhs, on):
 
 def _solve(G, rhs, on):
     """Each ``G[k] x = rhs[k]`` solved on its coordinates marked in ``on[k]``, the rest 0, by
-    one stacked LU; an exactly singular system sinks the stack to :func:`_min_norm`."""
+    one stacked LU; only a system whose LU is exactly singular takes :func:`_min_norm`."""
     M = np.where(on[:, :, None] & on[:, None, :], G, np.eye(G.shape[1]))
     try:
         return np.where(on, np.linalg.solve(M, rhs[:, :, None])[:, :, 0], 0.0)
     except np.linalg.LinAlgError:
-        return _min_norm(G, rhs, on)
+        singular = np.linalg.slogdet(M)[0] == 0.0  # sign 0: their LU meets an exact zero pivot
+        x = np.zeros(rhs.shape)
+        x[~singular] = np.linalg.solve(M[~singular], rhs[~singular, :, None])[:, :, 0]
+        x[singular] = _min_norm(G[singular], rhs[singular], on[singular])
+        return np.where(on, x, 0.0)
 
 
 def fit_lasso_path(
@@ -710,17 +708,16 @@ def linear_predictor(intercept: float, coefs, X) -> np.ndarray | float:
     get bit-identical scores and rank as ties.  ``X @ coefs`` does not
     promise that: BLAS gemv may round a row differently depending on its
     position in the matrix, which splits a tie by one ulp and moves the AUC.
+    A row whose length is not the number of coefficients is a DataError.
     """
-    X = np.asarray(X, dtype=float)
-    return intercept + np.einsum("...j,j->...", X, np.asarray(coefs, dtype=float))
+    X, coefs = np.asarray(X, dtype=float), np.asarray(coefs, dtype=float)
+    if X.shape[-1:] != coefs.shape:
+        raise DataError(f"feature vector has length {X.shape[-1]}, model expects {len(coefs)}")
+    return intercept + np.einsum("...j,j->...", X, coefs)
 
 
 def linear_score(fit: GlmFit, x) -> np.ndarray | float:
     """Linear predictor (logit scale) for one row or a matrix of rows."""
-    x = np.asarray(x, dtype=float)
-    p = len(fit.coefficients)
-    if x.shape[-1] != p:
-        raise DataError(f"feature vector has length {x.shape[-1]}, model expects {p}")
     out = linear_predictor(fit.intercept, fit.coefficients, x)
     return float(out) if np.ndim(out) == 0 else out
 

@@ -342,7 +342,6 @@ class PolicyEstimate:
     action_rate: float
     value: float
     method: str
-    n_cases: int
 
     def __post_init__(self):
         if not (0.0 <= self.action_rate <= 1.0 and 0.0 <= self.value <= 1.0):
@@ -386,7 +385,6 @@ def _surface_estimate(cases: CaseTable, released, r_rel, r_wh) -> PolicyEstimate
         action_rate=float(np.mean(released)),
         value=value,
         method=RESPONSE_SURFACE,
-        n_cases=len(cases),
     )
 
 
@@ -578,7 +576,6 @@ def rr_estimate(
         action_rate=band.action_rate,
         value=band.values[0],
         method=ROSENBAUM_RUBIN,
-        n_cases=len(cases),
     )
 
 

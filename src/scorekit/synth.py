@@ -235,7 +235,6 @@ def oracle_value(table: CaseTable, policy: Policy) -> PolicyEstimate:
         action_rate=float(np.mean(released)),
         value=value,
         method=ORACLE,
-        n_cases=len(table),
     )
 
 

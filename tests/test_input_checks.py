@@ -19,10 +19,16 @@ Y4 = np.array([0.0, 1.0, 0.0, 1.0])
 CATEGORICAL = data.Dataset(feature_names=("c",), rows=[[0.0], [1.0]], labels=[0, 1],
                            categorical_levels={"c": ("a", "b")})
 NUMERIC = data.Dataset(feature_names=("x",), rows=[[0.0], [3.0]], labels=[0, 1])
+CONSTANT = data.Dataset(feature_names=("x",), rows=[[1.0], [1.0]], labels=[0, 1])
 PATH = glm.LassoPath(lambda_grid=[2.0, 1.0], intercepts=[0.0, 0.0],
                      coefficients=[[0.0], [0.0]], converged=[True, True])
+PATH_2 = replace(PATH, coefficients=[[0.0, 0.0], [1.0, 2.0]])  # two features
 CASES = policy.CaseTable(X=X4, released=np.array([True, False, True, False]), outcomes=Y4)
 NO_THRESHOLD = srr.Scorecard(entries=(("x0", 1),), weight_bound=3, feature_budget=1)
+CARD_2 = srr.Scorecard(entries=(("x0", 1), ("x1", 2)), weight_bound=3, feature_budget=2,
+                      threshold=1.0)
+CARD_2_POLICY = policy.ScorecardPolicy(CARD_2, ("x0", "x1"))
+RISK_2 = policy.RiskModelPolicy(0.0, [1.0, 2.0], 0.5)
 CELL_AUC_1_5 = metrics.SweepCell(metrics.SCORECARD, k=1, M=1, fold=0, auc=1.5, accuracy=0.5)
 FOLDS_OF_4 = data.kfold(4, 2, seed=0)
 
@@ -65,6 +71,12 @@ REFUSALS = {
                                        "column 'c' is categorical and needs a one-hot directive"),
     "encode undeclared level": (lambda: encode(CATEGORICAL, c=data.OneHot(("a",), "a")), DataError,
                                 "column 'c' has value(s) outside declared categories: ['b']"),
+    "encode undeclared number": (lambda: encode(NUMERIC, x=data.OneHot((0,), 0)), DataError,
+                                 "column 'x' has value(s) outside declared categories: [3.0]"),
+    "encode text category": (lambda: encode(NUMERIC, x=data.OneHot(("a", "b"), "a")), DataError,
+                             "column 'x' is numeric, so its categories must be numbers: ['a',"),
+    "encode no column": (lambda: encode(CONSTANT, x=data.OneHot((1,), 1)), DataError,
+                         "encoding spec leaves no column"),
     "encode bins a categorical": (lambda: encode(CATEGORICAL, c=bins()),
                                   DataError, "cannot bin categorical column 'c'"),
     "encode above the bins": (lambda: encode(NUMERIC, x=bins(upper=2.0)), DataError,
@@ -91,6 +103,12 @@ REFUSALS = {
                              NumericError, "no penalty selected; run cv_select first"),
     "lasso one row": (lambda: glm.fit_lasso_path(X4[:1], Y4[:1]),
                       DataError, "need at least two rows"),
+    # one width rule for every linear score: a one-column matrix must not
+    # broadcast across the coefficients
+    "LassoPath one column": (lambda: PATH_2.predict_prob(np.ones((3, 1)), 1),
+                             DataError, "feature vector has length 1, model expects 2"),
+    "LassoPath width": (lambda: PATH_2.linear_score(np.ones((3, 3)), 1),
+                        DataError, "feature vector has length 3, model expects 2"),
     "cv_select fold coverage": (lambda: glm.cv_select(X4, Y4, data.kfold(2, 2, seed=0)),
                                 DataError, "fold assignment does not cover X's rows"),
     # metrics
@@ -128,9 +146,13 @@ REFUSALS = {
                                   DataError, "fixed action vector does not match the case count"),
     "ResponseSurface features": (lambda: policy.ResponseSurface(PATH, PATH, 2).release_prob(X4),
                                  DataError, "covariate rows have 1 features, surface expects 2"),
+    "RiskModelPolicy one column": (lambda: RISK_2.released(np.ones((3, 1))),
+                                   DataError, "feature vector has length 1, model expects 2"),
+    "ScorecardPolicy one column": (lambda: CARD_2_POLICY.released(np.ones((3, 1))),
+                                   DataError, "feature vector has length 1, model expects 2"),
     "surface fold coverage": (lambda: policy.fit_response_surface(CASES, data.kfold(2, 2, seed=0)),
                               DataError, "fold assignment does not cover the cases"),
-    "PolicyEstimate rate": (lambda: policy.PolicyEstimate(1.5, 0.1, "oracle", 1),
+    "PolicyEstimate rate": (lambda: policy.PolicyEstimate(1.5, 0.1, "oracle"),
                             NumericError, "policy estimate rates must lie in [0, 1]"),
     "SensitivityParams p_u": (lambda: policy.SensitivityParams(0.0, 0.0, 0.0, 0.0),
                               DataError, "p_u must lie strictly inside (0, 1)"),
@@ -141,6 +163,8 @@ REFUSALS = {
                               DataError, "selected column indices must be unique"),
     "Scorecard weight bound": (lambda: srr.Scorecard((("a", 5),), 3, 1),
                                DataError, "scorecard weight exceeds the declared bound"),
+    "Scorecard scores one column": (lambda: CARD_2.scores(np.ones((3, 1)), ("x0", "x1")),
+                                    DataError, "feature vector has length 1, model expects 2"),
     "Scorecard repeat": (lambda: srr.Scorecard((("a", 1), ("a", 2)), 3, 2),
                          DataError, "duplicate feature in scorecard entries"),
     "generate uncalibrated": (lambda: generate_with_hidden_u(0.9, -1000.0, 0.0, 0.0),
