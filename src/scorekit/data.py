@@ -654,21 +654,19 @@ def kfold(n: int, k: int, seed: int, labels: Sequence[int] | None = None) -> Fol
 
     Stratification deals each label class round-robin across folds in one
     continuous pass, so fold sizes still differ by at most 1 overall.
+    Without labels every row is of one class, whose shuffle is the order.
     """
     if k < 2:
         raise DataError("fold count must be at least 2")
     if k > n:
         raise DataError(f"cannot split {n} rows into {k} folds")
+    labels = np.zeros(n, dtype=int) if labels is None else np.asarray(labels)
+    if labels.shape != (n,):
+        raise DataError("labels length does not match n")
     rng = np.random.default_rng(seed)
-    if labels is None:
-        order = rng.permutation(n)
-    else:
-        labels = np.asarray(labels)
-        if labels.shape != (n,):
-            raise DataError("labels length does not match n")
-        order = np.concatenate(
-            [rng.permutation(np.flatnonzero(labels == v)) for v in np.unique(labels)]
-        )
+    order = np.concatenate(
+        [rng.permutation(np.flatnonzero(labels == v)) for v in np.unique(labels)]
+    )
     assignment = np.empty(n, dtype=int)
     assignment[order] = np.arange(n) % k
     return FoldAssignment(fold_count=k, assignment=assignment)

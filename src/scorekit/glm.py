@@ -76,6 +76,13 @@ def _check_xy(X, y):
     return X, y, _design(X, None)
 
 
+def _fitted(result):
+    """One result of a ``*_many`` batch, raising the error it holds."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def fit_logistic(
     X, y, max_iter: int = 100, tol: float = 1e-7, on_divergence: str = "error"
 ) -> GlmFit:
@@ -94,10 +101,7 @@ def fit_logistic(
     separating candidate.  A column that does not vary (the rule of
     :func:`_design`, shared with the lasso) gets coefficient 0.
     """
-    (fit,) = fit_logistic_many(X, y, [None], max_iter, tol, on_divergence)
-    if isinstance(fit, NumericError):
-        raise fit
-    return fit
+    return _fitted(fit_logistic_many(X, y, [None], max_iter, tol, on_divergence)[0])
 
 
 def fit_logistic_many(
@@ -615,13 +619,6 @@ def kkt_violation(path: LassoPath, X, y, index: int) -> tuple[float, float]:
     return inactive_excess, active_resid
 
 
-def validation_deviance(intercept: float, coefs, X, y) -> float:
-    """Mean per-observation binomial deviance of a fitted model on (X, y)."""
-    X, y, _ = _check_xy(X, y)
-    eta = intercept + X @ coefs
-    return -2.0 * log_likelihood_bernoulli(eta, y) / len(y)
-
-
 def cv_select(
     X, y, folds: FoldAssignment, n_lambda: int = 100, lambda_min_ratio: float = 1e-4
 ) -> LassoPath:
@@ -635,10 +632,7 @@ def cv_select(
     did not converge in the full-data fit or in any fold.  The selection is
     the one-set case of :func:`cv_select_many`.
     """
-    (path,) = cv_select_many(X, y, folds, [None], n_lambda, lambda_min_ratio)
-    if isinstance(path, NumericError):
-        raise path
-    return path
+    return _fitted(cv_select_many(X, y, folds, [None], n_lambda, lambda_min_ratio)[0])
 
 
 def cv_select_many(
@@ -708,11 +702,13 @@ def linear_predictor(intercept: float, coefs, X) -> np.ndarray | float:
     get bit-identical scores and rank as ties.  ``X @ coefs`` does not
     promise that: BLAS gemv may round a row differently depending on its
     position in the matrix, which splits a tie by one ulp and moves the AUC.
-    A row whose length is not the number of coefficients is a DataError.
+    A row whose length is not the number of coefficients, or a 0-d input,
+    is a DataError.
     """
     X, coefs = np.asarray(X, dtype=float), np.asarray(coefs, dtype=float)
     if X.shape[-1:] != coefs.shape:
-        raise DataError(f"feature vector has length {X.shape[-1]}, model expects {len(coefs)}")
+        length = X.shape[-1] if X.ndim else "none (a 0-d input)"
+        raise DataError(f"feature vector has length {length}, model expects {len(coefs)}")
     return intercept + np.einsum("...j,j->...", X, coefs)
 
 

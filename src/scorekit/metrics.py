@@ -9,7 +9,7 @@ import numpy as np
 from ._math import expit
 from .data import Dataset, FoldAssignment, kfold
 from .errors import DataError, NumericError
-from .glm import cv_select_many, fit_logistic, linear_predictor, predict_prob
+from .glm import _fitted, cv_select_many, fit_logistic, linear_predictor, predict_prob
 from .selection import StepFailure, forward_stepwise, selectable_groups
 from .srr import rescale_round
 
@@ -266,10 +266,3 @@ def cv_sweep(
             )
 
     return SweepResult(cells=tuple(cells), k_values=k_values, M_values=M_values)
-
-
-def _fitted(path):
-    """A :func:`cv_select_many` result, raising the error it holds."""
-    if isinstance(path, Exception):
-        raise path
-    return path

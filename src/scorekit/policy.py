@@ -65,6 +65,17 @@ def _mask(value, what: str) -> np.ndarray:
     return mask
 
 
+def _decisions(policy, cases) -> np.ndarray:
+    """``policy.released(cases.X)``: a boolean mask (:func:`_mask`) holding one
+    flag per case, or a DataError.  Never broadcast: a one-element mask is
+    not a decision for every case."""
+    released = _mask(policy.released(cases.X), "policy.released(X)")
+    if released.shape != (len(cases),):
+        raise DataError(
+            f"policy.released(X) has shape {released.shape}, expected ({len(cases)},)")
+    return released
+
+
 @dataclass(frozen=True)
 class CaseTable:
     """Observed decision cases, held column by column, and their covariate layout.
@@ -230,8 +241,7 @@ class RiskModelPolicy:
         object.__setattr__(self, "coefficients", coefficients)
 
     def risk(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return expit(linear_predictor(self.intercept, self.coefficients, X))
+        return expit(np.atleast_1d(linear_predictor(self.intercept, self.coefficients, X)))
 
     def released(self, X: np.ndarray) -> np.ndarray:
         return self.risk(X) < self.threshold
@@ -361,7 +371,7 @@ def estimate_policy(
     surface's identity (:func:`_predictions`): every further policy
     estimated or swept with the same surface object reuses them.
     """
-    released = _mask(policy.released(cases.X), "policy.released(X)")
+    released = _decisions(policy, cases)
     return _surface_estimate(cases, released, *_predictions(cases, surface))
 
 
@@ -481,6 +491,8 @@ def posterior_u(gamma, alpha, p_u, released):
     """
     released = _mask(released, "released")
     gamma = np.asarray(gamma, dtype=float)
+    if not np.all(np.isfinite(gamma)):
+        raise DataError("gamma must be finite")
     post_withheld, post_released = _bayes_u(expit(gamma), expit(gamma + alpha), p_u)
     out = np.where(released, post_released, post_withheld)
     return out if np.ndim(out) else float(out)
@@ -507,7 +519,7 @@ def solve_beta(rhat, posterior_u1, delta):
     return _solve_two_point_mixture(rhat, posterior_u1, delta)
 
 
-def _counterfactual(q, r_other, released: bool, p_u, alpha, delta, pair_of_key=slice(None)):
+def _counterfactual(q, r_other, released: bool, p_u, alpha, delta, pair_of_key):
     """Adjusted Pr(adverse outcome under the action not taken | observed action, x)
     for rows all observed under one action, ``released`` its flag.
 
@@ -520,7 +532,8 @@ def _counterfactual(q, r_other, released: bool, p_u, alpha, delta, pair_of_key=s
     delta), as the two solves computed them for their residual checks.
     The regime parameters broadcast against the rows: a column of distinct
     (p_u, alpha) pairs, ``pair_of_key`` mapping each row of the ``delta``
-    column to its pair, solves every regime key in one pass.
+    column to its pair, solves every regime key in one pass.  Its one
+    caller is :func:`_branch_table`.
     """
     _, rel_u0, rel_u1 = _mixture_root(clip_prob(q), p_u, alpha)
     post = _bayes_u(rel_u0, rel_u1, p_u)
@@ -536,10 +549,11 @@ def rr_counterfactual(
     observed_released,
     release_prob,
 ):
-    """Adjusted counterfactual Pr(r(other action) = 1 | observed action, x):
-    the chain of :func:`_counterfactual` for one regime.  Vectorized;
-    ``observed_released`` is the observed action's release flag, a bool or a
-    bool array.
+    """Adjusted counterfactual Pr(r(other action) = 1 | observed action, x)
+    for one regime.  Vectorized; ``observed_released`` is the observed
+    action's release flag, a bool or a bool array.  The rows observed under
+    each action are solved as the one-regime :func:`_branch_table` of
+    :func:`sensitivity_sweep`, in blocks of at most ``_SWEEP_BLOCK`` rows.
     """
     q, r_rel, r_wh, observed = np.broadcast_arrays(
         np.asarray(release_prob, dtype=float),
@@ -548,13 +562,9 @@ def rr_counterfactual(
         _mask(observed_released, "observed_released"),
     )
     out = np.empty(q.shape)
-    for released, r_other, delta in (
-        (True, r_wh, params.delta_withhold),
-        (False, r_rel, params.delta_release),
-    ):
-        rows = observed == released
-        if rows.any():  # a branch with no rows is skipped
-            out[rows] = _counterfactual(q[rows], r_other[rows], released, params.p_u, params.alpha, delta)
+    for released, r_other in ((True, r_wh), (False, r_rel)):
+        rows = observed == released  # a branch with no rows solves nothing
+        out[rows] = _branch_table(q[rows], r_other[rows], released, [params])[0][0]
     return out if out.ndim else float(out)
 
 
@@ -632,7 +642,7 @@ def sensitivity_sweep(
     """
     if not regimes:
         raise DataError("need at least one sensitivity regime")
-    released = _mask(policy.released(cases.X), "policy.released(X)")
+    released = _decisions(policy, cases)
     regimes = tuple(regimes)
     r_rel, r_wh = _predictions(cases, surface)
     *_, swept, tables = cases._memo

@@ -11,7 +11,7 @@ threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -87,10 +87,7 @@ class Scorecard(JsonRecord):
         """The score of every row of ``X``, whose columns ``feature_names``
         names: the one place a card meets a covariate matrix.  Identical rows
         get identical scores (see :func:`~scorekit.glm.linear_predictor`)."""
-        return linear_predictor(0.0, self.weight_vector(feature_names), np.atleast_2d(X))
-
-    def with_threshold(self, threshold: float) -> "Scorecard":
-        return replace(self, threshold=float(threshold))
+        return np.atleast_1d(linear_predictor(0.0, self.weight_vector(feature_names), X))
 
     def render(self) -> str:
         """Two-column Feature / Score table plus the threshold line."""

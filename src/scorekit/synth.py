@@ -31,7 +31,7 @@ from .data import (
     Bins, Dataset, EncodingSpec, _freeze, encode, read_table, read_typed_table, write_table,
 )
 from .errors import DataError, NumericError
-from .policy import ORACLE, CaseTable, Policy, PolicyEstimate, SensitivityParams, _mask
+from .policy import ORACLE, CaseTable, Policy, PolicyEstimate, SensitivityParams, _decisions
 from .srr import RELEASE, WITHHOLD
 
 AGE_LABELS = ("18_20", "21_25", "26_30", "31_35", "36_40", "41_45", "46_50", "51_plus")
@@ -229,7 +229,7 @@ def oracle_value(table: CaseTable, policy: Policy) -> PolicyEstimate:
     """Exact policy value from the stored potential outcomes."""
     if table.po_release is None:
         raise DataError("cohort is missing potential outcomes")
-    released = _mask(policy.released(table.X), "policy.released(X)")
+    released = _decisions(policy, table)
     value = float(np.mean(np.where(released, table.po_release, table.po_withhold)))
     return PolicyEstimate(
         action_rate=float(np.mean(released)),

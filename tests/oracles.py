@@ -32,6 +32,11 @@ def logistic_ll(intercept, coefs, X, y):
     return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
 
 
+def deviance(intercept, coefs, X, y):
+    """Mean per-observation binomial deviance of a fitted model on (X, y)."""
+    return -2.0 * logistic_ll(intercept, coefs, X, y) / len(y)
+
+
 def direct_max_oracle(X, y, iters=60):
     """Coordinate-wise golden-section maximizer of the log-likelihood."""
     p = X.shape[1]

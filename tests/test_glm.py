@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import coordinate_descent, direct_max_oracle, irls, logistic_ll, min_norm_solve
+from oracles import coordinate_descent, deviance, direct_max_oracle, irls, logistic_ll, min_norm_solve
 from scorekit import data, glm, policy, synth
 from scorekit._math import expit
 from scorekit.errors import DataError, NumericError
@@ -215,8 +215,8 @@ class TestLassoPath:
         i = 15
         combined = path_dup.coefficients[i][0] + path_dup.coefficients[i][2]
         assert combined == pytest.approx(path.coefficients[i][0], abs=1e-4)
-        dev = glm.validation_deviance(path.intercepts[i], path.coefficients[i], X, y)
-        dev_dup = glm.validation_deviance(path_dup.intercepts[i], path_dup.coefficients[i], Xdup, y)
+        dev = deviance(path.intercepts[i], path.coefficients[i], X, y)
+        dev_dup = deviance(path_dup.intercepts[i], path_dup.coefficients[i], Xdup, y)
         assert dev_dup == pytest.approx(dev, abs=1e-6)
 
     def test_training_deviance_non_increasing_along_path(self):
@@ -225,7 +225,7 @@ class TestLassoPath:
             X, y = random_instance(rng, n=70, p=3)
             path = glm.fit_lasso_path(X, y, n_lambda=30)
             devs = [
-                glm.validation_deviance(path.intercepts[i], path.coefficients[i], X, y)
+                deviance(path.intercepts[i], path.coefficients[i], X, y)
                 for i in range(path.n_lambda)
             ]
             assert all(b <= a + 1e-7 for a, b in zip(devs, devs[1:]))
@@ -657,10 +657,10 @@ class TestBatchedPaths:
                     assert_same_path(sub, glm.fit_lasso_path(X[tr], y[tr], lambda_grid=grid))
                     fits.append((sub, X[tr], y[tr]))
                     devs[f] = [
-                        glm.validation_deviance(sub.intercepts[i], sub.coefficients[i], X[va], y[va])
+                        deviance(sub.intercepts[i], sub.coefficients[i], X[va], y[va])
                         for i in range(len(grid))
                     ]
-                # one product per fold scores every penalty as validation_deviance does
+                # one product per fold scores every penalty as the deviance oracle does
                 assert np.max(np.abs(path.cv_mean - devs.mean(axis=0))) <= 1e-12, name
                 for fit, Xf, yf in fits:
                     assert fit.converged.all(), name

@@ -7,6 +7,7 @@ trace of the suite (``tools/untested_lines.py``) finds the ones left.
 
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +30,19 @@ CARD_2 = srr.Scorecard(entries=(("x0", 1), ("x1", 2)), weight_bound=3, feature_b
                       threshold=1.0)
 CARD_2_POLICY = policy.ScorecardPolicy(CARD_2, ("x0", "x1"))
 RISK_2 = policy.RiskModelPolicy(0.0, [1.0, 2.0], 0.5)
+# one feature: a 0-d input would broadcast across the one coefficient
+FIT_1 = glm.GlmFit(0.0, [1.0], True, 1, -1.0)
+RISK_1 = policy.RiskModelPolicy(0.0, [1.0], 0.5)
+CARD_1_POLICY = policy.ScorecardPolicy(NO_THRESHOLD, ("x0",), threshold=1.0)
+ZERO_D = {"float64": np.float64(0.5), "None": None, "int": 3}
+# a surface on X4's one feature, and cases that carry potential outcomes
+SURFACE = policy.ResponseSurface(
+    replace(PATH, coefficients=[[0.0, 0.0, 0.0]] * 2, selected_index=1),
+    replace(PATH, selected_index=1), 1)
+CASES_PO = replace(CASES, po_release=Y4, po_withhold=Y4)
+REGIMES = [policy.SensitivityParams(0.5, 0.0, 0.0, 0.0)]
+# policies whose decisions are not one flag per case of CASES_PO
+MASKS = {"one flag": np.array([True]), "one flag too few": np.ones(3, bool)}
 CELL_AUC_1_5 = metrics.SweepCell(metrics.SCORECARD, k=1, M=1, fold=0, auc=1.5, accuracy=0.5)
 FOLDS_OF_4 = data.kfold(4, 2, seed=0)
 
@@ -111,6 +125,13 @@ REFUSALS = {
                         DataError, "feature vector has length 3, model expects 2"),
     "cv_select fold coverage": (lambda: glm.cv_select(X4, Y4, data.kfold(2, 2, seed=0)),
                                 DataError, "fold assignment does not cover X's rows"),
+    **{f"{name} 0-d {kind}": (lambda score=score, x=x: score(x), DataError,
+                              "feature vector has length none (a 0-d input), model expects 1")
+       for name, score in (("predict_prob", lambda x: glm.predict_prob(FIT_1, x)),
+                           ("linear_score", lambda x: glm.linear_score(FIT_1, x)),
+                           ("RiskModelPolicy", RISK_1.released),
+                           ("ScorecardPolicy", CARD_1_POLICY.released))
+       for kind, x in ZERO_D.items()},
     # metrics
     "auc shapes": (lambda: metrics.auc([1.0, 2.0], [1]),
                    DataError, "scores and labels must be 1-d and the same length"),
@@ -158,6 +179,17 @@ REFUSALS = {
                               DataError, "p_u must lie strictly inside (0, 1)"),
     "SensitivityParams shift": (lambda: policy.SensitivityParams(0.5, np.inf, 0.0, 0.0),
                                 DataError, "sensitivity shifts must be finite"),
+    **{f"posterior_u gamma {kind}": (lambda gamma=gamma: policy.posterior_u(gamma, 0.5, 0.3, True),
+                                     DataError, "gamma must be finite")
+       for kind, gamma in (("inf", np.inf), ("-inf", -np.inf), ("nan", np.nan),
+                           ("array inf", np.array([0.0, np.inf])))},
+    **{f"{name} {kind}": (lambda run=run, mask=mask: run(SimpleNamespace(released=lambda X: mask)),
+                          DataError, f"policy.released(X) has shape {mask.shape}, expected (4,)")
+       for name, run in (
+           ("estimate_policy", lambda p: policy.estimate_policy(CASES_PO, p, SURFACE)),
+           ("sensitivity_sweep", lambda p: policy.sensitivity_sweep(CASES_PO, p, SURFACE, REGIMES)),
+           ("oracle_value", lambda p: synth.oracle_value(CASES_PO, p)))
+       for kind, mask in MASKS.items()},
     # selection, srr, synth
     "SelectionTrace repeat": (lambda: selection.SelectionTrace((1, 1), (), (), ()),
                               DataError, "selected column indices must be unique"),

@@ -123,7 +123,7 @@ class TestScoreDecide:
             srr.Scorecard(entries=(("a", 1),), weight_bound=1, feature_budget=1,
                           threshold=threshold)
         with pytest.raises(DataError, match="threshold must be finite"):
-            TABLE_CARD.with_threshold(threshold)
+            replace(TABLE_CARD, threshold=threshold)
 
     def test_unset_threshold(self):
         card = srr.Scorecard(entries=(("a", 1),), weight_bound=1, feature_budget=1)
@@ -131,7 +131,7 @@ class TestScoreDecide:
             srr.decide(card, {"a": 1.0})
 
     def test_degenerate_threshold_withholds_everyone(self):
-        card = TABLE_CARD.with_threshold(-1.0)
+        card = replace(TABLE_CARD, threshold=-1.0)
         for x in (row(), row(age_18_20=1.0), row(priors_4_plus=1.0)):
             assert srr.decide(card, x) == srr.WITHHOLD
 
@@ -149,7 +149,7 @@ class TestScoreDecide:
             rows.append(x)
         prev_released = None
         for thr in (-1.0, 2.5, 6.5, 10.5, 14.5, 25.0):
-            card = TABLE_CARD.with_threshold(thr)
+            card = replace(TABLE_CARD, threshold=thr)
             released = {
                 i for i, x in enumerate(rows) if srr.decide(card, x) == srr.RELEASE
             }

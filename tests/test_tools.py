@@ -129,6 +129,22 @@ def test_digest_run_times_each_command_on_stderr(digests, monkeypatch, tmp_path,
     assert re.fullmatch(r"wrote out/values.csv\n\d+\.\d\d s  scorekit theory-curve\n", captured.err)
 
 
+def test_digests_run_on_one_blas_thread_whatever_the_outside_setting():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    counts = []
+    for setting in ({}, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}):
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env.update(setting, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, TOOL], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 2, done.stderr  # no OUTDIR: the usage text
+        counts.append(done.stderr.splitlines()[0])
+    assert counts[0] == counts[1] and re.fullmatch(r"BLAS threads: (1|None)", counts[0])
+    before = dict(os.environ)  # only the script run sets them
+    load("cli_digests_imported", TOOL)
+    assert dict(os.environ) == before
+
+
 def test_complement_table_is_the_cli_tests_table(digests, tmp_path):
     from test_cli import _adversarial_input
 

@@ -49,6 +49,14 @@ diffing the printed lines shows whether their outputs are byte-equal.
 Each CLI run's wall time goes to stderr as well, so a digest run also
 times the default-argument commands.
 
+Run as a script, the tool sets ``OPENBLAS_NUM_THREADS`` and
+``OMP_NUM_THREADS`` to 1 before numpy is imported, and prints the BLAS
+thread count read back from the library on stderr, first.  The weighted
+Gram of a large fit rounds differently under another thread count, and
+OpenBLAS caps a requested count at the cores present, so 1 is the only
+count that is the same on every host: the digests are those of one BLAS
+thread.  Importing the module changes no environment variable.
+
 ``--compare`` reads the CSV files of two such output sets and prints, for
 each column, the largest absolute difference between the two versions
 (numeric columns) or the number of cells that differ (text columns).  Lines
@@ -68,12 +76,17 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
+import glob
 import hashlib
 import json
 import os
 import shutil
 import sys
 import time
+
+if __name__ == "__main__":  # before numpy loads the library
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
 
 import numpy as np
 
@@ -205,6 +218,17 @@ def write_n_below_p_csv(path: str) -> None:
     rows = [",".join(str(v) for v in (*row, i % 2)) for i, row in enumerate(X)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join([header, *rows]) + "\n")
+
+
+def blas_threads() -> int | None:
+    """The thread count numpy's bundled OpenBLAS reports; None if it has no such getter."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
+        getter = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter()
+    return None
 
 
 def _sha256(path: str) -> str:
@@ -345,4 +369,5 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
+    print(f"BLAS threads: {blas_threads()}", file=sys.stderr)
     sys.exit(main(sys.argv[1:]))
