@@ -1,10 +1,11 @@
 """Command-line driver.
 
 Subcommands wire the library into end-to-end workflows and emit plot-ready
-CSV.  Policy evaluation follows a three-fold discipline: one fold constructs
-the rules, one fits the response surface, and one is scored, so no policy is
-ever evaluated on data its scorecard or surface saw.  All commands are
-deterministic given --seed.
+CSV: a header and data rows, with the run's configuration in a JSON manifest
+beside the file.  Policy evaluation follows a three-fold discipline: one
+fold constructs the rules, one fits the response surface, and one is
+scored, so no policy is ever evaluated on data its scorecard or surface
+saw.  All commands are deterministic given --seed.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 """
@@ -12,6 +13,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -42,30 +44,27 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _at_least(low: int, parse=int):
-    """An argparse type checking that every value of ``parse(text)``, an int
-    or a tuple of ints, is at least ``low``, so that a bad size is a usage
-    error before any input is read.  An int comes back parsed, a list as
-    typed, which is how the config comment records it."""
+def _parsed(parse, low=None):
+    """An argparse type returning ``parse(text)``: its ValueError, or with
+    ``low`` a value (an int, or any of a tuple's) below ``low``, is a usage
+    error naming the flag, raised before any input is read."""
 
     def check(text: str):
         try:
             value = parse(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
-        if min(np.atleast_1d(value)) < low:
+        if low is not None and min(np.atleast_1d(value)) < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
-        return value if parse is int else text
+        return value
 
     return check
 
 
 def _finite(text: str) -> float:
-    """An argparse type: a finite float, so that nan or inf is a usage error
-    naming its flag."""
     value = float(text)
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        raise ValueError(f"must be finite, got {text!r}")
     return value
 
 
@@ -92,19 +91,17 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.output_dir, name)
 
 
-def _config_comment(args) -> str:
-    skip = {"func"}
-    fields = ", ".join(
-        f"{k}={v!r}" for k, v in sorted(vars(args).items()) if k not in skip
-    )
-    return f"scorekit {args.subcommand}: {fields}"
-
-
-def _write_csv(args, name: str, header, rows, *comments) -> None:
-    """Write one output CSV, the config comment line first, then ``comments``;
-    print its ``wrote`` line."""
+def _write_csv(args, name: str, header, rows, **record) -> None:
+    """Write one output CSV and, first, its run's manifest,
+    ``<subcommand>.manifest.json`` beside it: the parsed arguments, sorted,
+    and ``record``; print each file's ``wrote`` line."""
+    manifest = _out_path(args, f"{args.subcommand}.manifest.json")
+    arguments = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    with open(manifest, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"arguments": arguments, **record}, indent=2) + "\n")
     out = _out_path(args, name)
-    data.write_table(out, header, rows, comments=[_config_comment(args), *comments])
+    data.write_table(out, header, rows)
+    print(f"wrote {manifest}")
     print(f"wrote {out}")
 
 
@@ -174,8 +171,8 @@ def _cmd_evaluate(args) -> int:
     ds, folds = _load_with_folds(args)
     sweep = metrics.cv_sweep(
         ds,
-        k_values=_parse_int_list(args.k_values),
-        M_values=_parse_int_list(args.M_values),
+        k_values=args.k_values,
+        M_values=args.M_values,
         folds=folds,
         grouped=not args.per_indicator,
         n_lambda=args.n_lambda,
@@ -261,21 +258,17 @@ def _policy_setup(args):
     on the released cases of the construct fold, the response surface on the
     surface fold, and policies are scored on the evaluation fold.  Returns
     ([(threshold, scorecard policy) per threshold], (released construct
-    cases, their lambda folds), surface, evaluation table, fold provenance);
+    cases, their lambda folds), surface, evaluation table, the fold of each
+    role);
     the released construct cases are what ``policy-eval`` fits its
     full-feature risk model on.  Without --thresholds, the thresholds are
-    every half-integer between the extreme evaluation scores.  A given
-    --thresholds grid is parsed before anything is fitted.
+    every half-integer between the extreme evaluation scores.
     """
-    thresholds = _parse_float_grid(args.thresholds) if args.thresholds else None
     table = _load_cohort_or_cases(args)
     folds = data.kfold(len(table), 3, seed=args.seed, labels=table.outcomes.astype(int))
-    roles = [(r + args.rotate) % 3 for r in range(3)]
-    construct, surf_sub, eval_sub = (table.take(folds.test_indices(r)) for r in roles)
-    provenance = (
-        f"fold_roles: construct=fold{roles[0]} surface=fold{roles[1]} "
-        f"evaluate=fold{roles[2]} (disjoint)"
-    )
+    roles = {role: (r + args.rotate) % 3
+             for r, role in enumerate(("construct", "surface", "evaluate"))}
+    construct, surf_sub, eval_sub = (table.take(folds.test_indices(r)) for r in roles.values())
     if np.count_nonzero(construct.released) < 20:
         raise DataError("too few released cases in the construction fold")
     rule_ds = construct.released_dataset()
@@ -289,6 +282,7 @@ def _policy_setup(args):
         len(surf_sub), args.inner_folds, seed=args.seed + 2, labels=surf_sub.outcomes.astype(int)
     )
     surface = policy.fit_response_surface(surf_sub, surf_folds, n_lambda=args.n_lambda)
+    thresholds = args.thresholds
     if thresholds is None:
         scores = card.scores(eval_sub.X, eval_sub.feature_names)
         thresholds = tuple(np.arange(np.min(scores), np.max(scores) + 1.0) + 0.5)
@@ -297,12 +291,11 @@ def _policy_setup(args):
             card=card, feature_names=eval_sub.feature_names, threshold=float(thr)))
         for thr in thresholds
     ]
-    return scorecards, (rule_ds, lam_folds), surface, eval_sub, provenance
+    return scorecards, (rule_ds, lam_folds), surface, eval_sub, roles
 
 
 def _cmd_policy_eval(args) -> int:
-    risk_thresholds = _parse_float_grid(args.risk_thresholds)
-    scorecards, (rule_ds, lam_folds), surface, eval_sub, provenance = _policy_setup(args)
+    scorecards, (rule_ds, lam_folds), surface, eval_sub, roles = _policy_setup(args)
     risk_b0, risk_coefs = glm.cv_select(
         rule_ds.rows, rule_ds.labels.astype(float), lam_folds, n_lambda=args.n_lambda
     ).coefficients_at()
@@ -311,7 +304,7 @@ def _cmd_policy_eval(args) -> int:
     candidates += [
         ("risk_model", thr,
          policy.RiskModelPolicy(intercept=risk_b0, coefficients=risk_coefs, threshold=float(thr)))
-        for thr in risk_thresholds
+        for thr in args.risk_thresholds
     ]
 
     def rows():
@@ -321,14 +314,14 @@ def _cmd_policy_eval(args) -> int:
 
     _write_csv(
         args, "policy_eval.csv",
-        ["policy", "threshold", "action_rate", "value", "method", "regime"], rows(), provenance,
+        ["policy", "threshold", "action_rate", "value", "method", "regime"], rows(),
+        fold_roles=roles,
     )
-    print(provenance)
     return 0
 
 
 def _cmd_sensitivity_sweep(args) -> int:
-    scorecards, _, surface, eval_sub, provenance = _policy_setup(args)
+    scorecards, _, surface, eval_sub, roles = _policy_setup(args)
     spec = _REGIMES[args.regime]
     regimes = policy.regime_grid(spec["alpha"], _P_GRID, spec["deltas"])
 
@@ -343,16 +336,13 @@ def _cmd_sensitivity_sweep(args) -> int:
     _write_csv(
         args, "sensitivity.csv",
         ["policy", "threshold", "action_rate", "baseline", "min", "max", "n_regimes", "regime"],
-        rows(), provenance,
+        rows(), fold_roles=roles,
     )
-    print(provenance)
     return 0
 
 
 def _cmd_theory_curve(args) -> int:
-    rows = noise.theory_curve(
-        _parse_float_grid(args.auc_values), _parse_float_grid(args.gamma_values)
-    )
+    rows = noise.theory_curve(args.auc_values, args.gamma_values)
     _write_csv(args, "theory_curve.csv", ["auc_y", "gamma", "auc_hat"],
                ([a, g, repr(v)] for a, g, v in rows))
     return 0
@@ -369,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Integer-weight scorecards and offline policy evaluation.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    positive, fold_count, positives = _at_least(1), _at_least(2), _at_least(1, _parse_int_list)
+    positive, fold_count = _parsed(int, 1), _parsed(int, 2)
+    positives, grid = _parsed(_parse_int_list, 1), _parsed(_parse_float_grid)
 
     def command(name, func, help, *option_sets):
         """A subcommand running ``func``, with each option set and the
@@ -400,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--positive-label", help="raw label value mapped to 1")
         p.add_argument("--k", type=positive, default=2)
         p.add_argument("--M", type=positive, default=10)
-        p.add_argument("--thresholds", help="scorecard thresholds, start:stop:step or list")
+        p.add_argument("--thresholds", type=grid,
+                       help="scorecard thresholds, start:stop:step or list")
         p.add_argument("--inner-folds", type=fold_count, default=5)
         p.add_argument("--n-lambda", type=positive, default=50)
         p.add_argument("--rotate", type=int, default=0, help="rotate the three fold roles")
@@ -408,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("train", _cmd_train, "build a scorecard from labeled data", add_tabular)
     p.add_argument("--k", type=positive, required=True, help="feature budget")
     p.add_argument("--M", type=positive, required=True, help="integer weight bound")
-    p.add_argument("--threshold", type=_finite, help="decision threshold stored on the card")
+    p.add_argument("--threshold", type=_parsed(_finite),
+                   help="decision threshold stored on the card")
     p.add_argument("--folds", type=fold_count, default=10, help="folds for penalty selection")
     p.add_argument("--n-lambda", type=positive, default=100, help="penalty grid size")
 
@@ -426,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("policy-eval", _cmd_policy_eval, "estimate policies over a threshold sweep",
                 add_policy_io)
-    p.add_argument("--risk-thresholds", default="0.05:0.95:0.05",
+    p.add_argument("--risk-thresholds", type=grid, default="0.05:0.95:0.05",
                    help="risk-model release thresholds")
 
     p = command("sensitivity-sweep", _cmd_sensitivity_sweep, "hidden-covariate sensitivity bands",
@@ -435,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="log2: odds shifts of 2; log3: odds shifts of 3")
 
     p = command("theory-curve", _cmd_theory_curve, "analytic AUC-under-noise grid")
-    p.add_argument("--auc-values", default="0.55:0.95:0.05")
-    p.add_argument("--gamma-values", default="0:2:0.1")
+    p.add_argument("--auc-values", type=grid, default="0.55:0.95:0.05")
+    p.add_argument("--gamma-values", type=grid, default="0:2:0.1")
 
     return parser
 

@@ -502,16 +502,12 @@ def _rescan(path, dtype: np.dtype, records: np.ndarray | None = None) -> None:
                 records[name][i] = cell
 
 
-def write_table(
-    path, header: Sequence, rows: Iterable[Sequence], comments: Sequence[str] = ()
-) -> None:
-    """Write one ``# `` line per comment, the header, then each row as it comes.
+def write_table(path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write the header, then each row as it comes.
 
     The one place a CSV file is written.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

@@ -69,10 +69,10 @@ class ScoreModel:
 
 def auc_under_noise(auc_y: float, gamma: float):
     """Exact degraded AUC; identity at gamma = 0, -> 0.5 as gamma grows."""
-    if gamma < 0.0:
+    if not gamma >= 0.0:  # a NaN fails too
         raise NumericError("gamma must be nonnegative")
     auc_arr = np.asarray(auc_y, dtype=float)
-    if np.any((auc_arr <= 0.0) | (auc_arr >= 1.0)):
+    if not np.all((auc_arr > 0.0) & (auc_arr < 1.0)):
         raise NumericError("auc_y must lie strictly inside (0, 1)")
     scale = math.sqrt(1.0 + gamma)
     out = np.fromiter(

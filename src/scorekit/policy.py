@@ -445,7 +445,7 @@ def _mixture_root(target, p1, shift):
     shifts above about 354 (``b*b`` overflows) and roots beyond |x| of about
     709 (the odds overflow)."""
     q = np.asarray(target, dtype=float)
-    p1 = np.clip(np.asarray(p1, dtype=float), 0.0, 1.0)
+    p1 = np.asarray(p1, dtype=float)
     shift = np.asarray(shift, dtype=float)
     if np.any((q <= 0.0) | (q >= 1.0)):
         raise NumericError("mixture target must lie strictly inside (0, 1)")
@@ -480,7 +480,7 @@ def solve_gamma(p_u: float, alpha: float, q):
     Solves (1-p_u) sigmoid(gamma) + p_u sigmoid(gamma + alpha) = q; the
     mixture is increasing in gamma so the solution is unique.
     """
-    return _solve_two_point_mixture(q, p_u, alpha)
+    return _solve_two_point_mixture(q, _weight(p_u, "p_u"), alpha)
 
 
 def posterior_u(gamma, alpha, p_u, released):
@@ -493,6 +493,7 @@ def posterior_u(gamma, alpha, p_u, released):
     gamma = np.asarray(gamma, dtype=float)
     if not np.all(np.isfinite(gamma)):
         raise DataError("gamma must be finite")
+    p_u = _weight(p_u, "p_u")
     post_withheld, post_released = _bayes_u(expit(gamma), expit(gamma + alpha), p_u)
     out = np.where(released, post_released, post_withheld)
     return out if np.ndim(out) else float(out)
@@ -516,7 +517,16 @@ def solve_beta(rhat, posterior_u1, delta):
     is the posterior Pr(u=1 | action, x).  Boundary posteriors (0 or 1)
     reduce to a plain logit.
     """
-    return _solve_two_point_mixture(rhat, posterior_u1, delta)
+    return _solve_two_point_mixture(rhat, _weight(posterior_u1, "posterior_u1"), delta)
+
+
+def _weight(p, name: str):
+    """``p`` as floats; a DataError unless every entry lies in [0, 1] (a NaN
+    does not)."""
+    p = np.asarray(p, dtype=float)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise DataError(f"{name} must lie in [0, 1]")
+    return p
 
 
 def _counterfactual(q, r_other, released: bool, p_u, alpha, delta, pair_of_key):

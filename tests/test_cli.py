@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 import os
 import re
 import shutil
@@ -58,8 +59,11 @@ def train_csv(tmp_path):
 
 def read_rows(path):
     with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    return list(csv.DictReader(lines))
+        return list(csv.DictReader(fh))
+
+
+def read_manifest(out_dir, command):
+    return json.loads((out_dir / f"{command}.manifest.json").read_text(encoding="utf-8"))
 
 
 def assert_size_is_usage_error(capsys, tmp_path, command, flag, value, *required):
@@ -527,8 +531,8 @@ class TestPolicyEval:
             "policy-eval", "--input", cohort_csv, "--thresholds", "10.5",
             "--n-lambda", "10", "--inner-folds", "3", "--output-dir", str(tmp_path),
         )
-        header = (tmp_path / "policy_eval.csv").read_text().splitlines()[:2]
-        assert any("fold_roles" in ln and "disjoint" in ln for ln in header)
+        roles = read_manifest(tmp_path, "policy-eval")["fold_roles"]
+        assert roles == {"construct": 0, "surface": 1, "evaluate": 2}
 
     def test_rotation_changes_roles(self, cohort_csv, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -536,9 +540,10 @@ class TestPolicyEval:
             "--n-lambda", "10", "--inner-folds", "3", "--output-dir", str(a))
         run("policy-eval", "--input", cohort_csv, "--thresholds", "10.5",
             "--n-lambda", "10", "--inner-folds", "3", "--rotate", "1", "--output-dir", str(b))
-        ha = (a / "policy_eval.csv").read_text().splitlines()[1]
-        hb = (b / "policy_eval.csv").read_text().splitlines()[1]
-        assert ha != hb
+        assert read_manifest(a, "policy-eval")["fold_roles"] == {
+            "construct": 0, "surface": 1, "evaluate": 2}
+        assert read_manifest(b, "policy-eval")["fold_roles"] == {
+            "construct": 1, "surface": 2, "evaluate": 0}
 
     def test_truncated_cohort_row_is_data_error(self, cohort_csv, tmp_path, capsys):
         path = tmp_path / "cohort.csv"
@@ -652,8 +657,7 @@ class TestPolicyEval:
             run("policy-eval", "--input", cohort_csv, "--thresholds", "8.5,12.5",
                 "--n-lambda", "10", "--inner-folds", "3", "--seed", "7",
                 "--output-dir", str(out))
-        strip = lambda p: [ln for ln in p.read_text().splitlines() if not ln.startswith("#")]
-        assert strip(a / "policy_eval.csv") == strip(b / "policy_eval.csv")
+        assert (a / "policy_eval.csv").read_bytes() == (b / "policy_eval.csv").read_bytes()
 
 
 class TestSensitivitySweep:
@@ -716,7 +720,7 @@ class TestTheoryCurve:
     )
     def test_malformed_range_is_usage_error(self, tmp_path, capsys, flag, grid, message):
         assert run("theory-curve", flag, grid, "--output-dir", str(tmp_path)) == 2
-        assert f"usage error: {message}" in capsys.readouterr().err
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "theory_curve.csv").exists()
 
     def test_output_dir_below_a_file_is_io_error(self, tmp_path, capsys):
@@ -726,13 +730,14 @@ class TestTheoryCurve:
         assert capsys.readouterr().err.startswith("i/o error: ")
 
 
+CSV_COMMANDS = ["evaluate", "policy-eval", "sensitivity-sweep", "theory-curve"]
+
+
 class TestCsvOutput:
-    @pytest.mark.parametrize(
-        "command", ["evaluate", "policy-eval", "sensitivity-sweep", "theory-curve"]
-    )
-    def test_output_has_config_comment(self, train_csv, cohort_csv, tmp_path, capsys, command):
-        # every CSV goes through one writer: the config comment on line 1, the
-        # header after the comment lines, and a wrote line naming the file
+    @staticmethod
+    def run_small(command, out_dir, train_csv, cohort_csv):
+        """Run ``command`` on a small input into ``out_dir``; (the path of
+        the CSV it writes, that CSV's header, the arguments given)."""
         data_path, spec_path = train_csv
         small = ["--n-lambda", "5", "--inner-folds", "2"]
         policy_io = ["--input", cohort_csv, *small, "--thresholds", "5.5,10.5"]
@@ -748,12 +753,45 @@ class TestCsvOutput:
             "theory-curve": ("theory_curve.csv", "auc_y,gamma,auc_hat",
                              ["--auc-values", "0.7", "--gamma-values", "0,1"]),
         }[command]
-        assert run(command, *argv, "--output-dir", str(tmp_path)) == 0
-        out = tmp_path / name
-        lines = out.read_text(encoding="utf-8").splitlines()
-        assert lines[0].startswith(f"# scorekit {command}: ")
-        assert next(ln for ln in lines if not ln.startswith("#")) == header
-        assert f"wrote {out}" in capsys.readouterr().out.splitlines()
+        argv = [command, *argv, "--output-dir", str(out_dir)]
+        assert run(*argv) == 0
+        return out_dir / name, header, argv
+
+    @pytest.mark.parametrize("command", CSV_COMMANDS)
+    def test_output_has_config_comment(self, train_csv, cohort_csv, tmp_path, capsys, command):
+        # every CSV goes through one writer: the header on line 1, so the
+        # package's own reader reads it back, the configuration in a manifest
+        # beside it, and a wrote line naming each file
+        out, header, _ = self.run_small(command, tmp_path, train_csv, cohort_csv)
+        assert data.read_table(out)[0] == header.split(",")
+        assert b"#" not in out.read_bytes()
+        wrote = capsys.readouterr().out.splitlines()
+        assert f"wrote {out}" in wrote
+        assert f"wrote {tmp_path / f'{command}.manifest.json'}" in wrote
+
+    @pytest.mark.parametrize("command", CSV_COMMANDS)
+    def test_manifest_holds_the_parsed_arguments(self, train_csv, cohort_csv, tmp_path, command):
+        _, _, argv = self.run_small(command, tmp_path, train_csv, cohort_csv)
+        manifest = read_manifest(tmp_path, command)
+        parsed = vars(cli.build_parser().parse_args(argv))
+        arguments = manifest.pop("arguments")
+        assert list(arguments) == sorted(parsed.keys() - {"func"})
+        assert arguments == json.loads(json.dumps({k: parsed[k] for k in arguments}))
+        assert arguments["subcommand"] == command and arguments["output_dir"] == str(tmp_path)
+        grids = {"evaluate": ("k_values", [1]), "policy-eval": ("risk_thresholds", [0.5]),
+                 "sensitivity-sweep": ("thresholds", [5.5, 10.5]),
+                 "theory-curve": ("gamma_values", [0.0, 1.0])}
+        dest, values = grids[command]
+        assert arguments[dest] == values  # the parsed grid, not its text
+        roles = {"construct": 0, "surface": 1, "evaluate": 2}
+        assert manifest == ({"fold_roles": roles} if command in ("policy-eval", "sensitivity-sweep")
+                            else {})
+
+    @pytest.mark.parametrize("command", CSV_COMMANDS)
+    def test_csv_bytes_do_not_depend_on_output_dir(self, train_csv, cohort_csv, tmp_path, command):
+        a, _, _ = self.run_small(command, tmp_path / "a", train_csv, cohort_csv)
+        b, _, _ = self.run_small(command, tmp_path / "other" / "b", train_csv, cohort_csv)
+        assert a.read_bytes() == b.read_bytes()
 
 
 @pytest.mark.parametrize("module", ["scorekit", "scorekit.cli"])

@@ -475,8 +475,8 @@ class TestReadWriteTable:
     def test_write_table_layout(self, tmp_path):
         path = tmp_path / "out.csv"
         rows = iter([[1, "a,b"], [2.5, ""]])
-        data.write_table(path, ["n", "s"], rows, comments=["first", "second"])
-        assert path.read_bytes() == b'# first\n# second\nn,s\r\n1,"a,b"\r\n2.5,\r\n'
+        data.write_table(path, ["n", "s"], rows)
+        assert path.read_bytes() == b'n,s\r\n1,"a,b"\r\n2.5,\r\n'
 
 
 def _records():

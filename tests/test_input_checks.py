@@ -152,6 +152,14 @@ REFUSALS = {
                              DataError, "scale_factor must be positive"),
     "estimate_gamma one class": (lambda: noise.estimate_gamma(Y4, Y4, 1.0, np.zeros(4)),
                                  DataError, "both classes must be present"),
+    **{f"{name} gamma nan": (call, NumericError, "gamma must be nonnegative")
+       for name, call in (
+           ("auc_under_noise", lambda: noise.auc_under_noise(0.7, np.nan)),
+           ("theory_curve", lambda: noise.theory_curve([0.7], [np.nan])),
+           ("ScoreModel.auc_noisy", lambda: noise.ScoreModel(1.0, 0.0, 1.0, np.nan).auc_noisy))},
+    **{f"auc_under_noise auc_y {kind}": (lambda auc_y=auc_y: noise.auc_under_noise(auc_y, 0.5),
+                                         NumericError, "auc_y must lie strictly inside (0, 1)")
+       for kind, auc_y in (("nan", np.nan), ("array nan", np.array([0.7, np.nan])))},
     # policy
     "CaseTable no cases": (lambda: policy.CaseTable(np.zeros((0, 1)), np.zeros(0, bool), []),
                            DataError, "no cases"),
@@ -183,6 +191,13 @@ REFUSALS = {
                                      DataError, "gamma must be finite")
        for kind, gamma in (("inf", np.inf), ("-inf", -np.inf), ("nan", np.nan),
                            ("array inf", np.array([0.0, np.inf])))},
+    **{f"{name} {kind}": (lambda call=call, p=p: call(p), DataError, f"{weight} must lie in [0, 1]")
+       for name, weight, call in (
+           ("posterior_u", "p_u", lambda p: policy.posterior_u(0.0, 0.5, p, True)),
+           ("solve_gamma", "p_u", lambda p: policy.solve_gamma(p, 0.5, 0.4)),
+           ("solve_beta", "posterior_u1", lambda p: policy.solve_beta(0.4, p, 0.5)))
+       for kind, p in (("above 1", 1.5), ("below 0", -0.2), ("nan", np.nan),
+                       ("array nan", np.array([0.5, np.nan])))},
     **{f"{name} {kind}": (lambda run=run, mask=mask: run(SimpleNamespace(released=lambda X: mask)),
                           DataError, f"policy.released(X) has shape {mask.shape}, expected (4,)")
        for name, run in (

@@ -30,7 +30,7 @@ def digests(monkeypatch):
 
 def write_values(root, *cells):
     os.makedirs(root / "out")
-    rows = ["# config comment", "id,value"] + [f"{i},{c}" for i, c in enumerate(cells)]
+    rows = ["id,value"] + [f"{i},{c}" for i, c in enumerate(cells)]
     (root / "out" / "values.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 

@@ -41,10 +41,11 @@ After the runs, the seed-0 cohort is loaded and written back out
 together.  The result goes to stderr, so stdout holds only the digests of
 the CLI's own files.
 
-The heart table and its encoding are first copied into OUTDIR, so the
-config comment lines, which record input and output paths, depend only on
-OUTDIR.  Running two versions of the package with the same OUTDIR and
-diffing the printed lines shows whether their outputs are byte-equal.
+The CSV files hold no paths (each run's configuration goes to the
+manifest beside its CSV, which is not hashed), so running two versions of
+the package into any two OUTDIRs and diffing the printed lines shows
+whether their outputs are byte-equal.  The heart runs read the bundled
+table and ``perfbench/heart_encoding.json`` where they are.
 
 Each CLI run's wall time goes to stderr as well, so a digest run also
 times the default-argument commands.
@@ -59,17 +60,16 @@ thread.  Importing the module changes no environment variable.
 
 ``--compare`` reads the CSV files of two such output sets and prints, for
 each column, the largest absolute difference between the two versions
-(numeric columns) or the number of cells that differ (text columns).  Lines
-starting with ``#`` are skipped.  It reads each ``scorecard.json`` the same
-way: the fitted numbers (``CARD_FLOATS``, ``step_deviance`` read from the
-card's ``selection``) by their largest absolute difference, every other
-field, the card's ``entries`` and ``threshold`` among them, by equality.  It
-exits 1 when a file is missing from either set, when a file's header or row
-count differs, when a text cell or a compared-by-equality field differs, or
-when a numeric column or fitted number differs by more than ``TOLERANCE``
-(1e-6, the agreement a solver change must keep) or by a non-finite amount (a
-NaN against a number); each such file, column or field is named on a
-``FAIL`` line.
+(numeric columns) or the number of cells that differ (text columns).  It
+reads each ``scorecard.json`` the same way: the fitted numbers
+(``CARD_FLOATS``, ``step_deviance`` read from the card's ``selection``) by
+their largest absolute difference, every other field, the card's ``entries``
+and ``threshold`` among them, by equality.  It exits 1 when a file is
+missing from either set, when a file's header or row count differs, when a
+text cell or a compared-by-equality field differs, or when a numeric column
+or fitted number differs by more than ``TOLERANCE`` (1e-6, the agreement a
+solver change must keep) or by a non-finite amount (a NaN against a number);
+each such file, column or field is named on a ``FAIL`` line.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ import glob
 import hashlib
 import json
 import os
-import shutil
 import sys
 import time
 
@@ -249,7 +248,7 @@ def round_trip(out: str) -> int:
 
 def _csv_rows(path: str) -> list[list[str]]:
     with open(path, encoding="utf-8", newline="") as fh:
-        return list(csv.reader(line for line in fh if not line.startswith("#")))
+        return list(csv.reader(fh))
 
 
 def _max_diff(a, b) -> float:
@@ -342,13 +341,10 @@ def main(argv: list[str]) -> int:
         return 2
     out = argv[0]
     os.makedirs(out, exist_ok=True)
-    shutil.copyfile(HEART_CSV, os.path.join(out, "heart.csv"))
-    shutil.copyfile(HEART_ENCODING, os.path.join(out, "heart_encoding.json"))
     write_complement_csv(os.path.join(out, COMPLEMENT))
     write_n_below_p_csv(os.path.join(out, N_BELOW_P))
     write_categorical_heart(out)
-    heart = ["--input", f"{out}/heart.csv", "--label", "disease",
-             "--encoding", f"{out}/heart_encoding.json"]
+    heart = ["--input", HEART_CSV, "--label", "disease", "--encoding", HEART_ENCODING]
     for args, files in runs(out, heart):
         if f"{out}/{DECISIONS}" in args:
             write_decision_csv(os.path.join(out, "synth0", "cohort.csv"),
