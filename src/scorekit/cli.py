@@ -1,11 +1,11 @@
 """Command-line driver.
 
-Subcommands wire the library into end-to-end workflows and emit plot-ready
-CSV: a header and data rows, with the run's configuration in a JSON manifest
-beside the file.  Policy evaluation follows a three-fold discipline: one
-fold constructs the rules, one fits the response surface, and one is
-scored, so no policy is ever evaluated on data its scorecard or surface
-saw.  All commands are deterministic given --seed.
+Subcommands wire the library into end-to-end workflows.  Each writes a JSON
+manifest of the run's configuration, then its outputs beside it: plot-ready
+CSV (a header and data rows), a scorecard or a cohort.  Policy evaluation
+follows a three-fold discipline: one fold constructs the rules, one fits the
+response surface, and one is scored, so no policy is ever evaluated on data
+its scorecard or surface saw.  All commands are deterministic given --seed.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 """
@@ -23,10 +23,7 @@ import numpy as np
 from . import data, glm, metrics, noise, policy, srr, synth
 from .errors import DataError, NumericError
 
-_REGIMES = {
-    "log2": dict(alpha=float(np.log(2.0)), deltas=(-float(np.log(2.0)), 0.0, float(np.log(2.0)))),
-    "log3": dict(alpha=float(np.log(3.0)), deltas=(-float(np.log(3.0)), 0.0, float(np.log(3.0)))),
-}
+_REGIMES = {"log2": float(np.log(2.0)), "log3": float(np.log(3.0))}  # each regime's log-odds shift
 _P_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 
@@ -45,14 +42,14 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _parsed(parse, low=None):
-    """An argparse type returning ``parse(text)``: its ValueError, or with
-    ``low`` a value (an int, or any of a tuple's) below ``low``, is a usage
-    error naming the flag, raised before any input is read."""
+    """An argparse type returning ``parse(text)``: its ValueError or DataError,
+    or with ``low`` a value (an int, or any of a tuple's) below ``low``, is a
+    usage error naming the flag, raised before any input is read."""
 
     def check(text: str):
         try:
             value = parse(text)
-        except ValueError as exc:
+        except (ValueError, DataError) as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         if low is not None and min(np.atleast_1d(value)) < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
@@ -86,23 +83,39 @@ def _parse_float_grid(text: str) -> tuple[float, ...]:
     return tuple(np.arange(start, stop + 0.5 * step, step).round(12))
 
 
-def _out_path(args, name: str) -> str:
+def _parse_auc_grid(text: str) -> tuple[float, ...]:
+    values = _parse_float_grid(text)
+    if not all(0.0 < v < 1.0 for v in values):
+        raise ValueError(f"AUC values must lie strictly inside (0, 1), got {text!r}")
+    return values
+
+
+def _parse_hidden_u(text: str) -> tuple[float, ...]:
+    """Four numbers p,alpha,delta_rel,delta_wh, held to SensitivityParams' rules."""
+    try:
+        p, a, dr, dw = values = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"takes four numbers p,alpha,delta_rel,delta_wh, got {text!r}") from None
+    policy.SensitivityParams(p_u=p, alpha=a, delta_release=dr, delta_withhold=dw)
+    return values
+
+
+def _write(args, outputs: dict, **record) -> None:
+    """Write the run's manifest, ``<subcommand>.manifest.json``: the parsed
+    arguments, sorted, and ``record``; then each of ``outputs``, a file name
+    mapped to its text or to a function that writes the path it is given.
+    Each file goes into --output-dir; its ``wrote`` line follows its write."""
     os.makedirs(args.output_dir, exist_ok=True)
-    return os.path.join(args.output_dir, name)
-
-
-def _write_csv(args, name: str, header, rows, **record) -> None:
-    """Write one output CSV and, first, its run's manifest,
-    ``<subcommand>.manifest.json`` beside it: the parsed arguments, sorted,
-    and ``record``; print each file's ``wrote`` line."""
-    manifest = _out_path(args, f"{args.subcommand}.manifest.json")
     arguments = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    with open(manifest, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"arguments": arguments, **record}, indent=2) + "\n")
-    out = _out_path(args, name)
-    data.write_table(out, header, rows)
-    print(f"wrote {manifest}")
-    print(f"wrote {out}")
+    manifest = json.dumps({"arguments": arguments, **record}, indent=2)
+    for name, content in {f"{args.subcommand}.manifest.json": manifest, **outputs}.items():
+        path = os.path.join(args.output_dir, name)
+        if callable(content):
+            content(path)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(content + "\n")
+        print(f"wrote {path}")
 
 
 def _load_encoded(args, encoding=None, **columns) -> data.Dataset:
@@ -155,14 +168,7 @@ def _cmd_train(args) -> int:
         grouped=not args.per_indicator,
         n_lambda=args.n_lambda,
     )
-    table_path = _out_path(args, "scorecard.txt")
-    with open(table_path, "w", encoding="utf-8") as fh:
-        fh.write(card.render() + "\n")
-    json_path = _out_path(args, "scorecard.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(card.to_json() + "\n")
-    print(f"wrote {table_path}")
-    print(f"wrote {json_path}")
+    _write(args, {"scorecard.txt": card.render(), "scorecard.json": card.to_json()})
     print(card.render())
     return 0
 
@@ -179,7 +185,8 @@ def _cmd_evaluate(args) -> int:
         inner_folds=args.inner_folds,
         seed=args.seed,
     )
-    _write_csv(args, "sweep.csv", metrics.SWEEP_HEADER, sweep.rows())
+    rows = sweep.rows()
+    _write(args, {"sweep.csv": lambda out: data.write_table(out, metrics.SWEEP_HEADER, rows)})
 
     def report(label, method, k=None, M=None) -> None:
         """Print ``method``'s mean AUC (at ``k`` and ``M`` when given) and how
@@ -203,21 +210,11 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_synth_gen(args) -> int:
-    hidden = None
-    if args.hidden_u:
-        try:
-            p, a, dr, dw = (float(v) for v in args.hidden_u.split(","))
-        except ValueError:
-            raise ValueError(
-                f"--hidden-u takes four numbers p,alpha,delta_rel,delta_wh, got {args.hidden_u!r}"
-            ) from None
-        hidden = policy.SensitivityParams(p_u=p, alpha=a, delta_release=dr, delta_withhold=dw)
+    hidden = policy.SensitivityParams(*args.hidden_u) if args.hidden_u else None
     cohort = synth.generate(synth.GeneratorConfig(n=args.n, seed=args.seed, hidden_u=hidden))
-    out = _out_path(args, "cohort.csv")
-    synth.write_cohort_csv(cohort, out)
+    _write(args, {"cohort.csv": lambda out: synth.write_cohort_csv(cohort, out)})
     table = cohort.case_table()
     released = table.released
-    print(f"wrote {out}")
     print(
         f"n={cohort.n} release_rate={released.mean():.3f} "
         f"adverse|released={table.outcomes[released].mean():.3f}"
@@ -312,18 +309,16 @@ def _cmd_policy_eval(args) -> int:
             est = policy.estimate_policy(eval_sub, pol, surface)
             yield [name, thr, repr(est.action_rate), repr(est.value), est.method, ""]
 
-    _write_csv(
-        args, "policy_eval.csv",
-        ["policy", "threshold", "action_rate", "value", "method", "regime"], rows(),
-        fold_roles=roles,
-    )
+    header = ["policy", "threshold", "action_rate", "value", "method", "regime"]
+    _write(args, {"policy_eval.csv": lambda out: data.write_table(out, header, rows())},
+           fold_roles=roles)
     return 0
 
 
 def _cmd_sensitivity_sweep(args) -> int:
     scorecards, _, surface, eval_sub, roles = _policy_setup(args)
-    spec = _REGIMES[args.regime]
-    regimes = policy.regime_grid(spec["alpha"], _P_GRID, spec["deltas"])
+    a = _REGIMES[args.regime]
+    regimes = policy.regime_grid(a, _P_GRID, (-a, 0.0, a))
 
     def rows():
         for thr, pol in scorecards:
@@ -333,18 +328,17 @@ def _cmd_sensitivity_sweep(args) -> int:
                 repr(band.low), repr(band.high), len(regimes), args.regime,
             ]
 
-    _write_csv(
-        args, "sensitivity.csv",
-        ["policy", "threshold", "action_rate", "baseline", "min", "max", "n_regimes", "regime"],
-        rows(), fold_roles=roles,
-    )
+    header = ["policy", "threshold", "action_rate", "baseline", "min", "max", "n_regimes",
+              "regime"]
+    _write(args, {"sensitivity.csv": lambda out: data.write_table(out, header, rows())},
+           fold_roles=roles)
     return 0
 
 
 def _cmd_theory_curve(args) -> int:
     rows = noise.theory_curve(args.auc_values, args.gamma_values)
-    _write_csv(args, "theory_curve.csv", ["auc_y", "gamma", "auc_hat"],
-               ([a, g, repr(v)] for a, g, v in rows))
+    _write(args, {"theory_curve.csv": lambda out: data.write_table(
+        out, ["auc_y", "gamma", "auc_hat"], ([a, g, repr(v)] for a, g, v in rows))})
     return 0
 
 
@@ -415,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("synth-gen", _cmd_synth_gen, "generate a synthetic decision cohort")
     p.add_argument("--n", type=positive, required=True)
-    p.add_argument("--hidden-u", help="enable a hidden covariate: p,alpha,delta_rel,delta_wh")
+    p.add_argument("--hidden-u", type=_parsed(_parse_hidden_u),
+                   help="enable a hidden covariate: p,alpha,delta_rel,delta_wh")
 
     p = command("policy-eval", _cmd_policy_eval, "estimate policies over a threshold sweep",
                 add_policy_io)
@@ -428,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="log2: odds shifts of 2; log3: odds shifts of 3")
 
     p = command("theory-curve", _cmd_theory_curve, "analytic AUC-under-noise grid")
-    p.add_argument("--auc-values", type=grid, default="0.55:0.95:0.05")
-    p.add_argument("--gamma-values", type=grid, default="0:2:0.1")
+    p.add_argument("--auc-values", type=_parsed(_parse_auc_grid), default="0.55:0.95:0.05")
+    p.add_argument("--gamma-values", type=_parsed(_parse_float_grid, 0), default="0:2:0.1")
 
     return parser
 
@@ -451,9 +446,6 @@ def run(argv=None) -> int:
     except NumericError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:

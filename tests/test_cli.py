@@ -466,8 +466,30 @@ class TestSynthGen:
         code = run("synth-gen", "--n", "200", "--hidden-u", hidden, "--output-dir", str(tmp_path))
         assert code == 2
         err = capsys.readouterr().err
-        assert f"--hidden-u takes four numbers p,alpha,delta_rel,delta_wh, got {hidden!r}" in err
+        assert (f"argument --hidden-u: takes four numbers p,alpha,delta_rel,delta_wh, "
+                f"got {hidden!r}") in err
         assert "unpack" not in err and "convert" not in err
+        assert not (tmp_path / "cohort.csv").exists()
+
+    @pytest.mark.parametrize("hidden, message", [
+        ("1.5,0,0,0", "p_u must lie strictly inside (0, 1)"),
+        ("0.3,inf,0,0", "sensitivity shifts must be finite"),
+        ("0.3,nan,0,0", "sensitivity shifts must be finite"),
+    ])
+    def test_out_of_range_hidden_u_is_usage_error(self, tmp_path, capsys, hidden, message):
+        # held to SensitivityParams' rules at parse time, before any file is written
+        out = tmp_path / "out"
+        assert run("synth-gen", "--n", "200", "--hidden-u", hidden, "--output-dir", str(out)) == 2
+        assert f"argument --hidden-u: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_write_leaves_the_manifest_only(self, tmp_path, monkeypatch):
+        def fail(cohort, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(synth, "write_cohort_csv", fail)
+        assert run("synth-gen", "--n", "200", "--output-dir", str(tmp_path)) == 3
+        assert (tmp_path / "synth-gen.manifest.json").exists()
         assert not (tmp_path / "cohort.csv").exists()
 
     def test_hidden_u_cohort_is_written(self, tmp_path):
@@ -483,6 +505,7 @@ class TestSynthGen:
         assert code == 4
         assert "numerical failure: could not calibrate intercept" in capsys.readouterr().err
         assert not (tmp_path / "cohort.csv").exists()
+        assert not (tmp_path / "synth-gen.manifest.json").exists()
 
     def test_non_positive_n_is_usage_error(self, tmp_path, capsys):
         code = run("synth-gen", "--n", "0", "--output-dir", str(tmp_path))
@@ -723,6 +746,17 @@ class TestTheoryCurve:
         assert f"argument {flag}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "theory_curve.csv").exists()
 
+    @pytest.mark.parametrize("flag, grid, message", [
+        ("--gamma-values", "-1", "must be at least 0, got '-1'"),
+        ("--auc-values", "1.0", "AUC values must lie strictly inside (0, 1), got '1.0'"),
+        ("--auc-values", "0:1:0.5", "AUC values must lie strictly inside (0, 1), got '0:1:0.5'"),
+    ])
+    def test_out_of_range_grid_is_usage_error(self, tmp_path, capsys, flag, grid, message):
+        out = tmp_path / "out"
+        assert run("theory-curve", flag, grid, "--output-dir", str(out)) == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_output_dir_below_a_file_is_io_error(self, tmp_path, capsys):
         (tmp_path / "file").write_text("", encoding="utf-8")
         code = run("theory-curve", "--output-dir", str(tmp_path / "file" / "out"))
@@ -730,48 +764,58 @@ class TestTheoryCurve:
         assert capsys.readouterr().err.startswith("i/o error: ")
 
 
-CSV_COMMANDS = ["evaluate", "policy-eval", "sensitivity-sweep", "theory-curve"]
+COMMANDS = ["evaluate", "policy-eval", "sensitivity-sweep", "theory-curve", "train", "synth-gen"]
 
 
 class TestCsvOutput:
     @staticmethod
     def run_small(command, out_dir, train_csv, cohort_csv):
-        """Run ``command`` on a small input into ``out_dir``; (the path of
-        the CSV it writes, that CSV's header, the arguments given)."""
+        """Run ``command`` on a small input into ``out_dir``; ({each file it
+        writes: that CSV's header, or None for a file that is not a CSV}, the
+        arguments given)."""
         data_path, spec_path = train_csv
+        tabular = ["--input", data_path, "--label", "fta", "--encoding", spec_path]
         small = ["--n-lambda", "5", "--inner-folds", "2"]
         policy_io = ["--input", cohort_csv, *small, "--thresholds", "5.5,10.5"]
-        name, header, argv = {
-            "evaluate": ("sweep.csv", "method,k,M,fold,auc,accuracy,error",
-                         ["--input", data_path, "--label", "fta", "--encoding", spec_path,
-                          "--k-values", "1", "--M-values", "1", "--folds", "2", *small]),
-            "policy-eval": ("policy_eval.csv", "policy,threshold,action_rate,value,method,regime",
+        files, argv = {
+            "evaluate": ({"sweep.csv": "method,k,M,fold,auc,accuracy,error"},
+                         [*tabular, "--k-values", "1", "--M-values", "1", "--folds", "2", *small]),
+            "policy-eval": ({"policy_eval.csv": "policy,threshold,action_rate,value,method,regime"},
                             [*policy_io, "--risk-thresholds", "0.5"]),
-            "sensitivity-sweep": (
-                "sensitivity.csv",
-                "policy,threshold,action_rate,baseline,min,max,n_regimes,regime", policy_io),
-            "theory-curve": ("theory_curve.csv", "auc_y,gamma,auc_hat",
+            "sensitivity-sweep": ({"sensitivity.csv": "policy,threshold,action_rate,baseline,"
+                                                      "min,max,n_regimes,regime"}, policy_io),
+            "theory-curve": ({"theory_curve.csv": "auc_y,gamma,auc_hat"},
                              ["--auc-values", "0.7", "--gamma-values", "0,1"]),
+            "train": ({"scorecard.txt": None, "scorecard.json": None},
+                      [*tabular, "--k", "2", "--M", "3", "--threshold", "4.5", "--folds", "2",
+                       "--n-lambda", "5"]),
+            "synth-gen": ({"cohort.csv": "age_18_20,age_21_25,age_26_30,age_31_35,age_36_40,"
+                                         "age_41_45,age_46_50,priors_1,priors_2,priors_3,"
+                                         "priors_4_plus,noise_0,noise_1,action,outcome,judge,"
+                                         "__po_release,__po_withhold,__u"},
+                          ["--n", "300", "--hidden-u", "0.3,0.7,0.7,0.7"]),
         }[command]
         argv = [command, *argv, "--output-dir", str(out_dir)]
         assert run(*argv) == 0
-        return out_dir / name, header, argv
+        return files, argv
 
-    @pytest.mark.parametrize("command", CSV_COMMANDS)
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_output_has_config_comment(self, train_csv, cohort_csv, tmp_path, capsys, command):
-        # every CSV goes through one writer: the header on line 1, so the
-        # package's own reader reads it back, the configuration in a manifest
-        # beside it, and a wrote line naming each file
-        out, header, _ = self.run_small(command, tmp_path, train_csv, cohort_csv)
-        assert data.read_table(out)[0] == header.split(",")
-        assert b"#" not in out.read_bytes()
-        wrote = capsys.readouterr().out.splitlines()
-        assert f"wrote {out}" in wrote
-        assert f"wrote {tmp_path / f'{command}.manifest.json'}" in wrote
+        # every file goes through one writer: a CSV's header on line 1, so
+        # the package's own reader reads it back, the configuration in a
+        # manifest written first beside the outputs, and one wrote line per file
+        files, _ = self.run_small(command, tmp_path, train_csv, cohort_csv)
+        for name, header in files.items():
+            if header is not None:
+                assert data.read_table(tmp_path / name)[0] == header.split(",")
+                assert b"#" not in (tmp_path / name).read_bytes()
+        wrote = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote")]
+        assert wrote == [f"wrote {tmp_path / name}"
+                         for name in [f"{command}.manifest.json", *files]]
 
-    @pytest.mark.parametrize("command", CSV_COMMANDS)
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_manifest_holds_the_parsed_arguments(self, train_csv, cohort_csv, tmp_path, command):
-        _, _, argv = self.run_small(command, tmp_path, train_csv, cohort_csv)
+        _, argv = self.run_small(command, tmp_path, train_csv, cohort_csv)
         manifest = read_manifest(tmp_path, command)
         parsed = vars(cli.build_parser().parse_args(argv))
         arguments = manifest.pop("arguments")
@@ -780,18 +824,22 @@ class TestCsvOutput:
         assert arguments["subcommand"] == command and arguments["output_dir"] == str(tmp_path)
         grids = {"evaluate": ("k_values", [1]), "policy-eval": ("risk_thresholds", [0.5]),
                  "sensitivity-sweep": ("thresholds", [5.5, 10.5]),
-                 "theory-curve": ("gamma_values", [0.0, 1.0])}
+                 "theory-curve": ("gamma_values", [0.0, 1.0]), "train": ("threshold", 4.5),
+                 "synth-gen": ("hidden_u", [0.3, 0.7, 0.7, 0.7])}
         dest, values = grids[command]
         assert arguments[dest] == values  # the parsed grid, not its text
         roles = {"construct": 0, "surface": 1, "evaluate": 2}
         assert manifest == ({"fold_roles": roles} if command in ("policy-eval", "sensitivity-sweep")
                             else {})
 
-    @pytest.mark.parametrize("command", CSV_COMMANDS)
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_csv_bytes_do_not_depend_on_output_dir(self, train_csv, cohort_csv, tmp_path, command):
-        a, _, _ = self.run_small(command, tmp_path / "a", train_csv, cohort_csv)
-        b, _, _ = self.run_small(command, tmp_path / "other" / "b", train_csv, cohort_csv)
-        assert a.read_bytes() == b.read_bytes()
+        a, b = tmp_path / "a", tmp_path / "other" / "b"
+        files, _ = self.run_small(command, a, train_csv, cohort_csv)
+        self.run_small(command, b, train_csv, cohort_csv)
+        assert sorted(os.listdir(a)) == sorted([f"{command}.manifest.json", *files])
+        for name in files:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 @pytest.mark.parametrize("module", ["scorekit", "scorekit.cli"])

@@ -41,8 +41,9 @@ After the runs, the seed-0 cohort is loaded and written back out
 together.  The result goes to stderr, so stdout holds only the digests of
 the CLI's own files.
 
-The CSV files hold no paths (each run's configuration goes to the
-manifest beside its CSV, which is not hashed), so running two versions of
+The output files hold no paths: every run, ``train`` and ``synth-gen``
+among them, writes its configuration to ``<subcommand>.manifest.json``
+beside its outputs, and no manifest is hashed.  So running two versions of
 the package into any two OUTDIRs and diffing the printed lines shows
 whether their outputs are byte-equal.  The heart runs read the bundled
 table and ``perfbench/heart_encoding.json`` where they are.
